@@ -53,7 +53,6 @@ from .errors import (
     CdtError,
     ConfigError,
     ConvexityError,
-    DegenerateCluster,
     DerivativeError,
     DomainError,
     DominanceError,
@@ -95,6 +94,7 @@ from .means import (
     stolarsky,
     stolarsky_mean,
     weighted_mean,
+    weighted_means,
 )
 from .quadrature import QuadratureConfig, adaptive_simpson, gauss_legendre, integrate
 

@@ -31,7 +31,7 @@ from .errors import (
     WeightError,
 )
 from .generators import IDENTITY, Generator, Interval
-from .means import MeanSpec, dominates, mean_value
+from .means import GEOMETRIC, MeanSpec, dominates, power, quasi_arithmetic, weighted_means
 from .quadrature import QuadratureConfig, integrate, ladder_breakpoints
 
 
@@ -160,54 +160,12 @@ def histogram_density(
     )
 
 
-def _bary_arrays(spec: MeanSpec, A: np.ndarray, B: np.ndarray, alpha: float) -> np.ndarray:
-    """Barycentric mean M(a, b; 1-alpha, alpha) on nonnegative arrays.
-
-    Zeros are handled by continuous extension: entries whose direct formula
-    is non-finite (geometric/harmonic-type collapse) evaluate to 0.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if np.any(A < 0.0) or np.any(B < 0.0):
+def _barycenters(M: MeanSpec, alpha: float, A, B) -> np.ndarray:
+    """M(a, b; 1-alpha, alpha) elementwise over masses or density values."""
+    X = np.array((A, B), dtype=float)
+    if np.minimum.reduce(X, axis=None) < 0.0:
         raise DomainError("distribution values must be nonnegative")
-    w0, w1 = 1.0 - alpha, alpha
-    fam = spec.family
-    with np.errstate(all="ignore"):
-        if fam == "quasi_arithmetic" or fam == "power":
-            gid = spec.generator.id if fam == "quasi_arithmetic" else None
-            delta = spec.delta if fam == "power" else None
-            if gid == "identity":
-                return w0 * A + w1 * B
-            if gid == "log" or (delta is not None and abs(delta) < 1e-7) or gid == "power:0":
-                out = np.exp(w0 * np.log(A) + w1 * np.log(B))
-            elif gid == "reciprocal":
-                out = 1.0 / (w0 / A + w1 / B)
-            elif delta is not None or (gid or "").startswith("power:"):
-                d = delta if delta is not None else float(gid.split(":", 1)[1])
-                out = (w0 * A**d + w1 * B**d) ** (1.0 / d)
-            else:
-                gen = spec.generator
-                vals = []
-                for a, b in zip(np.atleast_1d(A), np.atleast_1d(B)):
-                    try:
-                        vals.append(mean_value(spec, float(a), float(b), alpha))
-                    except DomainError:
-                        vals.append(0.0)
-                return np.asarray(vals)
-        elif fam == "lehmer":
-            d = spec.delta
-            out = (w0 * A ** (d + 1.0) + w1 * B ** (d + 1.0)) / (w0 * A**d + w1 * B**d)
-        elif fam == "gini":
-            d1, d2 = spec.delta, spec.delta2
-            if d1 == d2:
-                t0, t1 = w0 * A**d1, w1 * B**d1
-                out = np.exp((t0 * np.log(A) + t1 * np.log(B)) / (t0 + t1))
-            else:
-                out = ((w0 * A**d1 + w1 * B**d1) / (w0 * A**d2 + w1 * B**d2)) ** (1.0 / (d1 - d2))
-        else:
-            raise UnsupportedWeights(f"{fam} mean has no weighted form")
-    out = np.where(np.isfinite(out), out, 0.0)
-    return np.minimum(np.maximum(out, np.minimum(A, B)), np.maximum(A, B))
+    return weighted_means(M, X, (1.0 - alpha, alpha))
 
 
 def _is_discrete(d) -> bool:
@@ -237,7 +195,7 @@ def _merged_quadrature(p: DensityModel, q: DensityModel) -> tuple[float, float, 
 
 def _integral_of_mean(M: MeanSpec, alpha: float, p: DensityModel, q: DensityModel) -> float:
     lo, hi, cfg, brk = _merged_quadrature(p, q)
-    f = lambda x: _bary_arrays(M, p.eval(x), q.eval(x), alpha)
+    f = lambda x: _barycenters(M, alpha, p.eval(x), q.eval(x))
     return integrate(f, lo, hi, cfg, brk)
 
 
@@ -249,36 +207,20 @@ def bhat_coefficient(M: MeanSpec, alpha: float, p, q) -> float:
     if not M.supports_weights:
         raise UnsupportedWeights(f"mean {M} does not support weights")
     if _check_kinds(p, q):
-        vals = _bary_arrays(M, np.asarray(p.masses), np.asarray(q.masses), alpha)
+        vals = _barycenters(M, alpha, p.masses, q.masses)
         return float(math.fsum(vals.tolist()))
     return _integral_of_mean(M, alpha, p, q)
 
 
-_POWER_ORDER_QA = {"identity": 1.0, "log": 0.0, "reciprocal": -1.0}
-_POWER_ORDER_LEHMER = {0.0: 1.0, -0.5: 0.0, -1.0: -1.0}
-
-
-def _power_order(spec: MeanSpec) -> float | None:
-    if spec.family == "power":
-        return spec.delta
-    if spec.family == "quasi_arithmetic":
-        gid = spec.generator.id
-        if gid in _POWER_ORDER_QA:
-            return _POWER_ORDER_QA[gid]
-        if gid.startswith("power:"):
-            return float(gid.split(":", 1)[1])
-    if spec.family == "lehmer":
-        return _POWER_ORDER_LEHMER.get(spec.delta)
-    return None
-
-
-def _builtin_comparable(M: MeanSpec, N: MeanSpec) -> bool:
-    om, on = _power_order(M), _power_order(N)
+def _builtin_order(M: MeanSpec, N: MeanSpec) -> bool | None:
+    """Whether M <= N for pairs ordered by a known theorem (power means and
+    Lehmer means are increasing in their order); None for other pairs."""
+    om, on = M.power_order, N.power_order
     if om is not None and on is not None:
         return om <= on
     if M.family == "lehmer" and N.family == "lehmer":
         return M.delta <= N.delta
-    return False
+    return None
 
 
 def _value_window(p, q) -> tuple[float, float]:
@@ -294,14 +236,6 @@ def _value_window(p, q) -> tuple[float, float]:
     return 0.5 * lo, 2.0 * hi + 1e-12
 
 
-def _check_dominance(M: MeanSpec, N: MeanSpec, p, q, seed: int) -> None:
-    res = dominates(M, N, _value_window(p, q), samples=2000, seed=seed)
-    if res.above is not None:
-        raise DominanceError(
-            f"sampling found {M} > {N} at {res.above!r}; means are not ordered M <= N"
-        )
-
-
 def cmbd(
     M: MeanSpec,
     N: MeanSpec,
@@ -313,13 +247,21 @@ def cmbd(
 ) -> DivergenceValue:
     """Comparative-mean skewed Bhattacharyya distance -log(c^M / c^N).
 
-    Requires M <= N (checked by sampling unless the pair is a built-in
-    comparable pair such as G <= A, H <= A, H <= G, or ordered power means,
-    or ``trusted_dominance`` is set).  Satisfies the skew-swap identity
-    cmbd(alpha, q, p) = cmbd(1-alpha, p, q).
+    Requires M <= N.  Built-in pairs (power-type and Lehmer means, e.g.
+    G <= A, H <= G) are decided by their orders, and a pair in the wrong
+    order raises DominanceError at once; other pairs are checked by
+    sampling unless ``trusted_dominance`` is set.  Satisfies the skew-swap
+    identity cmbd(alpha, q, p) = cmbd(1-alpha, p, q).
     """
-    if not (trusted_dominance or _builtin_comparable(M, N)):
-        _check_dominance(M, N, p, q, seed)
+    order = _builtin_order(M, N)
+    if order is False:
+        raise DominanceError(f"{M} lies above {N}: means are not ordered M <= N")
+    if order is None and not trusted_dominance:
+        res = dominates(M, N, _value_window(p, q), samples=2000, seed=seed)
+        if res.above is not None:
+            raise DominanceError(
+                f"sampling found {M} > {N} at {res.above!r}; means are not ordered M <= N"
+            )
     cM = bhat_coefficient(M, alpha, p, q)
     cN = bhat_coefficient(N, alpha, p, q)
     if cM <= 0.0 or cN <= 0.0:
@@ -335,8 +277,6 @@ def power_cmbd(delta1: float, delta2: float, alpha: float, p, q) -> float:
         raise ParamError("delta1 and delta2 must differ")
     if abs(delta1) < 1e-12 or abs(delta2) < 1e-12:
         raise ParamError("zero delta: use cmbd with the geometric mean instead")
-    from .means import power
-
     c1 = bhat_coefficient(power(delta1), alpha, p, q)
     c2 = bhat_coefficient(power(delta2), alpha, p, q)
     value = math.log(c1 / c2) / (delta1 - delta2)
@@ -349,8 +289,6 @@ def alpha_divergence(alpha: float, p, q) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ParamError(f"alpha={alpha!r} outside (0, 1)")
-    from .means import GEOMETRIC
-
     c = bhat_coefficient(GEOMETRIC, 1.0 - alpha, p, q)
     value = (1.0 - c) / (alpha * (1.0 - alpha))
     return 0.0 if -ZERO_FLOOR <= value < 0.0 else value
@@ -393,19 +331,18 @@ def mean_gap_distance(f: Generator, g: Generator, p, q) -> float:
         raise DominanceError(
             f"{g.id}({f.id}^-1) is not convex: M_{f.id} does not lie below M_{g.id}"
         )
-    from .means import quasi_arithmetic
-
     Mf, Mg = quasi_arithmetic(f), quasi_arithmetic(g)
     if _check_kinds(p, q):
         A, B = np.asarray(p.masses), np.asarray(q.masses)
-        gap = _bary_arrays(Mg, A, B, 0.5) - _bary_arrays(Mf, A, B, 0.5)
+        gap = _barycenters(Mg, 0.5, A, B) - _barycenters(Mf, 0.5, A, B)
         value = float(math.fsum(gap.tolist()))
     else:
         lo, hi, cfg, brk = _merged_quadrature(p, q)
-        fn = lambda x: (
-            _bary_arrays(Mg, p.eval(x), q.eval(x), 0.5)
-            - _bary_arrays(Mf, p.eval(x), q.eval(x), 0.5)
-        )
+
+        def fn(x):
+            A, B = p.eval(x), q.eval(x)
+            return _barycenters(Mg, 0.5, A, B) - _barycenters(Mf, 0.5, A, B)
+
         value = integrate(fn, lo, hi, cfg, brk)
     return max(value, 0.0) if value >= -ZERO_FLOOR else value
 

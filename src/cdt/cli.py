@@ -120,7 +120,7 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _read_csv_rows(path: str) -> tuple[list[float], list[float] | None, list[str]]:
+def _read_csv_rows(path: str) -> tuple[list[float], list[float] | None]:
     values: list[float] = []
     weights: list[float] = []
     saw_weights = False
@@ -137,7 +137,7 @@ def _read_csv_rows(path: str) -> tuple[list[float], list[float] | None, list[str
             weights.append(1.0)
     if not values:
         raise ConfigError(f"no data rows in {path!r}")
-    return values, (weights if saw_weights else None), []
+    return values, (weights if saw_weights else None)
 
 
 def _normalize_weights(weights: list[float], warnings_out: list[str]) -> list[float]:
@@ -161,7 +161,7 @@ def load_points(path: str, warnings_out: list[str]) -> WeightedSet:
         if wts is None:
             return WeightedSet.uniform(pts)
         return WeightedSet(tuple(pts), tuple(_normalize_weights([float(w) for w in wts], warnings_out)))
-    values, weights, _ = _read_csv_rows(path)
+    values, weights = _read_csv_rows(path)
     if weights is None:
         return WeightedSet.uniform(values)
     return WeightedSet(tuple(values), tuple(_normalize_weights(weights, warnings_out)))
@@ -181,7 +181,7 @@ def load_distribution(path: str, cfg: QuadratureConfig, warnings_out: list[str])
             ps = _normalize_weights([float(v) for v in doc["ps"]], warnings_out)
             return bh.DiscreteDist(tuple(ps), values=tuple(float(v) for v in doc["xs"]))
         raise ConfigError(f"unknown distribution type {kind!r} in {path!r}")
-    values, weights, _ = _read_csv_rows(path)
+    values, weights = _read_csv_rows(path)
     masses = _normalize_weights(weights if weights is not None else [1.0] * len(values), warnings_out)
     return bh.DiscreteDist(tuple(masses), values=tuple(values))
 
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", dest="p_path", required=True)
     p.add_argument("--q", dest="q_path", required=True)
     p.add_argument("--coefficient", action="store_true", help="report the affinity coefficient of --M only")
-    p.add_argument("--check-dominance", action="store_true", help="force the sampled dominance check")
     common(p)
 
     p = sub.add_parser("alpha-div", help="alpha-divergence of two distributions")
@@ -381,7 +380,7 @@ def _run(cfg: RunConfig, caught: list[str]) -> dict:
         if opt.get("coefficient"):
             return {"value": bh.bhat_coefficient(M, alpha, p, q)}
         N = parse_mean(opt["N"])
-        value = bh.cmbd(M, N, alpha, p, q, trusted_dominance=not opt.get("check_dominance"), seed=cfg.seed)
+        value = bh.cmbd(M, N, alpha, p, q, seed=cfg.seed)
         return {"value": float(value)}
 
     if sub == "alpha-div":
@@ -509,3 +508,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:  # pragma: no cover - thin wrapper
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

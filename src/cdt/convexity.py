@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, OrderError
-from .generators import Generator, Interval, finite_difference
+from .generators import Generator, Interval, _limit_value, finite_difference
 
 #: Default number of grid points for convexity scans.
 DEFAULT_GRID = 257
@@ -116,7 +116,7 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
                 f"values of {F.id!r} leave the domain of generator {tau.id!r}"
             )
     image = Interval(
-        _endpoint_image(rho, dom.lo, -1), _endpoint_image(rho, dom.hi, +1)
+        _limit_value(rho.forward, dom.lo, -1), _limit_value(rho.forward, dom.hi, +1)
     )
 
     def g(u: float) -> float:
@@ -129,17 +129,6 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
 
     name = f"{tau.id}({F.id}({rho.id}^-1))"
     return FunctionModel(name, image, g, gprime)
-
-
-def _endpoint_image(rho: Generator, x: float, side: int) -> float:
-    try:
-        with np.errstate(all="ignore"):
-            v = float(rho.forward(x))
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return -math.inf if side < 0 else math.inf
-    if math.isnan(v):
-        return -math.inf if side < 0 else math.inf
-    return v
 
 
 def is_mn_convex(

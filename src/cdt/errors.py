@@ -63,10 +63,6 @@ class ParamError(CdtError, ValueError):
     """A numeric parameter is outside the admissible set for the operation."""
 
 
-class DegenerateCluster(CdtError):
-    """A cluster lost all of its points during an update step."""
-
-
 class ConfigError(CdtError, ValueError):
     """Command-line configuration failed validation before dispatch."""
 

@@ -15,7 +15,8 @@ import numpy as np
 from .bhattacharyya import DensityModel, DiscreteDist
 from .errors import DomainError, KindMismatch
 from .generators import Generator
-from .quadrature import integrate
+from .means import quasi_arithmetic, weighted_mean
+from .quadrature import _vectorized, integrate
 
 
 def qa_mean(f: Generator, samples: Sequence[float]) -> float:
@@ -23,20 +24,7 @@ def qa_mean(f: Generator, samples: Sequence[float]) -> float:
     xs = [float(x) for x in samples]
     if not xs:
         raise DomainError("qa_mean requires at least one sample")
-    fx = np.array([f.value(x) for x in xs])
-    out = f.inv(float(np.mean(fx)))
-    return min(max(out, min(xs)), max(xs))
-
-
-def _apply_gen(f: Generator, xs: np.ndarray) -> np.ndarray:
-    try:
-        with np.errstate(all="ignore"):
-            out = np.asarray(f.forward(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([f.value(float(x)) for x in xs])
+    return weighted_mean(quasi_arithmetic(f), xs, [1.0 / len(xs)] * len(xs))
 
 
 def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
@@ -63,13 +51,15 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
             raise DomainError(
                 f"support [{lo!r}, {hi!r}] is not inside the domain of generator {f.id!r}"
             )
-        moment = integrate(
-            lambda x: np.asarray(dist.eval(x), dtype=float) * _apply_gen(f, np.asarray(x, dtype=float)),
-            lo,
-            hi,
-            dist.quadrature,
-            dist.breakpoints,
-        )
+        with np.errstate(all="ignore"):
+            fv = _vectorized(f.forward)
+            moment = integrate(
+                lambda x: np.asarray(dist.eval(x), dtype=float) * fv(x),
+                lo,
+                hi,
+                dist.quadrature,
+                dist.breakpoints,
+            )
         if normalize:
             total = integrate(dist.eval, lo, hi, dist.quadrature, dist.breakpoints)
             moment /= total

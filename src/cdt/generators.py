@@ -108,7 +108,9 @@ class Generator:
 
     ``forward`` and ``inverse`` should accept floats (numpy arrays too, for
     the built-ins); ``derivative`` may be omitted, in which case a central
-    finite difference with step 1e-6*max(1,|x|) is used.
+    finite difference with step 1e-6*max(1,|x|) is used.  ``power_order`` is
+    the order d when the induced mean is the power mean P_d (identity 1,
+    log 0, reciprocal -1, power:d d), and None otherwise.
     """
 
     id: str
@@ -116,6 +118,7 @@ class Generator:
     forward: Callable
     inverse: Callable
     derivative: Callable | None = None
+    power_order: float | None = None
 
     def value(self, x: float) -> float:
         if not self.domain.contains(x):
@@ -170,11 +173,11 @@ class Generator:
 
 
 IDENTITY = Generator(
-    "identity", Interval(), lambda x: x, lambda y: y, lambda x: 1.0
+    "identity", Interval(), lambda x: x, lambda y: y, lambda x: 1.0, power_order=1.0
 ).validate()
 
 LOG = Generator(
-    "log", Interval(0.0, INF), np.log, np.exp, lambda x: 1.0 / x
+    "log", Interval(0.0, INF), np.log, np.exp, lambda x: 1.0 / x, power_order=0.0
 ).validate()
 
 #: Increasing representative of x -> 1/x; the induced (harmonic) mean is unchanged.
@@ -184,6 +187,7 @@ RECIPROCAL = Generator(
     lambda x: -1.0 / x,
     lambda y: -1.0 / y,
     lambda x: 1.0 / (x * x),
+    power_order=-1.0,
 ).validate()
 
 EXP = Generator("exp", Interval(), np.exp, np.log, np.exp).validate()
@@ -207,14 +211,15 @@ def power_generator(delta: float) -> Generator:
 def _power_generator_cached(delta: float) -> Generator:
     if delta == 0.0:
         return Generator(
-            "power:0", Interval(0.0, INF), np.log, np.exp, lambda x: 1.0 / x
+            "power:0", Interval(0.0, INF), np.log, np.exp, lambda x: 1.0 / x, power_order=0.0
         )
     if abs(delta) < _POWER_DELTA_MIN:
         raise ParamError(
             f"power generator with |delta|={abs(delta):g} < {_POWER_DELTA_MIN:g} "
             "cannot meet the inverse round-trip tolerance; use delta=0 (geometric limit)"
         )
-    name = f"power:{delta:g}"
+    # Short form when it round-trips, so parse_mean(format_mean(m)) == m.
+    name = f"power:{delta:g}" if float(f"{delta:g}") == delta else f"power:{delta!r}"
     if delta > 0.0:
         return Generator(
             name,
@@ -222,6 +227,7 @@ def _power_generator_cached(delta: float) -> Generator:
             lambda x: np.power(x, delta),
             lambda y: np.exp(np.log(y) / delta),
             lambda x: delta * x ** (delta - 1.0),
+            power_order=delta,
         ).validate()
     return Generator(
         name,
@@ -229,6 +235,7 @@ def _power_generator_cached(delta: float) -> Generator:
         lambda x: -np.power(x, delta),
         lambda y: np.exp(np.log(-y) / delta),
         lambda x: -delta * x ** (delta - 1.0),
+        power_order=delta,
     ).validate()
 
 

@@ -4,6 +4,13 @@ dominance comparison.
 
 Every mean here is symmetric; the weight convention throughout the package
 puts weight (1 - alpha) on the first argument and alpha on the second.
+
+All weighted families share one kernel, :func:`weighted_means`.  The scalar
+API (:func:`mean_value`, :func:`weighted_mean`) requires arguments strictly
+inside the domain; array callers (distributions) may pass zeros, and a zero
+argument takes the x -> 0+ limit of the mean: 0 log 0 counts as 0, and where
+the mean collapses (a geometric, harmonic or other negative-order mean with
+a zero argument) the value is 0.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .errors import (
     WeightError,
 )
 from .generators import IDENTITY, LOG, RECIPROCAL, Generator, Interval, get_generator, power_generator
+from .quadrature import _vectorized
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -31,11 +39,10 @@ WEIGHT_SUM_TOL = 1e-9
 #: midpoint (removable singularity, first-order accurate).
 NEAR_EQUAL_REL = 1e-9
 
-#: Power means switch to the geometric branch below this |delta| to avoid
-#: catastrophic cancellation; P_0 = G by continuous extension.
-GEOMETRIC_BRANCH_EPS = 1e-7
-
 _MONOTONE_SAMPLES = 33
+
+#: Lehmer means that equal a power mean at every weight: L_0 = A, L_-1 = H.
+_LEHMER_POWER_ORDER = {0.0: 1.0, -1.0: -1.0}
 
 
 @dataclass(frozen=True)
@@ -54,17 +61,22 @@ class MeanSpec:
         return self.family in ("quasi_arithmetic", "power", "lehmer", "gini")
 
     @property
-    def symmetric(self) -> bool:
-        # Every built-in family is invariant under swapping its two arguments.
-        return True
+    def power_order(self) -> float | None:
+        """The order d when this is the power mean P_d at every weight, else None."""
+        if self.family == "power":
+            return self.delta
+        if self.family == "quasi_arithmetic":
+            return self.generator.power_order
+        if self.family == "lehmer":
+            return _LEHMER_POWER_ORDER.get(self.delta)
+        return None
 
     @property
     def homogeneous(self) -> bool:
         if self.family in ("power", "lehmer", "gini", "stolarsky"):
             return True
         if self.family == "quasi_arithmetic":
-            gid = self.generator.id
-            return gid in ("identity", "log", "reciprocal") or gid.startswith("power:")
+            return self.power_order is not None
         if self.family == "dual":
             return self.inner.homogeneous
         # Lagrange/Cauchy means are homogeneous only for special generators;
@@ -109,8 +121,8 @@ def stolarsky(p: float) -> MeanSpec:
 
 
 def dual(spec: MeanSpec) -> MeanSpec:
-    if not (spec.symmetric and spec.homogeneous):
-        raise ParamError("dual mean requires a symmetric homogeneous base mean")
+    if not spec.homogeneous:
+        raise ParamError("dual mean requires a homogeneous base mean")
     return MeanSpec("dual", inner=spec)
 
 
@@ -119,54 +131,105 @@ GEOMETRIC = quasi_arithmetic(LOG)
 HARMONIC = quasi_arithmetic(RECIPROCAL)
 
 
-def _require_positive(x: np.ndarray, family: str) -> None:
-    if np.any(x <= 0.0):
-        raise DomainError(f"{family} mean requires strictly positive values")
+def _wsum(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """sum_i W[i] * Y[i], accumulated in argument order so that a column's
+    value does not depend on how many columns share the call."""
+    acc = W[0] * Y[0]
+    for i in range(1, len(W)):
+        acc += W[i] * Y[i]
+    return acc
 
 
-def _family_weighted(spec: MeanSpec, values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted mean for a weight-supporting family.
+def _power_means(d: float, X: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:
+    if d == 1.0:
+        return _wsum(W, X)
+    # Scale by the largest argument for d >= 0 and the smallest for d < 0,
+    # so that every (x / xm)**d lies in [0, 1].
+    xm = hi if d >= 0.0 else lo
+    L = np.log(X / xm)
+    if d == 0.0:
+        return xm * np.exp(_wsum(W, L))
+    # log(sum w (x/xm)^d): log1p of sum w expm1(d log(x/xm)) stays exact as
+    # d -> 0, but cancels where the sum nears -1; there the direct sum is
+    # exact instead.
+    dL = d * L
+    S = _wsum(W, np.expm1(dL))
+    logT = np.log1p(S)
+    low = S < -0.5
+    if np.logical_or.reduce(low):
+        logT = np.where(low, np.log(_wsum(W, np.exp(dL))), logT)
+    return xm * np.exp(logT / d)
 
-    Weights are assumed normalized; zero weights are tolerated here so that
-    barycentric endpoints M_0 and M_1 evaluate cleanly.  Public entry points
-    enforce strictly positive weights.
+
+def _generator_means(gen: Generator, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    if np.any((X < gen.domain.lo) | (X > gen.domain.hi)):
+        raise DomainError(f"argument outside the domain {gen.domain} of generator {gen.id!r}")
+    try:
+        FX = _vectorized(gen.forward)(X.ravel()).reshape(X.shape)
+        return np.asarray(_vectorized(gen.inverse)(_wsum(W, FX)), dtype=float)
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(f"generator {gen.id!r} failed: {exc}") from exc
+
+
+def _ratio_means(spec: MeanSpec, X: np.ndarray, W: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Lehmer and Gini means, scaled by the largest argument."""
+    R = X / hi
+    d1, d2 = spec.delta, spec.delta2
+    if spec.family == "lehmer":
+        return hi * _wsum(W, R ** (d1 + 1.0)) / _wsum(W, R**d1)
+    if d1 == d2:
+        T = R**d1
+        TL = np.where(T == 0.0, 0.0, T * np.log(R))  # 0 log 0 = 0
+        return hi * np.exp(_wsum(W, TL) / _wsum(W, T))
+    return hi * np.exp(np.log(_wsum(W, R**d1) / _wsum(W, R**d2)) / (d1 - d2))
+
+
+def weighted_means(spec: MeanSpec, X, W) -> np.ndarray:
+    """Elementwise weighted means M(X[0], ..., X[n-1]; W[0], ..., W[n-1]).
+
+    ``X`` has shape (n, ...) with the n arguments along axis 0; ``W`` holds
+    one normalized weight per argument, and arguments of weight 0 are
+    ignored.  Callers validate their inputs.  Means with a ``power_order``
+    share one scaled power branch; other generators are evaluated once per
+    array.  A zero argument takes the x -> 0+ limit (see
+    the module docstring); any other non-finite mean raises DomainError.
     """
-    x = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    X = np.asarray(X, dtype=float)
+    W = np.asarray(W, dtype=float)
+    if np.count_nonzero(W) < len(W):
+        X, W = X[W != 0.0], W[W != 0.0]
+    shape = X.shape[1:]
+    X = X.reshape(len(W), -1)
+    lo, hi = np.minimum.reduce(X), np.maximum.reduce(X)
+    fam, order = spec.family, spec.power_order
+    with np.errstate(all="ignore"):
+        if order is not None:
+            out = _power_means(order, X, W, lo, hi)
+        elif fam == "quasi_arithmetic":
+            out = _generator_means(spec.generator, X, W)
+        elif fam in ("lehmer", "gini"):
+            out = _ratio_means(spec, X, W, hi)
+        else:
+            raise UnsupportedWeights(f"{fam} mean has no weighted form")
+        if not np.logical_and.reduce(np.isfinite(out)):
+            bad = ~np.isfinite(out)
+            other = bad & ~(X == 0.0).any(axis=0)
+            if other.any():
+                raise DomainError(f"{spec} mean is not finite at arguments {X[:, other][:, 0]!r}")
+            out = np.where(bad, 0.0, out)  # collapsed in the x -> 0+ limit
+    return np.minimum(np.maximum(out, lo), hi).reshape(shape)
+
+
+def _scalar_mean(spec: MeanSpec, values: Sequence[float], weights: Sequence[float]) -> float:
+    """Weighted mean of scalar arguments, which must lie inside the domain."""
     if spec.family == "quasi_arithmetic":
-        gen = spec.generator
-        fx = np.array([gen.value(float(v)) for v in x])
-        out = gen.inv(float(np.dot(w, fx)))
-    elif spec.family == "power":
-        _require_positive(x, "power")
-        d = spec.delta
-        if abs(d) < GEOMETRIC_BRANCH_EPS:
-            out = float(np.exp(np.dot(w, np.log(x))))
-        else:
-            xm = float(np.max(x))
-            s = float(np.dot(w, (x / xm) ** d))
-            out = xm * s ** (1.0 / d)
-    elif spec.family == "lehmer":
-        _require_positive(x, "lehmer")
-        d = spec.delta
-        xm = float(np.max(x))
-        r = x / xm
-        out = xm * float(np.dot(w, r ** (d + 1.0))) / float(np.dot(w, r**d))
-    elif spec.family == "gini":
-        _require_positive(x, "gini")
-        d1, d2 = spec.delta, spec.delta2
-        xm = float(np.max(x))
-        r = x / xm
-        if d1 == d2:
-            t = w * r**d1
-            out = float(np.exp(np.dot(t, np.log(x)) / np.sum(t)))
-        else:
-            ratio = float(np.dot(w, r**d1)) / float(np.dot(w, r**d2))
-            out = xm * math.exp(math.log(ratio) / (d1 - d2))
-    else:  # pragma: no cover - guarded by callers
-        raise UnsupportedWeights(f"{spec.family} mean has no weighted form")
-    lo, hi = float(np.min(x)), float(np.max(x))
-    return min(max(out, lo), hi)
+        dom = spec.generator.domain
+        for v in values:
+            if not dom.lo < v < dom.hi:
+                raise DomainError(f"{v!r} outside domain {dom} of generator {spec.generator.id!r}")
+    elif not min(values) > 0.0:
+        raise DomainError(f"{spec.family} mean requires strictly positive values")
+    return float(weighted_means(spec, values, weights))
 
 
 def weighted_mean(spec: MeanSpec, values: Sequence[float], weights: Sequence[float]) -> float:
@@ -185,7 +248,7 @@ def weighted_mean(spec: MeanSpec, values: Sequence[float], weights: Sequence[flo
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL:g}")
     if spec.supports_weights:
-        return _family_weighted(spec, values, weights)
+        return _scalar_mean(spec, values, weights)
     if len(values) == 2 and abs(weights[0] - 0.5) <= 1e-12 and abs(weights[1] - 0.5) <= 1e-12:
         return mean_value(spec, values[0], values[1])
     raise UnsupportedWeights(
@@ -203,7 +266,7 @@ def mean_value(spec: MeanSpec, x: float, y: float, alpha: float = 0.5) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise WeightError(f"alpha={alpha!r} outside [0, 1]")
     if spec.supports_weights:
-        return _family_weighted(spec, (x, y), (1.0 - alpha, alpha))
+        return _scalar_mean(spec, (x, y), (1.0 - alpha, alpha))
     if abs(alpha - 0.5) > 1e-12:
         raise UnsupportedWeights(f"{spec.family} mean has no weighted form")
     if spec.family == "lagrange":
@@ -313,8 +376,8 @@ def dual_mean(spec: MeanSpec, x: float, y: float) -> float:
     x, y = float(x), float(y)
     if x <= 0.0 or y <= 0.0:
         raise DomainError("dual mean requires strictly positive arguments")
-    if not (spec.symmetric and spec.homogeneous):
-        raise ParamError("dual mean requires a symmetric homogeneous base mean")
+    if not spec.homogeneous:
+        raise ParamError("dual mean requires a homogeneous base mean")
     out = x * y / mean_value(spec, x, y)
     return min(max(out, min(x, y)), max(x, y))
 

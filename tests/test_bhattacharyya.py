@@ -302,3 +302,35 @@ class TestDensities:
             DiscreteDist((0.5, 0.1))
         with pytest.raises(WeightError):
             DiscreteDist(())
+
+
+class TestOrderCheck:
+    MISORDERED = [
+        (ARITHMETIC, GEOMETRIC),
+        (GEOMETRIC, HARMONIC),
+        (power(2), power(-1)),
+        (quasi_arithmetic(LOG), power(-0.5)),
+        (lehmer(2), lehmer(1)),
+        (lehmer(0), HARMONIC),
+    ]
+
+    def test_misordered_builtin_pairs_fail_without_sampling(self, monkeypatch):
+        import cdt.bhattacharyya as bh
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("built-in pairs must not be sampled")
+
+        monkeypatch.setattr(bh, "dominates", no_sampling)
+        for M, N in self.MISORDERED:
+            with pytest.raises(DominanceError):
+                cmbd(M, N, 0.5, P, Q)
+            with pytest.raises(DominanceError):
+                cmbd(M, N, 0.5, P, Q, trusted_dominance=True)
+            assert float(cmbd(N, M, 0.5, P, Q)) >= 0.0
+
+    def test_lehmer_minus_half_is_not_the_geometric_mean(self):
+        # L_{-1/2} equals G only at alpha = 1/2, so the pair is sampled and
+        # the order G <= L_{-1/2} fails at alpha = 0.1.
+        p, q = DiscreteDist((0.7, 0.2, 0.1)), DiscreteDist((0.1, 0.3, 0.6))
+        with pytest.raises(DominanceError):
+            cmbd(GEOMETRIC, lehmer(-0.5), 0.1, p, q)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +88,18 @@ class TestBhat:
         code, out = run(["bhat", "--M", "qa:reciprocal", "--N", "qa:identity", "--alpha", "0.5", "--p", u, "--q", v])
         assert code == 0
         assert out["value"] == pytest.approx(0.143841, abs=1e-5)
+
+    def test_misordered_means_exit_3_with_dominance_error(self, tmp_path):
+        u = write_json(tmp_path, "u.json", {"type": "discrete", "masses": [0.5, 0.5]})
+        v = write_json(tmp_path, "v.json", {"type": "discrete", "masses": [0.9, 0.1]})
+        code, out = run(["bhat", "--M", "qa:identity", "--N", "qa:log", "--alpha", "0.5", "--p", u, "--q", v])
+        assert code == 3
+        assert out["error"]["type"] == "DominanceError"
+
+    def test_check_dominance_flag_is_gone(self, tmp_path):
+        u = write_json(tmp_path, "u.json", {"type": "discrete", "masses": [0.5, 0.5]})
+        with pytest.raises(SystemExit):
+            config_from_argv(["bhat", "--M", "qa:log", "--alpha", "0.5", "--p", u, "--q", u, "--check-dominance"])
 
     def test_alpha_div(self, tmp_path):
         u = write_json(tmp_path, "u.json", {"type": "discrete", "masses": [0.5, 0.5]})
@@ -206,3 +222,23 @@ class TestContract:
         code = main(["mean", "--spec", "qa:identity", "--format", "csv", "1", "3"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "value,2.0"
+
+
+def test_python_m_cdt_cli_runs_console_main():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("CDT_SEED", None)
+    ok = subprocess.run(
+        [sys.executable, "-m", "cdt.cli", "mean", "--spec", "power:2", "3", "4"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert ok.returncode == 0, ok.stderr
+    doc = json.loads(ok.stdout)
+    assert doc["value"] == pytest.approx(math.sqrt(12.5), rel=1e-12)
+    assert doc["provenance"]["argv"] == ["mean", "--spec", "power:2", "3", "4"]
+    bad = subprocess.run(
+        [sys.executable, "-m", "cdt.cli", "mean", "--spec", "qa:log", "--", "-1", "4"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert bad.returncode == 3
+    assert json.loads(bad.stdout)["error"]["type"] == "DomainError"

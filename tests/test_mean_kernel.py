@@ -1,0 +1,229 @@
+"""The weighted-mean kernel: an arbitrary-precision oracle for every weighted
+family, pinned edge values, zero-argument limits, and agreement between one
+array call and the stacked scalar calls."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdt.bhattacharyya import DiscreteDist, bhat_coefficient
+from cdt.errors import DomainError
+from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, power_generator
+from cdt.means import (
+    ARITHMETIC,
+    GEOMETRIC,
+    HARMONIC,
+    format_mean,
+    gini,
+    lehmer,
+    mean_value,
+    parse_mean,
+    power,
+    quasi_arithmetic,
+    weighted_mean,
+    weighted_means,
+)
+
+mp = mpmath.mp.clone()
+mp.dps = 50
+
+POWER_ORDERS = (1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6, 1e-4, 0.3, 1.0, 2.0, -1.0, 50.0)
+
+
+def mp_power(d):
+    def mean(x, w):
+        if d == 0:
+            return mp.exp(mp.fsum(wi * mp.log(xi) for xi, wi in zip(x, w)))
+        d_ = mp.mpf(d)
+        return mp.fsum(wi * xi**d_ for xi, wi in zip(x, w)) ** (1 / d_)
+
+    return mean
+
+
+def mp_lehmer(d):
+    d_ = mp.mpf(d)
+    return lambda x, w: (
+        mp.fsum(wi * xi ** (d_ + 1) for xi, wi in zip(x, w)) / mp.fsum(wi * xi**d_ for xi, wi in zip(x, w))
+    )
+
+
+def mp_gini(d1, d2):
+    a, b = mp.mpf(d1), mp.mpf(d2)
+
+    def mean(x, w):
+        if d1 == d2:
+            t = [wi * xi**a for xi, wi in zip(x, w)]
+            return mp.exp(mp.fsum(ti * mp.log(xi) for ti, xi in zip(t, x)) / mp.fsum(t))
+        ratio = mp.fsum(wi * xi**a for xi, wi in zip(x, w)) / mp.fsum(wi * xi**b for xi, wi in zip(x, w))
+        return ratio ** (1 / (a - b))
+
+    return mean
+
+
+ORACLES = (
+    [
+        (ARITHMETIC, mp_power(1)),
+        (GEOMETRIC, mp_power(0)),
+        (HARMONIC, mp_power(-1)),
+        (quasi_arithmetic(EXP), lambda x, w: mp.log(mp.fsum(wi * mp.exp(xi) for xi, wi in zip(x, w)))),
+    ]
+    + [(quasi_arithmetic(power_generator(d)), mp_power(d)) for d in (-2.5, -1e-4, 1e-4, 0.5, 1.2345678, 3.0)]
+    + [(power(d), mp_power(d)) for d in POWER_ORDERS]
+    + [(lehmer(d), mp_lehmer(d)) for d in (-2.0, -1.0, -0.5, 0.0, 0.3, 1.0, 3.0)]
+    + [
+        (gini(d1, d2), mp_gini(d1, d2))
+        for d1, d2 in ((1, 2), (0.5, 0.4), (-1, 0.5), (2, -3), (0, 1), (1, 1), (-1, -1), (0.5, 0.5))
+    ]
+)
+
+
+@pytest.mark.parametrize("spec,oracle", ORACLES, ids=[format_mean(s) for s, _ in ORACLES])
+@pytest.mark.parametrize("n", [2, 5])
+def test_oracle_and_scalar_array_identity(spec, oracle, n):
+    rng = np.random.default_rng(n)
+    m = 40
+    X = np.exp(rng.uniform(math.log(0.1), math.log(50.0), (n, m)))
+    w = rng.dirichlet(np.ones(n))
+    w = w / math.fsum(w.tolist())
+    arr = weighted_means(spec, X, w)
+    assert arr.shape == (m,)
+    wm = [mp.mpf(float(v)) for v in w]
+    wm = [v / mp.fsum(wm) for v in wm]
+    for j in range(m):
+        want = oracle([mp.mpf(float(v)) for v in X[:, j]], wm)
+        assert abs(arr[j] - want) <= 1e-13 * abs(want), (j, arr[j], want)
+        assert weighted_mean(spec, X[:, j].tolist(), w.tolist()) == arr[j]
+
+
+def test_power_mean_does_not_overflow():
+    want = 7.1063352e199
+    assert mean_value(power(2), 1e200, 1e199) == pytest.approx(want, rel=1e-8)
+    big = DiscreteDist((1e200,), normalized=False), DiscreteDist((1e199,), normalized=False)
+    assert bhat_coefficient(power(2), 0.5, *big) == pytest.approx(want, rel=1e-8)
+    # negative orders scale by the smallest argument: (1e-10)^-50 overflows
+    tiny = mean_value(power(-50), 1e-10, 1.0)
+    assert tiny == pytest.approx(1e-10 * 2.0 ** (1 / 50), rel=1e-13)
+
+
+def test_gini_equal_orders_zero_mass_coefficient():
+    p = DiscreteDist((0.5, 0.5, 0.0))
+    q = DiscreteDist((0.0, 0.5, 0.5))
+    for alpha in (0.3, 0.5):
+        assert bhat_coefficient(gini(1, 1), alpha, p, q) == pytest.approx(1.5, rel=1e-15)
+
+
+def test_qa_power_generator_equals_power_mean():
+    qa, pm = parse_mean("qa:power:1.2345678"), power(1.2345678)
+    assert format_mean(qa) == "qa:power:1.2345678"
+    assert parse_mean(format_mean(qa)) == qa
+    X = np.exp(np.random.default_rng(3).uniform(-3.0, 3.0, (2, 50)))
+    assert np.array_equal(weighted_means(qa, X, (0.3, 0.7)), weighted_means(pm, X, (0.3, 0.7)))
+    assert mean_value(qa, 1.3, 7.9, 0.4) == mean_value(pm, 1.3, 7.9, 0.4)
+
+
+def test_power_orders():
+    assert (IDENTITY.power_order, LOG.power_order, RECIPROCAL.power_order) == (1.0, 0.0, -1.0)
+    assert power_generator(0).power_order == 0.0
+    assert power_generator(-2.5).power_order == -2.5
+    assert EXP.power_order is None
+    assert quasi_arithmetic(power_generator(1.5)).homogeneous
+    assert not quasi_arithmetic(EXP).homogeneous
+    assert (lehmer(0).power_order, lehmer(-1).power_order, lehmer(-0.5).power_order) == (1.0, -1.0, None)
+    assert power(2.5).power_order == 2.5 and gini(1, 0).power_order is None
+
+
+# x -> 0+ limit of M(0, b; 1-a, a)
+ZERO_LIMITS = [
+    (ARITHMETIC, lambda b, a: a * b),
+    (GEOMETRIC, lambda b, a: 0.0),
+    (HARMONIC, lambda b, a: 0.0),
+    (quasi_arithmetic(EXP), lambda b, a: math.log(1.0 - a + a * math.exp(b))),
+    (quasi_arithmetic(power_generator(3)), lambda b, a: a ** (1 / 3) * b),
+    (power(2), lambda b, a: math.sqrt(a) * b),
+    (power(1e-9), lambda b, a: 0.0),
+    (power(-0.5), lambda b, a: 0.0),
+    (lehmer(0), lambda b, a: a * b),
+    (lehmer(1), lambda b, a: b),
+    (lehmer(-0.3), lambda b, a: 0.0),
+    (lehmer(-2), lambda b, a: 0.0),
+    (gini(1, 1), lambda b, a: b),
+    (gini(2, 2), lambda b, a: b),
+    (gini(0, 0), lambda b, a: 0.0),
+    (gini(-1, -1), lambda b, a: 0.0),
+    (gini(1, 2), lambda b, a: b),
+    (gini(0, 1), lambda b, a: a * b),
+    (gini(-1, 0.5), lambda b, a: 0.0),
+    (gini(-1, -2), lambda b, a: 0.0),
+]
+
+
+@pytest.mark.parametrize("spec,limit", ZERO_LIMITS, ids=[format_mean(s) for s, _ in ZERO_LIMITS])
+def test_zero_argument_takes_its_limit(spec, limit):
+    for a in (0.3, 0.6):
+        for b in (0.2, 3.0):
+            want = limit(b, a)
+            got = weighted_means(spec, [[0.0], [b]], (1.0 - a, a))[0]
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+            assert weighted_means(spec, [[b], [0.0]], (a, 1.0 - a))[0] == got
+            # continuity: the scalar mean at a tiny positive argument
+            assert mean_value(spec, 1e-300, b, a) == pytest.approx(want, rel=1e-12, abs=1e-30)
+
+
+def test_all_zero_arguments_give_zero():
+    for spec in (ARITHMETIC, GEOMETRIC, HARMONIC, power(2), power(-2), lehmer(1), lehmer(-2), gini(1, 1), gini(1, 2)):
+        assert weighted_means(spec, [[0.0], [0.0]], (0.5, 0.5))[0] == 0.0
+
+
+def test_non_finite_values_raise():
+    with pytest.raises(DomainError):
+        weighted_mean(quasi_arithmetic(EXP), (700.0, 710.0), (0.5, 0.5))
+    with pytest.raises(DomainError):
+        weighted_means(power(2), [[math.nan], [1.0]], (0.5, 0.5))
+    with pytest.raises(DomainError):
+        weighted_means(quasi_arithmetic(LOG), [[-1.0], [1.0]], (0.5, 0.5))
+
+
+def test_identity_accepts_negative_arguments():
+    assert weighted_mean(ARITHMETIC, (-3.0, 1.0), (0.25, 0.75)) == 0.0
+    assert mean_value(ARITHMETIC, -2.0, -4.0) == -3.0
+
+
+def test_zero_weights_are_ignored():
+    X = np.array([[2.0, 0.0], [5.0, 3.0]])
+    for spec in (GEOMETRIC, power(2), lehmer(-2), gini(1, 1), quasi_arithmetic(EXP)):
+        assert weighted_means(spec, X, (1.0, 0.0)).tolist() == [2.0, 0.0]
+        assert weighted_means(spec, X, (0.0, 1.0)).tolist() == [5.0, 3.0]
+
+
+SPECS = [
+    ARITHMETIC, GEOMETRIC, HARMONIC, quasi_arithmetic(EXP), quasi_arithmetic(power_generator(0.7)),
+    power(-3.0), power(1e-8), power(2.5), lehmer(-1.5), lehmer(0.5), gini(1, 1), gini(-0.5, 2),
+]
+positive = st.floats(1e-3, 1e3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    spec=st.sampled_from(SPECS),
+    cols=st.lists(st.tuples(positive, positive, positive), min_size=1, max_size=8),
+    raw=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+    alpha=st.floats(0.0, 1.0),
+)
+def test_array_call_equals_stacked_scalar_calls(spec, cols, raw, alpha):
+    X = np.array(cols).T
+    w = [v / sum(raw) for v in raw]
+    for args, weights, scalar in (
+        (X[:2], (1.0 - alpha, alpha), lambda j: mean_value(spec, X[0, j], X[1, j], alpha)),
+        (X, w, lambda j: weighted_mean(spec, X[:, j].tolist(), w)),
+    ):
+        try:
+            want = [scalar(j) for j in range(X.shape[1])]
+        except DomainError:  # e.g. exp overflows: the array call fails alike
+            with pytest.raises(DomainError):
+                weighted_means(spec, args, weights)
+            continue
+        assert weighted_means(spec, args, weights).tolist() == want
