@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .convexity import Verdict, function_model, is_mn_convex
-from .divergences import ZERO_FLOOR, DivergenceValue
+from .divergences import DivergenceValue, _zero_floor
 from .errors import (
     DomainError,
     DominanceError,
@@ -280,7 +280,7 @@ def power_cmbd(delta1: float, delta2: float, alpha: float, p, q) -> float:
     c1 = bhat_coefficient(power(delta1), alpha, p, q)
     c2 = bhat_coefficient(power(delta2), alpha, p, q)
     value = math.log(c1 / c2) / (delta1 - delta2)
-    return 0.0 if -ZERO_FLOOR <= value < 0.0 else value
+    return _zero_floor(value)
 
 
 def alpha_divergence(alpha: float, p, q) -> float:
@@ -291,7 +291,7 @@ def alpha_divergence(alpha: float, p, q) -> float:
         raise ParamError(f"alpha={alpha!r} outside (0, 1)")
     c = bhat_coefficient(GEOMETRIC, 1.0 - alpha, p, q)
     value = (1.0 - c) / (alpha * (1.0 - alpha))
-    return 0.0 if -ZERO_FLOOR <= value < 0.0 else value
+    return _zero_floor(value)
 
 
 def cauchy_ha_closed_form(s1: CauchyParam | float, s2: CauchyParam | float, alpha: float) -> float:
@@ -344,7 +344,7 @@ def mean_gap_distance(f: Generator, g: Generator, p, q) -> float:
             return _barycenters(Mg, 0.5, A, B) - _barycenters(Mf, 0.5, A, B)
 
         value = integrate(fn, lo, hi, cfg, brk)
-    return max(value, 0.0) if value >= -ZERO_FLOOR else value
+    return _zero_floor(value)
 
 
 def _image_window(gen: Generator, window: Interval) -> tuple[float, float]:

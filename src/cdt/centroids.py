@@ -19,9 +19,8 @@ import numpy as np
 
 from .divergences import QabdSpec, WeightedSet, jensen_diversity, qabd
 from .errors import NonInvertibleGradient, ParamError
+from .generators import _invert_monotone, _monotone_direction
 from .means import quasi_arithmetic
-
-_GRADIENT_SAMPLES = 33
 
 
 @dataclass(frozen=True)
@@ -39,21 +38,6 @@ class Clustering:
     history: tuple[float, ...] = ()
 
 
-def _gradient_on(spec: QabdSpec, us: np.ndarray):
-    G = spec.reduced
-    lo, hi = float(np.min(us)), float(np.max(us))
-    if lo == hi:
-        return None
-    xs = np.linspace(lo, hi, _GRADIENT_SAMPLES)
-    vals = [G.deriv(float(x)) for x in xs]
-    diffs = np.diff(vals)
-    if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
-        raise NonInvertibleGradient(
-            f"derivative of {G.id!r} is not monotone on [{lo!r}, {hi!r}]"
-        )
-    return lo, hi
-
-
 def bregman_centroid(spec: QabdSpec, wset: WeightedSet) -> float:
     """Unique minimizer of sum_i w_i * qabd(c : p_i)."""
     pts = np.asarray(wset.points)
@@ -61,29 +45,18 @@ def bregman_centroid(spec: QabdSpec, wset: WeightedSet) -> float:
     if len(pts) == 1:
         return float(pts[0])
     us = np.array([spec.rho.value(float(p)) for p in pts])
-    span = _gradient_on(spec, us)
-    if span is None:
+    lo, hi = float(np.min(us)), float(np.max(us))
+    if lo == hi:
         return float(pts[0])
     G = spec.reduced
+    if not _monotone_direction(G.deriv, lo, hi):
+        raise NonInvertibleGradient(f"derivative of {G.id!r} is not monotone on [{lo!r}, {hi!r}]")
     wprime = np.array(
         [w / spec.tau.deriv(spec.F.value(float(p))) for w, p in zip(wts, pts)]
     )
     wprime = wprime / wprime.sum()
     target = float(np.dot(wprime, [G.deriv(float(u)) for u in us]))
-    lo, hi = span
-    a, b = lo, hi
-    ga, gb = G.deriv(a), G.deriv(b)
-    increasing = gb >= ga
-    target = min(max(target, min(ga, gb)), max(ga, gb))
-    for _ in range(200):
-        if (b - a) <= 1e-12 * max(1.0, abs(a), abs(b)):
-            break
-        m = 0.5 * (a + b)
-        if (G.deriv(m) < target) == increasing:
-            a = m
-        else:
-            b = m
-    c = spec.rho.inv(0.5 * (a + b))
+    c = spec.rho.inv(_invert_monotone(G.deriv, target, lo, hi, 1e-12))
     return min(max(c, float(np.min(pts))), float(np.max(pts)))
 
 

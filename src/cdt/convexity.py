@@ -2,9 +2,11 @@
 
 A function F is (M_rho, M_tau)-convex (for strictly increasing generators)
 exactly when G = tau . F . rho^{-1} is ordinary convex on rho(I).  Verdicts
-here are sampling-based falsification, never proofs: a function is reported
-Convex only when both the second-difference scan of G and a midpoint-pair
-scan in the original coordinates pass.
+here are sampling-based falsification, never proofs.  Every certificate
+(:func:`is_mn_convex` here, ``divergences.midpoint_verdict`` for arbitrary
+means) reduces its samples to normalized gaps and classifies them with one
+rule: NOT_CONVEX when some gap is below -CONVEXITY_RTOL, otherwise CONVEX
+when some gap is above CONVEXITY_RTOL, otherwise AFFINE.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class ConvexityReport:
     verdict: Verdict
-    #: worst witness, in original coordinates: a grid triple (x0, x1, x2) for
-    #: a failed second difference, or (p, q, midpoint) for a midpoint violation
+    #: worst witness of a NOT_CONVEX verdict, in original coordinates: from
+    #: is_mn_convex a grid triple (x0, x1, x2) for a failed second difference
+    #: or (p, q, midpoint) for a midpoint violation; from midpoint_verdict
+    #: (p, q, gap) with the unnormalized gap N(F(p), F(q)) - F(M(p, q))
     witness: tuple[float, float, float] | None = None
     #: most adverse normalized gap seen (negative values indicate concavity)
     min_gap: float = math.inf
@@ -131,6 +135,23 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
     return FunctionModel(name, image, g, gprime)
 
 
+def _verdict(gaps: np.ndarray, witness: Callable[[int], tuple]) -> ConvexityReport:
+    """The verdict rule shared by every certificate.
+
+    ``gaps`` are normalized convexity gaps (negative values indicate
+    concavity) and ``witness(i)`` describes the sample behind gap i.  Some
+    gap below -CONVEXITY_RTOL gives NOT_CONVEX with the worst gap's witness;
+    otherwise some gap above CONVEXITY_RTOL gives CONVEX; otherwise AFFINE.
+    """
+    worst = int(np.argmin(gaps))
+    min_gap = float(gaps[worst])
+    if min_gap < -CONVEXITY_RTOL:
+        return ConvexityReport(Verdict.NOT_CONVEX, witness(worst), min_gap)
+    if np.any(gaps > CONVEXITY_RTOL):
+        return ConvexityReport(Verdict.CONVEX, None, min_gap)
+    return ConvexityReport(Verdict.AFFINE, None, min_gap)
+
+
 def is_mn_convex(
     F: FunctionModel,
     rho: Generator,
@@ -143,9 +164,10 @@ def is_mn_convex(
 
     Scans second divided differences of the reduced function G on a grid of
     ``grid`` points (geometric spacing on positive domains) and midpoint
-    inequalities on sampled grid pairs.  Convex requires every second
-    difference above tolerance and no midpoint violation; Affine requires
-    every second difference within tolerance.
+    inequalities on sampled grid pairs in the original coordinates.  Both
+    kinds of gap go to the one verdict rule: NOT_CONVEX when some gap is
+    below -CONVEXITY_RTOL, otherwise CONVEX when some gap is above
+    CONVEXITY_RTOL, otherwise AFFINE.
     """
     dom = F.domain.intersect(rho.domain)
     xs = dom.sample_grid(grid)
@@ -156,42 +178,29 @@ def is_mn_convex(
     u0, u1, u2 = us[:-2], us[1:-1], us[2:]
     g0, g1, g2 = gs[:-2], gs[1:-1], gs[2:]
     chord = g0 + (g2 - g0) * (u1 - u0) / (u2 - u0)
-    gaps = chord - g1
     scale = np.maximum(1.0, np.maximum(np.abs(g0), np.maximum(np.abs(g1), np.abs(g2))))
-    rel = gaps / scale
-    worst = int(np.argmin(rel))
-    min_gap = float(rel[worst])
-    witness = (float(xs[worst]), float(xs[worst + 1]), float(xs[worst + 2]))
+    rel = (chord - g1) / scale
 
-    # Midpoint double-check in the original coordinates; it can only veto.
     rng = np.random.default_rng(seed)
     n = len(xs)
     ii = rng.integers(0, n, pair_samples)
     jj = rng.integers(0, n, pair_samples)
-    mid_witness = None
-    mid_min = math.inf
-    for i, j in zip(ii, jj):
-        if i == j:
-            continue
-        um = 0.5 * (us[i] + us[j])
-        xm = _pullback(rho, float(um), dom)
+    pairs = [(i, j) for i, j in zip(ii, jj) if i != j]
+    mids, mid_gaps = [], []
+    for i, j in pairs:
+        xm = _pullback(rho, float(0.5 * (us[i] + us[j])), dom)
         lhs = tau.inv(0.5 * (gs[i] + gs[j]))
         rhs = F.value(xm)
-        mscale = max(1.0, abs(lhs), abs(rhs))
-        mgap = (lhs - rhs) / mscale
-        if mgap < mid_min:
-            mid_min = mgap
-            mid_witness = (float(xs[i]), float(xs[j]), xm)
+        mids.append(xm)
+        mid_gaps.append((lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
 
-    if min_gap < -CONVEXITY_RTOL or mid_min < -CONVEXITY_RTOL:
-        if mid_min < min_gap:
-            return ConvexityReport(Verdict.NOT_CONVEX, mid_witness, mid_min)
-        return ConvexityReport(Verdict.NOT_CONVEX, witness, min_gap)
-    if np.all(rel > CONVEXITY_RTOL):
-        return ConvexityReport(Verdict.CONVEX, None, min_gap)
-    if np.all(np.abs(rel) <= CONVEXITY_RTOL):
-        return ConvexityReport(Verdict.AFFINE, None, min_gap)
-    return ConvexityReport(Verdict.NOT_CONVEX, witness, min_gap)
+    def witness(k: int) -> tuple[float, float, float]:
+        if k < len(rel):
+            return (float(xs[k]), float(xs[k + 1]), float(xs[k + 2]))
+        i, j = pairs[k - len(rel)]
+        return (float(xs[i]), float(xs[j]), mids[k - len(rel)])
+
+    return _verdict(np.concatenate([rel, mid_gaps]), witness)
 
 
 def relative_convexity_det(

@@ -29,6 +29,7 @@ from .convexity import (
     ConvexityReport,
     FunctionModel,
     Verdict,
+    _verdict,
     is_mn_convex,
     to_ordinary,
 )
@@ -76,6 +77,11 @@ class DivergenceValue:
         return self.value
 
 
+def _zero_floor(value: float) -> float:
+    """value, with [-ZERO_FLOOR, 0) clamped to 0."""
+    return 0.0 if -ZERO_FLOOR <= value < 0.0 else value
+
+
 @dataclass(frozen=True)
 class WeightedSet:
     """Finite point set with strictly positive weights summing to one."""
@@ -112,10 +118,11 @@ def midpoint_verdict(
 ) -> ConvexityReport:
     """Midpoint-sampling (M,N)-convexity certificate for arbitrary mean specs.
 
-    Falsification-oriented: any strict midpoint violation yields NOT_CONVEX;
-    all gaps within tolerance yields AFFINE; otherwise CONVEX.  (Nearly-equal
-    sampled pairs contribute near-zero gaps, so unlike the grid scan this
-    certificate does not require every gap to be strictly positive.)
+    Each sampled pair (p, q) gives the normalized gap between N(F(p), F(q))
+    and F(M(p, q)), and the gaps go to the verdict rule shared with
+    :func:`is_mn_convex`: NOT_CONVEX when some gap is below -CONVEXITY_RTOL,
+    otherwise CONVEX when some gap is above CONVEXITY_RTOL, otherwise AFFINE.
+    The witness is (p, q, gap) with the unnormalized gap.
 
     Verdicts are deterministic in their arguments and cached.
     """
@@ -130,25 +137,14 @@ def _midpoint_verdict_cached(
     a, b = F.domain.finite_window()
     ps = rng.uniform(a, b, samples)
     qs = rng.uniform(a, b, samples)
-    worst = math.inf
-    witness = None
-    any_strict = False
+    gaps, scales = [], []
     for p, q in zip(ps, qs):
         fp, fq = F.value(float(p)), F.value(float(q))
         lhs = mean_value(N, fp, fq)
         rhs = F.value(mean_value(M, float(p), float(q)))
-        scale = max(1.0, abs(lhs), abs(rhs))
-        gap = (lhs - rhs) / scale
-        if gap < worst:
-            worst = gap
-            witness = (float(p), float(q), gap * scale)
-        if gap > 1e-9:
-            any_strict = True
-    if worst < -1e-9:
-        return ConvexityReport(Verdict.NOT_CONVEX, witness, worst)
-    if any_strict:
-        return ConvexityReport(Verdict.CONVEX, None, worst)
-    return ConvexityReport(Verdict.AFFINE, None, worst)
+        scales.append(max(1.0, abs(lhs), abs(rhs)))
+        gaps.append((lhs - rhs) / scales[-1])
+    return _verdict(np.array(gaps), lambda k: (float(ps[k]), float(qs[k]), gaps[k] * scales[k]))
 
 
 def _require_certified(rep: ConvexityReport, what: str) -> ConvexityReport:
@@ -237,7 +233,7 @@ def jensen_diversity(
     value = weighted_mean(N, fvals, points.weights) - F.value(
         weighted_mean(M, points.points, points.weights)
     )
-    return max(value, 0.0) if value >= -ZERO_FLOOR else value
+    return _zero_floor(value)
 
 
 def kappa(gamma: Generator, x: float, y: float) -> float:
@@ -401,9 +397,7 @@ def lehmer_bregman(
     rep = verdict or midpoint_verdict(F, lehmer(delta), lehmer(delta2), samples, seed)
     _require_certified(rep, "lehmer_bregman")
     value = _chi(float(delta2), fp, fq) - _chi(float(delta), p, q) * F.deriv(p)
-    if -ZERO_FLOOR <= value < 0.0:
-        return 0.0
-    return value
+    return _zero_floor(value)
 
 
 def jensen_bregman(spec: QabdSpec, p: float, q: float) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 from .convexity import FunctionModel, function_model
 from .errors import DomainError, ParamError, ParseError
 from .generators import EXP, IDENTITY, LOG, RECIPROCAL, Generator, Interval, power_generator
+from .generators import _invert_monotone, _monotone_direction
 
 FUNCTIONS = ("exp", "log", "sqrt", "abs")
 
@@ -290,31 +291,19 @@ def expression_generator(text: str, domain: Interval | tuple[float, float] | Non
         )
     fn = compile_expression(text)
     lo, hi = domain.finite_window()
-    samples = np.linspace(lo, hi, 65)
-    vals = np.asarray(fn(samples), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    if not np.all(np.isfinite(fn(np.linspace(lo, hi, 65)))):
         raise DomainError(f"expression {text!r} is not finite on {domain}")
-    diffs = np.diff(vals)
-    if np.all(diffs < 0.0):
+    direction = _monotone_direction(fn, lo, hi, 65)
+    if direction == 0:
+        raise ParamError(f"expression {text!r} is not strictly monotone on {domain}")
+    if direction < 0:
         raw = fn
         fn = lambda x: -np.asarray(raw(x), dtype=float)  # increasing representative
-        vals = -vals
-    elif not np.all(diffs > 0.0):
-        raise ParamError(f"expression {text!r} is not strictly monotone on {domain}")
+    flo, fhi = float(fn(lo)), float(fn(hi))
 
     def inverse(y: float) -> float:
-        lo_, hi_ = lo, hi
-        flo, fhi = float(fn(lo_)), float(fn(hi_))
         if not flo <= y <= fhi:
             raise DomainError(f"{y!r} outside the image of {text!r} on {domain}")
-        for _ in range(200):
-            if (hi_ - lo_) <= 1e-14 * max(1.0, abs(lo_), abs(hi_)):
-                break
-            mid = 0.5 * (lo_ + hi_)
-            if float(fn(mid)) < y:
-                lo_ = mid
-            else:
-                hi_ = mid
-        return 0.5 * (lo_ + hi_)
+        return _invert_monotone(fn, y, lo, hi, 1e-14)
 
     return Generator(f"expr:{canon}", domain, fn, inverse, None)

@@ -31,6 +31,7 @@ from .errors import (
     WeightError,
 )
 from .generators import IDENTITY, LOG, RECIPROCAL, Generator, Interval, get_generator, power_generator
+from .generators import _invert_monotone, _monotone_direction
 from .quadrature import _vectorized
 
 WEIGHT_SUM_TOL = 1e-9
@@ -38,8 +39,6 @@ WEIGHT_SUM_TOL = 1e-9
 #: Relative argument gap below which Lagrange/Cauchy/Stolarsky means return the
 #: midpoint (removable singularity, first-order accurate).
 NEAR_EQUAL_REL = 1e-9
-
-_MONOTONE_SAMPLES = 33
 
 #: Lehmer means that equal a power mean at every weight: L_0 = A, L_-1 = H.
 _LEHMER_POWER_ORDER = {0.0: 1.0, -1.0: -1.0}
@@ -284,53 +283,18 @@ def _nearly_equal(p: float, q: float) -> bool:
     return abs(p - q) < NEAR_EQUAL_REL * max(1.0, abs(p))
 
 
-def _invert_monotone(fun, target: float, lo: float, hi: float, tol: float = 1e-14) -> float:
-    """Bisection solve fun(m) = target for monotone fun on [lo, hi]."""
-    flo, fhi = float(fun(lo)), float(fun(hi))
-    increasing = fhi >= flo
-    fmin, fmax = min(flo, fhi), max(flo, fhi)
-    # Floating-point drift can push the target marginally outside the bracket.
-    target = min(max(target, fmin), fmax)
-    a, b = lo, hi
-    for _ in range(200):
-        if (b - a) <= tol * max(1.0, abs(a), abs(b)):
-            break
-        m = 0.5 * (a + b)
-        fm = float(fun(m))
-        if (fm < target) == increasing:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def _check_monotone(fun, lo: float, hi: float) -> bool:
-    xs = np.linspace(lo, hi, _MONOTONE_SAMPLES)
-    vals = [float(fun(float(x))) for x in xs]
-    diffs = np.diff(vals)
-    return bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
-
-
 def lagrange_mean(f: Generator, p: float, q: float) -> float:
-    """Mean-value mean: (f')^{-1}((f(q) - f(p)) / (q - p))."""
-    p, q = float(p), float(q)
-    for v in (p, q):
-        if not f.domain.contains(v):
-            raise DomainError(f"{v!r} outside domain of generator {f.id!r}")
-    if _nearly_equal(p, q):
-        return 0.5 * (p + q)
-    a, b = min(p, q), max(p, q)
-    if not _check_monotone(f.deriv, a, b):
-        raise NonInvertibleDerivative(
-            f"derivative of {f.id!r} is not monotone on [{a!r}, {b!r}]"
-        )
-    target = (f.value(q) - f.value(p)) / (q - p)
-    m = _invert_monotone(f.deriv, target, a, b)
-    return min(max(m, a), b)
+    """Mean-value mean: (f')^{-1}((f(q) - f(p)) / (q - p)), the Cauchy mean
+    with g = identity."""
+    return _mean_value_mean(f, IDENTITY, p, q, NonInvertibleDerivative, f"derivative of {f.id!r}")
 
 
 def cauchy_mean(f: Generator, g: Generator, p: float, q: float) -> float:
     """Cauchy mean-value mean: (f'/g')^{-1}((f(q) - f(p)) / (g(q) - g(p)))."""
+    return _mean_value_mean(f, g, p, q, NonInvertibleRatio, f"derivative ratio {f.id}'/{g.id}'")
+
+
+def _mean_value_mean(f: Generator, g: Generator, p: float, q: float, error: type, what: str) -> float:
     p, q = float(p), float(q)
     for gen in (f, g):
         for v in (p, q):
@@ -340,12 +304,10 @@ def cauchy_mean(f: Generator, g: Generator, p: float, q: float) -> float:
         return 0.5 * (p + q)
     a, b = min(p, q), max(p, q)
     ratio = lambda x: f.deriv(x) / g.deriv(x)
-    if not _check_monotone(ratio, a, b):
-        raise NonInvertibleRatio(
-            f"derivative ratio {f.id}'/{g.id}' is not monotone on [{a!r}, {b!r}]"
-        )
+    if not _monotone_direction(ratio, a, b):
+        raise error(f"{what} is not monotone on [{a!r}, {b!r}]")
     target = (f.value(q) - f.value(p)) / (g.value(q) - g.value(p))
-    m = _invert_monotone(ratio, target, a, b)
+    m = _invert_monotone(ratio, target, a, b, 1e-14)
     return min(max(m, a), b)
 
 

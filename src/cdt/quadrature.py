@@ -25,8 +25,10 @@ class QuadratureConfig:
     max_depth: int = 20             # refinement levels per panel
 
 
-def _vectorized(f: Callable) -> Callable:
-    probe = np.array([0.5, 0.25])
+def _vectorized(f: Callable, probe=(0.5, 0.25)) -> Callable:
+    """f itself if one call maps an array of points to an array of values
+    (tried once, on ``probe``), else a wrapper calling f point by point."""
+    probe = np.array(probe, dtype=float)
     try:
         out = np.asarray(f(probe), dtype=float)
         if out.shape == probe.shape:
@@ -44,12 +46,15 @@ def adaptive_simpson(
     Raises QuadratureFailure when an interval still exceeds its local error
     budget after ``max_depth`` refinement levels.
     """
-    a, b = float(a), float(b)
+    return _simpson(_vectorized(f), float(a), float(b), abs_tol, max_depth)
+
+
+def _simpson(fv: Callable, a: float, b: float, abs_tol: float, max_depth: int) -> float:
+    """adaptive_simpson for an integrand fv that maps arrays to arrays."""
     if a == b:
         return 0.0
     if b < a:
-        return -adaptive_simpson(f, b, a, abs_tol, max_depth)
-    fv = _vectorized(f)
+        return -_simpson(fv, b, a, abs_tol, max_depth)
     lo = np.array([a])
     hi = np.array([b])
     m = 0.5 * (lo + hi)
@@ -94,14 +99,17 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_legendre(f: Callable, a: float, b: float, nodes: int = 64) -> float:
     """Fixed-order Gauss-Legendre integral of f over [a, b]."""
-    a, b = float(a), float(b)
+    return _gauss(_vectorized(f), float(a), float(b), nodes)
+
+
+def _gauss(fv: Callable, a: float, b: float, nodes: int) -> float:
+    """gauss_legendre for an integrand fv that maps arrays to arrays."""
     if a == b:
         return 0.0
     x, w = _leggauss(int(nodes))
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vals = _vectorized(f)(mid + half * x)
-    return float(half * np.dot(w, vals))
+    return float(half * np.dot(w, fv(mid + half * x)))
 
 
 def ladder_breakpoints(lo: float, hi: float, center: float = 0.0, width: float = 1.0) -> tuple[float, ...]:
@@ -137,15 +145,16 @@ def integrate(
     edges = [lo] + sorted({float(b) for b in breakpoints if lo < float(b) < hi}) + [hi]
     if len(edges) == 2 and (hi - lo) > 1e4 * max(1.0, abs(lo + hi)):
         edges = list(ladder_breakpoints(lo, hi, 0.0, max(1.0, abs(lo + hi) * 0.5)))
+    fv = _vectorized(f, (lo + 0.5 * (hi - lo), lo + 0.25 * (hi - lo)))
     parts = []
     for a, b in zip(edges[:-1], edges[1:]):
         # Sample each panel on its open interior so integrands that jump at a
         # panel boundary (histogram bins) are never evaluated on the far side;
         # the perturbation is O(L * pad^2), far below any tolerance here.
         pad = 1e-12 * (b - a)
-        fp = lambda xs, a=a, b=b, pad=pad: f(np.clip(xs, a + pad, b - pad))
+        fp = lambda xs, a=a, b=b, pad=pad: fv(np.clip(xs, a + pad, b - pad))
         if cfg.rule == "gauss_legendre":
-            parts.append(gauss_legendre(fp, a, b, cfg.nodes))
+            parts.append(_gauss(fp, a, b, cfg.nodes))
         else:
-            parts.append(adaptive_simpson(fp, a, b, cfg.abs_tol, cfg.max_depth))
+            parts.append(_simpson(fp, a, b, cfg.abs_tol, cfg.max_depth))
     return math.fsum(parts)

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from cdt.convexity import (
+    CONVEXITY_RTOL,
     Verdict,
+    _verdict,
     function_model,
     is_mn_convex,
     power_convexity_transform,
     relative_convexity_det,
     to_ordinary,
 )
+from cdt.divergences import QabdSpec, midpoint_verdict, qabd
 from cdt.errors import DomainError, OrderError
 from cdt.generators import IDENTITY, LOG, RECIPROCAL, Interval, power_generator
+from cdt.means import ARITHMETIC, GEOMETRIC, quasi_arithmetic
 
 
 def fm(name, lo, hi, f, d=None):
@@ -233,3 +237,55 @@ class TestPowerConvexityTransform:
         F = fm("x", -2.0, 2.0, lambda x: np.asarray(x, float))
         with pytest.raises(DomainError):
             power_convexity_transform(F, 2.0, 1.0)
+
+
+class TestOneVerdictRule:
+    """is_mn_convex and midpoint_verdict classify their gaps with one rule."""
+
+    F_X6 = fm("x^6", -1.0, 1.0, lambda x: np.asarray(x, float) ** 6, lambda x: 6.0 * np.asarray(x, float) ** 5)
+    CASES = [
+        (F, rho, tau)
+        for F in (F_EXP, F_SINH, F_EXPLOG2, F_SQ, F_INV)
+        for rho, tau in (
+            (IDENTITY, IDENTITY),
+            (IDENTITY, LOG),
+            (LOG, LOG),
+            (LOG, IDENTITY),
+            (IDENTITY, RECIPROCAL),
+            (RECIPROCAL, RECIPROCAL),
+        )
+    ] + [(F_X6, IDENTITY, IDENTITY)]
+
+    @pytest.mark.parametrize(
+        "F,rho,tau", CASES, ids=[f"{F.id}|{rho.id},{tau.id}" for F, rho, tau in CASES]
+    )
+    def test_grid_and_midpoint_certificates_agree(self, F, rho, tau):
+        grid = is_mn_convex(F, rho, tau).verdict
+        mid = midpoint_verdict(F, quasi_arithmetic(rho), quasi_arithmetic(tau)).verdict
+        assert grid == mid
+
+    def test_flat_centre_of_x6_is_convex(self):
+        # second differences near 0 are ~1e-13: within tolerance, not violations
+        assert is_mn_convex(self.F_X6, IDENTITY, IDENTITY).verdict is Verdict.CONVEX
+        spec = QabdSpec(self.F_X6, IDENTITY, IDENTITY)
+        assert qabd(spec, 0.5, -0.25).value == 0.019775390625
+
+    def test_affine_stretch_with_a_strict_gap_is_convex(self):
+        F = fm("max(x,0)^2", -1.0, 1.0, lambda x: np.maximum(np.asarray(x, float), 0.0) ** 2)
+        assert is_mn_convex(F, IDENTITY, IDENTITY).verdict is Verdict.CONVEX
+        assert midpoint_verdict(F, ARITHMETIC, ARITHMETIC).verdict is Verdict.CONVEX
+
+    def test_rule(self):
+        witness = lambda k: (float(k), 0.0, 0.0)
+        tol = CONVEXITY_RTOL
+        assert _verdict(np.array([0.0, 0.5 * tol, -0.5 * tol]), witness).verdict is Verdict.AFFINE
+        assert _verdict(np.array([0.0, 2.0 * tol]), witness).verdict is Verdict.CONVEX
+        rep = _verdict(np.array([5.0, -2.0 * tol, -3.0 * tol]), witness)
+        assert (rep.verdict, rep.witness, rep.min_gap) == (Verdict.NOT_CONVEX, (2.0, 0.0, 0.0), -3.0 * tol)
+
+    def test_midpoint_witness_holds_the_raw_gap(self):
+        rep = midpoint_verdict(F_SQ, ARITHMETIC, GEOMETRIC)
+        p, q, gap = rep.witness
+        want = math.sqrt(F_SQ.value(p) * F_SQ.value(q)) - F_SQ.value(0.5 * (p + q))
+        assert rep.verdict is Verdict.NOT_CONVEX
+        assert gap == pytest.approx(want, rel=1e-9, abs=1e-12)

@@ -1,0 +1,105 @@
+"""Pinned outputs of the bisection solver and its callers.
+
+Every mean-value mean, expression-generator inverse and Bregman centroid
+inverts a monotone function with ``generators._invert_monotone``.  The
+values below were recorded when each of these callers still ran its own
+bisection loop; the shared solver must reproduce them bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdt.centroids import bregman_centroid, kmeans_cluster
+from cdt.divergences import QabdSpec, WeightedSet
+from cdt.errors import NonInvertibleDerivative, NonInvertibleRatio
+from cdt.expr import expression_generator, expression_model
+from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, get_generator, power_generator
+from cdt.means import cauchy_mean, lagrange_mean
+
+LAGRANGE = [
+    ("log", 1.5, 7.0, 3.570396770934658),
+    ("log", 9.0, 0.25, 2.4417339911617004),
+    ("exp", -1.0, 2.5, 1.2165743152491735),
+    ("exp", 3.0, 3.5, 3.2603950509927557),
+    ("reciprocal", 0.3, 4.0, 1.0954451150103293),
+    ("power:3", 0.5, 6.0, 3.6170890690351216),
+    ("power:-2", 1.0, 1.7, 1.2888074110647088),
+    ("power:0.5", 2.0, 50.0, 18.00000000000003),
+]
+
+CAUCHY = [
+    ("log", "identity", 1.5, 7.0, 3.570396770934658),
+    ("power:2", "power:3", 0.4, 5.0, 3.3530864197530996),
+    ("exp", "power:2", 1.5, 3.1, 2.4797131043217293),
+    ("reciprocal", "log", 2.0, 0.5, 0.9241962407465953),
+    ("power:3", "reciprocal", 1.2, 9.0, 4.280319536670037),
+    ("log", "power:-1.5", 0.2, 0.9, 0.37037658812317675),
+]
+
+#: (y, x) with x the inverse of x^3 + x on (0.1, 5) at y
+EXPR_INVERSE = [
+    (0.102, 0.10097059851184301),
+    (0.5, 0.4238537990697857),
+    (1.0, 0.6823278038280159),
+    (2.0, 1.0000000000000036),
+    (10.0, 1.9999999999999913),
+    (42.0, 3.380156712489087),
+    (129.9, 4.998683868674423),
+]
+
+#: (F, domain, rho, tau, weighted centroid, k-means centres with k = 3)
+CLUSTER = [
+    ("x^2", (0.2, 12.0), "identity", "identity", 3.546389323652038,
+     (1.5693061474025045, 10.311259297968936, 5.139093022981189)),
+    ("exp(x)", (0.2, 4.0), "log", "log", 2.789160741952692,
+     (0.7043653271344612, 3.1432146103896237, 1.8835879068702013)),
+    ("exp(x^2)", (0.1, 2.5), "identity", "log", 2.2687072396278323,
+     (0.6402243975580444, 2.332465043552098, 1.8126841742075692)),
+    ("exp(x)", (0.5, 3.0), "power:2", "power:3", 0.9964176611871663,
+     (0.8658741562087106, 2.01429533507886, 2.57939580059911)),
+]
+
+
+@pytest.mark.parametrize("gen,p,q,want", LAGRANGE)
+def test_lagrange_mean_pinned(gen, p, q, want):
+    assert lagrange_mean(get_generator(gen), p, q) == want
+
+
+@pytest.mark.parametrize("f,g,p,q,want", CAUCHY)
+def test_cauchy_mean_pinned(f, g, p, q, want):
+    assert cauchy_mean(get_generator(f), get_generator(g), p, q) == want
+
+
+def test_expression_inverse_pinned():
+    gen = expression_generator("x^3+x", (0.1, 5))
+    assert [gen.inv(y) for y, _ in EXPR_INVERSE] == [x for _, x in EXPR_INVERSE]
+
+
+@pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
+def test_centroid_and_kmeans_pinned(case):
+    text, dom, rho, tau, centroid, centres = CLUSTER[case]
+    rng = np.random.default_rng(100 + case)
+    lo, hi = dom
+    pts = tuple(np.exp(rng.uniform(np.log(lo) + 0.05, np.log(hi) - 0.05, 24)))
+    w = tuple(rng.dirichlet(np.ones(24)))
+    spec = QabdSpec(expression_model(text, dom), get_generator(rho), get_generator(tau))
+    assert bregman_centroid(spec, WeightedSet(pts, w)) == centroid
+    assert kmeans_cluster(spec, WeightedSet.uniform(pts), 3, seed=case).centers == centres
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    f=st.sampled_from([LOG, EXP, RECIPROCAL, power_generator(3), power_generator(-2), power_generator(0.5)]),
+    p=st.floats(0.01, 30.0),
+    q=st.floats(0.01, 30.0),
+)
+def test_lagrange_is_cauchy_with_identity(f, p, q):
+    try:
+        want = cauchy_mean(f, IDENTITY, p, q)
+    except NonInvertibleRatio:
+        with pytest.raises(NonInvertibleDerivative):
+            lagrange_mean(f, p, q)
+        return
+    assert lagrange_mean(f, p, q) == want
