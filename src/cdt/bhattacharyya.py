@@ -193,10 +193,13 @@ def _merged_quadrature(p: DensityModel, q: DensityModel) -> tuple[float, float, 
     return lo, hi, cfg, brk
 
 
-def _integral_of_mean(M: MeanSpec, alpha: float, p: DensityModel, q: DensityModel) -> float:
+def _total(fn: Callable, p, q) -> float:
+    """Sum of fn(p_i, q_i) over two discrete distributions, or the integral
+    of fn(p(x), q(x)) over two densities."""
+    if _check_kinds(p, q):
+        return math.fsum(fn(p.masses, q.masses).tolist())
     lo, hi, cfg, brk = _merged_quadrature(p, q)
-    f = lambda x: _barycenters(M, alpha, p.eval(x), q.eval(x))
-    return integrate(f, lo, hi, cfg, brk)
+    return integrate(lambda x: fn(p.eval(x), q.eval(x)), lo, hi, cfg, brk)
 
 
 def bhat_coefficient(M: MeanSpec, alpha: float, p, q) -> float:
@@ -206,10 +209,7 @@ def bhat_coefficient(M: MeanSpec, alpha: float, p, q) -> float:
         raise ParamError(f"alpha={alpha!r} outside (0, 1)")
     if not M.supports_weights:
         raise UnsupportedWeights(f"mean {M} does not support weights")
-    if _check_kinds(p, q):
-        vals = _barycenters(M, alpha, p.masses, q.masses)
-        return float(math.fsum(vals.tolist()))
-    return _integral_of_mean(M, alpha, p, q)
+    return _total(lambda A, B: _barycenters(M, alpha, A, B), p, q)
 
 
 def _builtin_order(M: MeanSpec, N: MeanSpec) -> bool | None:
@@ -225,15 +225,11 @@ def _builtin_order(M: MeanSpec, N: MeanSpec) -> bool | None:
 
 def _value_window(p, q) -> tuple[float, float]:
     if _is_discrete(p):
-        vals = [v for v in (*p.masses, *q.masses) if v > 0.0]
+        vals = np.array(p.masses + q.masses)
     else:
-        vals = []
-        for d in (p, q):
-            lo, hi = d.truncation
-            xs = np.linspace(lo, hi, 257)
-            vals.extend(v for v in np.asarray(d.eval(xs), dtype=float).tolist() if v > 0.0)
-    lo, hi = min(vals), max(vals)
-    return 0.5 * lo, 2.0 * hi + 1e-12
+        vals = np.concatenate([np.asarray(d.eval(np.linspace(*d.truncation, 257)), float) for d in (p, q)])
+    vals = vals[vals > 0.0]
+    return 0.5 * float(vals.min()), 2.0 * float(vals.max()) + 1e-12
 
 
 def cmbd(
@@ -323,8 +319,8 @@ def mean_gap_distance(f: Generator, g: Generator, p, q) -> float:
     window = f.domain.intersect(g.domain)
     comp = function_model(
         f"{g.id}({f.id}^-1)",
-        f.image().intersect(Interval(*_image_window(f, window))),
-        lambda u: g.value(f.inv(float(u))),
+        f.image().intersect(Interval(*f.value(np.array(window.finite_window())))),
+        lambda u: g.value(f.inv(u)),
     )
     rep = is_mn_convex(comp, IDENTITY, IDENTITY)
     if rep.verdict is Verdict.NOT_CONVEX:
@@ -332,21 +328,4 @@ def mean_gap_distance(f: Generator, g: Generator, p, q) -> float:
             f"{g.id}({f.id}^-1) is not convex: M_{f.id} does not lie below M_{g.id}"
         )
     Mf, Mg = quasi_arithmetic(f), quasi_arithmetic(g)
-    if _check_kinds(p, q):
-        A, B = np.asarray(p.masses), np.asarray(q.masses)
-        gap = _barycenters(Mg, 0.5, A, B) - _barycenters(Mf, 0.5, A, B)
-        value = float(math.fsum(gap.tolist()))
-    else:
-        lo, hi, cfg, brk = _merged_quadrature(p, q)
-
-        def fn(x):
-            A, B = p.eval(x), q.eval(x)
-            return _barycenters(Mg, 0.5, A, B) - _barycenters(Mf, 0.5, A, B)
-
-        value = integrate(fn, lo, hi, cfg, brk)
-    return _zero_floor(value)
-
-
-def _image_window(gen: Generator, window: Interval) -> tuple[float, float]:
-    a, b = window.finite_window()
-    return gen.value(a), gen.value(b)
+    return _zero_floor(_total(lambda A, B: _barycenters(Mg, 0.5, A, B) - _barycenters(Mf, 0.5, A, B), p, q))

@@ -7,7 +7,8 @@ divergence has a unique minimizer obtained in the rho-embedded space via
 
 with c = rho^{-1}((G')^{-1}(...)).  (G')^{-1} has no closed inverse in
 general, so it is computed by bisection on the bracketing interval spanned
-by the embedded data, to tolerance 1e-12.
+by the embedded data, to tolerance 1e-12.  A Lloyd sweep is the matrix form
+of Bregman hard clustering (Banerjee, Merugu, Dhillon and Ghosh, JMLR 2005).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import QabdSpec, WeightedSet, jensen_diversity, qabd
+from .divergences import QabdSpec, WeightedSet, _nonnegative, _qabd_raw, jensen_diversity
 from .errors import NonInvertibleGradient, ParamError
 from .generators import _invert_monotone, _monotone_direction
 from .means import quasi_arithmetic
@@ -41,42 +42,48 @@ class Clustering:
 def bregman_centroid(spec: QabdSpec, wset: WeightedSet) -> float:
     """Unique minimizer of sum_i w_i * qabd(c : p_i)."""
     pts = np.asarray(wset.points)
-    wts = np.asarray(wset.weights)
-    if len(pts) == 1:
-        return float(pts[0])
-    us = np.array([spec.rho.value(float(p)) for p in pts])
-    lo, hi = float(np.min(us)), float(np.max(us))
-    if lo == hi:
-        return float(pts[0])
+    return float(_centroids(spec, pts, np.asarray(wset.weights), np.zeros(len(pts), dtype=int), 1)[0])
+
+
+def _centroids(spec: QabdSpec, pts: np.ndarray, wts: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """bregman_centroid of each cluster ``labels == j`` (weights normalized
+    per cluster), from one evaluation of each function over all points and
+    one bisection for all clusters."""
     G = spec.reduced
-    if not _monotone_direction(G.deriv, lo, hi):
-        raise NonInvertibleGradient(f"derivative of {G.id!r} is not monotone on [{lo!r}, {hi!r}]")
-    wprime = np.array(
-        [w / spec.tau.deriv(spec.F.value(float(p))) for w, p in zip(wts, pts)]
-    )
-    wprime = wprime / wprime.sum()
-    target = float(np.dot(wprime, [G.deriv(float(u)) for u in us]))
-    c = spec.rho.inv(_invert_monotone(G.deriv, target, lo, hi, 1e-12))
-    return min(max(c, float(np.min(pts))), float(np.max(pts)))
+    us = spec.rho.value(pts)
+    gd, td = G.deriv(us), spec.tau.deriv(spec.F.value(pts))
+    lo, hi, plo, phi, target = (np.empty(k) for _ in range(5))
+    for j in range(k):
+        m = labels == j
+        lo[j], hi[j], plo[j], phi[j] = us[m].min(), us[m].max(), pts[m].min(), pts[m].max()
+        wprime = wts[m] / td[m]
+        target[j] = np.dot(wprime / wprime.sum(), gd[m])
+    solve = lo < hi  # else the cluster is a single point
+    if solve.any():
+        a, b = lo[solve], hi[solve]
+        flat = _monotone_direction(G.deriv, a, b) == 0
+        if flat.any():
+            raise NonInvertibleGradient(f"{G.id!r}' is not monotone on [{a[flat][0]!r}, {b[flat][0]!r}]")
+        c = spec.rho.inv(_invert_monotone(G.deriv, target[solve], a, b, 1e-12))
+        plo[solve] = np.clip(c, plo[solve], phi[solve])
+    return plo
 
 
-def _objective(spec: QabdSpec, wset: WeightedSet, assign: np.ndarray, centers: list[float]) -> float:
-    return math.fsum(
-        w * float(qabd(spec, centers[k], p))
-        for p, w, k in zip(wset.points, wset.weights, assign)
-    )
+def _distances(spec: QabdSpec, centers, pts: np.ndarray) -> np.ndarray:
+    """The n x k matrix qabd(centers[j] : pts[i])."""
+    return _nonnegative(_qabd_raw(spec, np.asarray(centers)[None, :], pts[:, None]))
 
 
 def _seed_centers(spec: QabdSpec, wset: WeightedSet, k: int, rng: np.random.Generator) -> list[float]:
-    """k-means++ style seeding with qabd(candidate-center : point) distances."""
-    pts = list(wset.points)
+    """k-means++ seeding (Arthur and Vassilvitskii, SODA 2007) with
+    qabd(candidate-center : point) distances."""
+    pts = np.asarray(wset.points)
     wts = np.asarray(wset.weights)
     first = int(rng.choice(len(pts), p=wts / wts.sum()))
     centers = [pts[first]]
+    dists = np.full(len(pts), math.inf)
     while len(centers) < k:
-        dists = np.array(
-            [min(float(qabd(spec, c, p)) for c in centers) for p in pts]
-        )
+        dists = np.minimum(dists, _distances(spec, centers[-1:], pts)[:, 0])
         probs = wts * dists
         total = probs.sum()
         if total <= 0.0:
@@ -102,31 +109,27 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
     if k > distinct:
         raise ParamError(f"k={k} exceeds the {distinct} distinct points")
     rng = np.random.default_rng(seed)
-    pts = list(wset.points)
-    wts = list(wset.weights)
-    centers = _seed_centers(spec, wset, k, rng)
+    pts = np.asarray(wset.points)
+    wts = np.asarray(wset.weights)
+    centers = np.array(_seed_centers(spec, wset, k, rng))
     prev_obj = math.inf
     assign = np.zeros(len(pts), dtype=int)
     iterations = 0
     history: list[float] = []
+    dmat = _distances(spec, centers, pts)
     for iterations in range(1, 101):
-        dmat = np.array(
-            [[float(qabd(spec, c, p)) for c in centers] for p in pts]
-        )
         assign = np.argmin(dmat, axis=1)  # argmin takes the lowest index on ties
         for j in range(k):
             if not np.any(assign == j):
                 far = int(np.argmax(np.min(dmat, axis=1)))
                 assign[far] = j
+        sub_w = np.empty(len(pts))
         for j in range(k):
             mask = assign == j
-            sub_w = np.asarray(wts)[mask]
-            sub = WeightedSet(
-                tuple(np.asarray(pts)[mask].tolist()),
-                tuple((sub_w / sub_w.sum()).tolist()),
-            )
-            centers[j] = bregman_centroid(spec, sub)
-        obj = _objective(spec, wset, assign, centers)
+            sub_w[mask] = wts[mask] / wts[mask].sum()
+        centers = _centroids(spec, pts, sub_w, assign, k)
+        dmat = _distances(spec, centers, pts)
+        obj = math.fsum((wts * dmat[np.arange(len(pts)), assign]).tolist())
         history.append(obj)
         if prev_obj - obj < 1e-10:
             prev_obj = min(prev_obj, obj)

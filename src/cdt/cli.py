@@ -21,8 +21,9 @@ from pathlib import Path
 
 from . import bhattacharyya as bh
 from .centroids import bregman_centroid, kmeans_cluster
-from .convexity import DEFAULT_GRID, is_mn_convex
+from .convexity import CONVEXITY_RTOL, DEFAULT_GRID, is_mn_convex
 from .divergences import (
+    ZERO_FLOOR,
     QabdSpec,
     WeightedSet,
     extended_skew_jensen,
@@ -38,13 +39,13 @@ from .errors import CdtError, ConfigError, ParamError
 from .expectations import qa_expected_value
 from .expr import expression_generator, expression_model
 from .generators import Generator, Interval, get_generator
-from .means import dominates, parse_mean, weighted_mean
+from .means import WEIGHT_SUM_TOL, dominates, parse_mean, weighted_mean
 from .quadrature import QuadratureConfig
 
 TOLERANCES = {
-    "weight_sum_tol": 1e-9,
-    "zero_floor": 1e-12,
-    "convexity_rtol": 1e-9,
+    "weight_sum_tol": WEIGHT_SUM_TOL,
+    "zero_floor": ZERO_FLOOR,
+    "convexity_rtol": CONVEXITY_RTOL,
 }
 
 
@@ -415,7 +416,7 @@ def _run(cfg: RunConfig, caught: list[str]) -> dict:
         rho = _generator_arg(opt["rho"], dom)
         tau = _generator_arg(opt["tau"])
         F = expression_model(opt["F"], dom)
-        rep = is_mn_convex(F, rho, tau, grid=opt.get("grid") or DEFAULT_GRID, seed=cfg.seed)
+        rep = is_mn_convex(F, rho, tau, grid=opt["grid"], seed=cfg.seed)
         out = {"value": None, "verdict": rep.verdict.value}
         if rep.witness is not None:
             out["witness"] = list(rep.witness)
@@ -425,7 +426,7 @@ def _run(cfg: RunConfig, caught: list[str]) -> dict:
         dom = _parse_domain(opt["domain"])
         res = dominates(
             parse_mean(opt["a"]), parse_mean(opt["b"]), (dom.lo, dom.hi),
-            samples=opt.get("samples") or 10_000, seed=cfg.seed,
+            samples=opt["samples"], seed=cfg.seed,
         )
         out = {"value": None, "verdict": res.verdict.value}
         if res.above is not None:

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OrderError
-from .generators import Generator, Interval, _limit_value, finite_difference
+from .errors import DomainError, OrderError, ParamError
+from .generators import Generator, Interval, _apply, _first, _image, _wrap_callables, finite_difference
 
 #: Default number of grid points for convexity scans.
 DEFAULT_GRID = 257
@@ -52,34 +52,32 @@ TRUSTED_CONVEX = ConvexityReport(Verdict.CONVEX)
 
 @dataclass(frozen=True)
 class FunctionModel:
-    """Scalar function with a validity interval and optional derivative."""
+    """Real function with a validity interval and optional derivative.
+
+    ``value`` and ``deriv`` map arrays elementwise like ``Generator.value``,
+    and float-only ``eval`` and ``derivative`` are wrapped once in the same way.
+    """
 
     id: str
     domain: Interval
     eval: Callable = None  # type: ignore[assignment]
     derivative: Callable | None = None
 
-    def value(self, x: float) -> float:
-        if not self.domain.contains(x):
-            raise DomainError(f"{x!r} outside domain {self.domain} of {self.id!r}")
-        try:
-            with np.errstate(all="ignore"):
-                v = float(self.eval(x))
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise DomainError(f"{self.id!r} failed to evaluate at {x!r}: {exc}") from exc
-        if not math.isfinite(v):
-            raise DomainError(f"{self.id!r} is not finite at {x!r}")
-        return v
+    def __post_init__(self) -> None:
+        _wrap_callables(self, ("eval", "derivative"))
 
-    def deriv(self, x: float) -> float:
-        if self.derivative is not None:
-            return float(self.derivative(x))
-        return finite_difference(self.eval, x, self.domain)
+    def value(self, x):
+        errors = (ZeroDivisionError, ValueError, OverflowError)
+        return _apply(self.eval, x, repr(self.id), self.domain, errors, lambda v: ~np.isfinite(v))
+
+    def deriv(self, x):
+        if self.derivative is None:
+            return finite_difference(self.eval, x, self.domain)
+        return _apply(self.derivative, x, repr(self.id))
 
     def checked(self, points: int = 33) -> "FunctionModel":
         """Verify finiteness on sampled domain points; returns self."""
-        for x in self.domain.sample_grid(points):
-            self.value(float(x))
+        self.value(self.domain.sample_grid(points))
         return self
 
 
@@ -94,16 +92,16 @@ def function_model(
     return FunctionModel(id, domain, eval, derivative).checked()
 
 
-def _pullback(rho: Generator, u: float, dom: Interval) -> float:
-    """rho^{-1}(u), nudged back inside ``dom`` when rounding pushed it out."""
-    x = rho.inv(u)
-    if dom.contains(x):
-        return x
+def _pullback(rho: Generator, u, dom: Interval) -> np.ndarray:
+    """rho^{-1}(u) elementwise, nudged back inside ``dom`` where rounding
+    pushed it out."""
+    x = np.asarray(rho.inv(u))
+    slack = 1e-9 * np.maximum(1.0, np.abs(x))
+    far = ~((dom.lo - slack <= x) & (x <= dom.hi + slack))
+    if far.any():
+        raise DomainError(f"{_first(u, far)!r} pulls back to {_first(x, far)!r}, outside {dom}")
     lo, hi = dom.finite_window()
-    slack = 1e-9 * max(1.0, abs(x))
-    if dom.lo - slack <= x <= dom.hi + slack:
-        return min(max(x, lo), hi)
-    raise DomainError(f"{u!r} pulls back to {x!r}, outside {dom}")
+    return np.where((x > dom.lo) & (x < dom.hi), x, np.minimum(np.maximum(x, lo), hi))
 
 
 def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionModel:
@@ -114,21 +112,16 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
     """
     dom = F.domain.intersect(rho.domain)
     a, b = dom.finite_window()
-    for x in (a, b, 0.5 * (a + b)):
-        if not tau.domain.contains(F.value(x)):
-            raise DomainError(
-                f"values of {F.id!r} leave the domain of generator {tau.id!r}"
-            )
-    image = Interval(
-        _limit_value(rho.forward, dom.lo, -1), _limit_value(rho.forward, dom.hi, +1)
-    )
+    vals = F.value(np.array([a, b, 0.5 * (a + b)]))
+    if not np.all((vals > tau.domain.lo) & (vals < tau.domain.hi)):
+        raise DomainError(f"values of {F.id!r} leave the domain of generator {tau.id!r}")
+    image = _image(rho.forward, dom.lo, dom.hi)
 
-    def g(u: float) -> float:
-        x = _pullback(rho, float(u), dom)
-        return tau.value(F.value(x))
+    def g(u):
+        return tau.value(F.value(_pullback(rho, u, dom)))
 
-    def gprime(u: float) -> float:
-        x = _pullback(rho, float(u), dom)
+    def gprime(u):
+        x = _pullback(rho, u, dom)
         return tau.deriv(F.value(x)) * F.deriv(x) / rho.deriv(x)
 
     name = f"{tau.id}({F.id}({rho.id}^-1))"
@@ -167,13 +160,16 @@ def is_mn_convex(
     inequalities on sampled grid pairs in the original coordinates.  Both
     kinds of gap go to the one verdict rule: NOT_CONVEX when some gap is
     below -CONVEXITY_RTOL, otherwise CONVEX when some gap is above
-    CONVEXITY_RTOL, otherwise AFFINE.
+    CONVEXITY_RTOL, otherwise AFFINE.  A grid of fewer than 3 points holds
+    no second difference and raises ParamError.
     """
+    if grid < 3:
+        raise ParamError(f"grid={grid!r}: a convexity scan needs at least 3 points")
     dom = F.domain.intersect(rho.domain)
     xs = dom.sample_grid(grid)
-    fvals = np.array([F.value(float(x)) for x in xs])
-    us = np.array([rho.value(float(x)) for x in xs])
-    gs = np.array([tau.value(float(v)) for v in fvals])
+    fvals = F.value(xs)
+    us = rho.value(xs)
+    gs = tau.value(fvals)
 
     u0, u1, u2 = us[:-2], us[1:-1], us[2:]
     g0, g1, g2 = gs[:-2], gs[1:-1], gs[2:]
@@ -185,20 +181,17 @@ def is_mn_convex(
     n = len(xs)
     ii = rng.integers(0, n, pair_samples)
     jj = rng.integers(0, n, pair_samples)
-    pairs = [(i, j) for i, j in zip(ii, jj) if i != j]
-    mids, mid_gaps = [], []
-    for i, j in pairs:
-        xm = _pullback(rho, float(0.5 * (us[i] + us[j])), dom)
-        lhs = tau.inv(0.5 * (gs[i] + gs[j]))
-        rhs = F.value(xm)
-        mids.append(xm)
-        mid_gaps.append((lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    ii, jj = ii[ii != jj], jj[ii != jj]
+    mids = _pullback(rho, 0.5 * (us[ii] + us[jj]), dom)
+    lhs = tau.inv(0.5 * (gs[ii] + gs[jj]))
+    rhs = F.value(mids)
+    mid_gaps = (lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
     def witness(k: int) -> tuple[float, float, float]:
         if k < len(rel):
             return (float(xs[k]), float(xs[k + 1]), float(xs[k + 2]))
-        i, j = pairs[k - len(rel)]
-        return (float(xs[i]), float(xs[j]), mids[k - len(rel)])
+        k -= len(rel)
+        return (float(xs[ii[k]]), float(xs[jj[k]]), float(mids[k]))
 
     return _verdict(np.concatenate([rel, mid_gaps]), witness)
 
@@ -230,38 +223,23 @@ def power_convexity_transform(f: FunctionModel, delta1: float, delta2: float) ->
     delta1, delta2 = float(delta1), float(delta2)
     if f.domain.lo < 0.0:
         raise DomainError("power convexity transform requires a positive domain")
-    lo, hi = f.domain.lo, f.domain.hi
-
-    def _pow_endpoint(e: float, d: float) -> float:
-        if e == 0.0:
-            return math.inf if d < 0 else 0.0
-        if math.isinf(e):
-            return 0.0 if d < 0 else math.inf
-        return e**d
-
-    if delta1 == 0.0:
-        tlo = -math.inf if lo == 0.0 else math.log(lo)
-        thi = math.inf if math.isinf(hi) else math.log(hi)
-        tdom = Interval(tlo, thi)
-        pull = lambda u: math.exp(u)
-    else:
-        a = _pow_endpoint(lo, delta1)
-        b = _pow_endpoint(hi, delta1)
-        tdom = Interval(min(a, b), max(a, b))
-        pull = lambda u: u ** (1.0 / delta1)
+    ends = np.array([f.domain.lo, f.domain.hi])
+    with np.errstate(all="ignore"):  # 0 and inf map to their limits
+        tends = np.log(ends) if delta1 == 0.0 else np.power(ends, delta1)
+    tdom = Interval(float(tends.min()), float(tends.max()))
+    pull = np.exp if delta1 == 0.0 else lambda u: np.power(u, 1.0 / delta1)
 
     sign2 = 1.0 if delta2 > 0.0 else -1.0
 
-    def transformed(u: float) -> float:
-        x = pull(float(u))
-        v = f.value(x)
+    def transformed(u):
+        v = np.asarray(f.value(pull(np.asarray(u, dtype=float))))
         if delta2 == 0.0:
-            if v <= 0.0:
+            if np.any(v <= 0.0):
                 raise DomainError(f"{f.id!r} must be positive for the log branch")
-            return math.log(v)
-        if v < 0.0 and delta2 != int(delta2):
+            return np.log(v)
+        if delta2 != int(delta2) and np.any(v < 0.0):
             raise DomainError(f"{f.id!r} must be nonnegative for fractional exponents")
-        return sign2 * v**delta2
+        return sign2 * np.power(v, delta2)
 
     name = f"{f.id}|P({delta1:g},{delta2:g})"
     return FunctionModel(name, tdom, transformed, None)

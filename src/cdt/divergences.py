@@ -44,8 +44,8 @@ from .errors import (
     UnsupportedWeights,
     WeightError,
 )
-from .generators import Generator
-from .means import MeanSpec, lehmer, mean_value, weighted_mean
+from .generators import Generator, _first
+from .means import MeanSpec, _checked_means, lehmer, mean_value, weighted_mean
 
 #: Values in [-ZERO_FLOOR, 0) are clamped to 0: floating-point cancellation
 #: near p = q, not a convexity violation.
@@ -65,21 +65,31 @@ class DivergenceValue:
     @classmethod
     def create(cls, raw: float, orientation: tuple) -> "DivergenceValue":
         raw = float(raw)
-        if raw >= 0.0:
-            return cls(raw, orientation)
-        if raw >= -ZERO_FLOOR:
-            return cls(0.0, orientation, clamped=True)
-        raise ConvexityError(
-            f"negative divergence {raw:.6e}: generator is not (M,N)-convex on this pair"
-        )
+        return cls(float(_nonnegative(raw)), orientation, clamped=raw < 0.0)
 
     def __float__(self) -> float:
         return self.value
 
 
+def _nonvanishing(d, what: str, at):
+    """d, unless some |d| underflows below _MIN_DERIVATIVE (DerivativeError)."""
+    if np.count_nonzero(small := np.abs(d) < _MIN_DERIVATIVE):
+        raise DerivativeError(f"{what} underflowed at {_first(at, small)!r}")
+    return d
+
+
 def _zero_floor(value: float) -> float:
     """value, with [-ZERO_FLOOR, 0) clamped to 0."""
     return 0.0 if -ZERO_FLOOR <= value < 0.0 else value
+
+
+def _nonnegative(raw):
+    """Divergence values elementwise: [-ZERO_FLOOR, 0) is clamped to 0, and
+    anything lower (or NaN) raises ConvexityError."""
+    if np.count_nonzero(bad := ~(np.asarray(raw) >= -ZERO_FLOOR)):
+        value = _first(raw, bad)
+        raise ConvexityError(f"negative divergence {value:.6e}: generator is not (M,N)-convex on this pair")
+    return np.where(raw < 0.0, 0.0, raw)
 
 
 @dataclass(frozen=True)
@@ -124,8 +134,12 @@ def midpoint_verdict(
     otherwise CONVEX when some gap is above CONVEXITY_RTOL, otherwise AFFINE.
     The witness is (p, q, gap) with the unnormalized gap.
 
-    Verdicts are deterministic in their arguments and cached.
+    Verdicts are deterministic in their arguments and cached.  F and each
+    mean are evaluated once over all samples; fewer than one sample raises
+    ParamError.
     """
+    if samples < 1:
+        raise ParamError(f"samples={samples!r}: a midpoint certificate needs at least one sample")
     return _midpoint_verdict_cached(F, M, N, samples, seed)
 
 
@@ -135,22 +149,20 @@ def _midpoint_verdict_cached(
 ) -> ConvexityReport:
     rng = np.random.default_rng(seed)
     a, b = F.domain.finite_window()
-    ps = rng.uniform(a, b, samples)
-    qs = rng.uniform(a, b, samples)
-    gaps, scales = [], []
-    for p, q in zip(ps, qs):
-        fp, fq = F.value(float(p)), F.value(float(q))
-        lhs = mean_value(N, fp, fq)
-        rhs = F.value(mean_value(M, float(p), float(q)))
-        scales.append(max(1.0, abs(lhs), abs(rhs)))
-        gaps.append((lhs - rhs) / scales[-1])
-    return _verdict(np.array(gaps), lambda k: (float(ps[k]), float(qs[k]), gaps[k] * scales[k]))
+    P = np.stack([rng.uniform(a, b, samples), rng.uniform(a, b, samples)])
+    lhs = _checked_means(N, F.value(P), (0.5, 0.5))
+    rhs = F.value(_checked_means(M, P, (0.5, 0.5)))
+    scales = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    gaps = (lhs - rhs) / scales
+    return _verdict(gaps, lambda k: (float(P[0, k]), float(P[1, k]), float(gaps[k] * scales[k])))
 
 
-def _require_certified(rep: ConvexityReport, what: str) -> ConvexityReport:
+def _require_certified(what: str, verdict, F: FunctionModel, M: MeanSpec, N: MeanSpec, samples, seed) -> None:
+    """Raise ConvexityError unless ``verdict`` (by default the midpoint
+    certificate) holds."""
+    rep = verdict or midpoint_verdict(F, M, N, samples, seed)
     if rep.verdict is Verdict.NOT_CONVEX:
         raise ConvexityError(f"{what}: certificate failed with witness {rep.witness!r}")
-    return rep
 
 
 def jccd(
@@ -164,14 +176,15 @@ def jccd(
     seed: int = 0,
 ) -> DivergenceValue:
     """Jensen divergence under (M,N)-convexity: N(F(p),F(q)) - F(M(p,q))."""
-    rep = verdict or midpoint_verdict(F, M, N, samples, seed)
-    _require_certified(rep, "jccd")
+    _require_certified("jccd", verdict, F, M, N, samples, seed)
     value = mean_value(N, F.value(p), F.value(q)) - F.value(mean_value(M, p, q))
     return DivergenceValue.create(value, (p, q))
 
 
-def _skew_value(F: FunctionModel, M: MeanSpec, N: MeanSpec, alpha: float, p: float, q: float) -> float:
-    return mean_value(N, F.value(p), F.value(q), alpha) - F.value(mean_value(M, p, q, alpha))
+def _skew_values(F: FunctionModel, M: MeanSpec, N: MeanSpec, alpha: np.ndarray, p: float, q: float):
+    """N_alpha(F(p), F(q)) - F(M_alpha(p, q)) for each alpha of an array."""
+    W, X = np.stack([1.0 - alpha, alpha]), np.stack([np.full_like(alpha, p), np.full_like(alpha, q)])
+    return _checked_means(N, F.value(X), W) - F.value(_checked_means(M, X, W))
 
 
 def skew_jccd(
@@ -191,9 +204,8 @@ def skew_jccd(
         raise WeightError(f"alpha={alpha!r} outside (0, 1); see extended_skew_jensen")
     if not (M.supports_weights and N.supports_weights):
         raise UnsupportedWeights(f"means {M} and {N} must both support weights")
-    rep = verdict or midpoint_verdict(F, M, N, samples, seed)
-    _require_certified(rep, "skew_jccd")
-    return DivergenceValue.create(_skew_value(F, M, N, alpha, p, q), (p, q))
+    _require_certified("skew_jccd", verdict, F, M, N, samples, seed)
+    return DivergenceValue.create(_skew_values(F, M, N, np.array([alpha]), p, q)[0], (p, q))
 
 
 def extended_skew_jensen(F: FunctionModel, alpha: float, p: float, q: float) -> float:
@@ -227,10 +239,8 @@ def jensen_diversity(
     With both means arithmetic this is the Bregman information of the set
     (the variance for F(x) = x^2).
     """
-    rep = verdict or midpoint_verdict(F, M, N, samples, seed)
-    _require_certified(rep, "jensen_diversity")
-    fvals = [F.value(x) for x in points.points]
-    value = weighted_mean(N, fvals, points.weights) - F.value(
+    _require_certified("jensen_diversity", verdict, F, M, N, samples, seed)
+    value = weighted_mean(N, F.value(np.array(points.points)), points.weights) - F.value(
         weighted_mean(M, points.points, points.weights)
     )
     return _zero_floor(value)
@@ -242,9 +252,7 @@ def kappa(gamma: Generator, x: float, y: float) -> float:
     For the arithmetic generator this is y - x; for log, x*log(y/x); for the
     power generator, (y^d - x^d) / (d x^(d-1)).
     """
-    d = gamma.deriv(x)
-    if abs(d) < _MIN_DERIVATIVE:
-        raise DerivativeError(f"gamma'({x!r}) underflowed for generator {gamma.id!r}")
+    d = _nonvanishing(gamma.deriv(x), f"derivative of generator {gamma.id!r}", x)
     return (gamma.value(y) - gamma.value(x)) / d
 
 
@@ -283,18 +291,19 @@ class QabdSpec:
         object.__setattr__(self, "verdict", rep)
 
 
+def _qabd_raw(spec: QabdSpec, p, q) -> np.ndarray:
+    """Unclamped B(p:q) elementwise over broadcast arrays p and q."""
+    F, rho, tau = spec.F, spec.rho, spec.tau
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    fp, fq = F.value(p), F.value(q)
+    td = _nonvanishing(tau.deriv(fq), "tau'(F(q))", q)
+    rd = _nonvanishing(rho.deriv(q), "rho'(q)", q)
+    return (tau.value(fp) - tau.value(fq)) / td - ((rho.value(p) - rho.value(q)) / rd) * F.deriv(q)
+
+
 def qabd(spec: QabdSpec, p: float, q: float) -> DivergenceValue:
     """Quasi-arithmetic Bregman divergence B(p:q), anchored at q."""
-    F, rho, tau = spec.F, spec.rho, spec.tau
-    fp, fq = F.value(p), F.value(q)
-    td = tau.deriv(fq)
-    rd = rho.deriv(q)
-    if abs(td) < _MIN_DERIVATIVE:
-        raise DerivativeError(f"tau'(F(q)) underflowed at q={q!r}")
-    if abs(rd) < _MIN_DERIVATIVE:
-        raise DerivativeError(f"rho'(q) underflowed at q={q!r}")
-    value = (tau.value(fp) - tau.value(fq)) / td - ((rho.value(p) - rho.value(q)) / rd) * F.deriv(q)
-    return DivergenceValue.create(value, (p, q))
+    return DivergenceValue.create(_qabd_raw(spec, p, q), (p, q))
 
 
 def qabd_conformal(spec: QabdSpec, p: float, q: float) -> tuple[float, float]:
@@ -304,10 +313,7 @@ def qabd_conformal(spec: QabdSpec, p: float, q: float) -> tuple[float, float]:
     reduced generator G evaluated at (rho(p), rho(q)).
     """
     F, rho, tau = spec.F, spec.rho, spec.tau
-    td = tau.deriv(F.value(q))
-    if abs(td) < _MIN_DERIVATIVE:
-        raise DerivativeError(f"tau'(F(q)) underflowed at q={q!r}")
-    factor = 1.0 / td
+    factor = 1.0 / _nonvanishing(tau.deriv(F.value(q)), "tau'(F(q))", q)
     G = spec.reduced
     u, v = rho.value(p), rho.value(q)
     base = G.value(u) - G.value(v) - (u - v) * G.deriv(v)
@@ -339,13 +345,10 @@ def bccd_numeric(
         raise ParamError("alpha_sequence must be strictly decreasing")
     if not (M.supports_weights and N.supports_weights):
         raise UnsupportedWeights(f"means {M} and {N} must both support weights")
-    rep = verdict or midpoint_verdict(F, M, N, samples, seed)
-    _require_certified(rep, "bccd_numeric")
-    out = []
-    for a in seq:
-        alpha = 1.0 - a
-        out.append(_skew_value(F, M, N, alpha, p, q) / (alpha * a))
-    return tuple(out)
+    _require_certified("bccd_numeric", verdict, F, M, N, samples, seed)
+    a = np.array(seq)
+    alpha = 1.0 - a
+    return tuple((_skew_values(F, M, N, alpha, p, q) / (alpha * a)).tolist())
 
 
 def omega_divergence(
@@ -394,8 +397,7 @@ def lehmer_bregman(
     fp, fq = F.value(p), F.value(q)
     if fp <= 0.0 or fq <= 0.0:
         raise DomainError("lehmer_bregman requires positive generator values")
-    rep = verdict or midpoint_verdict(F, lehmer(delta), lehmer(delta2), samples, seed)
-    _require_certified(rep, "lehmer_bregman")
+    _require_certified("lehmer_bregman", verdict, F, lehmer(delta), lehmer(delta2), samples, seed)
     value = _chi(float(delta2), fp, fq) - _chi(float(delta), p, q) * F.deriv(p)
     return _zero_floor(value)
 

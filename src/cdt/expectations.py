@@ -16,7 +16,7 @@ from .bhattacharyya import DensityModel, DiscreteDist
 from .errors import DomainError, KindMismatch
 from .generators import Generator
 from .means import quasi_arithmetic, weighted_mean
-from .quadrature import _vectorized, integrate
+from .quadrature import integrate
 
 
 def qa_mean(f: Generator, samples: Sequence[float]) -> float:
@@ -39,8 +39,7 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
             raise DomainError("qa_expected_value needs a DiscreteDist with a value grid")
         xs = np.asarray(dist.values)
         ms = np.asarray(dist.masses)
-        fx = np.array([f.value(float(x)) for x in xs])
-        moment = float(np.dot(ms, fx))
+        moment = float(np.dot(ms, f.value(xs)))
         if normalize:
             moment /= float(np.sum(ms))
         out = f.inv(moment)
@@ -52,9 +51,8 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
                 f"support [{lo!r}, {hi!r}] is not inside the domain of generator {f.id!r}"
             )
         with np.errstate(all="ignore"):
-            fv = _vectorized(f.forward)
             moment = integrate(
-                lambda x: np.asarray(dist.eval(x), dtype=float) * fv(x),
+                lambda x: np.asarray(dist.eval(x), dtype=float) * f.forward(x),
                 lo,
                 hi,
                 dist.quadrature,

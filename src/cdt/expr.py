@@ -8,8 +8,8 @@ Grammar (whitespace insensitive, ``^`` right-associative):
     atom   := number | 'x' | func '(' expr ')' | '(' expr ')' | '-' atom
     func   := exp | log | sqrt | abs
 
-Evaluation is numpy-based, so compiled functions accept arrays as well as
-floats.  Well-known forms (x, log(x), exp(x), x^d, ...) are recognized and
+The AST is compiled once into one numpy closure that maps arrays
+elementwise.  Well-known forms (x, log(x), exp(x), x^d, ...) are recognized and
 mapped to built-in generators with analytic derivatives; anything else falls
 back to finite differences and, for generators, a bisection inverse.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from .convexity import FunctionModel, function_model
 from .errors import DomainError, ParamError, ParseError
 from .generators import EXP, IDENTITY, LOG, RECIPROCAL, Generator, Interval, power_generator
-from .generators import _invert_monotone, _monotone_direction
+from .generators import _apply, _first, _invert_monotone, _monotone_direction
 
 FUNCTIONS = ("exp", "log", "sqrt", "abs")
 
@@ -188,37 +188,30 @@ def parse_expression(text: str) -> Node:
 
 
 _CALLS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 
-def evaluate(node: Node, x):
-    """Evaluate an AST at x (float or ndarray)."""
+def _compile(node: Node):
+    """One numpy closure of x for the AST."""
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        return lambda x: value
     if isinstance(node, Var):
-        return x
+        return lambda x: x
     if isinstance(node, Neg):
-        return -evaluate(node.child, x)
+        child = _compile(node.child)
+        return lambda x: np.negative(child(x))
     if isinstance(node, Call):
-        with np.errstate(all="ignore"):
-            return _CALLS[node.fn](evaluate(node.arg, x))
-    left = evaluate(node.left, x)
-    right = evaluate(node.right, x)
-    with np.errstate(all="ignore"):
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return left / right
-        return np.power(left, right)
+        fn, arg = _CALLS[node.fn], _compile(node.arg)
+        return lambda x: fn(arg(x))
+    op, left, right = _BINARY[node.op], _compile(node.left), _compile(node.right)
+    return lambda x: op(left(x), right(x))
 
 
 def compile_expression(text: str):
-    """Parse once and return a callable of x."""
-    ast = parse_expression(text)
-    return lambda x: evaluate(ast, x)
+    """Parse and compile once; returns a callable of x (float or ndarray)."""
+    fn = _compile(parse_expression(text))
+    return lambda x: _apply(fn, x, repr(text))
 
 
 _POWER_FORM = re.compile(r"^x\^(-?\d+\.?\d*(?:[eE][+-]?\d+)?)$")
@@ -301,9 +294,11 @@ def expression_generator(text: str, domain: Interval | tuple[float, float] | Non
         fn = lambda x: -np.asarray(raw(x), dtype=float)  # increasing representative
     flo, fhi = float(fn(lo)), float(fn(hi))
 
-    def inverse(y: float) -> float:
-        if not flo <= y <= fhi:
-            raise DomainError(f"{y!r} outside the image of {text!r} on {domain}")
+    def inverse(y):
+        y = np.asarray(y, dtype=float)
+        outside = ~((flo <= y) & (y <= fhi))
+        if outside.any():
+            raise DomainError(f"{_first(y, outside)!r} outside the image of {text!r} on {domain}")
         return _invert_monotone(fn, y, lo, hi, 1e-14)
 
     return Generator(f"expr:{canon}", domain, fn, inverse, None)

@@ -1,13 +1,15 @@
-"""Strictly increasing scalar generators and interval utilities.
+"""Strictly increasing generators and interval utilities.
 
 A generator is the building block of all quasi-arithmetic machinery: a
 strictly increasing differentiable map bundled with its inverse.  Decreasing
 candidates (such as x -> 1/x) are stored through their negated, increasing
-representative, which leaves every induced mean unchanged.
+representative, which leaves every induced mean unchanged.  Evaluation is
+elementwise over arrays, and a float is the one-element case.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ParamError
+from .quadrature import _vectorized
 
 INF = float("inf")
 
@@ -79,68 +82,122 @@ class Interval:
         return np.linspace(a, b, n)
 
 
-def finite_difference(f: Callable[[float], float], x: float, domain: Interval = Interval()) -> float:
-    """Central difference with step 1e-6*max(1,|x|), shrunk to stay inside domain."""
-    h = FD_STEP * max(1.0, abs(x))
-    lo_room = x - domain.lo
-    hi_room = domain.hi - x
-    h = min(h, 0.45 * lo_room, 0.45 * hi_room)
-    if h <= 0.0 or not math.isfinite(h):
-        raise DomainError(f"cannot differentiate at {x}: no room inside {domain}")
-    return (float(f(x + h)) - float(f(x - h))) / (2.0 * h)
+def _first(x, bad: np.ndarray) -> float:
+    """The first element of x flagged in bad."""
+    return float(np.broadcast_to(x, bad.shape)[bad].flat[0])
 
 
-def _limit_value(fn: Callable[[float], float], x: float, side: int) -> float:
-    """Value (or directional limit surrogate) of an increasing fn at an endpoint."""
-    try:
-        with np.errstate(all="ignore"):
-            v = float(fn(x))
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return -INF if side < 0 else INF
-    if math.isnan(v):
-        return -INF if side < 0 else INF
-    return v
+def _check_inside(x: np.ndarray, domain: Interval, what: str) -> None:
+    """Raise DomainError naming the first element of x outside domain."""
+    bad = ~((x > domain.lo) & (x < domain.hi))
+    if np.count_nonzero(bad):  # cheaper than bad.any() on small arrays
+        raise DomainError(f"{_first(x, bad)!r} outside domain {domain} of {what}")
 
 
-def _monotone_direction(fun: Callable[[float], float], lo: float, hi: float, n: int = 33) -> int:
-    """+1 or -1 when fun is strictly increasing or decreasing on n equispaced
-    points of [lo, hi], else 0 (sampled, so a falsification only)."""
-    diffs = np.diff([float(fun(float(x))) for x in np.linspace(lo, hi, n)])
-    if np.all(diffs > 0.0):
-        return 1
-    if np.all(diffs < 0.0):
-        return -1
-    return 0
+def _apply(fn: Callable, x, what: str, domain: Interval | None = None, errors: tuple = (), bad=None):
+    """fn(x) elementwise as a float array (a float for a float), under one
+    errstate.  Raises DomainError naming the first element of x outside
+    ``domain``, at which fn raises one of ``errors``, or whose value ``bad``
+    flags."""
+    xa = np.asarray(x, dtype=float)
+    if domain is not None:
+        _check_inside(xa, domain, what)
+    flat = xa.reshape(-1)  # a float takes the array path too, so both agree bit for bit
+    with np.errstate(all="ignore"):
+        try:
+            out = np.asarray(fn(flat), dtype=float)
+        except errors as exc:
+            for i in range(flat.size):  # rerun point by point, only to name the culprit
+                try:
+                    fn(flat[i : i + 1])
+                except errors:
+                    raise DomainError(f"{what} is undefined at {float(flat[i])!r}") from exc
+            raise DomainError(f"{what} failed: {exc}") from exc
+    out = (out if out.shape == flat.shape else np.full(flat.shape, out)).reshape(xa.shape)
+    if bad is not None and np.count_nonzero(flags := bad(out)):
+        raise DomainError(f"{what} is undefined at {_first(xa, flags)!r}")
+    return float(out) if xa.ndim == 0 else out
 
 
-def _invert_monotone(fun: Callable[[float], float], target: float, lo: float, hi: float, tol: float) -> float:
+def _wrap_callables(obj, names: tuple[str, ...]) -> np.ndarray:
+    """Replace each named callable of a frozen obj that takes only floats by
+    a wrapper mapping arrays elementwise, decided by one call on two points
+    inside ``obj.domain``; returns those points."""
+    a, b = obj.domain.finite_window()
+    probe = np.array([a + 0.5 * (b - a), a + 0.25 * (b - a)])
+    for name in names:
+        if getattr(obj, name) is not None:
+            object.__setattr__(obj, name, _vectorized(getattr(obj, name), probe))
+    return probe
+
+
+def finite_difference(f: Callable, x, domain: Interval = Interval()):
+    """Central difference with step 1e-6*max(1,|x|), shrunk to stay inside
+    domain; elementwise over an array x, for an f that maps arrays."""
+
+    def central(v: np.ndarray) -> np.ndarray:
+        h = np.minimum(FD_STEP * np.maximum(1.0, np.abs(v)), 0.45 * np.minimum(v - domain.lo, domain.hi - v))
+        if np.count_nonzero(bad := ~((h > 0.0) & np.isfinite(h))):
+            raise DomainError(f"cannot differentiate at {_first(v, bad)}: no room inside {domain}")
+        return (np.asarray(f(v + h), dtype=float) - np.asarray(f(v - h), dtype=float)) / (2.0 * h)
+
+    return _apply(central, x, "")
+
+
+def _image(fn: Callable, lo: float, hi: float) -> Interval:
+    """The image of (lo, hi) under an increasing fn: its values at the ends,
+    or -inf and inf where fn is undefined there."""
+    ends = []
+    for x, limit in ((lo, -INF), (hi, INF)):
+        try:
+            ends.append(_apply(fn, x, "", None, (ValueError, OverflowError, ZeroDivisionError), np.isnan))
+        except DomainError:
+            ends.append(limit)
+    return Interval(*ends)
+
+
+def _monotone_direction(fun: Callable, lo, hi, n: int = 33):
+    """+1 or -1 where fun is strictly increasing or decreasing on n equispaced
+    points of [lo, hi], else 0 (sampled, so a falsification only); over
+    arrays of brackets with one call of fun per point for all of them."""
+    xs = np.linspace(lo, hi, n)
+    diffs = np.diff([np.asarray(fun(x), dtype=float) for x in xs], axis=0)
+    out = np.where(np.all(diffs > 0.0, axis=0), 1, np.where(np.all(diffs < 0.0, axis=0), -1, 0))
+    return int(out) if out.ndim == 0 else out
+
+
+def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
     """Bisection solve of fun(m) = target for monotone fun on [lo, hi], to a
-    bracket of relative width tol."""
-    flo, fhi = float(fun(lo)), float(fun(hi))
+    bracket of relative width tol; elementwise over arrays of targets and
+    brackets, each element stopping at its own tolerance."""
+    flo, fhi = np.asarray(fun(lo), dtype=float), np.asarray(fun(hi), dtype=float)
     increasing = fhi >= flo
     # Floating-point drift can push the target marginally outside the bracket.
-    target = min(max(target, min(flo, fhi)), max(flo, fhi))
-    a, b = lo, hi
+    target = np.minimum(np.maximum(target, np.minimum(flo, fhi)), np.maximum(flo, fhi))
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     for _ in range(200):
-        if (b - a) <= tol * max(1.0, abs(a), abs(b)):
+        active = (b - a) > tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        if not active.any():
             break
         m = 0.5 * (a + b)
-        if (float(fun(m)) < target) == increasing:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+        up = (np.asarray(fun(m), dtype=float) < target) == increasing
+        a, b = np.where(active & up, m, a), np.where(active & ~up, m, b)
+    out = 0.5 * (a + b)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class Generator:
     """Strictly increasing differentiable map with an explicit inverse.
 
-    ``forward`` and ``inverse`` should accept floats (numpy arrays too, for
-    the built-ins); ``derivative`` may be omitted, in which case a central
-    finite difference with step 1e-6*max(1,|x|) is used.  ``power_order`` is
-    the order d when the induced mean is the power mean P_d (identity 1,
-    log 0, reciprocal -1, power:d d), and None otherwise.
+    ``value``, ``inv`` and ``deriv`` map arrays elementwise (a float gives a
+    float), with one errstate and one domain and result check per call; an
+    error names the first bad element.  ``forward``, ``inverse`` and
+    ``derivative`` may take only floats: such a callable (one that fails on
+    a probe inside the domain, or the image) is wrapped once, when the
+    generator is built.  Without ``derivative`` a central finite difference
+    is used.  ``power_order`` is the order d when the induced mean is the
+    power mean P_d (identity 1, log 0, reciprocal -1, power:d d), else None.
     """
 
     id: str
@@ -150,60 +207,44 @@ class Generator:
     derivative: Callable | None = None
     power_order: float | None = None
 
-    def value(self, x: float) -> float:
-        if not self.domain.contains(x):
-            raise DomainError(f"{x!r} outside domain {self.domain} of generator {self.id!r}")
-        try:
-            with np.errstate(all="ignore"):
-                v = float(self.forward(x))
-        except OverflowError as exc:
-            raise DomainError(f"generator {self.id!r} overflowed at {x!r}") from exc
-        if math.isnan(v):
-            raise DomainError(f"generator {self.id!r} returned NaN at {x!r}")
-        return v
+    def __post_init__(self) -> None:
+        probe = _wrap_callables(self, ("forward", "derivative"))
+        with contextlib.suppress(ArithmeticError, ValueError), np.errstate(all="ignore"):
+            probe = self.forward(probe)  # the image, where the inverse is defined
+        object.__setattr__(self, "inverse", _vectorized(self.inverse, probe))
 
-    def inv(self, y: float) -> float:
-        try:
-            with np.errstate(all="ignore"):
-                v = float(self.inverse(y))
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"{y!r} outside the image of generator {self.id!r}") from exc
-        if math.isnan(v):
-            raise DomainError(f"{y!r} outside the image of generator {self.id!r}")
-        return v
+    def value(self, x):
+        return _apply(self.forward, x, f"generator {self.id!r}", self.domain, (OverflowError,), np.isnan)
 
-    def deriv(self, x: float) -> float:
-        if not self.domain.contains(x):
-            raise DomainError(f"{x!r} outside domain {self.domain} of generator {self.id!r}")
-        if self.derivative is not None:
-            return float(self.derivative(x))
-        return finite_difference(self.forward, x, self.domain)
+    def inv(self, y):
+        errors = (ValueError, OverflowError, ZeroDivisionError)
+        return _apply(self.inverse, y, f"the inverse of generator {self.id!r}", None, errors, np.isnan)
+
+    def deriv(self, x):
+        if self.derivative is None:
+            return finite_difference(self.forward, x, self.domain)
+        return _apply(self.derivative, x, f"generator {self.id!r}", self.domain)
 
     def image(self) -> Interval:
-        lo = _limit_value(self.forward, self.domain.lo, -1)
-        hi = _limit_value(self.forward, self.domain.hi, +1)
-        return Interval(lo, hi)
+        return _image(self.forward, self.domain.lo, self.domain.hi)
 
     def validate(self) -> "Generator":
         """Run sampled invariant checks; returns self so built-ins can chain."""
         xs = self.domain.sample_grid(VALIDATION_POINTS)
-        ys = [self.value(float(x)) for x in xs]
-        for a, b in zip(ys, ys[1:]):
-            if not a < b:
-                raise ParamError(f"generator {self.id!r} is not strictly increasing")
-        for x, y in zip(xs, ys):
-            back = self.inv(y)
-            if abs(back - float(x)) > ROUNDTRIP_RTOL * max(1.0, abs(float(x))):
-                raise ParamError(
-                    f"generator {self.id!r} inverse round trip failed at {float(x)!r}"
-                )
-            if not self.deriv(float(x)) > 0.0:
-                raise ParamError(f"generator {self.id!r} derivative not positive at {float(x)!r}")
+        ys = self.value(xs)
+        if not np.all(np.diff(ys) > 0.0):
+            raise ParamError(f"generator {self.id!r} is not strictly increasing")
+        bad = np.abs(self.inv(ys) - xs) > ROUNDTRIP_RTOL * np.maximum(1.0, np.abs(xs))
+        if bad.any():
+            raise ParamError(f"generator {self.id!r} inverse round trip failed at {_first(xs, bad)!r}")
+        bad = ~(self.deriv(xs) > 0.0)
+        if bad.any():
+            raise ParamError(f"generator {self.id!r} derivative not positive at {_first(xs, bad)!r}")
         return self
 
 
 IDENTITY = Generator(
-    "identity", Interval(), lambda x: x, lambda y: y, lambda x: 1.0, power_order=1.0
+    "identity", Interval(), lambda x: x, lambda y: y, np.ones_like, power_order=1.0
 ).validate()
 
 LOG = Generator(

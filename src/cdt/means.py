@@ -5,12 +5,14 @@ dominance comparison.
 Every mean here is symmetric; the weight convention throughout the package
 puts weight (1 - alpha) on the first argument and alpha on the second.
 
-All weighted families share one kernel, :func:`weighted_means`.  The scalar
-API (:func:`mean_value`, :func:`weighted_mean`) requires arguments strictly
-inside the domain; array callers (distributions) may pass zeros, and a zero
-argument takes the x -> 0+ limit of the mean: 0 log 0 counts as 0, and where
-the mean collapses (a geometric, harmonic or other negative-order mean with
-a zero argument) the value is 0.
+All families share one kernel, :func:`weighted_means`, elementwise over
+columns of arguments (Lagrange, Cauchy, Stolarsky and dual means only for two
+arguments of weight 1/2).  The scalar API (:func:`mean_value`,
+:func:`weighted_mean`) requires arguments strictly inside the domain; array
+callers (distributions) may pass zeros, and a zero argument takes the x -> 0+
+limit of the mean: 0 log 0 counts as 0, and where the mean collapses (a
+geometric, harmonic or other negative-order mean with a zero argument) the
+value is 0.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from .errors import (
     WeightError,
 )
 from .generators import IDENTITY, LOG, RECIPROCAL, Generator, Interval, get_generator, power_generator
-from .generators import _invert_monotone, _monotone_direction
-from .quadrature import _vectorized
+from .generators import _apply, _check_inside, _first, _invert_monotone, _monotone_direction
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -163,11 +164,8 @@ def _power_means(d: float, X: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:
 def _generator_means(gen: Generator, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     if np.any((X < gen.domain.lo) | (X > gen.domain.hi)):
         raise DomainError(f"argument outside the domain {gen.domain} of generator {gen.id!r}")
-    try:
-        FX = _vectorized(gen.forward)(X.ravel()).reshape(X.shape)
-        return np.asarray(_vectorized(gen.inverse)(_wsum(W, FX)), dtype=float)
-    except (ArithmeticError, ValueError) as exc:
-        raise DomainError(f"generator {gen.id!r} failed: {exc}") from exc
+    errors, what = (ArithmeticError, ValueError), f"generator {gen.id!r}"
+    return _apply(gen.inverse, _wsum(W, _apply(gen.forward, X, what, None, errors)), what, None, errors)
 
 
 def _ratio_means(spec: MeanSpec, X: np.ndarray, W: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -183,33 +181,77 @@ def _ratio_means(spec: MeanSpec, X: np.ndarray, W: np.ndarray, hi: np.ndarray) -
     return hi * np.exp(np.log(_wsum(W, R**d1) / _wsum(W, R**d2)) / (d1 - d2))
 
 
+def _mean_value_means(spec: MeanSpec, X: np.ndarray) -> np.ndarray:
+    """Lagrange and Cauchy means (f'/g')^{-1}((f(q) - f(p)) / (g(q) - g(p)))
+    of the columns (p, q) of X, solved in one bisection over all columns;
+    nearly equal arguments give their midpoint."""
+    f, g = spec.generator, spec.generator2 or IDENTITY
+    FX, GX = f.value(X), g.value(X)
+    p, q = X
+    out = 0.5 * (p + q)
+    far = np.abs(p - q) >= NEAR_EQUAL_REL * np.maximum(1.0, np.abs(p))
+    if far.any():
+        a, b = np.minimum(p, q)[far], np.maximum(p, q)[far]
+        ratio = lambda x: f.deriv(x) / g.deriv(x)
+        flat = _monotone_direction(ratio, a, b) == 0
+        if flat.any():
+            error = NonInvertibleRatio if spec.family == "cauchy" else NonInvertibleDerivative
+            raise error(f"{f.id}'/{g.id}' is not monotone on [{_first(a, flat)!r}, {_first(b, flat)!r}]")
+        target = ((FX[1] - FX[0]) / (GX[1] - GX[0]))[far]
+        out[far] = _invert_monotone(ratio, target, a, b, 1e-14)
+    return out
+
+
+def _stolarsky_means(p: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Stolarsky means of the pairs (lo, hi); see :func:`stolarsky_mean`."""
+    L = np.log1p((hi - lo) / lo)
+    if abs(p) < 1e-7:
+        out = lo * np.expm1(L) / L
+    elif abs(p - 1.0) < 1e-7:
+        out = lo * np.exp(L * hi / (hi - lo) - 1.0)
+    elif p > 0.0:
+        out = hi * (np.expm1(-p * L) / (p * np.expm1(-L))) ** (1.0 / (p - 1.0))
+    else:
+        out = lo * (np.expm1(p * L) / (p * np.expm1(L))) ** (1.0 / (p - 1.0))
+    return np.where(L < NEAR_EQUAL_REL, 0.5 * (lo + hi), out)
+
+
 def weighted_means(spec: MeanSpec, X, W) -> np.ndarray:
     """Elementwise weighted means M(X[0], ..., X[n-1]; W[0], ..., W[n-1]).
 
     ``X`` has shape (n, ...) with the n arguments along axis 0; ``W`` holds
-    one normalized weight per argument, and arguments of weight 0 are
-    ignored.  Callers validate their inputs.  Means with a ``power_order``
-    share one scaled power branch; other generators are evaluated once per
-    array.  A zero argument takes the x -> 0+ limit (see
+    one normalized weight per argument (arguments of weight 0 are ignored),
+    or one per argument and column, shaped like ``X``.  Lagrange, Cauchy,
+    Stolarsky and dual means take n = 2 and weights 1/2 only, else raise
+    UnsupportedWeights.  Callers validate their inputs.  Means with a
+    ``power_order`` share one scaled power branch; other generators are
+    evaluated once per array.  A zero argument takes the x -> 0+ limit (see
     the module docstring); any other non-finite mean raises DomainError.
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
-    if np.count_nonzero(W) < len(W):
+    if W.ndim == 1 and np.count_nonzero(W) < len(W):
         X, W = X[W != 0.0], W[W != 0.0]
     shape = X.shape[1:]
-    X = X.reshape(len(W), -1)
+    X = X.reshape(len(X), -1)
+    W = W.reshape(X.shape) if W.ndim > 1 else W
     lo, hi = np.minimum.reduce(X), np.maximum.reduce(X)
     fam, order = spec.family, spec.power_order
     with np.errstate(all="ignore"):
+        if not spec.supports_weights and (len(X) != 2 or np.any(np.abs(W - 0.5) > 1e-12)):
+            raise UnsupportedWeights(f"{fam} mean has no weighted form (only two arguments of weight 1/2)")
         if order is not None:
             out = _power_means(order, X, W, lo, hi)
         elif fam == "quasi_arithmetic":
             out = _generator_means(spec.generator, X, W)
         elif fam in ("lehmer", "gini"):
             out = _ratio_means(spec, X, W, hi)
-        else:
-            raise UnsupportedWeights(f"{fam} mean has no weighted form")
+        elif fam in ("lagrange", "cauchy"):
+            out = _mean_value_means(spec, X)
+        elif fam == "stolarsky":
+            out = _stolarsky_means(spec.delta, lo, hi)
+        else:  # dual
+            out = X[0] * X[1] / weighted_means(spec.inner, X, (0.5, 0.5))
         if not np.logical_and.reduce(np.isfinite(out)):
             bad = ~np.isfinite(out)
             other = bad & ~(X == 0.0).any(axis=0)
@@ -219,16 +261,15 @@ def weighted_means(spec: MeanSpec, X, W) -> np.ndarray:
     return np.minimum(np.maximum(out, lo), hi).reshape(shape)
 
 
-def _scalar_mean(spec: MeanSpec, values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted mean of scalar arguments, which must lie inside the domain."""
-    if spec.family == "quasi_arithmetic":
-        dom = spec.generator.domain
-        for v in values:
-            if not dom.lo < v < dom.hi:
-                raise DomainError(f"{v!r} outside domain {dom} of generator {spec.generator.id!r}")
-    elif not min(values) > 0.0:
+def _checked_means(spec: MeanSpec, X, W) -> np.ndarray:
+    """weighted_means of arguments that must lie strictly inside the domain:
+    that of the mean's generators, else (0, inf)."""
+    X = np.asarray(X, dtype=float)
+    for gen in filter(None, (spec.generator, spec.generator2)):
+        _check_inside(X, gen.domain, f"generator {gen.id!r}")
+    if spec.generator is None and not np.all(X > 0.0):
         raise DomainError(f"{spec.family} mean requires strictly positive values")
-    return float(weighted_means(spec, values, weights))
+    return weighted_means(spec, X, W)
 
 
 def weighted_mean(spec: MeanSpec, values: Sequence[float], weights: Sequence[float]) -> float:
@@ -246,13 +287,7 @@ def weighted_mean(spec: MeanSpec, values: Sequence[float], weights: Sequence[flo
     total = math.fsum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL:g}")
-    if spec.supports_weights:
-        return _scalar_mean(spec, values, weights)
-    if len(values) == 2 and abs(weights[0] - 0.5) <= 1e-12 and abs(weights[1] - 0.5) <= 1e-12:
-        return mean_value(spec, values[0], values[1])
-    raise UnsupportedWeights(
-        f"{spec.family} mean has no weighted form (only the plain bivariate call is supported)"
-    )
+    return float(_checked_means(spec, values, weights))
 
 
 def mean_value(spec: MeanSpec, x: float, y: float, alpha: float = 0.5) -> float:
@@ -264,84 +299,37 @@ def mean_value(spec: MeanSpec, x: float, y: float, alpha: float = 0.5) -> float:
     x, y, alpha = float(x), float(y), float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise WeightError(f"alpha={alpha!r} outside [0, 1]")
-    if spec.supports_weights:
-        return _scalar_mean(spec, (x, y), (1.0 - alpha, alpha))
-    if abs(alpha - 0.5) > 1e-12:
-        raise UnsupportedWeights(f"{spec.family} mean has no weighted form")
-    if spec.family == "lagrange":
-        return lagrange_mean(spec.generator, x, y)
-    if spec.family == "cauchy":
-        return cauchy_mean(spec.generator, spec.generator2, x, y)
-    if spec.family == "stolarsky":
-        return stolarsky_mean(spec.delta, x, y)
-    if spec.family == "dual":
-        return dual_mean(spec.inner, x, y)
-    raise ParamError(f"unknown mean family {spec.family!r}")  # pragma: no cover
-
-
-def _nearly_equal(p: float, q: float) -> bool:
-    return abs(p - q) < NEAR_EQUAL_REL * max(1.0, abs(p))
+    return float(_checked_means(spec, (x, y), (1.0 - alpha, alpha)))
 
 
 def lagrange_mean(f: Generator, p: float, q: float) -> float:
     """Mean-value mean: (f')^{-1}((f(q) - f(p)) / (q - p)), the Cauchy mean
     with g = identity."""
-    return _mean_value_mean(f, IDENTITY, p, q, NonInvertibleDerivative, f"derivative of {f.id!r}")
+    return mean_value(lagrange(f), p, q)
 
 
 def cauchy_mean(f: Generator, g: Generator, p: float, q: float) -> float:
     """Cauchy mean-value mean: (f'/g')^{-1}((f(q) - f(p)) / (g(q) - g(p)))."""
-    return _mean_value_mean(f, g, p, q, NonInvertibleRatio, f"derivative ratio {f.id}'/{g.id}'")
-
-
-def _mean_value_mean(f: Generator, g: Generator, p: float, q: float, error: type, what: str) -> float:
-    p, q = float(p), float(q)
-    for gen in (f, g):
-        for v in (p, q):
-            if not gen.domain.contains(v):
-                raise DomainError(f"{v!r} outside domain of generator {gen.id!r}")
-    if _nearly_equal(p, q):
-        return 0.5 * (p + q)
-    a, b = min(p, q), max(p, q)
-    ratio = lambda x: f.deriv(x) / g.deriv(x)
-    if not _monotone_direction(ratio, a, b):
-        raise error(f"{what} is not monotone on [{a!r}, {b!r}]")
-    target = (f.value(q) - f.value(p)) / (g.value(q) - g.value(p))
-    m = _invert_monotone(ratio, target, a, b, 1e-14)
-    return min(max(m, a), b)
+    return mean_value(cauchy(f, g), p, q)
 
 
 def stolarsky_mean(p_param: float, x: float, y: float) -> float:
-    """Stolarsky mean with limit branches: logarithmic at p=0, identric at p=1."""
-    p_param, x, y = float(p_param), float(x), float(y)
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError("Stolarsky mean requires strictly positive arguments")
-    if _nearly_equal(x, y):
-        return 0.5 * (x + y)
-    if abs(p_param) < 1e-7:
-        out = (x - y) / (math.log(x) - math.log(y))
-    elif abs(p_param - 1.0) < 1e-7:
-        out = math.exp((x * math.log(x) - y * math.log(y)) / (x - y) - 1.0)
-    else:
-        # Anchor on max for p > 0 and min for p < 0 so the normalized powers
-        # stay in (0, 1]; keeps huge |p| finite.
-        c = max(x, y) if p_param > 0.0 else min(x, y)
-        rx, ry = x / c, y / c
-        quot = (rx**p_param - ry**p_param) / (p_param * (x - y))
-        log_base = p_param * math.log(c) + math.log(quot)
-        out = math.exp(log_base / (p_param - 1.0))
-    return min(max(out, min(x, y)), max(x, y))
+    """Stolarsky mean ((y^p - x^p) / (p (y - x)))^(1/(p-1)): logarithmic at
+    p = 0, identric at p = 1.
+
+    With lo, hi = min, max and L = log1p((hi - lo) / lo) it is evaluated as
+    hi (expm1(-pL) / (p expm1(-L)))^(1/(p-1)) for p > 0, as
+    lo (expm1(pL) / (p expm1(L)))^(1/(p-1)) for p < 0, as lo expm1(L) / L
+    for |p| < 1e-7 (accurate to first order in p) and as
+    lo exp(L hi / (hi - lo) - 1) at p = 1.  Within 1e-5 of p = 1 the 1/(p-1)
+    amplification leaves a relative error of about 2e-10.
+    """
+    return mean_value(stolarsky(p_param), x, y)
 
 
 def dual_mean(spec: MeanSpec, x: float, y: float) -> float:
     """Dual mean M*(x, y) = xy / M(x, y) of a symmetric homogeneous mean."""
-    x, y = float(x), float(y)
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError("dual mean requires strictly positive arguments")
-    if not spec.homogeneous:
-        raise ParamError("dual mean requires a homogeneous base mean")
-    out = x * y / mean_value(spec, x, y)
-    return min(max(out, min(x, y)), max(x, y))
+    return mean_value(dual(spec), x, y)
 
 
 class Dominance(Enum):
@@ -372,26 +360,26 @@ def dominates(
 
     Returns DOMINATES when a >= b at every sample, DOMINATED_BY when a <= b at
     every sample (equality everywhere therefore reports DOMINATES), and
-    INCOMPARABLE otherwise, with a counterexample triple for each violated
-    direction.
+    INCOMPARABLE otherwise, with the counterexample triple of lowest sample
+    index for each violated direction.  Each mean is evaluated once, over all
+    samples.  Fewer than one sample or a non-finite bound raises ParamError.
     """
     lo, hi = (domain.lo, domain.hi) if isinstance(domain, Interval) else (float(domain[0]), float(domain[1]))
+    if samples < 1:
+        raise ParamError(f"samples={samples!r}: dominance needs at least one sample")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParamError(f"dominance samples a bounded domain, got ({lo!r}, {hi!r})")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(lo, hi, samples)
     ys = rng.uniform(lo, hi, samples)
     weighted = a.supports_weights and b.supports_weights
     als = rng.uniform(0.0, 1.0, samples) if weighted else np.full(samples, 0.5)
-    above = below = None
-    for x, y, al in zip(xs, ys, als):
-        va = mean_value(a, float(x), float(y), float(al))
-        vb = mean_value(b, float(x), float(y), float(al))
-        tol = 1e-12 * max(1.0, abs(va), abs(vb))
-        if above is None and va > vb + tol:
-            above = (float(x), float(y), float(al))
-        if below is None and va < vb - tol:
-            below = (float(x), float(y), float(al))
-        if above is not None and below is not None:
-            break
+    X, W = np.stack([xs, ys]), np.stack([1.0 - als, als])
+    va, vb = _checked_means(a, X, W), _checked_means(b, X, W)
+    tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(va), np.abs(vb)))
+    up, down = va > vb + tol, va < vb - tol
+    above = (float(xs[up][0]), float(ys[up][0]), float(als[up][0])) if up.any() else None
+    below = (float(xs[down][0]), float(ys[down][0]), float(als[down][0])) if down.any() else None
     if below is None:
         return DominanceResult(Dominance.DOMINATES, above, None)
     if above is None:

@@ -25,17 +25,28 @@ class QuadratureConfig:
     max_depth: int = 20             # refinement levels per panel
 
 
+@dataclass(frozen=True)
+class _Pointwise:
+    """f called point by point, keeping the shape; wrappers of one f are equal."""
+
+    f: Callable
+
+    def __call__(self, xs):
+        return np.array([float(self.f(float(x))) for x in np.ravel(xs)]).reshape(np.shape(xs))
+
+
 def _vectorized(f: Callable, probe=(0.5, 0.25)) -> Callable:
     """f itself if one call maps an array of points to an array of values
-    (tried once, on ``probe``), else a wrapper calling f point by point."""
+    (tried once, on ``probe``), else f wrapped to be called point by point."""
     probe = np.array(probe, dtype=float)
     try:
-        out = np.asarray(f(probe), dtype=float)
+        with np.errstate(all="ignore"):
+            out = np.asarray(f(probe), dtype=float)
         if out.shape == probe.shape:
             return f
     except Exception:
         pass
-    return lambda xs: np.array([float(f(float(x))) for x in np.atleast_1d(xs)])
+    return _Pointwise(f)
 
 
 def adaptive_simpson(
