@@ -499,9 +499,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         cfg = config_from_argv(argv)
-    except ConfigError as exc:
-        print(json.dumps({"error": {"type": "ConfigError", "message": str(exc)}}))
-        return 2
+    except CdtError as exc:  # ConfigError, or ParamError from QuadratureConfig
+        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+        return 2 if isinstance(exc, ConfigError) else 3
     code, payload = dispatch(cfg)
     print(_render(payload, cfg.fmt))
     return code
