@@ -56,6 +56,8 @@ class FunctionModel:
 
     ``value`` and ``deriv`` map arrays elementwise like ``Generator.value``,
     and float-only ``eval`` and ``derivative`` are wrapped once in the same way.
+    ``deriv`` (a central difference without ``derivative``) raises
+    DomainError naming the first point where it is NaN.
     """
 
     id: str
@@ -71,9 +73,8 @@ class FunctionModel:
         return _apply(self.eval, x, repr(self.id), self.domain, errors, lambda v: ~np.isfinite(v))
 
     def deriv(self, x):
-        if self.derivative is None:
-            return finite_difference(self.eval, x, self.domain)
-        return _apply(self.derivative, x, repr(self.id))
+        derivative = self.derivative or (lambda v: finite_difference(self.eval, v, self.domain))
+        return _apply(derivative, x, f"the derivative of {self.id!r}", None, (), np.isnan)
 
     def checked(self, points: int = 33) -> "FunctionModel":
         """Verify finiteness on sampled domain points; returns self."""

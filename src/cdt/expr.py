@@ -8,10 +8,11 @@ Grammar (whitespace insensitive, ``^`` right-associative):
     atom   := number | 'x' | func '(' expr ')' | '(' expr ')' | '-' atom
     func   := exp | log | sqrt | abs
 
-The AST is compiled once into one numpy closure that maps arrays
-elementwise.  Well-known forms (x, log(x), exp(x), x^d, ...) are recognized and
-mapped to built-in generators with analytic derivatives; anything else falls
-back to finite differences and, for generators, a bisection inverse.
+The AST is compiled once into numpy closures, mapping arrays elementwise, of
+the function and its exact derivative by the rules of differentiation
+(Griewank and Walther, *Evaluating Derivatives*, SIAM 2008, ch. 1).
+Well-known forms (x, log(x), exp(x), x^d, ...) are recognized as built-in
+generators; other monotone expressions get a bisection inverse.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .generators import EXP, IDENTITY, LOG, RECIPROCAL, Generator, Interval, pow
 from .generators import _apply, _first, _invert_monotone, _monotone_direction
 
 FUNCTIONS = ("exp", "log", "sqrt", "abs")
+_VALUE_START = ("number", "x") + FUNCTIONS + ("(", "-")
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -77,28 +79,18 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad]!r}", bad, ("number", "name", "operator"))
-        if m.lastgroup == "number":
-            tokens.append(_Token("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "name":
-            tokens.append(_Token("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(_Token("op", m.group("op"), m.start("op")))
+    while m := _TOKEN_RE.match(text, pos):  # every match consumes a token
+        tokens.append(_Token(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
+    if rest := text[pos:].lstrip():
+        bad = len(text) - len(rest)
+        raise ParseError(f"unexpected character {text[bad]!r}", bad, ("number", "name", "operator"))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -107,46 +99,44 @@ class _Parser:
         return self.tokens[self.i]
 
     def _advance(self) -> _Token:
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
+
+    def _accept(self, op: str) -> bool:
+        """Consume the current token if it is the operator ``op``."""
+        if self.current.kind == "op" and self.current.text == op:
+            self.i += 1
+            return True
+        return False
 
     def _expect_op(self, op: str) -> None:
-        tok = self.current
-        if tok.kind == "op" and tok.text == op:
-            self._advance()
-            return
-        raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.offset, (op,))
+        if not self._accept(op):
+            tok = self.current
+            raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.offset, (op,))
 
     def parse(self) -> Node:
         node = self.expr()
         tok = self.current
         if tok.kind != "end":
-            raise ParseError(
-                f"unexpected trailing input {tok.text!r}", tok.offset, ("+", "-", "*", "/", "^", "end")
-            )
+            expected = ("+", "-", "*", "/", "^", "end")
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset, expected)
+        return node
+
+    def _left_assoc(self, ops: str, operand) -> Node:
+        node = operand()
+        while self.current.kind == "op" and self.current.text in ops:
+            node = Bin(self._advance().text, node, operand())
         return node
 
     def expr(self) -> Node:
-        node = self.term()
-        while self.current.kind == "op" and self.current.text in "+-":
-            op = self._advance().text
-            node = Bin(op, node, self.term())
-        return node
+        return self._left_assoc("+-", self.term)
 
     def term(self) -> Node:
-        node = self.factor()
-        while self.current.kind == "op" and self.current.text in "*/":
-            op = self._advance().text
-            node = Bin(op, node, self.factor())
-        return node
+        return self._left_assoc("*/", self.factor)
 
     def factor(self) -> Node:
         node = self.atom()
-        if self.current.kind == "op" and self.current.text == "^":
-            self._advance()
-            node = Bin("^", node, self.factor())  # right associative
-        return node
+        return Bin("^", node, self.factor()) if self._accept("^") else node  # right associative
 
     def atom(self) -> Node:
         tok = self.current
@@ -162,89 +152,94 @@ class _Parser:
                 arg = self.expr()
                 self._expect_op(")")
                 return Call(tok.text, arg)
-            raise ParseError(
-                f"unknown identifier {tok.text!r}", tok.offset, ("x",) + FUNCTIONS
-            )
-        if tok.kind == "op" and tok.text == "(":
-            self._advance()
+            raise ParseError(f"unknown identifier {tok.text!r}", tok.offset, ("x",) + FUNCTIONS)
+        if self._accept("("):
             node = self.expr()
             self._expect_op(")")
             return node
-        if tok.kind == "op" and tok.text == "-":
-            self._advance()
+        if self._accept("-"):
             return Neg(self.atom())
-        raise ParseError(
-            f"expected a value, found {tok.text or 'end of input'!r}",
-            tok.offset,
-            ("number", "x") + FUNCTIONS + ("(", "-"),
-        )
+        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}", tok.offset, _VALUE_START)
 
 
 def parse_expression(text: str) -> Node:
     """Parse ``text`` into an AST; raises ParseError with offset and expected set."""
     if not text.strip():
-        raise ParseError("empty expression", 0, ("number", "x") + FUNCTIONS + ("(", "-"))
+        raise ParseError("empty expression", 0, _VALUE_START)
     return _Parser(text).parse()
 
 
 _CALLS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs}
+#: (f(u))' of each function from u and u'
+_CALL_RULES = {
+    "exp": lambda u, du: np.exp(u) * du,
+    "log": lambda u, du: du / u,
+    "sqrt": lambda u, du: 0.5 / np.sqrt(u) * du,
+    "abs": lambda u, du: np.sign(u) * du,
+}
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 
-def _compile(node: Node):
-    """One numpy closure of x for the AST."""
+def _sum(a, b):
+    """The closure of a(x) + b(x), where None stands for 0."""
+    return (a or b) if a is None or b is None else (lambda x: a(x) + b(x))
+
+
+def _rules(node: Node):
+    """(f, f') for the AST: numpy closures of x, f' by the rules of
+    differentiation, or None for a subtree without x (f' = 0)."""
     if isinstance(node, Num):
-        value = node.value
-        return lambda x: value
+        return (lambda x, value=node.value: value), None
     if isinstance(node, Var):
-        return lambda x: x
+        return (lambda x: x), np.ones_like
     if isinstance(node, Neg):
-        child = _compile(node.child)
-        return lambda x: np.negative(child(x))
+        f, df = _rules(node.child)
+        return (lambda x: np.negative(f(x))), df and (lambda x: np.negative(df(x)))
     if isinstance(node, Call):
-        fn, arg = _CALLS[node.fn], _compile(node.arg)
-        return lambda x: fn(arg(x))
-    op, left, right = _BINARY[node.op], _compile(node.left), _compile(node.right)
-    return lambda x: op(left(x), right(x))
+        fn, rule = _CALLS[node.fn], _CALL_RULES[node.fn]
+        u, du = _rules(node.arg)
+        return (lambda x: fn(u(x))), du and (lambda x: rule(u(x), du(x)))
+    op, (u, du), (v, dv) = _BINARY[node.op], _rules(node.left), _rules(node.right)
+    f = lambda x: op(u(x), v(x))
+    if node.op in "+-":
+        return f, _sum(du, dv if node.op == "+" else dv and (lambda x: np.negative(dv(x))))
+    if node.op == "*":
+        return f, _sum(du and (lambda x: du(x) * v(x)), dv and (lambda x: u(x) * dv(x)))
+    if node.op == "/":
+        dquot = dv and (lambda x: np.negative(u(x) * dv(x)) / v(x) ** 2)
+        return f, _sum(du and (lambda x: du(x) / v(x)), dquot)
+    if dv is None:  # u^c, c free of x
+        with np.errstate(all="ignore"):
+            c = float(v(0.0))
+        return f, du and (lambda x: (c * u(x) ** (c - 1.0)) * du(x))
+    # u^v = exp(v log u)
+    dlog = _sum(lambda x: dv(x) * np.log(u(x)), du and (lambda x: v(x) * du(x) / u(x)))
+    return f, lambda x: f(x) * dlog(x)
+
+
+def _compile(node: Node):
+    """(F, F'): numpy closures of x for the AST, F' exact by the rules of
+    differentiation.  A constant expression maps x to arrays shaped like x.
+    The closures run numpy unguarded: call them under an errstate."""
+    f, df = _rules(node)
+    if df is None:
+        return (lambda x: np.full(np.shape(x), f(x))), (lambda x: np.zeros(np.shape(x)))
+    return f, df
 
 
 def compile_expression(text: str):
     """Parse and compile once; returns a callable of x (float or ndarray)."""
-    fn = _compile(parse_expression(text))
+    fn = _compile(parse_expression(text))[0]
     return lambda x: _apply(fn, x, repr(text))
 
 
 _POWER_FORM = re.compile(r"^x\^(-?\d+\.?\d*(?:[eE][+-]?\d+)?)$")
 
 
-def _analytic_derivative(canon: str):
-    """Analytic derivative for recognized expression forms, else None."""
-    table = {
-        "x": lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        "exp(x)": np.exp,
-        "log(x)": lambda x: 1.0 / np.asarray(x, dtype=float),
-        "sqrt(x)": lambda x: 0.5 / np.sqrt(x),
-        "1/x": lambda x: -1.0 / np.asarray(x, dtype=float) ** 2,
-    }
-    if canon in table:
-        return table[canon]
-    m = _POWER_FORM.match(canon)
-    if m:
-        d = float(m.group(1))
-        return lambda x: d * np.asarray(x, dtype=float) ** (d - 1.0)
-    return None
-
-
 def expression_model(text: str, domain: Interval | tuple[float, float], id: str | None = None) -> FunctionModel:
-    """FunctionModel from expression text, finiteness-checked on its domain.
-
-    Recognized forms (x, x^d, exp(x), log(x), sqrt(x), 1/x) carry analytic
-    derivatives; everything else falls back to central finite differences.
-    """
-    canon = re.sub(r"\s+", "", text)
-    return function_model(
-        id or text.strip(), domain, compile_expression(text), _analytic_derivative(canon)
-    )
+    """FunctionModel from expression text, finiteness-checked on its domain,
+    with the exact derivative of the expression."""
+    return function_model(id or text.strip(), domain, *_compile(parse_expression(text)))
 
 
 _CANONICAL_GENERATORS = {
@@ -260,9 +255,9 @@ _CANONICAL_GENERATORS = {
 def expression_generator(text: str, domain: Interval | tuple[float, float] | None = None) -> Generator:
     """Generator from expression text.
 
-    Recognized built-in forms keep their analytic derivatives and inverses;
-    other strictly monotone expressions get a finite-difference derivative
-    and a bisection inverse on the given domain (required in that case).
+    Recognized forms (x, log(x), exp(x), 1/x, sqrt(x), x^d with d != 0) give
+    built-in generators; other strictly monotone expressions get their exact
+    derivative and a bisection inverse on the given domain (required then).
     """
     canon = re.sub(r"\s+", "", text)
     if domain is not None and not isinstance(domain, Interval):
@@ -273,25 +268,25 @@ def expression_generator(text: str, domain: Interval | tuple[float, float] | Non
 
     if canon in _CANONICAL_GENERATORS and _fits(_CANONICAL_GENERATORS[canon]):
         return _CANONICAL_GENERATORS[canon]
-    m = _POWER_FORM.match(canon)
-    if m and _fits(power_generator(float(m.group(1)))):
-        return power_generator(float(m.group(1)))
+    d = float(m.group(1)) if (m := _POWER_FORM.match(canon)) else 0.0
+    if d != 0.0 and _fits(power_generator(d)):  # x^0 is constant, not the log limit
+        return power_generator(d)
     if canon == "sqrt(x)" and _fits(power_generator(0.5)):
         return power_generator(0.5)
     if domain is None:
-        raise ParamError(
-            f"expression generator {text!r} is not a recognized form; a finite domain is required"
-        )
-    fn = compile_expression(text)
+        raise ParamError(f"expression generator {text!r} is not a recognized form; a finite domain is required")
+    node = parse_expression(text)
+    f, df = _compile(node)
+    fn = lambda x: _apply(f, x, repr(text))  # scalars of the scan and bisection take the array path
     lo, hi = domain.finite_window()
     if not np.all(np.isfinite(fn(np.linspace(lo, hi, 65)))):
         raise DomainError(f"expression {text!r} is not finite on {domain}")
     direction = _monotone_direction(fn, lo, hi, 65)
     if direction == 0:
         raise ParamError(f"expression {text!r} is not strictly monotone on {domain}")
-    if direction < 0:
-        raw = fn
-        fn = lambda x: -np.asarray(raw(x), dtype=float)  # increasing representative
+    if direction < 0:  # the increasing representative
+        f, df = _compile(Neg(node))
+        fn = lambda x: _apply(f, x, repr(text))
     flo, fhi = float(fn(lo)), float(fn(hi))
 
     def inverse(y):
@@ -301,4 +296,4 @@ def expression_generator(text: str, domain: Interval | tuple[float, float] | Non
             raise DomainError(f"{_first(y, outside)!r} outside the image of {text!r} on {domain}")
         return _invert_monotone(fn, y, lo, hi, 1e-14)
 
-    return Generator(f"expr:{canon}", domain, fn, inverse, None)
+    return Generator(f"expr:{canon}", domain, f, inverse, df)

@@ -196,8 +196,9 @@ class Generator:
     ``derivative`` may take only floats: such a callable (one that fails on
     a probe inside the domain, or the image) is wrapped once, when the
     generator is built.  Without ``derivative`` a central finite difference
-    is used.  ``power_order`` is the order d when the induced mean is the
-    power mean P_d (identity 1, log 0, reciprocal -1, power:d d), else None.
+    is used; a NaN from ``derivative`` raises DomainError.  ``power_order``
+    is the order d when the induced mean is the power mean P_d (identity 1,
+    log 0, reciprocal -1, power:d d), else None.
     """
 
     id: str
@@ -223,7 +224,8 @@ class Generator:
     def deriv(self, x):
         if self.derivative is None:
             return finite_difference(self.forward, x, self.domain)
-        return _apply(self.derivative, x, f"generator {self.id!r}", self.domain)
+        what = f"the derivative of generator {self.id!r}"
+        return _apply(self.derivative, x, what, self.domain, (), np.isnan)
 
     def image(self) -> Interval:
         return _image(self.forward, self.domain.lo, self.domain.hi)

@@ -1,14 +1,20 @@
 import math
+import operator
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdt import convexity, generators
+from cdt.centroids import bregman_centroid
+from cdt.divergences import QabdSpec, WeightedSet, qabd
 from cdt.errors import DomainError, ParamError, ParseError
 from cdt.expr import (
     Bin,
     Call,
+    Neg,
     Num,
     Var,
     compile_expression,
@@ -17,6 +23,10 @@ from cdt.expr import (
     parse_expression,
 )
 from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, Interval
+from cdt.quadrature import _Pointwise
+
+mp = mpmath.mp.clone()
+mp.dps = 50
 
 
 class TestParsing:
@@ -128,19 +138,131 @@ class TestExpressionGenerator:
         with pytest.raises(ParamError):
             expression_generator("x + exp(x)")
 
+    def test_x_to_the_zero_is_not_a_generator(self):
+        # x^0 is the constant 1, not the geometric (log) limit of x^d
+        with pytest.raises(ParamError, match="not a recognized form"):
+            expression_generator("x^0")
+        with pytest.raises(ParamError, match="not strictly monotone"):
+            expression_generator("x^0", (0.1, 5.0))
+
+    def test_exact_derivative(self):
+        gen = expression_generator("x + x^3", (0.1, 10.0))
+        assert gen.deriv(2.0) == 13.0
+        gen = expression_generator("-x - exp(x)", (0.1, 10.0))  # decreasing: negated
+        assert gen.deriv(1.0) == pytest.approx(1.0 + math.e, rel=1e-15)
+
 
 class TestExpressionModel:
     def test_analytic_derivative_for_powers(self):
         F = expression_model("x^2", Interval(-5.0, 5.0))
         assert F.deriv(1.0) == pytest.approx(2.0, rel=1e-15)
 
-    def test_finite_difference_fallback(self):
+    def test_exact_derivative_of_sum(self):
         F = expression_model("exp(x) + x^2", Interval(-2.0, 2.0))
-        assert F.deriv(0.5) == pytest.approx(math.exp(0.5) + 1.0, rel=1e-8)
+        assert F.deriv(0.5) == pytest.approx(math.exp(0.5) + 1.0, rel=1e-15)
 
     def test_finiteness_check(self):
         with pytest.raises(DomainError):
             expression_model("1/x", Interval(-1.0, 1.0))
+
+    def test_nan_derivative_is_a_domain_error(self):
+        F = expression_model("abs(x)^0.5", (-1.0, 1.0))
+        assert F.value(0.0) == 0.0
+        with pytest.raises(DomainError, match=r"derivative of 'abs\(x\)\^0.5' is undefined at 0.0"):
+            F.deriv(np.array([0.5, 0.0]))
+        gen = expression_generator("x*abs(x)^0.5", (-1.0, 1.0))  # sign(x) |x|^1.5
+        assert gen.deriv(0.25) == 0.75
+        with pytest.raises(DomainError, match=r"derivative of generator 'expr:x\*abs\(x\)\^0.5' is undefined"):
+            gen.deriv(0.0)
+
+
+MP_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+             "^": operator.pow}
+
+
+def _mp_eval(node, x):
+    """The AST evaluated in mpmath."""
+    if isinstance(node, Num):
+        return mp.mpf(node.value)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -_mp_eval(node.child, x)
+    if isinstance(node, Call):
+        return {"exp": mp.exp, "log": mp.log, "sqrt": mp.sqrt, "abs": abs}[node.fn](_mp_eval(node.arg, x))
+    return MP_BINARY[node.op](_mp_eval(node.left, x), _mp_eval(node.right, x))
+
+
+#: (expression, domain): one case per rule of differentiation
+RULES = [
+    ("3", (-2.0, 2.0)),  # constant
+    ("x", (-2.0, 2.0)),
+    ("-exp(x)", (-2.0, 2.0)),  # unary minus
+    ("x^2 + x", (0.1, 5.0)),
+    ("x^3 - exp(-x)", (0.1, 5.0)),
+    ("x*exp(x)", (0.1, 3.0)),
+    ("exp(x)/(2+x)", (0.1, 3.0)),  # quotient
+    ("1/x", (0.1, 5.0)),  # constant numerator
+    ("x/3", (0.1, 5.0)),  # constant denominator
+    ("x^2.5", (0.1, 5.0)),  # u^c
+    ("(1+x^2)^-1.5", (0.1, 3.0)),
+    ("x^-2", (-4.0, -0.5)),  # u^c on a negative domain, no log(x)
+    ("2^x", (-2.0, 3.0)),  # c^v
+    ("x^x", (0.5, 3.0)),  # u^v
+    ("exp(2*x)", (-2.0, 2.0)),
+    ("log(1+x^2)", (0.1, 3.0)),
+    ("sqrt(1+x^2)", (0.1, 3.0)),
+    ("abs(x^3)", (-3.0, -0.5)),
+]
+
+
+@pytest.mark.parametrize("text,domain", RULES, ids=[t for t, _ in RULES])
+def test_derivative_rules_match_mpmath(text, domain):
+    F, node = expression_model(text, domain), parse_expression(text)
+    assert not isinstance(F.eval, _Pointwise) and not isinstance(F.derivative, _Pointwise)
+    xs = np.linspace(*domain, 11)[1:-1]
+    got = F.deriv(xs)
+    for x, d in zip(xs, got):
+        want = mp.diff(lambda v: _mp_eval(node, v), mp.mpf(float(x)))
+        assert abs(d - want) <= 1e-13 * abs(want)
+
+
+#: the closed forms the expression derivative replaced, bit for bit
+CLOSED_FORMS = [
+    ("x", np.ones_like),
+    ("exp(x)", np.exp),
+    ("log(x)", lambda x: 1.0 / x),
+    ("sqrt(x)", lambda x: 0.5 / np.sqrt(x)),
+    ("1/x", lambda x: -1.0 / x**2),
+    ("x^2", lambda x: 2.0 * x**1.0),
+    ("x^-2", lambda x: -2.0 * x**-3.0),
+    ("x^0.5", lambda x: 0.5 * x**-0.5),
+    ("x^3.7", lambda x: 3.7 * x**2.7),
+]
+
+
+@pytest.mark.parametrize("text,closed", CLOSED_FORMS, ids=[t for t, _ in CLOSED_FORMS])
+def test_derivative_keeps_closed_form_bits(text, closed, rng):
+    xs = np.exp(rng.uniform(-5.0, 5.0, 10_000))
+    F = expression_model(text, (1e-3, 200.0))
+    assert F.deriv(xs).tolist() == closed(xs).tolist()
+
+
+def test_no_expression_uses_finite_differences(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite_difference called")
+
+    monkeypatch.setattr(generators, "finite_difference", refuse)
+    monkeypatch.setattr(convexity, "finite_difference", refuse)
+    xs = np.array([0.3, 1.0, 2.2])
+    for text, domain in RULES:
+        lo, hi = domain
+        expression_model(text, domain).deriv(lo + (hi - lo) * xs / 2.5)
+    for text in ("x + x^3", "-x - exp(x)", "x*exp(x)", "sqrt(x) + log(x)"):
+        expression_generator(text, (0.1, 2.5)).deriv(xs)
+    spec = QabdSpec(expression_model("exp(x^2)", (0.1, 2.5)), IDENTITY, LOG)
+    assert qabd(spec, 2.0, 1.0).value > 0.0
+    assert bregman_centroid(spec, WeightedSet.uniform(xs)) > 0.0
 
 
 @settings(deadline=None, max_examples=60)

@@ -6,6 +6,7 @@ values below were recorded when each of these callers still ran its own
 bisection loop; the shared solver must reproduce them bit for bit.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,14 +50,16 @@ EXPR_INVERSE = [
     (129.9, 4.998683868674423),
 ]
 
-#: (F, domain, rho, tau, weighted centroid, k-means centres with k = 3)
+#: (F, domain, rho, tau, weighted centroid, k-means centres with k = 3).
+#: The exp(x^2) row holds for the exact F'; test_exp_x2_centroids_match_oracle
+#: checks it against the closed-form centroid.
 CLUSTER = [
     ("x^2", (0.2, 12.0), "identity", "identity", 3.546389323652038,
      (1.5693061474025045, 10.311259297968936, 5.139093022981189)),
     ("exp(x)", (0.2, 4.0), "log", "log", 2.789160741952692,
      (0.7043653271344612, 3.1432146103896237, 1.8835879068702013)),
-    ("exp(x^2)", (0.1, 2.5), "identity", "log", 2.2687072396278323,
-     (0.6402243975580444, 2.332465043552098, 1.8126841742075692)),
+    ("exp(x^2)", (0.1, 2.5), "identity", "log", 2.2687072397827555,
+     (0.6402243975979439, 2.3324650437170797, 1.812684174202059)),
     ("exp(x)", (0.5, 3.0), "power:2", "power:3", 0.9964176611871663,
      (0.8658741562087106, 2.01429533507886, 2.57939580059911)),
 ]
@@ -77,16 +80,42 @@ def test_expression_inverse_pinned():
     assert [gen.inv(y) for y, _ in EXPR_INVERSE] == [x for _, x in EXPR_INVERSE]
 
 
-@pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
-def test_centroid_and_kmeans_pinned(case):
-    text, dom, rho, tau, centroid, centres = CLUSTER[case]
+def _cluster_case(case):
+    """The spec, points and weights of CLUSTER[case]."""
+    text, (lo, hi), rho, tau = CLUSTER[case][:4]
     rng = np.random.default_rng(100 + case)
-    lo, hi = dom
     pts = tuple(np.exp(rng.uniform(np.log(lo) + 0.05, np.log(hi) - 0.05, 24)))
     w = tuple(rng.dirichlet(np.ones(24)))
-    spec = QabdSpec(expression_model(text, dom), get_generator(rho), get_generator(tau))
+    return QabdSpec(expression_model(text, (lo, hi)), get_generator(rho), get_generator(tau)), pts, w
+
+
+@pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
+def test_centroid_and_kmeans_pinned(case):
+    spec, pts, w = _cluster_case(case)
+    centroid, centres = CLUSTER[case][4:]
     assert bregman_centroid(spec, WeightedSet(pts, w)) == centroid
     assert kmeans_cluster(spec, WeightedSet.uniform(pts), 3, seed=case).centers == centres
+
+
+def test_exp_x2_centroids_match_oracle():
+    # With F = exp(x^2), rho = identity and tau = log, G(u) = u^2 and
+    # w'_i = w_i e^(p_i^2), so the centroid is sum w'_i p_i / sum w'_i.
+    case = 2
+    spec, pts, w = _cluster_case(case)
+
+    def oracle(points, weights):
+        wp = [mpmath.mpf(wi) * mpmath.exp(mpmath.mpf(p) ** 2) for p, wi in zip(points, weights)]
+        return mpmath.fsum(wi * p for wi, p in zip(wp, points)) / mpmath.fsum(wp)
+
+    def rel_error(got, want):
+        return float(abs((got - want) / want))
+
+    with mpmath.workdps(50):
+        assert rel_error(bregman_centroid(spec, WeightedSet(pts, w)), oracle(pts, w)) < 1e-12
+        cl = kmeans_cluster(spec, WeightedSet.uniform(pts), 3, seed=case)
+        for j, c in enumerate(cl.centers):
+            members = [p for p, a in zip(pts, cl.assignments) if a == j]
+            assert rel_error(c, oracle(members, [1.0] * len(members))) < 1e-12
 
 
 @settings(deadline=None, max_examples=80)
