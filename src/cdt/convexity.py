@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, OrderError, ParamError
-from .generators import Generator, Interval, _apply, _first, _image, _wrap_callables, finite_difference
+from .generators import Generator, Interval, _apply, _first, _fused, _image, _wrap_callables, finite_difference
 
 #: Default number of grid points for convexity scans.
 DEFAULT_GRID = 257
@@ -93,16 +93,26 @@ def function_model(
     return FunctionModel(id, domain, eval, derivative).checked()
 
 
+def _nudge(x: np.ndarray, dom: Interval) -> tuple[np.ndarray, np.ndarray]:
+    """x nudged back inside ``dom`` where rounding pushed it out, and the mask
+    of elements too far outside (or NaN) to be rounding."""
+    inside = (x > dom.lo) & (x < dom.hi)
+    if inside.all():
+        return x, ~inside
+    slack = 1e-9 * np.maximum(1.0, np.abs(x))
+    far = ~((dom.lo - slack <= x) & (x <= dom.hi + slack))
+    lo, hi = dom.finite_window()
+    return np.where(inside, x, np.minimum(np.maximum(x, lo), hi)), far
+
+
 def _pullback(rho: Generator, u, dom: Interval) -> np.ndarray:
     """rho^{-1}(u) elementwise, nudged back inside ``dom`` where rounding
     pushed it out."""
     x = np.asarray(rho.inv(u))
-    slack = 1e-9 * np.maximum(1.0, np.abs(x))
-    far = ~((dom.lo - slack <= x) & (x <= dom.hi + slack))
+    nudged, far = _nudge(x, dom)
     if far.any():
         raise DomainError(f"{_first(u, far)!r} pulls back to {_first(x, far)!r}, outside {dom}")
-    lo, hi = dom.finite_window()
-    return np.where((x > dom.lo) & (x < dom.hi), x, np.minimum(np.maximum(x, lo), hi))
+    return nudged
 
 
 def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionModel:
@@ -110,6 +120,16 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
 
     G lives on rho(I); its derivative is composed by the chain rule
     G'(u) = tau'(F(x)) F'(x) / rho'(x) at x = rho^{-1}(u).
+
+    The monotone solver calls G' at every step, so when all three
+    derivatives are given G' is one raw numpy chain (``generators._fused``).
+    The nudged pullback always lies inside the domains of F and rho, so
+    those are not rechecked.  Each call flags what the checked chain would
+    reject: a pullback far outside the domain or NaN, F(x) outside tau's
+    open domain (which also catches F(x) not finite) and a NaN derivative
+    (which makes G' NaN).  A flag reruns the checked chain to raise its
+    error.  Without a derivative (the finite-difference path) G' is the
+    checked chain.
     """
     dom = F.domain.intersect(rho.domain)
     a, b = dom.finite_window()
@@ -125,6 +145,14 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
         x = _pullback(rho, u, dom)
         return tau.deriv(F.value(x)) * F.deriv(x) / rho.deriv(x)
 
+    def raw_gprime(u):
+        x, far = _nudge(np.asarray(rho.inverse(u), dtype=float), dom)
+        fx = F.eval(x)
+        out = tau.derivative(fx) * F.derivative(x) / rho.derivative(x)
+        return out, far | ~((fx > tau.domain.lo) & (fx < tau.domain.hi)) | np.isnan(out)
+
+    if None not in (F.derivative, rho.derivative, tau.derivative):
+        gprime = _fused(raw_gprime, gprime)
     name = f"{tau.id}({F.id}({rho.id}^-1))"
     return FunctionModel(name, image, g, gprime)
 

@@ -156,12 +156,52 @@ def _image(fn: Callable, lo: float, hi: float) -> Interval:
     return Interval(*ends)
 
 
+def _fused(raw: Callable, checked: Callable) -> Callable:
+    """The values of ``raw``, checked as ``checked`` checks them, at about
+    the cost of raw alone.
+
+    raw(x) returns the values and a mask flagging every element that
+    checked would reject.  It runs under one errstate, on x flattened as
+    ``_apply`` flattens it.  When raw raises, flags an element or returns a
+    misshapen array, checked reruns on the same x, only to raise the typed
+    error that names the culprit; if it raises none, its values are
+    returned.
+    """
+
+    def fun(x):
+        xa = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            try:
+                out, bad = raw(xa.reshape(-1))
+                clean = out.shape == (xa.size,) and not np.count_nonzero(bad)
+            except Exception:  # whatever it was, the checked rerun raises it again
+                clean = False
+        if not clean:
+            return checked(x)
+        return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
+
+    return fun
+
+
 def _monotone_direction(fun: Callable, lo, hi, n: int = 33):
     """+1 or -1 where fun is strictly increasing or decreasing on n equispaced
     points of [lo, hi], else 0 (sampled, so a falsification only); over
-    arrays of brackets with one call of fun per point for all of them."""
+    arrays of brackets.
+
+    All n points of all brackets go to fun in one call, and fun checks
+    them; a NaN value gives the verdict 0.  A fun that takes only floats,
+    or raises on that call, is rerun one row of points at a time, so its
+    error names the same culprit as a row-by-row scan would.
+    """
     xs = np.linspace(lo, hi, n)
-    diffs = np.diff([np.asarray(fun(x), dtype=float) for x in xs], axis=0)
+    try:
+        ys = np.asarray(fun(xs), dtype=float)
+        whole = ys.shape == xs.shape
+    except Exception:  # the row-by-row rerun raises it again
+        whole = False
+    if not whole:
+        ys = np.array([np.asarray(fun(x), dtype=float) for x in xs])
+    diffs = np.diff(ys, axis=0)
     out = np.where(np.all(diffs > 0.0, axis=0), 1, np.where(np.all(diffs < 0.0, axis=0), -1, 0))
     return int(out) if out.ndim == 0 else out
 
@@ -169,19 +209,34 @@ def _monotone_direction(fun: Callable, lo, hi, n: int = 33):
 def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
     """Bisection solve of fun(m) = target for monotone fun on [lo, hi], to a
     bracket of relative width tol; elementwise over arrays of targets and
-    brackets, each element stopping at its own tolerance."""
-    flo, fhi = np.asarray(fun(lo), dtype=float), np.asarray(fun(hi), dtype=float)
+    brackets, each element stopping at its own tolerance.
+
+    fun is evaluated once at the bracket ends and once per step at the
+    midpoints, all of which lie in [lo, hi], so callers check the bracket
+    against their domains once and may pass raw kernels (see ``_fused``).
+    Every value is still checked: a NaN, which would steer the bisection
+    silently, raises DomainError naming its point.
+    """
+
+    def values(x):
+        y = np.asarray(fun(x), dtype=float)
+        if np.count_nonzero(bad := np.isnan(y)):
+            raise DomainError(f"the function to invert is NaN at {_first(x, bad)!r}")
+        return y
+
+    flo, fhi = values(lo), values(hi)
     increasing = fhi >= flo
     # Floating-point drift can push the target marginally outside the bracket.
     target = np.minimum(np.maximum(target, np.minimum(flo, fhi)), np.maximum(flo, fhi))
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     for _ in range(200):
-        active = (b - a) > tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        if not active.any():
+        # max(|a|, |b|) is max(b, -a) while a <= b
+        active = (b - a) > tol * np.maximum(1.0, np.maximum(b, -a))
+        if not np.count_nonzero(active):
             break
         m = 0.5 * (a + b)
-        up = (np.asarray(fun(m), dtype=float) < target) == increasing
-        a, b = np.where(active & up, m, a), np.where(active & ~up, m, b)
+        raise_a = active & ((values(m) < target) == increasing)
+        a, b = np.where(raise_a, m, a), np.where(active ^ raise_a, m, b)
     out = 0.5 * (a + b)
     return float(out) if out.ndim == 0 else out
 

@@ -33,7 +33,7 @@ from .errors import (
     WeightError,
 )
 from .generators import IDENTITY, LOG, RECIPROCAL, Generator, Interval, get_generator, power_generator
-from .generators import _apply, _check_inside, _first, _invert_monotone, _monotone_direction
+from .generators import _apply, _check_inside, _first, _fused, _invert_monotone, _monotone_direction
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -193,6 +193,14 @@ def _mean_value_means(spec: MeanSpec, X: np.ndarray) -> np.ndarray:
     if far.any():
         a, b = np.minimum(p, q)[far], np.maximum(p, q)[far]
         ratio = lambda x: f.deriv(x) / g.deriv(x)
+        if f.derivative is not None and g.derivative is not None:
+            # f.value and g.value checked p and q, so the bracket lies inside
+            # both domains; a NaN derivative makes the ratio NaN.
+            def raw(x):
+                out = f.derivative(x) / g.derivative(x)
+                return out, np.isnan(out)
+
+            ratio = _fused(raw, ratio)
         flat = _monotone_direction(ratio, a, b) == 0
         if flat.any():
             error = NonInvertibleRatio if spec.family == "cauchy" else NonInvertibleDerivative
