@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, OrderError, ParamError
-from .generators import Generator, Interval, _apply, _first, _fused, _image, _wrap_callables, finite_difference
+from .generators import Generator, Interval, _apply, _first, _floats, _fused, _image, _wrap_callables, finite_difference
 
 #: Default number of grid points for convexity scans.
 DEFAULT_GRID = 257
@@ -130,6 +130,10 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
     (which makes G' NaN).  A flag reruns the checked chain to raise its
     error.  Without a derivative (the finite-difference path) G' is the
     checked chain.
+
+    The mask restates the checks of ``Generator.inv``/``deriv`` and
+    ``FunctionModel.value``/``deriv``: a check added to one of those must
+    be added to ``raw_gprime``'s mask too, or the raw chain skips it.
     """
     dom = F.domain.intersect(rho.domain)
     a, b = dom.finite_window()
@@ -146,9 +150,9 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
         return tau.deriv(F.value(x)) * F.deriv(x) / rho.deriv(x)
 
     def raw_gprime(u):
-        x, far = _nudge(np.asarray(rho.inverse(u), dtype=float), dom)
-        fx = F.eval(x)
-        out = tau.derivative(fx) * F.derivative(x) / rho.derivative(x)
+        x, far = _nudge(_floats(rho.inverse(u)), dom)
+        fx = _floats(F.eval(x))
+        out = _floats(tau.derivative(fx)) * _floats(F.derivative(x)) / _floats(rho.derivative(x))
         return out, far | ~((fx > tau.domain.lo) & (fx < tau.domain.hi)) | np.isnan(out)
 
     if None not in (F.derivative, rho.derivative, tau.derivative):

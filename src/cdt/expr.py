@@ -26,7 +26,7 @@ import numpy as np
 from .convexity import FunctionModel, function_model
 from .errors import DomainError, ParamError, ParseError
 from .generators import EXP, IDENTITY, LOG, RECIPROCAL, Generator, Interval, power_generator
-from .generators import _apply, _first, _fused, _invert_monotone, _monotone_direction
+from .generators import _apply, _first, _invert_monotone, _monotone_direction
 
 FUNCTIONS = ("exp", "log", "sqrt", "abs")
 _VALUE_START = ("number", "x") + FUNCTIONS + ("(", "-")
@@ -289,13 +289,12 @@ def expression_generator(text: str, domain: Interval | tuple[float, float] | Non
         fn = lambda x: _apply(f, x, repr(text))
     flo, fhi = float(fn(lo)), float(fn(hi))
     finite = lambda x: _apply(f, x, repr(text), None, (), lambda v: ~np.isfinite(v))
-    solved = _fused(lambda x: (v := f(x), ~np.isfinite(v)), finite)
 
     def inverse(y):
         y = np.asarray(y, dtype=float)
         outside = ~((flo <= y) & (y <= fhi))
         if outside.any():
             raise DomainError(f"{_first(y, outside)!r} outside the image of {text!r} on {domain}")
-        return _invert_monotone(solved, y, lo, hi, 1e-14)
+        return _invert_monotone(finite, y, lo, hi, 1e-14)
 
     return Generator(f"expr:{canon}", domain, f, inverse, df)

@@ -87,6 +87,12 @@ def _first(x, bad: np.ndarray) -> float:
     return float(np.broadcast_to(x, bad.shape)[bad].flat[0])
 
 
+def _floats(v) -> np.ndarray:
+    """v as a float array, as ``_apply`` converts a callable's values; a
+    float64 array is returned as it is."""
+    return np.asarray(v, dtype=float)
+
+
 def _check_inside(x: np.ndarray, domain: Interval, what: str) -> None:
     """Raise DomainError naming the first element of x outside domain."""
     bad = ~((x > domain.lo) & (x < domain.hi))
@@ -162,10 +168,11 @@ def _fused(raw: Callable, checked: Callable) -> Callable:
 
     raw(x) returns the values and a mask flagging every element that
     checked would reject.  It runs under one errstate, on x flattened as
-    ``_apply`` flattens it.  When raw raises, flags an element or returns a
-    misshapen array, checked reruns on the same x, only to raise the typed
-    error that names the culprit; if it raises none, its values are
-    returned.
+    ``_apply`` flattens it, and converts each callable's values to float as
+    ``_apply`` does, so its values are checked's bit for bit.  When raw
+    raises, flags an element or returns a misshapen array, checked reruns
+    on the same x, only to raise the typed error that names the culprit; if
+    it raises none, its values are returned.
     """
 
     def fun(x):
@@ -173,6 +180,7 @@ def _fused(raw: Callable, checked: Callable) -> Callable:
         with np.errstate(all="ignore"):
             try:
                 out, bad = raw(xa.reshape(-1))
+                out = _floats(out)
                 clean = out.shape == (xa.size,) and not np.count_nonzero(bad)
             except Exception:  # whatever it was, the checked rerun raises it again
                 clean = False

@@ -33,7 +33,7 @@ from .errors import (
     WeightError,
 )
 from .generators import IDENTITY, LOG, RECIPROCAL, Generator, Interval, get_generator, power_generator
-from .generators import _apply, _check_inside, _first, _fused, _invert_monotone, _monotone_direction
+from .generators import _apply, _check_inside, _first, _floats, _fused, _invert_monotone, _monotone_direction
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -195,9 +195,10 @@ def _mean_value_means(spec: MeanSpec, X: np.ndarray) -> np.ndarray:
         ratio = lambda x: f.deriv(x) / g.deriv(x)
         if f.derivative is not None and g.derivative is not None:
             # f.value and g.value checked p and q, so the bracket lies inside
-            # both domains; a NaN derivative makes the ratio NaN.
+            # both domains; a NaN derivative makes the ratio NaN.  These are
+            # the checks of Generator.deriv, which this mask must follow.
             def raw(x):
-                out = f.derivative(x) / g.derivative(x)
+                out = _floats(f.derivative(x)) / _floats(g.derivative(x))
                 return out, np.isnan(out)
 
             ratio = _fused(raw, ratio)

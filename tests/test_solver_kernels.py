@@ -1,8 +1,9 @@
 """The monotone solver on raw kernels.
 
-``to_ordinary``'s G', the Lagrange/Cauchy ratio f'/g' and the
-expression-generator inverse hand the solver raw numpy kernels that flag bad
-elements instead of checking them one call at a time.  These tests pin:
+``to_ordinary``'s G' and the Lagrange/Cauchy ratio f'/g' hand the solver
+raw numpy kernels that flag bad elements instead of checking them one call
+at a time; the expression-generator inverse hands it the expression checked
+for finiteness in one call.  These tests pin:
 
 * fault injection: a NaN derivative at an interior bisection midpoint, F
   leaving tau's domain between two good bracket ends, a NaN inverse and an
@@ -10,11 +11,13 @@ elements instead of checking them one call at a time.  These tests pin:
   that the checked chain raised before the raw kernels (recorded then);
 * the solver's NaN check, which used to steer the bisection silently;
 * evaluation counts: one scan call, and F evaluated at the same points;
-* the raw chain against the checked composition, bit for bit;
+* the raw chain against the checked composition, bit for bit, also for
+  callables that return float32;
 * ``lagrange_mean`` and ``cauchy_mean`` against a 50-digit mpmath oracle on
   far pairs and on pairs just below and just above ``NEAR_EQUAL_REL``.
 """
 
+import contextlib
 import dataclasses
 
 import mpmath
@@ -25,6 +28,8 @@ from hypothesis import strategies as st
 
 from test_solver_pins import CAUCHY, CLUSTER, LAGRANGE, _cluster_case
 
+import cdt.convexity
+import cdt.means
 from cdt.centroids import bregman_centroid
 from cdt.convexity import TRUSTED_CONVEX, _pullback, function_model
 from cdt.divergences import QabdSpec, WeightedSet
@@ -220,6 +225,37 @@ def test_raw_chain_equals_checked_composition(case, t):
     x = _pullback(rho, u, dom)
     want = tau.deriv(F.value(x)) * F.deriv(x) / rho.deriv(x)
     assert spec.reduced.deriv(u).tolist() == want.tolist()
+
+
+def single(fn):
+    """fn with its values rounded to float32."""
+    return lambda x: np.asarray(fn(x)).astype(np.float32)
+
+
+@contextlib.contextmanager
+def checked_only(module):
+    """Within, module's ``_fused`` returns the checked chain."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_fused", lambda raw, checked: checked)
+        yield
+
+
+@pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
+def test_float32_model_gives_the_checked_chains_centroid(case):
+    spec, pts, w = _cluster_case(case)
+    F = function_model("single", spec.F.domain, single(spec.F.eval), single(spec.F.derivative))
+    raw = QabdSpec(F, spec.rho, spec.tau, verdict=TRUSTED_CONVEX)
+    with checked_only(cdt.convexity):
+        checked = QabdSpec(F, spec.rho, spec.tau, verdict=TRUSTED_CONVEX)
+    assert bregman_centroid(raw, WeightedSet(pts, w)) == bregman_centroid(checked, WeightedSet(pts, w))
+
+
+def test_float32_derivatives_give_the_checked_chains_cauchy_mean():
+    log32 = Generator("log32", LOG.domain, LOG.forward, LOG.inverse, single(LOG.derivative))
+    cube32 = Generator("cube32", Interval(0.0, INF), lambda x: x**3, np.cbrt, single(lambda x: 3.0 * x * x))
+    raw = cauchy_mean(log32, cube32, 1.5, 7.0)
+    with checked_only(cdt.means):
+        assert raw == cauchy_mean(log32, cube32, 1.5, 7.0)
 
 
 # ------------------------------------------------------------ mpmath oracle
