@@ -9,6 +9,14 @@ with weight 1-alpha on p throughout (so the classical skewed Bhattacharyya
 distance, defined with exponent alpha on p, appears with alpha and 1-alpha
 swapped).  The arithmetic-mean coefficient of two normalized distributions
 is identically 1.
+
+A discrete coefficient is summed over the bins where a mass is positive,
+with one mean-kernel call per coefficient on the joint support (both masses
+positive); a bin zero in both contributes exactly 0.  For a scale-homogeneous
+kernel (power-order and Gini means) a bin where one mass is zero takes the
+identity M(x, 0) = x M(1, 0), and M(1, 0), M(0, 1) ride along in that one
+call; other means evaluate those bins in it.  Every value is bit for bit
+the kernel's over all bins.
 """
 
 from __future__ import annotations
@@ -35,6 +43,14 @@ from .means import GEOMETRIC, MeanSpec, dominates, power, quasi_arithmetic, weig
 from .quadrature import QuadratureConfig, integrate, ladder_breakpoints
 
 
+def _check_finite(x: np.ndarray, what: str) -> None:
+    """Raise DomainError naming the first non-finite element of x."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"{what}[{i}] = {float(x[i])!r} is not finite")
+
+
 @dataclass(frozen=True)
 class DiscreteDist:
     """Probability mass sequence; optionally carries a value grid.
@@ -46,13 +62,20 @@ class DiscreteDist:
     masses: tuple[float, ...]
     values: tuple[float, ...] | None = None
     normalized: bool = True
+    #: The masses as one read-only float64 array, built once, for every
+    #: discrete computation.
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = tuple(float(v) for v in self.masses)
         object.__setattr__(self, "masses", m)
         if not m:
             raise WeightError("distribution must have at least one mass")
-        if any(v < 0.0 for v in m):
+        a = np.array(m)
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
+        _check_finite(a, "masses")
+        if np.any(a < 0.0):
             raise DomainError("masses must be nonnegative")
         if self.normalized and abs(math.fsum(m) - 1.0) > 1e-9:
             raise WeightError(f"masses sum to {math.fsum(m)!r}, expected 1 within 1e-9")
@@ -139,6 +162,8 @@ def histogram_density(
     m = np.asarray(masses, dtype=float)
     if len(e) != len(m) + 1:
         raise LengthMismatch("need len(edges) == len(masses) + 1")
+    _check_finite(e, "edges")
+    _check_finite(m, "masses")
     if np.any(np.diff(e) <= 0.0):
         raise DomainError("edges must be strictly increasing")
     if np.any(m < 0.0):
@@ -161,11 +186,33 @@ def histogram_density(
 
 
 def _barycenters(M: MeanSpec, alpha: float, A, B) -> np.ndarray:
-    """M(a, b; 1-alpha, alpha) elementwise over masses or density values."""
+    """M(a, b; 1-alpha, alpha) elementwise over density values."""
     X = np.array((A, B), dtype=float)
     if np.minimum.reduce(X, axis=None) < 0.0:
         raise DomainError("distribution values must be nonnegative")
     return weighted_means(M, X, (1.0 - alpha, alpha))
+
+
+def _mass_barycenters(M: MeanSpec, alpha: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """M(a_i, b_i; 1-alpha, alpha) over the bins of two mass arrays where
+    a mass is positive, in one order for every M: the joint support, then
+    the bins where only a, then only b is positive.
+
+    A bin zero in both is left out: the kernel clips its mean to [0, 0].
+    Where M ``scales_out``, a one-sided bin is a M(1, 0) or b M(0, 1), bit
+    for bit the kernel's value, and those two unit columns join the joint
+    support in one kernel call.  Other means take their one-sided bins into
+    that call, and a bin zero in both when there is one, so that a kernel
+    undefined at 0 still raises.
+    """
+    pa, pb = a > 0.0, b > 0.0
+    joint, only_a, only_b = (np.flatnonzero(m) for m in (pa & pb, pa & ~pb, pb & ~pa))
+    W = (1.0 - alpha, alpha)
+    if M.scales_out:
+        v = weighted_means(M, np.concatenate(((a[joint], b[joint]), np.eye(2)), axis=1), W)
+        return np.concatenate((v[:-2], a[only_a] * v[-2], b[only_b] * v[-1]))
+    cols = np.concatenate((joint, only_a, only_b, np.flatnonzero(~(pa | pb))[:1]))
+    return weighted_means(M, (a[cols], b[cols]), W)[: len(joint) + len(only_a) + len(only_b)]
 
 
 def _is_discrete(d) -> bool:
@@ -194,12 +241,13 @@ def _merged_quadrature(p: DensityModel, q: DensityModel) -> tuple[float, float, 
 
 
 def _total(fn: Callable, p, q) -> float:
-    """Sum of fn(p_i, q_i) over two discrete distributions, or the integral
-    of fn(p(x), q(x)) over two densities."""
+    """Sum of fn(bary, A, B) over two discrete distributions, with A, B their
+    mass arrays and bary ``_mass_barycenters``, or the integral of
+    fn(bary, p(x), q(x)) over two densities, with bary ``_barycenters``."""
     if _check_kinds(p, q):
-        return math.fsum(fn(p.masses, q.masses).tolist())
+        return math.fsum(fn(_mass_barycenters, p.array, q.array).tolist())
     lo, hi, cfg, brk = _merged_quadrature(p, q)
-    return integrate(lambda x: fn(p.eval(x), q.eval(x)), lo, hi, cfg, brk)
+    return integrate(lambda x: fn(_barycenters, p.eval(x), q.eval(x)), lo, hi, cfg, brk)
 
 
 def bhat_coefficient(M: MeanSpec, alpha: float, p, q) -> float:
@@ -209,7 +257,7 @@ def bhat_coefficient(M: MeanSpec, alpha: float, p, q) -> float:
         raise ParamError(f"alpha={alpha!r} outside (0, 1)")
     if not M.supports_weights:
         raise UnsupportedWeights(f"mean {M} does not support weights")
-    return _total(lambda A, B: _barycenters(M, alpha, A, B), p, q)
+    return _total(lambda bary, A, B: bary(M, alpha, A, B), p, q)
 
 
 def _builtin_order(M: MeanSpec, N: MeanSpec) -> bool | None:
@@ -225,7 +273,7 @@ def _builtin_order(M: MeanSpec, N: MeanSpec) -> bool | None:
 
 def _value_window(p, q) -> tuple[float, float]:
     if _is_discrete(p):
-        vals = np.array(p.masses + q.masses)
+        vals = np.concatenate((p.array, q.array))
     else:
         vals = np.concatenate([np.asarray(d.eval(np.linspace(*d.truncation, 257)), float) for d in (p, q)])
     vals = vals[vals > 0.0]
@@ -328,4 +376,4 @@ def mean_gap_distance(f: Generator, g: Generator, p, q) -> float:
             f"{g.id}({f.id}^-1) is not convex: M_{f.id} does not lie below M_{g.id}"
         )
     Mf, Mg = quasi_arithmetic(f), quasi_arithmetic(g)
-    return _zero_floor(_total(lambda A, B: _barycenters(Mg, 0.5, A, B) - _barycenters(Mf, 0.5, A, B), p, q))
+    return _zero_floor(_total(lambda bary, A, B: bary(Mg, 0.5, A, B) - bary(Mf, 0.5, A, B), p, q))

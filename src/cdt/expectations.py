@@ -38,7 +38,7 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
         if dist.values is None:
             raise DomainError("qa_expected_value needs a DiscreteDist with a value grid")
         xs = np.asarray(dist.values)
-        ms = np.asarray(dist.masses)
+        ms = dist.array
         moment = float(np.dot(ms, f.value(xs)))
         if normalize:
             moment /= float(np.sum(ms))

@@ -104,7 +104,7 @@ def _apply(fn: Callable, x, what: str, domain: Interval | None = None, errors: t
     """fn(x) elementwise as a float array (a float for a float), under one
     errstate.  Raises DomainError naming the first element of x outside
     ``domain``, at which fn raises one of ``errors``, or whose value ``bad``
-    flags."""
+    flags; a DomainError that fn raises itself passes through unchanged."""
     xa = np.asarray(x, dtype=float)
     if domain is not None:
         _check_inside(xa, domain, what)
@@ -112,6 +112,8 @@ def _apply(fn: Callable, x, what: str, domain: Interval | None = None, errors: t
     with np.errstate(all="ignore"):
         try:
             out = np.asarray(fn(flat), dtype=float)
+        except DomainError:  # fn's own account of what went wrong
+            raise
         except errors as exc:
             for i in range(flat.size):  # rerun point by point, only to name the culprit
                 try:

@@ -72,6 +72,15 @@ class MeanSpec:
         return None
 
     @property
+    def scales_out(self) -> bool:
+        """Whether :func:`weighted_means` gives M(x, 0) = x M(1, 0) and
+        M(0, y) = y M(0, 1) bit for bit: its kernel returns s g(X / s) with
+        s the larger argument (power-order and Gini means), and X / s is
+        then exactly the unit column.  A Lehmer kernel groups as
+        (s A) / B instead."""
+        return self.power_order is not None or self.family == "gini"
+
+    @property
     def homogeneous(self) -> bool:
         if self.family in ("power", "lehmer", "gini", "stolarsky"):
             return True

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cdt.bhattacharyya import (
     CauchyParam,
@@ -16,9 +19,12 @@ from cdt.bhattacharyya import (
     mean_gap_distance,
     power_cmbd,
 )
-from cdt.divergences import skew_jccd
+from cdt.bhattacharyya import _mass_barycenters
+from cdt.divergences import _zero_floor, skew_jccd
 from cdt.convexity import function_model
+from cdt.expr import expression_generator
 from cdt.errors import (
+    DomainError,
     DominanceError,
     KindMismatch,
     LengthMismatch,
@@ -27,8 +33,18 @@ from cdt.errors import (
     UnsupportedWeights,
     WeightError,
 )
-from cdt.generators import IDENTITY, LOG, Interval
-from cdt.means import ARITHMETIC, GEOMETRIC, HARMONIC, lehmer, power, quasi_arithmetic, stolarsky
+from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, Interval, power_generator
+from cdt.means import (
+    ARITHMETIC,
+    GEOMETRIC,
+    HARMONIC,
+    gini,
+    lehmer,
+    power,
+    quasi_arithmetic,
+    stolarsky,
+    weighted_means,
+)
 from cdt.quadrature import QuadratureConfig
 
 P = DiscreteDist((0.5, 0.5))
@@ -303,6 +319,20 @@ class TestDensities:
         with pytest.raises(WeightError):
             DiscreteDist(())
 
+    def test_non_finite_masses_and_edges_are_rejected(self):
+        # A NaN passes every comparison check, and the support mask a > 0
+        # would drop it silently.
+        with pytest.raises(DomainError, match=r"^masses\[0\] = nan is not finite$"):
+            DiscreteDist((math.nan, 1.0))
+        with pytest.raises(DomainError, match=r"^masses\[1\] = inf is not finite$"):
+            DiscreteDist((0.5, math.inf, math.nan), normalized=False)
+        with pytest.raises(DomainError, match=r"^masses\[0\] = nan is not finite$"):
+            histogram_density((0.0, 1.0, 2.0), (math.nan, 1.0))
+        with pytest.raises(DomainError, match=r"^edges\[1\] = nan is not finite$"):
+            histogram_density((0.0, math.nan, 2.0), (0.5, 0.5))
+        with pytest.raises(DomainError, match=r"^edges\[2\] = -inf is not finite$"):
+            histogram_density((0.0, 1.0, -math.inf), (0.5, 0.5))
+
 
 class TestOrderCheck:
     MISORDERED = [
@@ -334,3 +364,154 @@ class TestOrderCheck:
         p, q = DiscreteDist((0.7, 0.2, 0.1)), DiscreteDist((0.1, 0.3, 0.6))
         with pytest.raises(DominanceError):
             cmbd(GEOMETRIC, lehmer(-0.5), 0.1, p, q)
+
+
+# ------------------------------------- sparse discrete coefficients, differential
+
+#: Every weighted family: power orders < 0, 0, fractional and > 1 (also as
+#: quasi-arithmetic means and Lehmer means of order 0 and -1), Lehmer of
+#: both signs, Gini with equal and unequal orders, and a generator that is
+#: not a power.
+WEIGHTED = [
+    power(-2.5), HARMONIC, GEOMETRIC, power(0.0), power(0.5), ARITHMETIC, power(3.0),
+    quasi_arithmetic(power_generator(1.5)), quasi_arithmetic(RECIPROCAL), lehmer(0), lehmer(-1),
+    lehmer(-0.3), lehmer(0.5), lehmer(2.0), gini(1, 1), gini(-0.5, -0.5), gini(0, 0), gini(2, 1),
+    gini(0.5, -1), gini(1, 0), quasi_arithmetic(EXP),
+]
+
+MASS = st.one_of(
+    st.just(0.0),
+    st.floats(1e-300, 1.0),
+    st.builds(lambda m, k: m * 10.0**k, st.floats(0.1, 1.0), st.integers(-300, 0)),
+)
+ALPHA = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def mass_pairs(draw):
+    n = draw(st.integers(1, 25))
+    a, b = (np.array(draw(st.lists(MASS, min_size=n, max_size=n))) for _ in range(2))
+    if draw(st.booleans()):  # normalized
+        assume(a.sum() > 0.0 and b.sum() > 0.0)
+        a, b = a / math.fsum(a.tolist()), b / math.fsum(b.tolist())
+        assume(abs(math.fsum(a.tolist()) - 1.0) <= 1e-9 and abs(math.fsum(b.tolist()) - 1.0) <= 1e-9)
+        return DiscreteDist(tuple(a)), DiscreteDist(tuple(b))
+    return DiscreteDist(tuple(a), normalized=False), DiscreteDist(tuple(b), normalized=False)
+
+
+def _outcome(fn):
+    """fn()'s value, or the class and message of its error."""
+    try:
+        return float(fn()).hex()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def dense_coefficient(M, alpha, p, q):
+    X = np.array((p.masses, q.masses))
+    return math.fsum(weighted_means(M, X, (1.0 - alpha, alpha)).tolist())
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair=mass_pairs(), M=st.sampled_from(WEIGHTED), alpha=ALPHA)
+def test_sparse_coefficient_equals_the_dense_sum_bit_for_bit(pair, M, alpha):
+    p, q = pair
+    assert _outcome(lambda: bhat_coefficient(M, alpha, p, q)) == _outcome(lambda: dense_coefficient(M, alpha, p, q))
+    # Term by term as well, which a sum of many terms would round away: the
+    # joint support, then the bins where only p, then only q is positive.
+    a, b = p.array, q.array
+    order = np.concatenate([np.flatnonzero(m) for m in ((a > 0) & (b > 0), (a > 0) & (b == 0), (a == 0) & (b > 0))])
+    try:
+        want = weighted_means(M, np.array((a, b)), (1.0 - alpha, alpha))[order]
+    except DomainError:
+        return
+    assert np.array_equal(_mass_barycenters(M, alpha, a, b), want)
+
+
+GAP_PAIRS = [(LOG, IDENTITY), (RECIPROCAL, LOG), (IDENTITY, EXP), (power_generator(-0.5), power_generator(2))]
+
+
+@settings(deadline=None, max_examples=40)
+@given(pair=mass_pairs(), gens=st.sampled_from(GAP_PAIRS))
+def test_sparse_mean_gap_equals_the_dense_sum_bit_for_bit(pair, gens):
+    (p, q), (f, g) = pair, gens
+    X = np.array((p.masses, q.masses))
+    gap = weighted_means(quasi_arithmetic(g), X, (0.5, 0.5)) - weighted_means(quasi_arithmetic(f), X, (0.5, 0.5))
+    want = _outcome(lambda: _zero_floor(math.fsum(gap.tolist())))
+    assert _outcome(lambda: mean_gap_distance(f, g, p, q)) == want
+
+
+class TestSparseSupport:
+    DISJOINT = DiscreteDist((0.5, 0.5, 0.0, 0.0)), DiscreteDist((0.0, 0.0, 0.3, 0.7))
+    SAME = DiscreteDist((0.2, 0.0, 0.8, 0.0)), DiscreteDist((0.6, 0.0, 0.4, 0.0))
+
+    def test_disjoint_supports_are_mutually_singular(self):
+        p, q = self.DISJOINT
+        for M in WEIGHTED:
+            assert bhat_coefficient(M, 0.3, p, q) == dense_coefficient(M, 0.3, p, q)
+        assert bhat_coefficient(GEOMETRIC, 0.3, p, q) == 0.0
+        with pytest.raises(DomainError, match="mutually singular"):
+            cmbd(GEOMETRIC, ARITHMETIC, 0.3, p, q)
+
+    def test_identical_supports(self):
+        p, q = self.SAME
+        for M in WEIGHTED:
+            assert bhat_coefficient(M, 0.3, p, q) == dense_coefficient(M, 0.3, p, q)
+        assert bhat_coefficient(GEOMETRIC, 0.5, p, q) == pytest.approx(math.sqrt(0.12) + math.sqrt(0.32), rel=1e-15)
+        assert float(cmbd(GEOMETRIC, ARITHMETIC, 0.4, p, p)) == pytest.approx(0.0, abs=1e-15)
+
+    def test_single_bin(self):
+        one = DiscreteDist((1.0,))
+        for M in WEIGHTED:
+            assert bhat_coefficient(M, 0.3, one, one) == 1.0
+        assert float(cmbd(HARMONIC, ARITHMETIC, 0.3, one, one)) == 0.0
+
+    def test_a_generator_undefined_at_zero_still_raises(self):
+        # Both-zero bins are left out of the sum, but a kernel that cannot
+        # take a zero still sees one.
+        cube = quasi_arithmetic(expression_generator("x^3+x", (0.1, 5)))
+        p, q = DiscreteDist((0.5, 0.5, 0.0)), DiscreteDist((0.5, 0.5, 0.0))
+        with pytest.raises(DomainError, match="outside the domain"):
+            dense_coefficient(cube, 0.5, p, q)
+        with pytest.raises(DomainError, match="outside the domain"):
+            bhat_coefficient(cube, 0.5, p, q)
+
+    @pytest.mark.parametrize("M", [ARITHMETIC, GEOMETRIC, power(2), quasi_arithmetic(RECIPROCAL), lehmer(-1), gini(1, 1), gini(2, -1)])
+    def test_one_kernel_call_over_the_joint_support_and_two_unit_columns(self, monkeypatch, M):
+        import cdt.bhattacharyya as bh
+
+        shapes = []
+
+        def counted(spec, X, W):
+            shapes.append(np.shape(X))
+            return weighted_means(spec, X, W)
+
+        monkeypatch.setattr(bh, "weighted_means", counted)
+        p = DiscreteDist((0.1, 0.0, 0.3, 0.0, 0.2, 0.4))
+        q = DiscreteDist((0.3, 0.2, 0.0, 0.0, 0.1, 0.4))  # joint support: bins 0, 4 and 5
+        bhat_coefficient(M, 0.3, p, q)
+        assert shapes == [(2, 3 + 2)]
+        shapes.clear()
+        bhat_coefficient(M, 0.3, *self.DISJOINT)
+        assert shapes == [(2, 2)]
+
+
+class TestMassArray:
+    def test_read_only_and_equal_to_the_masses(self):
+        d = DiscreteDist((0.25, 0.0, 0.75))
+        assert d.array.dtype == np.float64
+        assert d.array.tolist() == list(d.masses)
+        with pytest.raises(ValueError):
+            d.array[0] = 0.5
+
+    def test_left_out_of_eq_hash_and_repr(self):
+        a, b = DiscreteDist((0.25, 0.75)), DiscreteDist([0.25, 0.75])
+        assert a == b and hash(a) == hash(b) and a.array is not b.array
+        assert repr(a) == "DiscreteDist(masses=(0.25, 0.75), values=None, normalized=True)"
+        assert a != DiscreteDist((0.75, 0.25))
+
+    def test_replace_rebuilds_it(self):
+        d = dataclasses.replace(DiscreteDist((0.25, 0.75)), masses=(0.5, 0.5))
+        assert d.array.tolist() == [0.5, 0.5] and not d.array.flags.writeable
+        with pytest.raises(WeightError):
+            dataclasses.replace(d, masses=(0.5, 0.6))

@@ -125,6 +125,32 @@ def test_qa_power_generator_equals_power_mean():
     assert mean_value(qa, 1.3, 7.9, 0.4) == mean_value(pm, 1.3, 7.9, 0.4)
 
 
+SCALING = [
+    power(-2.5), HARMONIC, GEOMETRIC, power(0.5), ARITHMETIC, power(3.0), quasi_arithmetic(power_generator(1.5)),
+    lehmer(0), lehmer(-1), gini(1, 1), gini(-0.5, -0.5), gini(0, 0), gini(2, 1), gini(0.5, -1),
+]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    x=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=20),
+    M=st.sampled_from(SCALING),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_scaling_kernels_give_x_times_the_unit_mean(x, M, alpha):
+    # The identity discrete Bhattacharyya coefficients use on one-sided bins.
+    assert M.scales_out
+    x, W = np.array(x), (1.0 - alpha, alpha)
+    z = np.zeros_like(x)
+    u = weighted_means(M, np.eye(2), W)
+    assert np.array_equal(weighted_means(M, (x, z), W), x * u[0])
+    assert np.array_equal(weighted_means(M, (z, x), W), x * u[1])
+
+
+def test_lehmer_and_generator_means_do_not_scale_out():
+    assert not any(M.scales_out for M in (lehmer(2), lehmer(-0.3), quasi_arithmetic(EXP)))
+
+
 def test_power_orders():
     assert (IDENTITY.power_order, LOG.power_order, RECIPROCAL.power_order) == (1.0, 0.0, -1.0)
     assert power_generator(0).power_order == 0.0
