@@ -188,8 +188,8 @@ def histogram_density(
 def _barycenters(M: MeanSpec, alpha: float, A, B) -> np.ndarray:
     """M(a, b; 1-alpha, alpha) elementwise over density values."""
     X = np.array((A, B), dtype=float)
-    if np.minimum.reduce(X, axis=None) < 0.0:
-        raise DomainError("distribution values must be nonnegative")
+    if not np.minimum.reduce(X, axis=None) >= 0.0:  # NaN propagates through the minimum
+        raise DomainError("distribution values must be nonnegative and not NaN")
     return weighted_means(M, X, (1.0 - alpha, alpha))
 
 

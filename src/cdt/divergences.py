@@ -79,7 +79,8 @@ def _nonvanishing(d, what: str, at):
 
 
 def _zero_floor(value: float) -> float:
-    """value, with [-ZERO_FLOOR, 0) clamped to 0."""
+    """value, with [-ZERO_FLOOR, 0) clamped to 0 and anything lower kept: for
+    quadrature-backed values, whose error may exceed ZERO_FLOOR."""
     return 0.0 if -ZERO_FLOOR <= value < 0.0 else value
 
 
@@ -237,13 +238,14 @@ def jensen_diversity(
     """Diversity index of a weighted set: N(F(x); w) - F(M(x; w)).
 
     With both means arithmetic this is the Bregman information of the set
-    (the variance for F(x) = x^2).
+    (the variance for F(x) = x^2).  Clamped as :func:`jccd`: [-ZERO_FLOOR, 0)
+    reads 0, a lower value raises ConvexityError.
     """
     _require_certified("jensen_diversity", verdict, F, M, N, samples, seed)
     value = weighted_mean(N, F.value(np.array(points.points)), points.weights) - F.value(
         weighted_mean(M, points.points, points.weights)
     )
-    return _zero_floor(value)
+    return float(_nonnegative(value))
 
 
 def kappa(gamma: Generator, x: float, y: float) -> float:
@@ -389,7 +391,8 @@ def lehmer_bregman(
     """Bregman divergence from Lehmer-mean comparative convexity, anchored at p:
 
     chi_{delta2}(F(p):F(q)) - chi_delta(p:q) * F'(p),
-    with chi_d(a:b) = (b^(1+d) - b^d - a^(1+d) + a^d) / a^d.
+    with chi_d(a:b) = (b^(1+d) - b^d - a^(1+d) + a^d) / a^d, clamped as
+    :func:`jccd`.
     """
     p, q = float(p), float(q)
     if p <= 0.0 or q <= 0.0:
@@ -399,7 +402,7 @@ def lehmer_bregman(
         raise DomainError("lehmer_bregman requires positive generator values")
     _require_certified("lehmer_bregman", verdict, F, lehmer(delta), lehmer(delta2), samples, seed)
     value = _chi(float(delta2), fp, fq) - _chi(float(delta), p, q) * F.deriv(p)
-    return _zero_floor(value)
+    return float(_nonnegative(value))
 
 
 def jensen_bregman(spec: QabdSpec, p: float, q: float) -> float:

@@ -233,49 +233,60 @@ def compile_expression(text: str):
     return lambda x: _apply(fn, x, repr(text))
 
 
-_POWER_FORM = re.compile(r"^x\^(-?\d+\.?\d*(?:[eE][+-]?\d+)?)$")
-
-
 def expression_model(text: str, domain: Interval | tuple[float, float], id: str | None = None) -> FunctionModel:
     """FunctionModel from expression text, finiteness-checked on its domain,
     with the exact derivative of the expression."""
     return function_model(id or text.strip(), domain, *_compile(parse_expression(text)))
 
 
-_CANONICAL_GENERATORS = {
-    "x": IDENTITY,
-    "log(x)": LOG,
-    "exp(x)": EXP,
-    "1/x": RECIPROCAL,
-    "-1/x": RECIPROCAL,
-    "-(1/x)": RECIPROCAL,
+_BUILTIN_FORMS = {
+    Var(): IDENTITY,
+    Call("log", Var()): LOG,
+    Call("exp", Var()): EXP,
+    Call("sqrt", Var()): power_generator(0.5),
+    Bin("/", Num(1.0), Var()): RECIPROCAL,
+    Bin("/", Neg(Num(1.0)), Var()): RECIPROCAL,
+    Neg(Bin("/", Num(1.0), Var())): RECIPROCAL,
 }
+
+
+def _builtin_form(node: Node) -> Generator | None:
+    """The built-in generator an AST spells, if any: the trees of
+    ``_BUILTIN_FORMS``, or x^c with c free of x, finite and nonzero."""
+    if node in _BUILTIN_FORMS:
+        return _BUILTIN_FORMS[node]
+    if isinstance(node, Bin) and node.op == "^" and node.left == Var():
+        c, dc = _rules(node.right)
+        if dc is None:
+            with np.errstate(all="ignore"):
+                c = float(c(0.0))
+            if np.isfinite(c) and c != 0.0:  # x^0 is constant, not the log limit
+                return power_generator(c)
+    return None
 
 
 def expression_generator(text: str, domain: Interval | tuple[float, float] | None = None) -> Generator:
     """Generator from expression text.
 
-    Recognized forms (x, log(x), exp(x), 1/x, sqrt(x), x^d with d != 0) give
-    built-in generators; other strictly monotone expressions get their exact
-    derivative and a bisection inverse on the given domain (required then).
+    Recognized forms (x, log(x), exp(x), 1/x, sqrt(x), x^d with d != 0,
+    matched on the parsed tree, so (x)^2 is x^2) give built-in generators
+    when they fit the domain; other strictly monotone expressions get their
+    exact derivative and a bisection inverse on the given domain (required
+    then).
     """
-    canon = re.sub(r"\s+", "", text)
     if domain is not None and not isinstance(domain, Interval):
         domain = Interval(float(domain[0]), float(domain[1]))
-
-    def _fits(gen: Generator) -> bool:
-        return domain is None or (gen.domain.lo <= domain.lo and domain.hi <= gen.domain.hi)
-
-    if canon in _CANONICAL_GENERATORS and _fits(_CANONICAL_GENERATORS[canon]):
-        return _CANONICAL_GENERATORS[canon]
-    d = float(m.group(1)) if (m := _POWER_FORM.match(canon)) else 0.0
-    if d != 0.0 and _fits(power_generator(d)):  # x^0 is constant, not the log limit
-        return power_generator(d)
-    if canon == "sqrt(x)" and _fits(power_generator(0.5)):
-        return power_generator(0.5)
+    try:
+        node = parse_expression(text)
+    except ParseError:
+        if domain is not None:
+            raise
+        node = None  # reported as an unrecognized form below
+    gen = None if node is None else _builtin_form(node)
+    if gen is not None and (domain is None or (gen.domain.lo <= domain.lo and domain.hi <= gen.domain.hi)):
+        return gen
     if domain is None:
         raise ParamError(f"expression generator {text!r} is not a recognized form; a finite domain is required")
-    node = parse_expression(text)
     f, df = _compile(node)
     fn = lambda x: _apply(f, x, repr(text))  # scalars of the scan and bisection take the array path
     lo, hi = domain.finite_window()
@@ -297,4 +308,5 @@ def expression_generator(text: str, domain: Interval | tuple[float, float] | Non
             raise DomainError(f"{_first(y, outside)!r} outside the image of {text!r} on {domain}")
         return _invert_monotone(finite, y, lo, hi, 1e-14)
 
+    canon = re.sub(r"\s+", "", text)
     return Generator(f"expr:{canon}", domain, f, inverse, df)

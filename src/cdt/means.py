@@ -244,7 +244,8 @@ def weighted_means(spec: MeanSpec, X, W) -> np.ndarray:
     UnsupportedWeights.  Callers validate their inputs.  Means with a
     ``power_order`` share one scaled power branch; other generators are
     evaluated once per array.  A zero argument takes the x -> 0+ limit (see
-    the module docstring); any other non-finite mean raises DomainError.
+    the module docstring) unless another argument of its column is NaN; any
+    other non-finite mean raises DomainError.
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -272,7 +273,7 @@ def weighted_means(spec: MeanSpec, X, W) -> np.ndarray:
             out = X[0] * X[1] / weighted_means(spec.inner, X, (0.5, 0.5))
         if not np.logical_and.reduce(np.isfinite(out)):
             bad = ~np.isfinite(out)
-            other = bad & ~(X == 0.0).any(axis=0)
+            other = bad & (np.isnan(X).any(axis=0) | ~(X == 0.0).any(axis=0))  # NaN never collapses
             if other.any():
                 raise DomainError(f"{spec} mean is not finite at arguments {X[:, other][:, 0]!r}")
             out = np.where(bad, 0.0, out)  # collapsed in the x -> 0+ limit

@@ -309,6 +309,20 @@ class TestDensities:
                 truncation=(0.0, 2.0),
             )
 
+    def test_nan_density_value_is_reported_where_it_happens(self):
+        # p is 0 on (1, 2], where q is NaN: the barycenter kernel must not see
+        # a zero-argument column there and clear the NaN
+        p = histogram_density((0.0, 1.0, 2.0), (1.0, 0.0))
+        q = DensityModel(
+            eval=lambda x: np.where(np.asarray(x, float) <= 1.5, 1.0 / 1.5, np.nan),
+            support=Interval(0.0, 2.0),
+            truncation=(0.0, 2.0),
+            normalized=False,
+        )
+        for M in (GEOMETRIC, ARITHMETIC, HARMONIC):
+            with pytest.raises(DomainError, match="nonnegative and not NaN"):
+                bhat_coefficient(M, 0.5, p, q)
+
     def test_quadrature_failure_budget(self):
         with pytest.raises(QuadratureFailure):
             cauchy_density(1.0, QuadratureConfig(abs_tol=1e-13, max_depth=1))

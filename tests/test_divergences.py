@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cdt.convexity import Verdict, function_model
+from cdt.convexity import TRUSTED_CONVEX, Verdict, function_model
 from cdt.divergences import (
     DivergenceValue,
     QabdSpec,
@@ -147,6 +147,33 @@ class TestJensenDiversity:
             a = jensen_diversity(F_EXP, GEOMETRIC, GEOMETRIC, pts)
             b = float(skew_jccd(F_EXP, GEOMETRIC, GEOMETRIC, w2, p, q))
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])  # sqrt(x) is concave: its negation is convex
+    def test_two_points_agree_with_jccd_including_the_clamp(self, sign):
+        F = function_model(
+            "sqrt", Interval(0.1, 10.0), lambda x: sign * np.sqrt(x), lambda x: sign * 0.5 / np.sqrt(x)
+        )
+        pts = WeightedSet.uniform((1.0, 4.0))
+
+        def outcome(fn):
+            try:
+                return float(fn())
+            except ConvexityError as exc:
+                return str(exc)
+
+        a = outcome(lambda: jccd(F, ARITHMETIC, ARITHMETIC, 1.0, 4.0, verdict=TRUSTED_CONVEX))
+        b = outcome(lambda: jensen_diversity(F, ARITHMETIC, ARITHMETIC, pts, verdict=TRUSTED_CONVEX))
+        assert a == b
+        if sign > 0:
+            assert a == "negative divergence -8.113883e-02: generator is not (M,N)-convex on this pair"
+        else:
+            assert a == pytest.approx(math.sqrt(2.5) - 1.5, rel=1e-12)
+
+    def test_cancellation_below_the_floor_reads_zero(self):
+        F = function_model("x", Interval(-5.0, 5.0), lambda x: np.asarray(x, float), np.ones_like)
+        pts = WeightedSet.uniform((0.1, 0.2, 0.7))  # exact value 0, float rounding below ZERO_FLOOR
+        assert jensen_diversity(F, ARITHMETIC, ARITHMETIC, pts, verdict=TRUSTED_CONVEX) >= 0.0
 
 
 class TestKappa:
@@ -341,6 +368,11 @@ class TestLehmerBregman:
     def test_requires_positive_values(self):
         with pytest.raises(DomainError):
             lehmer_bregman(F_SQ_POS, 0.0, 0.0, -1.0, 2.0)
+
+    def test_negative_value_raises_as_jccd(self):
+        F = function_model("sqrt", Interval(0.1, 10.0), np.sqrt, lambda x: 0.5 / np.sqrt(x))
+        with pytest.raises(ConvexityError, match=r"negative divergence -5\.000000e-01"):
+            lehmer_bregman(F, 0.0, 0.0, 1.0, 4.0, verdict=TRUSTED_CONVEX)
 
 
 class TestJensenBregman:

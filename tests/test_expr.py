@@ -22,7 +22,7 @@ from cdt.expr import (
     expression_model,
     parse_expression,
 )
-from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, Interval
+from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, Interval, get_generator
 from cdt.quadrature import _Pointwise
 
 mp = mpmath.mp.clone()
@@ -120,6 +120,42 @@ class TestExpressionGenerator:
         assert expression_generator("x") is IDENTITY
         assert expression_generator("1/x") is RECIPROCAL
         assert expression_generator("x^2").id == "power:2"
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("(x)^2", "power:2"),
+            ("x^(2)", "power:2"),
+            ("x ^ -2", "power:-2"),
+            ("x^(1/2)", "power:0.5"),
+            ("sqrt((x))", "power:0.5"),
+            ("log((x))", "log"),
+            ("exp( x )", "exp"),
+            ("((x))", "identity"),
+            ("1/(x)", "reciprocal"),
+            ("(-1)/x", "reciprocal"),
+            ("-(1.0/x)", "reciprocal"),
+        ],
+    )
+    def test_recognized_on_the_tree_not_the_text(self, text, want):
+        assert expression_generator(text).id == want
+        assert expression_generator(text) is get_generator(want)
+
+    @pytest.mark.parametrize("text", ["x^x", "x^(x-x)", "x^(0*2)", "2/x", "log(2*x)", "x^(1/0)"])
+    def test_other_trees_are_not_built_in(self, text):
+        with pytest.raises(ParamError, match="not a recognized form"):
+            expression_generator(text)
+
+    def test_built_in_form_outside_its_domain_is_an_expression(self):
+        gen = expression_generator("x ^ 3", (-2.0, 2.0))
+        assert gen.id == "expr:x^3"
+        assert gen.inv(gen.value(-1.5)) == pytest.approx(-1.5, abs=1e-12)
+
+    def test_unparseable_text(self):
+        with pytest.raises(ParamError, match="not a recognized form"):
+            expression_generator("foo")
+        with pytest.raises(ParseError):
+            expression_generator("foo", (0.1, 5.0))
 
     def test_custom_monotone(self):
         gen = expression_generator("x + x^3", (0.1, 10.0))

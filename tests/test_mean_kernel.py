@@ -213,6 +213,17 @@ def test_non_finite_values_raise():
         weighted_means(quasi_arithmetic(LOG), [[-1.0], [1.0]], (0.5, 0.5))
 
 
+@pytest.mark.parametrize("spec", [GEOMETRIC, ARITHMETIC, HARMONIC, power(2), power(-2), lehmer(1)])
+def test_nan_beside_a_zero_argument_raises(spec):
+    # a NaN column with a zero argument is not a zero-argument collapse
+    for X in ([[math.nan], [0.0]], [[0.0], [math.nan]]):
+        with pytest.raises(DomainError, match="not finite"):
+            weighted_means(spec, X, (0.5, 0.5))
+    X = np.array([[0.0, 2.0, math.nan], [3.0, 8.0, 0.0]])
+    with pytest.raises(DomainError, match=r"not finite at arguments array\(\[nan,  0\.\]\)"):
+        weighted_means(spec, X, (0.5, 0.5))
+
+
 def test_identity_accepts_negative_arguments():
     assert weighted_mean(ARITHMETIC, (-3.0, 1.0), (0.25, 0.75)) == 0.0
     assert mean_value(ARITHMETIC, -2.0, -4.0) == -3.0
