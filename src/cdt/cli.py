@@ -11,6 +11,7 @@ seed, tolerances) to replay the run bit-identically.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -72,25 +73,44 @@ class RunConfig:
                 raise ConfigError("choose either --M/--N or --delta1/--delta2, not both")
             if not has_power and not has_means:
                 raise ConfigError("bhat needs --M/--N or --delta1/--delta2")
+            if has_power and None in (opt.get("delta1"), opt.get("delta2")):
+                raise ConfigError("bhat needs both --delta1 and --delta2")
         return self
+
+
+@contextlib.contextmanager
+def _reading(path: str):
+    """Reraise a missing, unreadable or malformed input file as ConfigError
+    naming it; toolkit errors pass through."""
+    try:
+        yield
+    except CdtError:
+        raise
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc.strerror}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{path!r} has no {exc.args[0]!r} entry") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed {path!r}: {exc}") from exc
 
 
 def _read_rows(path: str) -> tuple[list[float], list[float] | None]:
     """Values and weights (None if no row has one) from CSV value[,weight]
     rows, a JSON list of values or a JSON {"points": [...], "weights": [...]}."""
-    text = Path(path).read_text(encoding="utf-8")
-    if path.endswith(".json"):
-        doc = json.loads(text)
-        if isinstance(doc, list):
-            return [float(v) for v in doc], None
-        wts = doc.get("weights")
-        return [float(v) for v in doc["points"]], (None if wts is None else [float(w) for w in wts])
-    rows = [line.strip() for line in text.splitlines()]
-    rows = [[p.strip() for p in line.split(",")] + [""] for line in rows if line and not line.startswith("#")]
-    if not rows:
-        raise ConfigError(f"no data rows in {path!r}")
-    weights = [float(r[1] or 1.0) for r in rows]  # a row without a weight weighs 1
-    return [float(r[0]) for r in rows], (weights if any(r[1] for r in rows) else None)
+    with _reading(path):
+        text = Path(path).read_text(encoding="utf-8")
+        if path.endswith(".json"):
+            doc = json.loads(text)
+            if isinstance(doc, list):
+                return [float(v) for v in doc], None
+            wts = doc.get("weights")
+            return [float(v) for v in doc["points"]], (None if wts is None else [float(w) for w in wts])
+        rows = [line.strip() for line in text.splitlines()]
+        rows = [[p.strip() for p in line.split(",")] + [""] for line in rows if line and not line.startswith("#")]
+        if not rows:
+            raise ConfigError(f"no data rows in {path!r}")
+        weights = [float(r[1] or 1.0) for r in rows]  # a row without a weight weighs 1
+        return [float(r[0]) for r in rows], (weights if any(r[1] for r in rows) else None)
 
 
 def _normalize_weights(weights: list[float], warnings_out: list[str]) -> list[float]:
@@ -117,15 +137,16 @@ def load_distribution(path: str, cfg: QuadratureConfig, warnings_out: list[str])
         values, weights = _read_rows(path)
         masses = _normalize_weights(weights or [1.0] * len(values), warnings_out)
         return bh.DiscreteDist(tuple(masses), values=tuple(values))
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    kind = doc.get("type")
-    if kind == "discrete":
-        return bh.DiscreteDist(tuple(float(v) for v in doc["masses"]))
-    if kind == "cauchy":
-        return bh.cauchy_density(float(doc["scale"]), cfg)
-    if kind == "grid":
-        ps = _normalize_weights([float(v) for v in doc["ps"]], warnings_out)
-        return bh.DiscreteDist(tuple(ps), values=tuple(float(v) for v in doc["xs"]))
+    with _reading(path):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        kind = doc.get("type")
+        if kind == "discrete":
+            return bh.DiscreteDist(tuple(float(v) for v in doc["masses"]))
+        if kind == "cauchy":
+            return bh.cauchy_density(float(doc["scale"]), cfg)
+        if kind == "grid":
+            ps = _normalize_weights([float(v) for v in doc["ps"]], warnings_out)
+            return bh.DiscreteDist(tuple(ps), values=tuple(float(v) for v in doc["xs"]))
     raise ConfigError(f"unknown distribution type {kind!r} in {path!r}")
 
 
@@ -318,7 +339,9 @@ def _run(cfg: RunConfig, caught: list[str]) -> dict:
         if not values:
             raise ConfigError("mean needs positional values or --data")
         if opt["weights"]:
-            wts = _normalize_weights([float(w) for w in opt["weights"].split(",")], caught)
+            with _reading("--weights"):
+                wts = [float(w) for w in opt["weights"].split(",")]
+            wts = _normalize_weights(wts, caught)
         else:
             wts = [1.0 / len(values)] * len(values)
         return {"value": weighted_mean(spec, values, wts)}

@@ -216,16 +216,100 @@ def _monotone_direction(fun: Callable, lo, hi, n: int = 33):
     return int(out) if out.ndim == 0 else out
 
 
+#: Bisection levels that ``_invert_monotone`` evaluates per call of fun.
+_DEPTH = 6
+
+#: The most midpoints per call of fun: past about 32 elements, evaluating
+#: the 2^d - 1 nodes of each element's tree costs more than the d - 1 calls
+#: it saves, so ``_invert_monotone`` takes one level per call.
+_TREE_POINTS = 2048
+
+#: Bisection levels after which ``_invert_monotone`` stops in any case.
+_MAX_LEVELS = 200
+
+
+@lru_cache(maxsize=None)
+def _tree(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of the midpoint tree of depth d on grid positions 0..2^d, one
+    row per leaf bracket [j, j + 1]:
+
+    * turns: +1 at each of the leaf's d ancestors (node k sits at grid
+      position k + 1) whose step goes up towards it, -1 at those that go
+      down, 0 at every other node;
+    * ups: the number of ancestors that go up, so that with a 0/1 vector
+      of the steps' choices, ups - turns @ choices counts the ancestors
+      that disagree with the leaf;
+    * ends: the grid positions of the ends of each ancestor's bracket,
+      level by level, followed by those of the leaf's own.
+    """
+    N = 1 << d
+    half = N >> np.arange(1, d + 1)
+    leaf = np.arange(N)[:, None]
+    ancestor = leaf - leaf % (2 * half) + half
+    up = leaf >= ancestor
+    turns = np.zeros((N, N - 1))
+    turns[leaf, ancestor - 1] = np.where(up, 1.0, -1.0)
+    ends = np.stack([np.hstack([ancestor - half, leaf]), np.hstack([ancestor + half, leaf + 1])], axis=2)
+    tables = turns, up.sum(axis=1)[:, None], ends
+    for t in tables:
+        t.flags.writeable = False  # shared by every call
+    return tables
+
+
+def _bisect_levels(fun: Callable, target, increasing, a, b, tol: float, d: int):
+    """d levels of bisection on the brackets [a, b] (flat arrays, as are
+    target and increasing) from one call of fun at all 2^d - 1 midpoints of
+    each bracket's tree: bit for bit the brackets that d one-level steps
+    reach, or None when that call raises, returns a misshapen array or a
+    NaN anywhere.
+
+    Level by level, each node of the tree is the midpoint of its bracket,
+    computed as a one-level step computes it.  The step's choice at every
+    node picks the one leaf whose ancestors all lead to it; along that
+    path, the first bracket that fails the tolerance rule is where
+    one-level steps stop, so it is returned in place of the leaf's.
+    """
+    N, n = 1 << d, a.size
+    P = np.empty((N + 1, n))  # one column per element, so the nodes P[1:-1] are contiguous
+    P[0], P[N] = a, b
+    for k in range(d):
+        s = N >> k
+        P[s // 2 :: s] = 0.5 * (P[: -1 : s] + P[s::s])
+    try:
+        Y = np.asarray(fun(P[1:-1]), dtype=float)
+    except Exception:  # the one-level replay raises it again
+        return None
+    if Y.shape != (N - 1, n) or np.count_nonzero(np.isnan(Y)):
+        return None
+    turns, ups, ends = _tree(d)
+    # 0 at the leaf that every ancestor's step leads to, negative elsewhere
+    leaf = np.argmax(turns @ ((Y < target) == increasing) - ups, axis=0)
+    rows = np.arange(n)
+    E = P[ends[leaf], rows[:, None, None]]
+    lo, hi = E[:, :, 0], E[:, :, 1]
+    active = (hi - lo) > tol * np.maximum(1.0, np.maximum(hi, -lo))
+    active[:, d] = False  # the leaf's bracket goes to the next round
+    return E[rows, np.argmin(active, axis=1)].T
+
+
 def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
     """Bisection solve of fun(m) = target for monotone fun on [lo, hi], to a
     bracket of relative width tol; elementwise over arrays of targets and
     brackets, each element stopping at its own tolerance.
 
-    fun is evaluated once at the bracket ends and once per step at the
-    midpoints, all of which lie in [lo, hi], so callers check the bracket
-    against their domains once and may pass raw kernels (see ``_fused``).
-    Every value is still checked: a NaN, which would steer the bisection
-    silently, raises DomainError naming its point.
+    fun is evaluated once at the bracket ends and then once per round of
+    ``_DEPTH`` levels, at every midpoint those levels could visit (see
+    ``_bisect_levels``), or of one level when the elements are so many that
+    a round would exceed ``_TREE_POINTS`` midpoints; the result is bit for
+    bit that of one level per call.  All points lie in [lo, hi], so callers
+    check the bracket against their domains once and may pass raw kernels
+    (see ``_fused``).  Every value is still checked: a NaN, which would
+    steer the bisection silently, raises DomainError naming its point.  A
+    round whose call raises, returns a misshapen array or a NaN anywhere in
+    its tree is replayed one level per call, with the midpoints in the
+    shape of the result, so an error names the point that one-level
+    bisection meets first, a NaN off its path goes unseen, and a fun taking
+    only floats works.
     """
 
     def values(x):
@@ -238,17 +322,30 @@ def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
     increasing = fhi >= flo
     # Floating-point drift can push the target marginally outside the bracket.
     target = np.minimum(np.maximum(target, np.minimum(flo, fhi)), np.maximum(flo, fhi))
-    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    for _ in range(200):
+    args = np.broadcast_arrays(target, increasing, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape = args[0].shape
+    target, increasing, a, b = (v.reshape(-1) for v in args)
+    depth = _DEPTH if a.size * ((1 << _DEPTH) - 1) <= _TREE_POINTS else 1
+    levels, replay = _MAX_LEVELS, 0
+    while levels:
         # max(|a|, |b|) is max(b, -a) while a <= b
         active = (b - a) > tol * np.maximum(1.0, np.maximum(b, -a))
         if not np.count_nonzero(active):
             break
-        m = 0.5 * (a + b)
-        raise_a = active & ((values(m) < target) == increasing)
-        a, b = np.where(raise_a, m, a), np.where(active ^ raise_a, m, b)
+        d = 1 if replay else min(depth, levels)
+        if d == 1:
+            m = 0.5 * (a + b)
+            raise_a = active & ((values(m.reshape(shape)).reshape(-1) < target) == increasing)
+            a, b = np.where(raise_a, m, a), np.where(active ^ raise_a, m, b)
+            replay = max(replay - 1, 0)
+        elif (bracket := _bisect_levels(fun, target, increasing, a, b, tol, d)) is not None:
+            a, b = bracket
+        else:
+            replay = d
+            continue
+        levels -= d
     out = 0.5 * (a + b)
-    return float(out) if out.ndim == 0 else out
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 @dataclass(frozen=True)

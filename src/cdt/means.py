@@ -142,7 +142,11 @@ HARMONIC = quasi_arithmetic(RECIPROCAL)
 
 def _wsum(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """sum_i W[i] * Y[i], accumulated in argument order so that a column's
-    value does not depend on how many columns share the call."""
+    value does not depend on how many columns share the call.  A single
+    column is one ``np.add.accumulate`` down its arguments (sequential, so
+    the same sum); over several columns a loop over the rows is faster."""
+    if Y.shape[1:] == (1,):
+        return np.add.accumulate(W.reshape(Y.shape) * Y, axis=0)[-1]
     acc = W[0] * Y[0]
     for i in range(1, len(W)):
         acc += W[i] * Y[i]

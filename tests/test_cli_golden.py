@@ -44,6 +44,10 @@ FILES = {
     "grid.json": {"type": "grid", "xs": [1.0, 4.0], "ps": [0.5, 0.5]},
     "grid2.json": {"type": "grid", "xs": [1.0, 4.0], "ps": [1, 3]},
     "mystery.json": {"type": "mystery"},
+    "bad.csv": "1.0\nabc\n",
+    "broken.json": "{not json",
+    "scalar.json": 3,
+    "nops.json": {"type": "grid", "xs": [1.0, 2.0]},
 }
 
 CUBIC = ["--F", "(x^3+x)^2", "--rho", "x^3+x"]
@@ -180,6 +184,17 @@ CASES = [
                          "--format", "plain"], {}),
     ("dominates-samples-zero", ["dominates", "--a", "qa:log", "--b", "qa:identity", "--domain", "1:2",
                                 "--samples", "0"], {}),
+    # missing or malformed input: ConfigError, exit 2
+    ("mean-missing-data", ["mean", "--spec", "qa:identity", "--data", "missing.csv"], {}),
+    ("mean-bad-row", ["mean", "--spec", "qa:identity", "--data", "bad.csv"], {}),
+    ("mean-bad-weights", ["mean", "--spec", "qa:identity", "--weights", "a,b", "1", "2"], {}),
+    ("mean-broken-json", ["mean", "--spec", "qa:identity", "--data", "broken.json"], {}),
+    ("centroid-scalar-json", ["centroid", "--F", "x^2", "--data", "scalar.json"], {}),
+    ("bhat-missing-p", ["bhat", "--M", "qa:log", "--alpha", "0.5", "--p", "missing.json", "--q", "u.json"], {}),
+    ("bhat-broken-json", ["bhat", "--M", "qa:log", "--alpha", "0.5", "--p", "broken.json", "--q", "u.json"], {}),
+    ("expect-grid-without-ps", ["expect", "--f", "log", "--data", "nops.json"], {}),
+    ("bhat-delta1-only", ["bhat", "--delta1", "1", "--alpha", "0.5", "--p", "u.json", "--q", "v.json"], {}),
+    ("bhat-delta2-only", ["bhat", "--delta2", "1", "--alpha", "0.5", "--p", "u.json", "--q", "v.json"], {}),
     # argparse rejections: exit 2, usage on stderr, nothing on stdout
     ("argparse-format", ["mean", "--spec", "qa:identity", "--format", "xml", "1"], {}),
     ("argparse-missing-F", ["div", "bregman", "3", "1"], {}),
