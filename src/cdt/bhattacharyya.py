@@ -16,7 +16,8 @@ positive); a bin zero in both contributes exactly 0.  For a scale-homogeneous
 kernel (power-order and Gini means) a bin where one mass is zero takes the
 identity M(x, 0) = x M(1, 0), and M(1, 0), M(0, 1) ride along in that one
 call; other means evaluate those bins in it.  Every value is bit for bit
-the kernel's over all bins.
+the kernel's over all bins.  The terms are summed exactly, without a Python
+float per term, by ``means._exact_sum``: bit for bit ``math.fsum`` of them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     WeightError,
 )
 from .generators import IDENTITY, Generator, Interval
-from .means import GEOMETRIC, MeanSpec, dominates, power, quasi_arithmetic, weighted_means
+from .means import GEOMETRIC, MeanSpec, _exact_sum, dominates, power, quasi_arithmetic, weighted_means
 from .quadrature import QuadratureConfig, integrate, ladder_breakpoints
 
 
@@ -77,8 +78,10 @@ class DiscreteDist:
         _check_finite(a, "masses")
         if np.any(a < 0.0):
             raise DomainError("masses must be nonnegative")
-        if self.normalized and abs(math.fsum(m) - 1.0) > 1e-9:
-            raise WeightError(f"masses sum to {math.fsum(m)!r}, expected 1 within 1e-9")
+        if self.normalized:
+            total = _exact_sum(a)
+            if abs(total - 1.0) > 1e-9:
+                raise WeightError(f"masses sum to {total!r}, expected 1 within 1e-9")
         if self.values is not None:
             vals = tuple(float(v) for v in self.values)
             object.__setattr__(self, "values", vals)
@@ -245,7 +248,7 @@ def _total(fn: Callable, p, q) -> float:
     mass arrays and bary ``_mass_barycenters``, or the integral of
     fn(bary, p(x), q(x)) over two densities, with bary ``_barycenters``."""
     if _check_kinds(p, q):
-        return math.fsum(fn(_mass_barycenters, p.array, q.array).tolist())
+        return _exact_sum(fn(_mass_barycenters, p.array, q.array))
     lo, hi, cfg, brk = _merged_quadrature(p, q)
     return integrate(lambda x: fn(_barycenters, p.eval(x), q.eval(x)), lo, hi, cfg, brk)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .divergences import QabdSpec, WeightedSet, _nonnegative, _qabd_raw, jensen_diversity
 from .errors import NonInvertibleGradient, ParamError
 from .generators import _invert_monotone, _monotone_direction
-from .means import quasi_arithmetic
+from .means import _exact_sum, quasi_arithmetic
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
             sub_w[mask] = wts[mask] / wts[mask].sum()
         centers = _centroids(spec, pts, sub_w, assign, k)
         dmat = _distances(spec, centers, pts)
-        obj = math.fsum((wts * dmat[np.arange(len(pts)), assign]).tolist())
+        obj = _exact_sum(wts * dmat[np.arange(len(pts)), assign])
         history.append(obj)
         if prev_obj - obj < 1e-10:
             prev_obj = min(prev_obj, obj)

@@ -153,6 +153,43 @@ def _wsum(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return acc
 
 
+#: Terms below which ``_exact_sum`` hands its array to ``math.fsum``: at
+#: about this many, fsum's list costs as much as the numpy passes.
+_EXACT_SUM_MIN = 700
+
+
+def _exact_sum(v: np.ndarray) -> float:
+    """``math.fsum(v.tolist())`` of a one-dimensional float64 array, bit for
+    bit, without the list.
+
+    Each term is M 2^(e-53) with M an integer of 53 bits (``np.frexp``),
+    split into 27 high and 26 low bits.  ``np.bincount`` sums each half per
+    exponent, exactly (integers below 2^53, since there are fewer than 2^26
+    terms), and one Python integer per occupied exponent gathers the exact
+    total, which one int division rounds correctly, as fsum rounds: a small
+    superaccumulator (Neal 2015, arXiv:1505.05571).  Short arrays, non-finite terms and sums
+    that could overflow go to fsum for its value or error, and so does an
+    exact zero, for fsum's sign.
+    """
+    n = len(v)
+    if not (_EXACT_SUM_MIN <= n < 1 << 26 and np.abs(v).max() < 2.0**1023 / n):
+        return math.fsum(v.tolist())
+    m, e = np.frexp(v)
+    m *= 2.0**27
+    hi = np.trunc(m)
+    m -= hi  # the low 26 bits, in units of 2^-26
+    e0 = min(int(e.min()), 0)  # the total counts units of 2^(e0 - 53), at most 2^-53
+    e -= e0
+    H, L = np.bincount(e, hi), np.bincount(e, m) * 2.0**26
+    bins = np.flatnonzero((H != 0.0) | (L != 0.0))
+    total = 0
+    for s, h, lo in zip(bins.tolist(), H[bins].tolist(), L[bins].tolist()):
+        total += ((int(h) << 26) + int(lo)) << s
+    if not total:
+        return math.fsum(v.tolist())
+    return total / (1 << (53 - e0))
+
+
 def _power_means(d: float, X: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:
     if d == 1.0:
         return _wsum(W, X)
