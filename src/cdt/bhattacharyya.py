@@ -235,12 +235,13 @@ def _check_kinds(p, q) -> bool:
     raise KindMismatch(f"mixed operands: {type(p).__name__} vs {type(q).__name__}")
 
 
-def _merged_quadrature(p: DensityModel, q: DensityModel) -> tuple[float, float, QuadratureConfig, tuple]:
+def _merged_quadrature(p: DensityModel, q: DensityModel) -> tuple[float, float, QuadratureConfig, np.ndarray]:
+    """Common bounds, the tighter quadrature and both densities' breakpoints
+    (``integrate`` sorts them and drops repeats)."""
     lo = min(p.truncation[0], q.truncation[0])
     hi = max(p.truncation[1], q.truncation[1])
     cfg = p.quadrature if p.quadrature.abs_tol <= q.quadrature.abs_tol else q.quadrature
-    brk = tuple(sorted(set(p.breakpoints) | set(q.breakpoints)))
-    return lo, hi, cfg, brk
+    return lo, hi, cfg, np.concatenate((p.breakpoints, q.breakpoints))
 
 
 def _total(fn: Callable, p, q) -> float:

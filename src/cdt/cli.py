@@ -30,7 +30,7 @@ from .expectations import qa_expected_value
 from .expr import expression_generator, expression_model
 from .generators import IDENTITY, Generator, Interval, get_generator
 from .means import WEIGHT_SUM_TOL, MeanSpec, dominates, parse_mean, weighted_mean
-from .quadrature import QuadratureConfig
+from .quadrature import _RULES, QuadratureConfig
 
 TOLERANCES = {
     "weight_sum_tol": WEIGHT_SUM_TOL,
@@ -177,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", default="json", choices=("json", "csv", "plain"))
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--quad-tol", type=float, default=1e-9)
-    common.add_argument("--quad-rule", default="adaptive_simpson", choices=("adaptive_simpson", "gauss_legendre"))
+    common.add_argument("--quad-rule", default="gauss_kronrod", choices=_RULES,
+                        help="adaptive 7/15-point Gauss-Kronrod to --quad-tol per panel (default), "
+                        "or Gauss-Legendre with --quad-nodes nodes per panel")
     common.add_argument("--quad-nodes", type=int, default=64)
 
     def command(name: str, help: str, *shared: str) -> argparse.ArgumentParser:
