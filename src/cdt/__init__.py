@@ -96,6 +96,6 @@ from .means import (
     weighted_mean,
     weighted_means,
 )
-from .quadrature import QuadratureConfig, gauss_kronrod, gauss_legendre, integrate
+from .quadrature import QuadratureConfig, gauss_kronrod, integrate
 
 __version__ = "0.1.0"

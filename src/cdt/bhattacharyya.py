@@ -41,7 +41,7 @@ from .errors import (
 )
 from .generators import IDENTITY, Generator, Interval
 from .means import GEOMETRIC, MeanSpec, _exact_sum, dominates, power, quasi_arithmetic, weighted_means
-from .quadrature import QuadratureConfig, integrate, ladder_breakpoints
+from .quadrature import QuadratureConfig, _vectorized, integrate, ladder_breakpoints
 
 
 def _check_finite(x: np.ndarray, what: str) -> None:
@@ -108,11 +108,12 @@ class DensityModel:
     Unbounded supports are encoded through finite ``truncation`` bounds plus
     a ``tail_tol`` bound on the discarded mass; the normalization check at
     construction allows abs_tol + tail_tol.  ``breakpoints`` seed the panel
-    decomposition of every integral against this density.
+    decomposition of every integral against this density.  An ``eval`` that
+    takes only floats is wrapped to map arrays elementwise, decided by one
+    call on two points inside ``truncation``.
     """
 
     eval: Callable = field(repr=False)
-    support: Interval = Interval()
     truncation: tuple[float, float] = (-1e6, 1e6)
     tail_tol: float = 0.0
     quadrature: QuadratureConfig = QuadratureConfig()
@@ -124,6 +125,7 @@ class DensityModel:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DomainError(f"truncation bounds must be finite and ordered, got {self.truncation!r}")
         object.__setattr__(self, "truncation", (lo, hi))
+        object.__setattr__(self, "eval", _vectorized(self.eval, (lo + 0.5 * (hi - lo), lo + 0.25 * (hi - lo))))
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
         if self.normalized:
             total = integrate(self.eval, lo, hi, self.quadrature, self.breakpoints)
@@ -147,7 +149,6 @@ def cauchy_density(s: CauchyParam | float, cfg: QuadratureConfig = QuadratureCon
 
     return DensityModel(
         eval=pdf,
-        support=Interval(),
         truncation=(-bound, bound),
         tail_tol=tail,
         quadrature=cfg,
@@ -181,7 +182,6 @@ def histogram_density(
 
     return DensityModel(
         eval=pdf,
-        support=Interval(float(e[0]) - 1e-12, float(e[-1]) + 1e-12),
         truncation=(float(e[0]), float(e[-1])),
         quadrature=cfg,
         breakpoints=tuple(float(v) for v in e[1:-1]),

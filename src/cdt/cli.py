@@ -30,7 +30,7 @@ from .expectations import qa_expected_value
 from .expr import expression_generator, expression_model
 from .generators import IDENTITY, Generator, Interval, get_generator
 from .means import WEIGHT_SUM_TOL, MeanSpec, dominates, parse_mean, weighted_mean
-from .quadrature import _RULES, QuadratureConfig
+from .quadrature import QuadratureConfig
 
 TOLERANCES = {
     "weight_sum_tol": WEIGHT_SUM_TOL,
@@ -176,11 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", default="json", choices=("json", "csv", "plain"))
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--quad-tol", type=float, default=1e-9)
-    common.add_argument("--quad-rule", default="gauss_kronrod", choices=_RULES,
-                        help="adaptive 7/15-point Gauss-Kronrod to --quad-tol per panel (default), "
-                        "or Gauss-Legendre with --quad-nodes nodes per panel")
-    common.add_argument("--quad-nodes", type=int, default=64)
+    common.add_argument("--quad-tol", type=float, default=1e-9,
+                        help="error budget of adaptive 7/15-point Gauss-Kronrod quadrature per panel "
+                        "of a density integral, halved at every refinement")
 
     def command(name: str, help: str, *shared: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, parents=[common])
@@ -249,11 +247,7 @@ def config_from_argv(argv: list[str]) -> RunConfig:
             seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"bad CDT_SEED {env_seed!r}") from exc
-    quad = QuadratureConfig(
-        rule=opt.pop("quad_rule"),
-        nodes=opt.pop("quad_nodes"),
-        abs_tol=opt.pop("quad_tol"),
-    )
+    quad = QuadratureConfig(abs_tol=opt.pop("quad_tol"))
     return RunConfig(sub, opt, tuple(argv), seed=seed, fmt=fmt, quadrature=quad).validate()
 
 

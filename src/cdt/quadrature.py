@@ -1,25 +1,26 @@
-"""Numerical quadrature: adaptive Gauss-Kronrod (default) and fixed Gauss-Legendre.
+"""Numerical quadrature: adaptive 7/15-point Gauss-Kronrod.
 
 One core integrates every panel of an integral at once.  ``integrate``
 splits its interval into panels (breakpoints, or a geometric ladder over
-wide intervals) and hands them all to it.  Adaptive Gauss-Kronrod (the
-7/15-point pair of QUADPACK's QAG) refines breadth first: each level
-evaluates the 15 Kronrod nodes of every active subinterval of every panel
-in one integrand call, and accepts a subinterval's Kronrod sum when it
-differs from the embedded 7-point Gauss sum by at most the subinterval's
-budget; every panel starts with the full ``abs_tol``, halved at each
-refinement.  Gauss-Legendre evaluates nodes x panels in one call.  Both
-rules sample only interior points, so an integrand that jumps at a panel
+wide intervals) and hands them all to it.  The rule is the Gauss-Kronrod
+pair of QUADPACK's QAG, refined breadth first: each level evaluates the 15
+Kronrod nodes of every active subinterval of every panel in one integrand
+call, and accepts a subinterval's Kronrod sum when it differs from the
+embedded 7-point Gauss sum by at most the subinterval's budget; every panel
+starts with the full ``abs_tol``, halved at each refinement.  The rule
+samples only interior points, so an integrand that jumps at a panel
 boundary (a histogram bin edge) is never evaluated on the far side.  The
-public ``gauss_kronrod`` and ``gauss_legendre`` are the same core on one
-panel.
+public ``gauss_kronrod`` is ``integrate`` without breakpoints.
 
 Panels start in groups of at most ``_MAX_ACTIVE``.  A group whose active
 subintervals outgrow that bound refines its lowest panel alone and the rest
 after it, so an integral that cannot converge on many panels needs about
 the memory of one.
 
-Scalar-only callables are wrapped automatically.  Bounds must be finite
+The integrand is not probed: its first batch of points is evaluated on f
+itself, and only an f that fails on that array (other than with a
+CdtError, which passes through) or returns another shape is wrapped to be
+called point by point, that batch evaluated again.  Bounds must be finite
 (ParamError), and so must every integrand value (DomainError naming the
 first point that is not).  Accepted contributions are summed with
 ``math.fsum`` per panel, and the panel sums with ``math.fsum`` again;
@@ -32,14 +33,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParamError, QuadratureFailure
-
-_RULES = ("gauss_kronrod", "gauss_legendre")
+from .errors import CdtError, DomainError, ParamError, QuadratureFailure
 
 #: Most subintervals one adaptive Gauss-Kronrod level refines together,
 #: unless a single panel needs more on its own.
@@ -60,20 +58,12 @@ _WG = np.concatenate((_WG, [0.4179591836734694], _WG[::-1]))
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    rule: str = "gauss_kronrod"     # or "gauss_legendre"
-    nodes: int = 64                 # per panel, Gauss-Legendre only
     abs_tol: float = 1e-9           # per panel, halved at every refinement
     max_depth: int = 20             # refinement levels per panel
 
     def __post_init__(self) -> None:
-        if self.rule not in _RULES:
-            raise ParamError(f"quadrature rule {self.rule!r} is not one of {', '.join(_RULES)}")
-        for name in ("nodes", "max_depth"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ParamError(f"quadrature {name} must be an integer, got {value!r}")
-        if not self.nodes >= 1:
-            raise ParamError(f"Gauss-Legendre needs nodes >= 1, got {self.nodes!r}")
+        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, numbers.Integral):
+            raise ParamError(f"quadrature max_depth must be an integer, got {self.max_depth!r}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ParamError(f"quadrature abs_tol must be finite and > 0, got {self.abs_tol!r}")
         if not self.max_depth >= 0:
@@ -90,7 +80,7 @@ class _Pointwise:
         return np.array([float(self.f(float(x))) for x in np.ravel(xs)]).reshape(np.shape(xs))
 
 
-def _vectorized(f: Callable, probe=(0.5, 0.25)) -> Callable:
+def _vectorized(f: Callable, probe) -> Callable:
     """f itself if one call maps an array of points to an array of values
     (tried once, on ``probe``), else f wrapped to be called point by point."""
     probe = np.array(probe, dtype=float)
@@ -111,71 +101,64 @@ def _bounds(a, b) -> tuple[float, float]:
     return a, b
 
 
-def _values(fv: Callable, pts: np.ndarray) -> np.ndarray:
-    """fv at every point of pts, in pts' shape; DomainError names the first
-    point where fv is NaN or infinite."""
+def _first_batch(f: Callable, x: np.ndarray) -> tuple[Callable, np.ndarray]:
+    """f and its values at the points x, if one call maps x to an array of
+    x's shape; else f wrapped to be called point by point, and its values.
+    A CdtError from f is f's own account of what went wrong and passes
+    through."""
+    try:
+        y = np.asarray(f(x), dtype=float)
+        if y.shape == x.shape:
+            return f, y
+    except CdtError:
+        raise
+    except Exception:
+        pass
+    f = _Pointwise(f)
+    return f, f(x)
+
+
+def _values(f: Callable, fv: Callable | None, pts: np.ndarray) -> tuple[Callable, np.ndarray]:
+    """The values of fv at every point of pts, in pts' shape, and fv; on the
+    first batch of an integral (fv None), fv is what ``_first_batch`` makes
+    of f.  DomainError names the first point where a value is NaN or
+    infinite."""
     x = pts.ravel()
-    y = np.asarray(fv(x), dtype=float)
+    if fv is None:
+        fv, y = _first_batch(f, x)
+    else:
+        y = np.asarray(fv(x), dtype=float)
     finite = np.isfinite(y)
     if not finite.all():
         i = int(np.argmin(finite))
         raise DomainError(f"integrand is {float(y[i])!r} at x = {float(x[i])!r}")
-    return y.reshape(pts.shape)
-
-
-def _one_panel(f: Callable, a, b, cfg: QuadratureConfig) -> float:
-    a, b = _bounds(a, b)
-    if b < a:
-        return -_one_panel(f, b, a, cfg)
-    return 0.0 if a == b else _panels(_vectorized(f), [a, b], cfg)[0]
+    return fv, y.reshape(pts.shape)
 
 
 def gauss_kronrod(
     f: Callable, a: float, b: float, abs_tol: float = 1e-9, max_depth: int = 20
 ) -> float:
-    """Adaptive 7/15-point Gauss-Kronrod integral of f over [a, b].
+    """Adaptive 7/15-point Gauss-Kronrod integral of f over [a, b]:
+    ``integrate`` with that ``abs_tol`` and ``max_depth`` and no breakpoints.
 
     Raises QuadratureFailure when a subinterval still exceeds its local error
     budget after ``max_depth`` refinement levels, and ParamError for a bound
     that is not finite or an ``abs_tol`` or ``max_depth`` that
     ``QuadratureConfig`` rejects.
     """
-    return _one_panel(f, a, b, QuadratureConfig(abs_tol=abs_tol, max_depth=max_depth))
+    return integrate(f, a, b, QuadratureConfig(abs_tol=abs_tol, max_depth=max_depth))
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def gauss_legendre(f: Callable, a: float, b: float, nodes: int = 64) -> float:
-    """Fixed-order Gauss-Legendre integral of f over [a, b]."""
-    return _one_panel(f, a, b, QuadratureConfig(rule="gauss_legendre", nodes=nodes))
-
-
-def _panels(fv: Callable, edges: Sequence[float], cfg: QuadratureConfig) -> list[float]:
-    """Integrals of fv over the panels between consecutive ``edges``; fv maps
-    arrays to arrays."""
-    e = np.asarray(edges, dtype=float)
-    a, b = e[:-1], e[1:]
-    if cfg.rule == "gauss_legendre":
-        x, w = _leggauss(cfg.nodes)
-        half = 0.5 * (b - a)
-        vals = _values(fv, 0.5 * (a + b)[:, None] + half[:, None] * x)
-        # one dot per panel: a matrix product would sum in another order
-        return [float(h * np.dot(w, v)) for h, v in zip(half.tolist(), vals)]
-    return _kronrod(fv, a, b, cfg.abs_tol, cfg.max_depth)
-
-
-def _kronrod(fv: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_depth: int) -> list[float]:
+def _kronrod(f: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_depth: int) -> list[float]:
     """Breadth-first adaptive Gauss-Kronrod over the panels [a[i], b[i]], a < b.
 
     A group holds active subintervals of one depth: their ends and panels.
     Panels start in groups of at most ``_MAX_ACTIVE``, and each level
     evaluates a whole group in one call.  A group grown past that bound
     refines its lowest panel alone and the others after it, so at most one
-    group waits.
+    group waits.  The first call decides how f is called from then on.
     """
+    fv = None  # f, or f point by point
     queue = np.arange(len(a))  # panels not started
     groups: list[tuple] = []   # (depth, error budget, lo, hi, pan), last in first out
     values: list[np.ndarray] = []
@@ -191,7 +174,7 @@ def _kronrod(fv: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_dep
             groups.append((depth, tol, lo[alone], hi[alone], pan[alone]))
             continue
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fx = _values(fv, mid[:, None] + half[:, None] * _XK)
+        fv, fx = _values(f, fv, mid[:, None] + half[:, None] * _XK)
         kronrod = half * (fx * _WK).sum(axis=1)
         err = np.abs(kronrod - half * (fx[:, 1::2] * _WG).sum(axis=1))
         done = err <= tol
@@ -252,13 +235,17 @@ def integrate(
     cfg: QuadratureConfig = QuadratureConfig(),
     breakpoints: Sequence[float] = (),
 ) -> float:
-    """Integrate f over [lo, hi], splitting at the given interior breakpoints."""
+    """Integrate f over [lo, hi], splitting at the given interior breakpoints.
+
+    f may map an array of points to an array of values, or take one float;
+    the first batch of points tells which (see ``_first_batch``).  An empty
+    interval gives 0.0 without calling f.
+    """
     lo, hi = _bounds(lo, hi)
-    if hi < lo:
-        return -integrate(f, hi, lo, cfg, breakpoints)
+    if hi <= lo:
+        return -integrate(f, hi, lo, cfg, breakpoints) if hi < lo else 0.0
     brk = np.asarray(breakpoints, dtype=float)
     edges = np.concatenate(([lo], np.unique(brk[(lo < brk) & (brk < hi)]), [hi]))
     if len(edges) == 2 and (hi - lo) > 1e4 * max(1.0, abs(lo + hi)):
-        edges = ladder_breakpoints(lo, hi, 0.0, max(1.0, abs(lo + hi) * 0.5))
-    fv = _vectorized(f, (lo + 0.5 * (hi - lo), lo + 0.25 * (hi - lo)))
-    return math.fsum(_panels(fv, edges, cfg))
+        edges = np.array(ladder_breakpoints(lo, hi, 0.0, max(1.0, abs(lo + hi) * 0.5)))
+    return math.fsum(_kronrod(f, edges[:-1], edges[1:], cfg.abs_tol, cfg.max_depth))

@@ -22,6 +22,7 @@ from cdt.bhattacharyya import (
 from cdt.bhattacharyya import _mass_barycenters
 from cdt.divergences import _zero_floor, skew_jccd
 from cdt.convexity import function_model
+from cdt.expectations import qa_expected_value
 from cdt.expr import expression_generator
 from cdt.errors import (
     DomainError,
@@ -305,7 +306,6 @@ class TestDensities:
         with pytest.raises(WeightError):
             DensityModel(
                 eval=lambda x: np.full_like(np.asarray(x, float), 0.4),
-                support=Interval(0.0, 2.0),
                 truncation=(0.0, 2.0),
             )
 
@@ -315,13 +315,37 @@ class TestDensities:
         p = histogram_density((0.0, 1.0, 2.0), (1.0, 0.0))
         q = DensityModel(
             eval=lambda x: np.where(np.asarray(x, float) <= 1.5, 1.0 / 1.5, np.nan),
-            support=Interval(0.0, 2.0),
             truncation=(0.0, 2.0),
             normalized=False,
         )
         for M in (GEOMETRIC, ARITHMETIC, HARMONIC):
             with pytest.raises(DomainError, match="nonnegative and not NaN"):
                 bhat_coefficient(M, 0.5, p, q)
+
+    def test_scalar_only_densities_equal_their_array_twins(self):
+        # Uniform and linear densities on [0, 2] whose eval takes one float,
+        # against the same densities evaluated on arrays.  Lehmer below
+        # arithmetic is checked by sampling over a window of density values.
+        def twins(height):
+            return (
+                lambda x: height(x) if 0.0 <= x <= 2.0 else 0.0,
+                lambda x: np.where((x >= 0.0) & (x <= 2.0), height(np.asarray(x, float)), 0.0),
+            )
+
+        (p, pa), (q, qa) = (
+            [DensityModel(eval=f, truncation=(0.0, 2.0)) for f in twins(height)]
+            for height in (lambda x: 0.5 + 0.0 * x, lambda x: 0.25 * (1.0 + x))
+        )
+        assert float(cmbd(lehmer(-0.3), ARITHMETIC, 0.5, p, q)) == float(cmbd(lehmer(-0.3), ARITHMETIC, 0.5, pa, qa))
+        assert bhat_coefficient(GEOMETRIC, 0.3, p, q) == bhat_coefficient(GEOMETRIC, 0.3, pa, qa)
+        assert qa_expected_value(EXP, q) == qa_expected_value(EXP, qa)
+        # the normalization check: 0.4 on [0, 2] integrates to 0.8 either way
+        messages = []
+        for f in twins(lambda x: 0.4 + 0.0 * x):
+            with pytest.raises(WeightError) as info:
+                DensityModel(eval=f, truncation=(0.0, 2.0))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and messages[0].startswith("density integrates to 0.7999999999999999 ")
 
     def test_quadrature_failure_budget(self):
         with pytest.raises(QuadratureFailure):

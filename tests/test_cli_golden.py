@@ -129,6 +129,7 @@ CASES = [
      {}),
     ("bhat-cauchy", ["bhat", "--M", "qa:reciprocal", "--N", "qa:identity", "--alpha", "0.5",
                      "--p", "c1.json", "--q", "c3.json"], {}),
+    # the Gauss-Legendre flags are gone: argparse rejects them
     ("bhat-cauchy-gauss", ["bhat", "--M", "qa:reciprocal", "--alpha", "0.3", "--quad-rule", "gauss_legendre",
                            "--quad-nodes", "32", "--p", "c1.json", "--q", "c3.json"], {}),
     ("bhat-grid", ["bhat", "--M", "qa:log", "--alpha", "0.4", "--p", "grid.json", "--q", "grid2.json"], {}),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdt import bhattacharyya, expectations
 from cdt.bhattacharyya import (
     _barycenters,
     _merged_quadrature,
@@ -21,7 +23,8 @@ from cdt.bhattacharyya import (
 from cdt.cli import main
 from cdt.errors import DomainError, ParamError, QuadratureFailure
 from cdt.expectations import qa_expected_value
-from cdt.generators import LOG
+from cdt.expr import expression_model
+from cdt.generators import LOG, RECIPROCAL
 from cdt.means import ARITHMETIC, GEOMETRIC, HARMONIC
 from cdt.quadrature import (
     _MAX_ACTIVE,
@@ -30,42 +33,104 @@ from cdt.quadrature import (
     _XK,
     QuadratureConfig,
     gauss_kronrod,
-    gauss_legendre,
     integrate,
 )
 
 
 def _counted(f):
+    """f, counting its calls and recording the number of points of each."""
+
     def g(x):
         g.calls += 1
+        g.sizes.append(np.size(x))
         return f(x)
 
     g.calls = 0
+    g.sizes = []
     return g
 
 
 def test_histogram_integral_probes_once():
-    # 200 constant panels: one probe for the whole integral, then one call
-    # at the 15 Kronrod nodes of all panels at once, which accepts them all.
+    # 200 constant panels: one call at the 15 Kronrod nodes of all panels at
+    # once, which accepts them all; no probe before it.
     edges = np.linspace(-2.0, 3.0, 201)
     masses = np.random.default_rng(5).dirichlet(np.ones(200))
     h = histogram_density(edges, masses)
     f = _counted(lambda x: h.eval(x) ** 2)
     got = integrate(f, *h.truncation, h.quadrature, h.breakpoints)
     assert got == 0.35679801523730764 == math.fsum((masses**2 / np.diff(edges)).tolist())
-    assert f.calls == 2
+    assert f.calls == 1
+
+
+def test_density_integrals_of_a_bhat_operation_are_not_probed(monkeypatch):
+    # The densities of one operation of the bhat benchmark workload at seed
+    # 1, drawn as it draws them: its 8 integrals make one integrand call
+    # each, on 15120 points (a probe per integral made that 16 calls on
+    # 15136 points).
+    rng = np.random.default_rng(1)
+    alpha = float(rng.uniform(0.3, 0.7))
+    for _ in range(2):  # the two sparse 10^4-bin mass vectors
+        rng.gamma(2.0, 1.0, 10_000), rng.random(10_000)
+    C1, C2 = (cauchy_density(float(s)) for s in rng.uniform(0.5, 2.0, 2))
+    H1, H2 = (histogram_density(np.geomspace(0.5, 8.0, 201), h / h.sum()) for h in rng.gamma(2.0, 1.0, (2, 200)))
+    integrands = []
+
+    def counted(f, *args):
+        integrands.append(_counted(f))
+        return integrate(integrands[-1], *args)
+
+    monkeypatch.setattr(bhattacharyya, "integrate", counted)
+    monkeypatch.setattr(expectations, "integrate", counted)
+    got = [
+        float(cmbd(HARMONIC, ARITHMETIC, alpha, C1, C2)),
+        float(cmbd(GEOMETRIC, ARITHMETIC, alpha, C1, C2)),
+        float(cmbd(GEOMETRIC, ARITHMETIC, alpha, H1, H2)),
+        qa_expected_value(LOG, H1),
+        qa_expected_value(RECIPROCAL, H1),
+    ]
+    sizes = [n for g in integrands for n in g.sizes]
+    assert sizes == [780] * 4 + [3000] * 4 and sum(sizes) == 15120
+    assert [v.hex() for v in got] == [
+        "0x1.fd7301fbecce1p-5", "0x1.00b40284fadb5p-5", "0x1.c73448a25e3aap-4",
+        "0x1.0e54b47f309b6p+1", "0x1.93653f2a0c9bcp+0",
+    ]
 
 
 def test_integrate_accepts_scalar_only_integrands():
-    for rule in ("gauss_kronrod", "gauss_legendre"):
-        got = integrate(math.exp, 0.0, 1.0, QuadratureConfig(rule=rule), (0.5,))
-        assert got == pytest.approx(math.e - 1.0, rel=1e-10)
+    # math.exp fails on an array, and the constant returns a float for one:
+    # both are called point by point from their first batch on.
+    assert integrate(math.exp, 0.0, 1.0, breakpoints=(0.5,)) == pytest.approx(math.e - 1.0, rel=1e-14)
+    assert integrate(lambda x: 1.0, -1.0, 2.0, breakpoints=(0.5,)) == 3.0
 
 
 def test_public_rules_probe_their_integrand():
     assert gauss_kronrod(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-14)
     assert gauss_kronrod(math.sin, math.pi, 0.0) == -gauss_kronrod(math.sin, 0.0, math.pi)
-    assert gauss_legendre(math.sin, math.pi, 0.0) == pytest.approx(-2.0, rel=1e-12)
+
+
+def test_array_integrands_are_called_once_per_level():
+    # log(x - 5) is undefined at 0.25 and 0.5, where a probe on [0, 1] would
+    # have looked; on [10, 20] every batch is one array call, never a point.
+    f = _counted(expression_model("log(x-5)", (5.0, 30.0)).value)
+    got = gauss_kronrod(f, 10.0, 20.0)
+    assert f.sizes == [15, 30]  # one panel, then its two halves
+    want = 15.0 * math.log(15.0) - 5.0 * math.log(5.0) - 10.0
+    assert got == integrate(lambda x: np.log(x - 5.0), 10.0, 20.0) == pytest.approx(want, rel=1e-14)
+    # empty intervals: 0.0 without a call, even where f is undefined
+    assert gauss_kronrod(np.log, 0, 0) == 0.0 and integrate(np.log, 0, 0) == 0.0
+
+
+def test_domain_error_of_the_first_batch_passes_through():
+    raised = []
+
+    def f(x):
+        raised.append(DomainError("undefined here"))
+        raise raised[-1]
+
+    g = _counted(f)
+    with pytest.raises(DomainError) as info:
+        integrate(g, 0.0, 1.0, breakpoints=(0.5,))
+    assert info.value is raised[0] and g.sizes == [30]
 
 
 def test_kronrod_pair_constants():
@@ -104,17 +169,14 @@ def _kronrod_panel(fv, lo, hi, tol, depth, max_depth, accepted):
 
 
 def _per_panel(fv, lo, hi, cfg, breakpoints):
-    """integrate as a loop over its panels: adaptive G7K15 per panel (or the
-    public Gauss-Legendre rule), fsum per panel, then fsum over the panels."""
+    """integrate as a loop over its panels: adaptive G7K15 per panel, fsum per
+    panel, then fsum over the panels."""
     edges = [lo, *sorted({float(b) for b in breakpoints if lo < b < hi}), hi]
     parts = []
     for a, b in zip(edges[:-1], edges[1:]):
-        if cfg.rule == "gauss_legendre":
-            parts.append(gauss_legendre(fv, a, b, cfg.nodes))
-        else:
-            accepted = []
-            _kronrod_panel(fv, a, b, cfg.abs_tol, 0, cfg.max_depth, accepted)
-            parts.append(math.fsum(accepted))
+        accepted = []
+        _kronrod_panel(fv, a, b, cfg.abs_tol, 0, cfg.max_depth, accepted)
+        parts.append(math.fsum(accepted))
     return math.fsum(parts)
 
 
@@ -123,7 +185,7 @@ def _pair_integrand(M, alpha, p, q):
     return (lambda x: _barycenters(M, alpha, p.eval(x), q.eval(x))), lo, hi, brk
 
 
-RULES = st.sampled_from([QuadratureConfig(), QuadratureConfig(abs_tol=1e-13), QuadratureConfig(rule="gauss_legendre")])
+CONFIGS = st.sampled_from([QuadratureConfig(), QuadratureConfig(abs_tol=1e-13)])
 MEANS = st.sampled_from([GEOMETRIC, HARMONIC])
 ALPHAS = st.floats(0.05, 0.95)
 
@@ -134,7 +196,7 @@ ALPHAS = st.floats(0.05, 0.95)
     seed=st.integers(0, 2**32 - 1),
     M=MEANS,
     alpha=ALPHAS,
-    cfg=RULES,
+    cfg=CONFIGS,
 )
 def test_batched_equals_per_panel_on_histograms(n, seed, M, alpha, cfg):
     rng = np.random.default_rng(seed)
@@ -145,7 +207,7 @@ def test_batched_equals_per_panel_on_histograms(n, seed, M, alpha, cfg):
 
 
 @settings(deadline=None, max_examples=20)
-@given(s1=st.floats(0.05, 20.0), s2=st.floats(0.05, 20.0), M=MEANS, alpha=ALPHAS, cfg=RULES)
+@given(s1=st.floats(0.05, 20.0), s2=st.floats(0.05, 20.0), M=MEANS, alpha=ALPHAS, cfg=CONFIGS)
 def test_batched_equals_per_panel_on_cauchy_pairs(s1, s2, M, alpha, cfg):
     fv, lo, hi, brk = _pair_integrand(M, alpha, cauchy_density(s1, cfg), cauchy_density(s2, cfg))
     assert integrate(fv, lo, hi, cfg, brk) == _per_panel(fv, lo, hi, cfg, brk)
@@ -172,13 +234,13 @@ def test_panels_past_the_active_bound_keep_their_results():
 
 
 def test_many_panels_start_in_groups():
-    # 600 constant panels: a probe, then 3 groups of at most _MAX_ACTIVE
-    # panels, each accepted in one call.
+    # 600 constant panels: 3 groups of at most _MAX_ACTIVE panels, each
+    # accepted in one call.
     edges = np.linspace(0.0, 6.0, 601)
     h = histogram_density(edges, np.random.default_rng(3).dirichlet(np.ones(600)))
     f = _counted(lambda x: h.eval(x) ** 2)
     got = integrate(f, *h.truncation, h.quadrature, h.breakpoints)
-    assert f.calls == 4
+    assert f.calls == 3
     assert got == _per_panel(lambda x: h.eval(x) ** 2, *h.truncation, h.quadrature, h.breakpoints)
 
 
@@ -262,22 +324,27 @@ def test_log_expected_value_of_a_histogram_matches_mpmath():
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):
-    with pytest.raises(ParamError):
+    # rule and nodes went with Gauss-Legendre: they are unknown fields now
+    error = TypeError if kwargs.keys() & {"rule", "nodes"} else ParamError
+    with pytest.raises(error):
         QuadratureConfig(**kwargs)
 
 
+def test_config_has_only_a_tolerance_and_a_depth():
+    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["abs_tol", "max_depth"]
+
+
 def test_config_takes_numpy_integers():
-    cfg = QuadratureConfig(rule="gauss_legendre", nodes=np.int64(8), max_depth=np.int32(3))
-    assert integrate(np.exp, 0.0, 1.0, cfg) == pytest.approx(math.e - 1.0, rel=1e-14)
+    for depth in (np.int64(8), np.int32(3)):
+        cfg = QuadratureConfig(max_depth=depth)
+        assert integrate(np.exp, 0.0, 1.0, cfg) == pytest.approx(math.e - 1.0, rel=1e-14)
 
 
 def test_public_rules_validate_their_parameters():
     with pytest.raises(ParamError):
         gauss_kronrod(math.sin, 0.0, 1.0, abs_tol=-1.0)
-    with pytest.raises(ParamError):
-        gauss_legendre(math.sin, 0.0, 1.0, nodes=0)
-    with pytest.raises(ParamError, match="nodes must be an integer, got 2.5"):
-        gauss_legendre(np.exp, 0.0, 1.0, nodes=2.5)
+    with pytest.raises(ParamError, match="max_depth must be an integer, got 2.5"):
+        gauss_kronrod(np.exp, 0.0, 1.0, max_depth=2.5)
     with pytest.raises(ParamError, match="max_depth must be an integer"):
         gauss_kronrod(np.exp, 0.0, 1.0, max_depth=True)
 
@@ -287,48 +354,46 @@ def test_bounds_must_be_finite(lo, hi):
     f = _counted(lambda x: np.exp(-np.abs(x)))
     for call in (
         lambda: integrate(f, lo, hi),
-        lambda: integrate(f, lo, hi, QuadratureConfig(rule="gauss_legendre")),
+        lambda: integrate(f, lo, hi, breakpoints=(0.5,)),
         lambda: gauss_kronrod(f, lo, hi),
-        lambda: gauss_legendre(f, lo, hi),
     ):
         with pytest.raises(ParamError, match="bounds must be finite"):
             call()
     assert f.calls == 0
 
 
-@pytest.mark.parametrize("cfg", [QuadratureConfig(), QuadratureConfig(rule="gauss_legendre", nodes=8)])
-def test_non_finite_integrand_raises_in_the_call_that_sees_it(cfg):
+def test_non_finite_integrand_raises_in_the_call_that_sees_it():
     nan = _counted(lambda x: np.full(np.shape(x), np.nan))
     with pytest.raises(DomainError, match=r"^integrand is nan at x = "):
-        integrate(nan, 0.0, 1.0, cfg)
-    assert nan.calls == 2  # the probe, then the first batch
+        integrate(nan, 0.0, 1.0)
+    assert nan.calls == 1  # the first batch
 
     # infinite beyond 0.75: the error names the first such point of the call
     pole = _counted(lambda x: np.where(x > 0.75, np.inf, 1.0))
     with pytest.raises(DomainError) as info:
-        integrate(pole, 0.0, 1.0, cfg, (0.5,))
-    x = _XK if cfg.rule == "gauss_kronrod" else np.polynomial.legendre.leggauss(8)[0]
-    first = float((0.75 + 0.25 * x)[x > 0.0][0])  # in the second panel, [0.5, 1]
+        integrate(pole, 0.0, 1.0, breakpoints=(0.5,))
+    first = float((0.75 + 0.25 * _XK)[_XK > 0.0][0])  # in the second panel, [0.5, 1]
     assert str(info.value) == f"integrand is inf at x = {first!r}"
-    assert pole.calls == 2
+    assert pole.calls == 1
 
 
 def test_non_finite_integrand_of_a_public_rule():
     with pytest.raises(DomainError, match="integrand is nan"):
         gauss_kronrod(lambda x: math.log(x) if x > 0.5 else math.nan, 0.0, 1.0)
     with pytest.raises(DomainError, match="integrand is -inf"):
-        gauss_legendre(lambda x: np.where(x < 0.5, -np.inf, x), 0.0, 1.0)
+        gauss_kronrod(lambda x: np.where(x < 0.5, -np.inf, x), 0.0, 1.0)
 
 
 def test_cli_rejects_the_removed_rule(capsys):
     argv = ["bhat", "--M", "qa:reciprocal", "--alpha", "0.5", "--p", "u.json", "--q", "u.json"]
-    with pytest.raises(SystemExit) as info:
-        main(argv + ["--quad-rule", "adaptive_simpson"])
-    assert info.value.code == 2
-    assert "'gauss_kronrod', 'gauss_legendre'" in capsys.readouterr().err
+    for flag in (["--quad-rule", "gauss_legendre"], ["--quad-nodes", "32"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + flag)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--quad-tol", "0"], ["--quad-nodes", "0"]])
+@pytest.mark.parametrize("flag", [["--quad-tol", "0"], ["--quad-tol", "nan"]])
 def test_cli_rejects_bad_quadrature_options(tmp_path, capsys, flag):
     u = tmp_path / "u.json"
     u.write_text(json.dumps({"type": "cauchy", "scale": 1.0}), encoding="utf-8")
