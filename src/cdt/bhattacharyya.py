@@ -40,7 +40,7 @@ from .errors import (
     WeightError,
 )
 from .generators import IDENTITY, Generator, Interval
-from .means import GEOMETRIC, MeanSpec, _exact_sum, dominates, power, quasi_arithmetic, weighted_means
+from .means import GEOMETRIC, WEIGHT_SUM_TOL, MeanSpec, _exact_sum, dominates, power, quasi_arithmetic, weighted_means
 from .quadrature import QuadratureConfig, _vectorized, integrate, ladder_breakpoints
 
 
@@ -80,7 +80,7 @@ class DiscreteDist:
             raise DomainError("masses must be nonnegative")
         if self.normalized:
             total = _exact_sum(a)
-            if abs(total - 1.0) > 1e-9:
+            if abs(total - 1.0) > WEIGHT_SUM_TOL:
                 raise WeightError(f"masses sum to {total!r}, expected 1 within 1e-9")
         if self.values is not None:
             vals = tuple(float(v) for v in self.values)

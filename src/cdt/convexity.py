@@ -18,11 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OrderError, ParamError
+from .errors import DomainError, OrderError, ParamError, require_int
 from .generators import Generator, Interval, _apply, _first, _floats, _fused, _image, _wrap_callables, finite_difference
 
-#: Default number of grid points for convexity scans.
+#: Default number of grid points for convexity scans, and the number of
+#: sampled grid pairs whose midpoint inequality they check.
 DEFAULT_GRID = 257
+PAIR_SAMPLES = 512
 
 #: Relative tolerance separating strictly convex / affine / concave evidence.
 CONVEXITY_RTOL = 1e-9
@@ -76,9 +78,9 @@ class FunctionModel:
         derivative = self.derivative or (lambda v: finite_difference(self.eval, v, self.domain))
         return _apply(derivative, x, f"the derivative of {self.id!r}", None, (), np.isnan)
 
-    def checked(self, points: int = 33) -> "FunctionModel":
-        """Verify finiteness on sampled domain points; returns self."""
-        self.value(self.domain.sample_grid(points))
+    def checked(self) -> "FunctionModel":
+        """Verify finiteness on 33 sampled domain points; returns self."""
+        self.value(self.domain.sample_grid(33))
         return self
 
 
@@ -183,19 +185,19 @@ def is_mn_convex(
     rho: Generator,
     tau: Generator,
     grid: int = DEFAULT_GRID,
-    pair_samples: int = 512,
     seed: int = 0,
 ) -> ConvexityReport:
     """Sampled (M_rho, M_tau)-convexity verdict for F.
 
     Scans second divided differences of the reduced function G on a grid of
     ``grid`` points (geometric spacing on positive domains) and midpoint
-    inequalities on sampled grid pairs in the original coordinates.  Both
-    kinds of gap go to the one verdict rule: NOT_CONVEX when some gap is
-    below -CONVEXITY_RTOL, otherwise CONVEX when some gap is above
-    CONVEXITY_RTOL, otherwise AFFINE.  A grid of fewer than 3 points holds
-    no second difference and raises ParamError.
+    inequalities on PAIR_SAMPLES sampled grid pairs in the original
+    coordinates.  Both kinds of gap go to the one verdict rule: NOT_CONVEX
+    when some gap is below -CONVEXITY_RTOL, otherwise CONVEX when some gap
+    is above CONVEXITY_RTOL, otherwise AFFINE.  A non-integer ``grid``, or
+    one of fewer than 3 points (no second difference), raises ParamError.
     """
+    require_int(grid, "grid")
     if grid < 3:
         raise ParamError(f"grid={grid!r}: a convexity scan needs at least 3 points")
     dom = F.domain.intersect(rho.domain)
@@ -212,8 +214,8 @@ def is_mn_convex(
 
     rng = np.random.default_rng(seed)
     n = len(xs)
-    ii = rng.integers(0, n, pair_samples)
-    jj = rng.integers(0, n, pair_samples)
+    ii = rng.integers(0, n, PAIR_SAMPLES)
+    jj = rng.integers(0, n, PAIR_SAMPLES)
     ii, jj = ii[ii != jj], jj[ii != jj]
     mids = _pullback(rho, 0.5 * (us[ii] + us[jj]), dom)
     lhs = tau.inv(0.5 * (gs[ii] + gs[jj]))

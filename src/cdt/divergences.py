@@ -10,6 +10,11 @@ obtained as the one-sided limit of skew Jensen divergences scaled by
 1/(alpha(1-alpha)).  It factors as a conformal ordinary Bregman divergence
 in the rho-embedded space with positive factor 1/tau'(F(q)).
 
+One helper computes both sides of every Jensen gap N(F(X); W) - F(M(X; W))
+here, certificate included.  A divergence is certified by the ``verdict``
+it is given, else by the default certificate at ``seed``; a caller who
+wants other sampling passes the verdict of a certificate that used it.
+
 Orientation conventions: ``qabd`` anchors its expansion at q (second
 argument); ``lehmer_bregman`` follows the Lehmer-mean expansion anchored at
 p (first argument).  Both are kept as-is, with no silent reconciliation.
@@ -43,9 +48,10 @@ from .errors import (
     ParamError,
     UnsupportedWeights,
     WeightError,
+    require_int,
 )
 from .generators import Generator, _first
-from .means import MeanSpec, _checked_means, lehmer, mean_value, weighted_mean
+from .means import WEIGHT_SUM_TOL, MeanSpec, _checked_means, lehmer
 
 #: Values in [-ZERO_FLOOR, 0) are clamped to 0: floating-point cancellation
 #: near p = q, not a convexity violation.
@@ -111,7 +117,7 @@ class WeightedSet:
             raise WeightError("weighted set must be nonempty")
         if any(w <= 0.0 for w in wts):
             raise WeightError("weights must be strictly positive")
-        if abs(math.fsum(wts) - 1.0) > 1e-9:
+        if abs(math.fsum(wts) - 1.0) > WEIGHT_SUM_TOL:
             raise WeightError("weights must sum to 1 within 1e-9")
 
     @staticmethod
@@ -136,9 +142,10 @@ def midpoint_verdict(
     The witness is (p, q, gap) with the unnormalized gap.
 
     Verdicts are deterministic in their arguments and cached.  F and each
-    mean are evaluated once over all samples; fewer than one sample raises
-    ParamError.
+    mean are evaluated once over all samples; a ``samples`` that is not an
+    integer, or is below one, raises ParamError.
     """
+    require_int(samples, "samples")
     if samples < 1:
         raise ParamError(f"samples={samples!r}: a midpoint certificate needs at least one sample")
     return _midpoint_verdict_cached(F, M, N, samples, seed)
@@ -151,17 +158,16 @@ def _midpoint_verdict_cached(
     rng = np.random.default_rng(seed)
     a, b = F.domain.finite_window()
     P = np.stack([rng.uniform(a, b, samples), rng.uniform(a, b, samples)])
-    lhs = _checked_means(N, F.value(P), (0.5, 0.5))
-    rhs = F.value(_checked_means(M, P, (0.5, 0.5)))
+    lhs, rhs = _jensen_sides(F, M, N, P, (0.5, 0.5))
     scales = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     gaps = (lhs - rhs) / scales
     return _verdict(gaps, lambda k: (float(P[0, k]), float(P[1, k]), float(gaps[k] * scales[k])))
 
 
-def _require_certified(what: str, verdict, F: FunctionModel, M: MeanSpec, N: MeanSpec, samples, seed) -> None:
+def _require_certified(what: str, verdict, F: FunctionModel, M: MeanSpec, N: MeanSpec, seed) -> None:
     """Raise ConvexityError unless ``verdict`` (by default the midpoint
     certificate) holds."""
-    rep = verdict or midpoint_verdict(F, M, N, samples, seed)
+    rep = verdict or midpoint_verdict(F, M, N, seed=seed)
     if rep.verdict is Verdict.NOT_CONVEX:
         raise ConvexityError(f"{what}: certificate failed with witness {rep.witness!r}")
 
@@ -173,19 +179,23 @@ def jccd(
     p: float,
     q: float,
     verdict: ConvexityReport | None = None,
-    samples: int = 512,
     seed: int = 0,
 ) -> DivergenceValue:
     """Jensen divergence under (M,N)-convexity: N(F(p),F(q)) - F(M(p,q))."""
-    _require_certified("jccd", verdict, F, M, N, samples, seed)
-    value = mean_value(N, F.value(p), F.value(q)) - F.value(mean_value(M, p, q))
-    return DivergenceValue.create(value, (p, q))
+    _require_certified("jccd", verdict, F, M, N, seed)
+    return DivergenceValue.create(_skew_values(F, M, N, np.array([0.5]), p, q)[0], (p, q))
+
+
+def _jensen_sides(F: FunctionModel, M: MeanSpec, N: MeanSpec, X, W) -> tuple[np.ndarray, np.ndarray]:
+    """N(F(X); W) and F(M(X; W)) over the columns of X, the two sides of
+    every Jensen gap here; X must lie strictly inside the means' domains."""
+    return _checked_means(N, F.value(X), W), F.value(_checked_means(M, X, W))
 
 
 def _skew_values(F: FunctionModel, M: MeanSpec, N: MeanSpec, alpha: np.ndarray, p: float, q: float):
     """N_alpha(F(p), F(q)) - F(M_alpha(p, q)) for each alpha of an array."""
     W, X = np.stack([1.0 - alpha, alpha]), np.stack([np.full_like(alpha, p), np.full_like(alpha, q)])
-    return _checked_means(N, F.value(X), W) - F.value(_checked_means(M, X, W))
+    return np.subtract(*_jensen_sides(F, M, N, X, W))
 
 
 def skew_jccd(
@@ -196,7 +206,6 @@ def skew_jccd(
     p: float,
     q: float,
     verdict: ConvexityReport | None = None,
-    samples: int = 512,
     seed: int = 0,
 ) -> DivergenceValue:
     """Skew Jensen divergence N_alpha(F(p),F(q)) - F(M_alpha(p,q)), alpha in (0,1)."""
@@ -205,7 +214,7 @@ def skew_jccd(
         raise WeightError(f"alpha={alpha!r} outside (0, 1); see extended_skew_jensen")
     if not (M.supports_weights and N.supports_weights):
         raise UnsupportedWeights(f"means {M} and {N} must both support weights")
-    _require_certified("skew_jccd", verdict, F, M, N, samples, seed)
+    _require_certified("skew_jccd", verdict, F, M, N, seed)
     return DivergenceValue.create(_skew_values(F, M, N, np.array([alpha]), p, q)[0], (p, q))
 
 
@@ -232,7 +241,6 @@ def jensen_diversity(
     N: MeanSpec,
     points: WeightedSet,
     verdict: ConvexityReport | None = None,
-    samples: int = 512,
     seed: int = 0,
 ) -> float:
     """Diversity index of a weighted set: N(F(x); w) - F(M(x; w)).
@@ -241,11 +249,9 @@ def jensen_diversity(
     (the variance for F(x) = x^2).  Clamped as :func:`jccd`: [-ZERO_FLOOR, 0)
     reads 0, a lower value raises ConvexityError.
     """
-    _require_certified("jensen_diversity", verdict, F, M, N, samples, seed)
-    value = weighted_mean(N, F.value(np.array(points.points)), points.weights) - F.value(
-        weighted_mean(M, points.points, points.weights)
-    )
-    return float(_nonnegative(value))
+    _require_certified("jensen_diversity", verdict, F, M, N, seed)
+    lhs, rhs = _jensen_sides(F, M, N, np.array(points.points), points.weights)
+    return float(_nonnegative(lhs - rhs))
 
 
 def kappa(gamma: Generator, x: float, y: float) -> float:
@@ -271,15 +277,12 @@ class QabdSpec:
     rho: Generator
     tau: Generator
     verdict: ConvexityReport | None = None
-    grid: int = 257
     seed: int = 0
     reduced: FunctionModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "reduced", to_ordinary(self.F, self.rho, self.tau))
-        rep = self.verdict
-        if rep is None:
-            rep = is_mn_convex(self.F, self.rho, self.tau, grid=self.grid, seed=self.seed)
+        rep = self.verdict or is_mn_convex(self.F, self.rho, self.tau, seed=self.seed)
         if rep.verdict is Verdict.NOT_CONVEX:
             raise ConvexityError(
                 f"{self.F.id!r} is not ({self.rho.id},{self.tau.id})-convex: witness {rep.witness!r}"
@@ -330,7 +333,6 @@ def bccd_numeric(
     q: float,
     alpha_sequence: Sequence[float],
     verdict: ConvexityReport | None = None,
-    samples: int = 512,
     seed: int = 0,
 ) -> tuple[float, ...]:
     """Skew-Jensen approximants of the Bregman limit along alpha -> 1^-.
@@ -341,13 +343,13 @@ def bccd_numeric(
     the limit estimate.
     """
     seq = [float(a) for a in alpha_sequence]
-    if not seq or any(a <= 0.0 or a >= 1.0 for a in seq):
+    if not seq or not all(0.0 < a < 1.0 for a in seq):
         raise ParamError("alpha_sequence must lie strictly inside (0, 1)")
     if any(b >= a for a, b in zip(seq, seq[1:])):
         raise ParamError("alpha_sequence must be strictly decreasing")
     if not (M.supports_weights and N.supports_weights):
         raise UnsupportedWeights(f"means {M} and {N} must both support weights")
-    _require_certified("bccd_numeric", verdict, F, M, N, samples, seed)
+    _require_certified("bccd_numeric", verdict, F, M, N, seed)
     a = np.array(seq)
     alpha = 1.0 - a
     return tuple((_skew_values(F, M, N, alpha, p, q) / (alpha * a)).tolist())
@@ -361,7 +363,6 @@ def omega_divergence(
     p: float,
     q: float,
     verdict: ConvexityReport | None = None,
-    samples: int = 512,
     seed: int = 0,
 ) -> float:
     """Symmetric-parameter divergence: skew Jensen at alpha = (1+omega)/2,
@@ -370,8 +371,7 @@ def omega_divergence(
     if not -1.0 < omega < 1.0:
         raise WeightError(f"omega={omega!r} outside (-1, 1)")
     alpha = 0.5 * (1.0 + omega)
-    val = float(skew_jccd(F, M, N, alpha, p, q, verdict, samples, seed))
-    return val / (1.0 - omega * omega)
+    return float(skew_jccd(F, M, N, alpha, p, q, verdict, seed)) / (1.0 - omega * omega)
 
 
 def _chi(delta: float, a: float, b: float) -> float:
@@ -385,7 +385,6 @@ def lehmer_bregman(
     p: float,
     q: float,
     verdict: ConvexityReport | None = None,
-    samples: int = 512,
     seed: int = 0,
 ) -> float:
     """Bregman divergence from Lehmer-mean comparative convexity, anchored at p:
@@ -400,7 +399,7 @@ def lehmer_bregman(
     fp, fq = F.value(p), F.value(q)
     if fp <= 0.0 or fq <= 0.0:
         raise DomainError("lehmer_bregman requires positive generator values")
-    _require_certified("lehmer_bregman", verdict, F, lehmer(delta), lehmer(delta2), samples, seed)
+    _require_certified("lehmer_bregman", verdict, F, lehmer(delta), lehmer(delta2), seed)
     value = _chi(float(delta2), fp, fq) - _chi(float(delta), p, q) * F.deriv(p)
     return float(_nonnegative(value))
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 
 class CdtError(Exception):
     """Base class for all toolkit errors."""
@@ -61,6 +63,12 @@ class DominanceError(CdtError):
 
 class ParamError(CdtError, ValueError):
     """A numeric parameter is outside the admissible set for the operation."""
+
+
+def require_int(value, what: str) -> None:
+    """ParamError unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParamError(f"{what} must be an integer, got {value!r}")
 
 
 class ConfigError(CdtError, ValueError):

@@ -12,7 +12,8 @@ arguments of weight 1/2).  The scalar API (:func:`mean_value`,
 callers (distributions) may pass zeros, and a zero argument takes the x -> 0+
 limit of the mean: 0 log 0 counts as 0, and where the mean collapses (a
 geometric, harmonic or other negative-order mean with a zero argument) the
-value is 0.
+value is 0.  Spec strings (``qa:log``, ``gini:1:2``, ``dual:power:1``) name
+means; :func:`format_mean` and :func:`parse_mean` read one table of them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .errors import (
     ParamError,
     UnsupportedWeights,
     WeightError,
+    require_int,
 )
 from .generators import IDENTITY, LOG, RECIPROCAL, Generator, Interval, get_generator, power_generator
 from .generators import _apply, _check_inside, _first, _floats, _fused, _invert_monotone, _monotone_direction
@@ -43,6 +45,27 @@ NEAR_EQUAL_REL = 1e-9
 
 #: Lehmer means that equal a power mean at every weight: L_0 = A, L_-1 = H.
 _LEHMER_POWER_ORDER = {0.0: 1.0, -1.0: -1.0}
+
+_GENERATOR = "generator name"  # a field read as a generator; any other is a float
+
+
+class _Grammar(NamedTuple):
+    head: str  # the spec's first token
+    fields: tuple  # (MeanSpec field, the word parse errors name it by), in token order
+    weighted: bool  # whether the family has weighted forms
+
+
+#: The spec grammar of every family but ``dual``, which wraps a spec.
+_GRAMMAR = {
+    "quasi_arithmetic": _Grammar("qa", (("generator", _GENERATOR),), True),
+    "power": _Grammar("power", (("delta", "power exponent"),), True),
+    "lehmer": _Grammar("lehmer", (("delta", "lehmer order"),), True),
+    "gini": _Grammar("gini", (("delta", "gini exponent"), ("delta2", "gini exponent")), True),
+    "lagrange": _Grammar("lagrange", (("generator", _GENERATOR),), False),
+    "cauchy": _Grammar("cauchy", (("generator", _GENERATOR), ("generator2", _GENERATOR)), False),
+    "stolarsky": _Grammar("stolarsky", (("delta", "stolarsky exponent"),), False),
+}
+_FAMILY_OF_HEAD = {g.head: family for family, g in _GRAMMAR.items()}
 
 
 @dataclass(frozen=True)
@@ -58,7 +81,7 @@ class MeanSpec:
 
     @property
     def supports_weights(self) -> bool:
-        return self.family in ("quasi_arithmetic", "power", "lehmer", "gini")
+        return self.family in _GRAMMAR and _GRAMMAR[self.family].weighted
 
     @property
     def power_order(self) -> float | None:
@@ -98,7 +121,7 @@ class MeanSpec:
 
 def _num(x: float) -> str:
     f = float(x)
-    return str(int(f)) if f == int(f) and abs(f) < 1e15 else repr(f)
+    return str(int(f)) if f.is_integer() and abs(f) < 1e15 else repr(f)
 
 
 def quasi_arithmetic(gen: Generator) -> MeanSpec:
@@ -422,9 +445,11 @@ def dominates(
     every sample (equality everywhere therefore reports DOMINATES), and
     INCOMPARABLE otherwise, with the counterexample triple of lowest sample
     index for each violated direction.  Each mean is evaluated once, over all
-    samples.  Fewer than one sample or a non-finite bound raises ParamError.
+    samples.  A ``samples`` that is not an integer or is below one, or a
+    non-finite bound, raises ParamError.
     """
     lo, hi = (domain.lo, domain.hi) if isinstance(domain, Interval) else (float(domain[0]), float(domain[1]))
+    require_int(samples, "samples")
     if samples < 1:
         raise ParamError(f"samples={samples!r}: dominance needs at least one sample")
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -449,43 +474,28 @@ def dominates(
 
 def format_mean(spec: MeanSpec) -> str:
     """Compact string form, e.g. ``qa:log``, ``power:2``, ``dual:power:1``."""
-    fam = spec.family
-    if fam == "quasi_arithmetic":
-        return f"qa:{spec.generator.id}"
-    if fam == "power":
-        return f"power:{_num(spec.delta)}"
-    if fam == "lehmer":
-        return f"lehmer:{_num(spec.delta)}"
-    if fam == "gini":
-        return f"gini:{_num(spec.delta)}:{_num(spec.delta2)}"
-    if fam == "lagrange":
-        return f"lagrange:{spec.generator.id}"
-    if fam == "cauchy":
-        return f"cauchy:{spec.generator.id}:{spec.generator2.id}"
-    if fam == "stolarsky":
-        return f"stolarsky:{_num(spec.delta)}"
-    if fam == "dual":
+    if spec.family == "dual":
         return f"dual:{format_mean(spec.inner)}"
-    raise ParamError(f"unknown mean family {fam!r}")  # pragma: no cover
+    grammar = _GRAMMAR[spec.family]
+    values = (getattr(spec, name) for name, _ in grammar.fields)
+    return ":".join([grammar.head, *(v.id if isinstance(v, Generator) else _num(v) for v in values)])
 
 
-def _take_float(tokens: list[str], i: int, what: str) -> tuple[float, int]:
+def _take(tokens: list[str], i: int, what: str) -> tuple[float | Generator, int]:
+    """The field that ``what`` names, read at tokens[i] (a ``power`` generator
+    also takes the exponent after it), and the index that follows."""
     if i >= len(tokens):
         raise ParamError(f"missing {what} in mean spec")
-    try:
-        return float(tokens[i]), i + 1
-    except ValueError as exc:
-        raise ParamError(f"bad {what} {tokens[i]!r} in mean spec") from exc
-
-
-def _take_generator(tokens: list[str], i: int) -> tuple[Generator, int]:
-    if i >= len(tokens):
-        raise ParamError("missing generator name in mean spec")
     tok = tokens[i]
-    if tok == "power":
-        d, j = _take_float(tokens, i + 1, "power exponent")
-        return power_generator(d), j
-    return get_generator(tok), i + 1
+    if what == _GENERATOR:
+        if tok == "power":
+            d, i = _take(tokens, i + 1, "power exponent")
+            return power_generator(d), i
+        return get_generator(tok), i + 1
+    try:
+        return float(tok), i + 1
+    except ValueError as exc:
+        raise ParamError(f"bad {what} {tok!r} in mean spec") from exc
 
 
 def parse_mean(text: str) -> MeanSpec:
@@ -493,37 +503,14 @@ def parse_mean(text: str) -> MeanSpec:
     tokens = [t for t in text.strip().split(":") if t != ""]
     if not tokens:
         raise ParamError("empty mean spec")
-    head, rest = tokens[0], 1
-
-    def _done(spec: MeanSpec, i: int) -> MeanSpec:
-        if i != len(tokens):
-            raise ParamError(f"trailing tokens in mean spec {text!r}")
-        return spec
-
-    if head == "qa":
-        gen, i = _take_generator(tokens, rest)
-        return _done(quasi_arithmetic(gen), i)
-    if head == "power":
-        d, i = _take_float(tokens, rest, "power exponent")
-        return _done(power(d), i)
-    if head == "lehmer":
-        d, i = _take_float(tokens, rest, "lehmer order")
-        return _done(lehmer(d), i)
-    if head == "gini":
-        d1, i = _take_float(tokens, rest, "gini exponent")
-        d2, i = _take_float(tokens, i, "gini exponent")
-        return _done(gini(d1, d2), i)
-    if head == "lagrange":
-        gen, i = _take_generator(tokens, rest)
-        return _done(lagrange(gen), i)
-    if head == "cauchy":
-        f, i = _take_generator(tokens, rest)
-        g, i = _take_generator(tokens, i)
-        return _done(cauchy(f, g), i)
-    if head == "stolarsky":
-        p, i = _take_float(tokens, rest, "stolarsky exponent")
-        return _done(stolarsky(p), i)
-    if head == "dual":
-        inner = parse_mean(":".join(tokens[rest:]))
-        return dual(inner)
-    raise ParamError(f"unknown mean family {head!r}")
+    if tokens[0] == "dual":
+        return dual(parse_mean(":".join(tokens[1:])))
+    family = _FAMILY_OF_HEAD.get(tokens[0])
+    if family is None:
+        raise ParamError(f"unknown mean family {tokens[0]!r}")
+    values, i = {}, 1
+    for name, what in _GRAMMAR[family].fields:
+        values[name], i = _take(tokens, i, what)
+    if i != len(tokens):
+        raise ParamError(f"trailing tokens in mean spec {text!r}")
+    return MeanSpec(family, **values)

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CdtError, DomainError, ParamError, QuadratureFailure
+from .errors import CdtError, DomainError, ParamError, QuadratureFailure, require_int
 
 #: Most subintervals one adaptive Gauss-Kronrod level refines together,
 #: unless a single panel needs more on its own.
@@ -62,8 +62,9 @@ class QuadratureConfig:
     max_depth: int = 20             # refinement levels per panel
 
     def __post_init__(self) -> None:
-        if isinstance(self.max_depth, bool) or not isinstance(self.max_depth, numbers.Integral):
-            raise ParamError(f"quadrature max_depth must be an integer, got {self.max_depth!r}")
+        require_int(self.max_depth, "quadrature max_depth")
+        if not isinstance(self.abs_tol, numbers.Real):
+            raise ParamError(f"quadrature abs_tol must be a real number, got {self.abs_tol!r}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ParamError(f"quadrature abs_tol must be finite and > 0, got {self.abs_tol!r}")
         if not self.max_depth >= 0:

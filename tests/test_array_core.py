@@ -1,10 +1,11 @@
 """The array evaluation path: one array call equals the stacked scalar calls
 bit for bit, float-only callables are wrapped once and agree with their
 numpy twins, evaluation counts do not grow with the input, samplers with
-nothing to sample raise ParamError, and the Stolarsky mean against an
-arbitrary-precision oracle."""
+nothing to sample or a malformed setting raise ParamError, and the
+Stolarsky mean against an arbitrary-precision oracle."""
 
 import dataclasses
+import inspect
 import math
 
 import mpmath
@@ -17,7 +18,20 @@ import cdt.means as means_module
 from cdt.centroids import kmeans_cluster
 from cdt.cli import config_from_argv, dispatch
 from cdt.convexity import function_model, is_mn_convex
-from cdt.divergences import QabdSpec, WeightedSet, _nonnegative, _qabd_raw, midpoint_verdict, qabd
+from cdt.divergences import (
+    QabdSpec,
+    WeightedSet,
+    _nonnegative,
+    _qabd_raw,
+    bccd_numeric,
+    jccd,
+    jensen_diversity,
+    lehmer_bregman,
+    midpoint_verdict,
+    omega_divergence,
+    qabd,
+    skew_jccd,
+)
 from cdt.errors import ParamError
 from cdt.expr import expression_generator, expression_model
 from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, Generator, Interval, get_generator, power_generator
@@ -36,6 +50,7 @@ from cdt.means import (
     stolarsky_mean,
     weighted_means,
 )
+from cdt.quadrature import QuadratureConfig
 
 mp = mpmath.mp.clone()
 mp.dps = 50
@@ -254,6 +269,35 @@ def test_midpoint_verdict_rejects_zero_samples():
 def test_grid_scan_needs_three_points(grid):
     with pytest.raises(ParamError):
         is_mn_convex(MODELS[0], IDENTITY, IDENTITY, grid=grid)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: QuadratureConfig(abs_tol="1e-9"), "quadrature abs_tol must be a real number, got '1e-9'"),
+        (lambda: QuadratureConfig(abs_tol=None), "quadrature abs_tol must be a real number, got None"),
+        (lambda: midpoint_verdict(MODELS[0], ARITHMETIC, ARITHMETIC, samples=2.5),
+         "samples must be an integer, got 2.5"),
+        (lambda: midpoint_verdict(MODELS[0], ARITHMETIC, ARITHMETIC, samples=True),
+         "samples must be an integer, got True"),
+        (lambda: is_mn_convex(MODELS[0], IDENTITY, IDENTITY, grid=7.5), "grid must be an integer, got 7.5"),
+        (lambda: dominates(power(2), power(1), (1.0, 2.0), samples=2.5), "samples must be an integer, got 2.5"),
+    ],
+    ids=["abs_tol-str", "abs_tol-none", "midpoint-float", "midpoint-bool", "grid-float", "dominates-float"],
+)
+def test_malformed_settings_raise_param_error(call, message):
+    with pytest.raises(ParamError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_certificate_settings_that_no_caller_sets_are_gone():
+    for fn in (jccd, skew_jccd, jensen_diversity, bccd_numeric, omega_divergence, lehmer_bregman):
+        assert "samples" not in inspect.signature(fn).parameters, fn.__name__
+        assert "seed" in inspect.signature(fn).parameters, fn.__name__
+    assert "grid" not in {f.name for f in dataclasses.fields(QabdSpec)}
+    assert "pair_samples" not in inspect.signature(is_mn_convex).parameters
+    assert list(inspect.signature(MODELS[0].checked).parameters) == []
 
 
 @pytest.mark.parametrize(

@@ -330,6 +330,10 @@ class TestBccdNumeric:
         with pytest.raises(ParamError):
             bccd_numeric(F_SQ, ARITHMETIC, ARITHMETIC, 3.0, 1.0, ())
 
+    def test_nan_in_the_sequence_is_rejected_as_outside_the_interval(self):
+        with pytest.raises(ParamError, match=r"^alpha_sequence must lie strictly inside \(0, 1\)$"):
+            bccd_numeric(F_SQ_POS, ARITHMETIC, ARITHMETIC, 1.0, 4.0, (0.5, math.nan))
+
 
 class TestOmega:
     def test_midpoint_case(self, rng):

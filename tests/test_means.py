@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdt.errors import (
+    CdtError,
     DomainError,
     NonInvertibleRatio,
     ParamError,
@@ -369,6 +370,64 @@ class TestSerialization:
         for text in ("", "nope:1", "power", "gini:1", "qa:log:extra"):
             with pytest.raises(ParamError):
                 parse_mean(text)
+
+    # (spec, error class, message), recorded before the grammar became one table
+    MALFORMED = [
+        ("", ParamError, "empty mean spec"),
+        (":", ParamError, "empty mean spec"),
+        ("qa", ParamError, "missing generator name in mean spec"),
+        ("qa:", ParamError, "missing generator name in mean spec"),
+        ("qa:nope", ParamError, "unknown generator 'nope'"),
+        ("qa:power", ParamError, "missing power exponent in mean spec"),
+        ("qa:power:two", ParamError, "bad power exponent 'two' in mean spec"),
+        ("power", ParamError, "missing power exponent in mean spec"),
+        ("power:two", ParamError, "bad power exponent 'two' in mean spec"),
+        ("power:2:3", ParamError, "trailing tokens in mean spec 'power:2:3'"),
+        ("gini:1", ParamError, "missing gini exponent in mean spec"),
+        ("gini:1:x", ParamError, "bad gini exponent 'x' in mean spec"),
+        ("lehmer:", ParamError, "missing lehmer order in mean spec"),
+        ("cauchy:log", ParamError, "missing generator name in mean spec"),
+        ("lagrange", ParamError, "missing generator name in mean spec"),
+        ("stolarsky:a", ParamError, "bad stolarsky exponent 'a' in mean spec"),
+        ("dual", ParamError, "empty mean spec"),
+        ("dual:", ParamError, "empty mean spec"),
+        ("dual:lagrange:log", ParamError, "dual mean requires a homogeneous base mean"),
+        ("dual:power:1:2", ParamError, "trailing tokens in mean spec 'power:1:2'"),
+        ("foo:1", ParamError, "unknown mean family 'foo'"),
+        ("qa:log:extra", ParamError, "trailing tokens in mean spec 'qa:log:extra'"),
+    ]
+
+    @pytest.mark.parametrize("text, error, message", MALFORMED)
+    def test_malformed_spec_messages(self, text, error, message):
+        with pytest.raises(CdtError) as err:
+            parse_mean(text)
+        assert (type(err.value), str(err.value)) == (error, message)
+
+    @pytest.mark.parametrize(
+        "spec, text",
+        [
+            (quasi_arithmetic(power_generator(1.2345678)), "qa:power:1.2345678"),
+            (quasi_arithmetic(LOG), "qa:log"),
+            (power(-1.5), "power:-1.5"),
+            (lehmer(2.0), "lehmer:2"),
+            (gini(0.1, -3.0), "gini:0.1:-3"),
+            (lagrange(EXP), "lagrange:exp"),
+            (cauchy(power_generator(2.0), LOG), "cauchy:power:2:log"),
+            (stolarsky(0.5), "stolarsky:0.5"),
+            (dual(quasi_arithmetic(power_generator(-2.0))), "dual:qa:power:-2"),
+        ],
+    )
+    def test_every_family_round_trips(self, spec, text):
+        assert format_mean(spec) == text
+        assert parse_mean(text) == spec
+        assert parse_mean(format_mean(spec)) == spec
+
+    @pytest.mark.parametrize("text", ["power:nan", "power:inf", "lehmer:nan", "gini:nan:1", "stolarsky:nan"])
+    def test_non_finite_exponents_format_and_raise_domain_error(self, text):
+        spec = parse_mean(text)
+        assert format_mean(spec) == text
+        with pytest.raises(DomainError, match=f"^{text} mean is not finite"):
+            mean_value(spec, 1.0, 2.0)
 
 
 @settings(deadline=None, max_examples=80)
