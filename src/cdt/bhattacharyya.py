@@ -81,7 +81,7 @@ class DiscreteDist:
         if self.normalized:
             total = _exact_sum(a)
             if abs(total - 1.0) > WEIGHT_SUM_TOL:
-                raise WeightError(f"masses sum to {total!r}, expected 1 within 1e-9")
+                raise WeightError(f"masses sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL:g}")
         if self.values is not None:
             vals = tuple(float(v) for v in self.values)
             object.__setattr__(self, "values", vals)

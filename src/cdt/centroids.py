@@ -11,7 +11,10 @@ by the embedded data, to tolerance 1e-12, for all clusters at once; each
 call of G' evaluates the midpoints of six bisection levels (about 40
 levels in 7 calls, see ``generators._invert_monotone``).  A Lloyd sweep is
 the matrix form of Bregman hard clustering (Banerjee, Merugu, Dhillon and
-Ghosh, JMLR 2005).
+Ghosh, JMLR 2005).  Lloyd's iteration is at its fixed point once a sweep
+reproduces the previous assignment: the centroids, distances and objective
+are functions of the assignment alone, so that sweep ends the loop without
+solving them again.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ class Clustering:
     """Assignment of points to centers with the achieved objective.
 
     ``history`` records the objective after every assign/update sweep; Lloyd
-    iterations guarantee it is non-increasing.
+    iterations guarantee it is non-increasing.  A sweep that repeats the
+    previous assignment ends the loop without a solve, and its entry repeats
+    the last objective.
     """
 
     assignments: tuple[int, ...]
@@ -103,7 +108,11 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
     Assignment minimizes qabd(center : point) with ties broken toward the
     lowest cluster index; updates recompute the closed-form centroid of each
     cluster.  An emptied cluster is re-seeded at the point farthest from its
-    nearest center.  Deterministic for a fixed seed.
+    nearest center.  The loop stops when a sweep's assignment, after that
+    re-seeding, equals the previous sweep's: the update would solve the same
+    centroids again, so the sweep appends the last objective to ``history``
+    and stops without solving.  Otherwise it stops when the objective falls
+    by less than 1e-10, or after 100 sweeps.  Deterministic for a fixed seed.
     """
     k = int(k)
     if k < 1:
@@ -116,16 +125,19 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
     wts = np.asarray(wset.weights)
     centers = np.array(_seed_centers(spec, wset, k, rng))
     prev_obj = math.inf
-    assign = np.zeros(len(pts), dtype=int)
+    assign = None
     iterations = 0
     history: list[float] = []
     dmat = _distances(spec, centers, pts)
     for iterations in range(1, 101):
-        assign = np.argmin(dmat, axis=1)  # argmin takes the lowest index on ties
+        last, assign = assign, np.argmin(dmat, axis=1)  # argmin takes the lowest index on ties
         for j in range(k):
             if not np.any(assign == j):
                 far = int(np.argmax(np.min(dmat, axis=1)))
                 assign[far] = j
+        if last is not None and np.array_equal(assign, last):
+            history.append(prev_obj)
+            break
         sub_w = np.empty(len(pts))
         for j in range(k):
             mask = assign == j

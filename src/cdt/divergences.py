@@ -118,7 +118,7 @@ class WeightedSet:
         if any(w <= 0.0 for w in wts):
             raise WeightError("weights must be strictly positive")
         if abs(math.fsum(wts) - 1.0) > WEIGHT_SUM_TOL:
-            raise WeightError("weights must sum to 1 within 1e-9")
+            raise WeightError(f"weights must sum to 1 within {WEIGHT_SUM_TOL:g}")
 
     @staticmethod
     def uniform(points: Sequence[float]) -> "WeightedSet":

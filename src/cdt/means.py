@@ -493,13 +493,20 @@ def _take(tokens: list[str], i: int, what: str) -> tuple[float | Generator, int]
             return power_generator(d), i
         return get_generator(tok), i + 1
     try:
-        return float(tok), i + 1
-    except ValueError as exc:
-        raise ParamError(f"bad {what} {tok!r} in mean spec") from exc
+        value = float(tok)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParamError(f"bad {what} {tok!r} in mean spec")
+    return value, i + 1
 
 
 def parse_mean(text: str) -> MeanSpec:
-    """Parse the compact string form produced by :func:`format_mean`."""
+    """Parse the compact string form produced by :func:`format_mean`.
+
+    A number that does not parse or is not finite (``power:inf``,
+    ``lehmer:nan``) raises ParamError.
+    """
     tokens = [t for t in text.strip().split(":") if t != ""]
     if not tokens:
         raise ParamError("empty mean spec")

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cdt.centroids import bregman_centroid, cluster_information, kmeans_cluster
+from cdt import centroids
+from cdt.centroids import Clustering, bregman_centroid, cluster_information, kmeans_cluster
 from cdt.convexity import function_model
 from cdt.divergences import QabdSpec, WeightedSet, qabd
 from cdt.errors import LengthMismatch, ParamError, WeightError
-from cdt.generators import IDENTITY, LOG, Interval
-from cdt.means import ARITHMETIC
+from cdt.expr import expression_model
+from cdt.generators import IDENTITY, LOG, Interval, get_generator
+from cdt.means import ARITHMETIC, WEIGHT_SUM_TOL, _exact_sum
 
 F_SQ = function_model("x^2", Interval(-50.0, 50.0), lambda x: np.asarray(x, float) ** 2, lambda x: 2.0 * x)
 F_EXP = function_model("exp", Interval(0.2, 8.0), np.exp, np.exp)
@@ -45,7 +47,7 @@ def golden_section(fn, lo, hi, tol=1e-10):
 
 class TestWeightedSet:
     def test_validation(self):
-        with pytest.raises(WeightError):
+        with pytest.raises(WeightError, match=f"^weights must sum to 1 within {WEIGHT_SUM_TOL:g}$"):
             WeightedSet((1.0, 2.0), (0.5, 0.6))
         with pytest.raises(WeightError):
             WeightedSet((1.0, 2.0), (1.5, -0.5))
@@ -171,6 +173,131 @@ class TestKmeans:
             kmeans_cluster(SPEC_SQ, ws, 3, seed=0)  # only 2 distinct points
         with pytest.raises(ParamError):
             kmeans_cluster(SPEC_SQ, ws, 0, seed=0)
+
+
+def recomputing_lloyd(spec, wset, k, seed=0, sweeps=None, reseeds=None):
+    """Lloyd's loop without the fixed-point stop: every sweep solves the
+    centroids, rebuilds the distance matrix and re-sums the objective, and
+    only the objective plateau ends it.  ``sweeps`` receives each sweep's
+    assignment after the reseed, ``reseeds`` the sweep of every reseed."""
+    rng = np.random.default_rng(seed)
+    pts = np.asarray(wset.points)
+    wts = np.asarray(wset.weights)
+    centers = np.array(centroids._seed_centers(spec, wset, k, rng))
+    prev_obj = math.inf
+    history = []
+    dmat = centroids._distances(spec, centers, pts)
+    for iterations in range(1, 101):
+        assign = np.argmin(dmat, axis=1)
+        for j in range(k):
+            if not np.any(assign == j):
+                if reseeds is not None:
+                    reseeds.append(iterations)
+                assign[int(np.argmax(np.min(dmat, axis=1)))] = j
+        if sweeps is not None:
+            sweeps.append(tuple(int(a) for a in assign))
+        sub_w = np.empty(len(pts))
+        for j in range(k):
+            mask = assign == j
+            sub_w[mask] = wts[mask] / wts[mask].sum()
+        centers = centroids._centroids(spec, pts, sub_w, assign, k)
+        dmat = centroids._distances(spec, centers, pts)
+        obj = _exact_sum(wts * dmat[np.arange(len(pts)), assign])
+        history.append(obj)
+        if prev_obj - obj < 1e-10:
+            prev_obj = min(prev_obj, obj)
+            break
+        prev_obj = obj
+    return Clustering(
+        assignments=tuple(int(a) for a in assign),
+        centers=tuple(float(c) for c in centers),
+        objective=float(prev_obj),
+        iterations=iterations,
+        history=tuple(history),
+    )
+
+
+def assert_same_clustering(out, ref):
+    assert out == ref
+    assert np.asarray(out.centers).tobytes() == np.asarray(ref.centers).tobytes()
+    assert np.asarray(out.history).tobytes() == np.asarray(ref.history).tobytes()
+
+
+#: The four certified (F, rho, tau) triples of the benchmark's cluster jobs.
+WORKLOAD_TRIPLES = {
+    "x^2 id/id": ("x^2", (0.2, 12.0), "identity", "identity"),
+    "exp log/log": ("exp(x)", (0.2, 4.0), "log", "log"),
+    "exp(x^2) id/log": ("exp(x^2)", (0.1, 2.5), "identity", "log"),
+    "exp power:2/power:3": ("exp(x)", (0.5, 3.0), "power:2", "power:3"),
+}
+
+
+def spy_solves(monkeypatch):
+    """The k of every ``_centroids`` solve made from now on."""
+    solve, solves = centroids._centroids, []
+    monkeypatch.setattr(centroids, "_centroids", lambda *a: solves.append(a[-1]) or solve(*a))
+    return solves
+
+
+def workload_job(name, seed, n=200):
+    """A spec and n points in three tight log-normal clusters, as the
+    benchmark's cluster jobs draw them."""
+    text, (lo, hi), rho, tau = WORKLOAD_TRIPLES[name]
+    spec = QabdSpec(expression_model(text, (lo, hi)), get_generator(rho), get_generator(tau))
+    rng = np.random.default_rng(seed)
+    L, H = math.log(lo), math.log(hi)
+    centers = L + (H - L) * (np.array([0.2, 0.5, 0.8]) + rng.uniform(-0.02, 0.02, 3))
+    logs = centers[np.arange(n) % 3] + 0.002 * (H - L) * rng.standard_normal(n)
+    pts = np.exp(np.clip(logs, L + 0.02 * (H - L), H - 0.02 * (H - L)))
+    return spec, WeightedSet.uniform(tuple(pts.tolist()))
+
+
+class TestLloydFixedPoint:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("name", list(WORKLOAD_TRIPLES))
+    def test_workload_jobs_match_the_recomputing_loop(self, name, seed):
+        spec, ws = workload_job(name, seed)
+        for k in (1, 2, 3):
+            assert_same_clustering(kmeans_cluster(spec, ws, k, seed=seed), recomputing_lloyd(spec, ws, k, seed=seed))
+
+    @pytest.mark.parametrize("name", list(WORKLOAD_TRIPLES))
+    def test_k_equal_to_the_distinct_points(self, name):
+        spec, ws = workload_job(name, 7, n=6)
+        for seed in range(4):
+            out = kmeans_cluster(spec, ws, 6, seed=seed)
+            assert_same_clustering(out, recomputing_lloyd(spec, ws, 6, seed=seed))
+            assert sorted(out.centers) == sorted(ws.points)
+
+    def test_emptied_cluster_is_reseeded_before_the_comparison(self, monkeypatch):
+        # The two near points are 0 apart in the clamped distance, so the
+        # second of them loses its own center on the tie and the reseed
+        # hands that center the first point, in every sweep: the argmin
+        # never repeats the last assignment, the reseeded one does.
+        spec, ws = SPEC_SQ, WeightedSet.uniform((1.0, 1.0 + 1e-9, 5.0))
+        reseeded = 0
+        for seed in range(6):
+            reseeds = []
+            ref = recomputing_lloyd(spec, ws, 3, seed=seed, reseeds=reseeds)
+            solves = spy_solves(monkeypatch)
+            out = kmeans_cluster(spec, ws, 3, seed=seed)
+            monkeypatch.undo()
+            assert_same_clustering(out, ref)
+            assert len(solves) == out.iterations - 1
+            reseeded += reseeds == [1, 2]
+        assert reseeded >= 2
+
+    @pytest.mark.parametrize("name", list(WORKLOAD_TRIPLES))
+    def test_a_repeated_assignment_ends_the_loop_without_a_solve(self, monkeypatch, name):
+        spec, ws = workload_job(name, 11)
+        sweeps = []
+        ref = recomputing_lloyd(spec, ws, 3, seed=11, sweeps=sweeps)
+        assert sweeps[-1] == sweeps[-2]
+        solves = spy_solves(monkeypatch)
+        out = kmeans_cluster(spec, ws, 3, seed=11)
+        assert out.iterations == ref.iterations == len(sweeps)
+        assert len(solves) == out.iterations - 1
+        assert out.history[-1] == out.history[-2] == out.objective
+        assert_same_clustering(out, ref)
 
 
 class TestClusterInformation:

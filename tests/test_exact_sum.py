@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cdt import bhattacharyya
 from cdt.bhattacharyya import DiscreteDist, alpha_divergence, bhat_coefficient, cmbd, power_cmbd
 from cdt.errors import WeightError
-from cdt.means import ARITHMETIC, GEOMETRIC, HARMONIC, _EXACT_SUM_MIN, _exact_sum, gini, lehmer, power, weighted_means
+from cdt.means import ARITHMETIC, GEOMETRIC, HARMONIC, WEIGHT_SUM_TOL, _EXACT_SUM_MIN, _exact_sum, gini, lehmer, power, weighted_means
 
 
 def _outcome(fn):
@@ -115,7 +115,7 @@ def test_discrete_dist_reports_the_fsum_of_its_masses():
     m = np.random.default_rng(3).gamma(2.0, 1.0, 2 * N)
     with pytest.raises(WeightError) as err:
         DiscreteDist(tuple(m.tolist()))
-    assert str(err.value) == f"masses sum to {math.fsum(m.tolist())!r}, expected 1 within 1e-9"
+    assert str(err.value) == f"masses sum to {math.fsum(m.tolist())!r}, expected 1 within {WEIGHT_SUM_TOL:g}"
     DiscreteDist(tuple((m / m.sum()).tolist()))
 
 
