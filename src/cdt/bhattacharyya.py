@@ -125,7 +125,7 @@ class DensityModel:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DomainError(f"truncation bounds must be finite and ordered, got {self.truncation!r}")
         object.__setattr__(self, "truncation", (lo, hi))
-        object.__setattr__(self, "eval", _vectorized(self.eval, (lo + 0.5 * (hi - lo), lo + 0.25 * (hi - lo))))
+        object.__setattr__(self, "eval", _vectorized(self.eval, (lo + 0.5 * (hi - lo), lo + 0.25 * (hi - lo)))[0])
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
         if self.normalized:
             total = integrate(self.eval, lo, hi, self.quadrature, self.breakpoints)

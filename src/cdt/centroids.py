@@ -26,7 +26,7 @@ import numpy as np
 
 from .divergences import QabdSpec, WeightedSet, _nonnegative, _qabd_raw, jensen_diversity
 from .errors import NonInvertibleGradient, ParamError
-from .generators import _invert_monotone, _monotone_direction
+from .generators import _first, _invert_monotone, _monotone_direction
 from .means import _exact_sum, quasi_arithmetic
 
 
@@ -35,9 +35,9 @@ class Clustering:
     """Assignment of points to centers with the achieved objective.
 
     ``history`` records the objective after every assign/update sweep; Lloyd
-    iterations guarantee it is non-increasing.  A sweep that repeats the
-    previous assignment ends the loop without a solve, and its entry repeats
-    the last objective.
+    iterations keep it non-increasing up to rounding, and a rise ends the
+    loop.  A sweep that repeats the previous assignment ends the loop
+    without a solve, and its entry repeats the last objective.
     """
 
     assignments: tuple[int, ...]
@@ -68,11 +68,12 @@ def _centroids(spec: QabdSpec, pts: np.ndarray, wts: np.ndarray, labels: np.ndar
         target[j] = np.dot(wprime / wprime.sum(), gd[m])
     solve = lo < hi  # else the cluster is a single point
     if solve.any():
-        a, b = lo[solve], hi[solve]
-        flat = _monotone_direction(G.deriv, a, b) == 0
+        a, b, tol = lo[solve], hi[solve], 1e-12
+        # a bracket within the solver's tolerance is solved by its midpoint
+        flat = (_monotone_direction(G.deriv, a, b) == 0) & (b - a > tol * np.maximum(1.0, np.maximum(b, -a)))
         if flat.any():
-            raise NonInvertibleGradient(f"{G.id!r}' is not monotone on [{a[flat][0]!r}, {b[flat][0]!r}]")
-        c = spec.rho.inv(_invert_monotone(G.deriv, target[solve], a, b, 1e-12))
+            raise NonInvertibleGradient(f"{G.id!r}' is not monotone on [{_first(a, flat)!r}, {_first(b, flat)!r}]")
+        c = spec.rho.inv(_invert_monotone(G.deriv, target[solve], a, b, tol))
         plo[solve] = np.clip(c, plo[solve], phi[solve])
     return plo
 
@@ -107,12 +108,15 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
 
     Assignment minimizes qabd(center : point) with ties broken toward the
     lowest cluster index; updates recompute the closed-form centroid of each
-    cluster.  An emptied cluster is re-seeded at the point farthest from its
-    nearest center.  The loop stops when a sweep's assignment, after that
+    cluster.  Each emptied cluster, in index order, is re-seeded at the point
+    farthest from its nearest center among the points whose cluster keeps
+    another member.  The loop stops when a sweep's assignment, after that
     re-seeding, equals the previous sweep's: the update would solve the same
     centroids again, so the sweep appends the last objective to ``history``
     and stops without solving.  Otherwise it stops when the objective falls
-    by less than 1e-10, or after 100 sweeps.  Deterministic for a fixed seed.
+    by less than 1e-10 (or rises), or after 100 sweeps.  The objective
+    returned is always that of the clustering returned.  Deterministic for a
+    fixed seed.
     """
     k = int(k)
     if k < 1:
@@ -133,8 +137,8 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
         last, assign = assign, np.argmin(dmat, axis=1)  # argmin takes the lowest index on ties
         for j in range(k):
             if not np.any(assign == j):
-                far = int(np.argmax(np.min(dmat, axis=1)))
-                assign[far] = j
+                shared = np.bincount(assign, minlength=k)[assign] > 1  # moving it empties no cluster
+                assign[int(np.argmax(np.where(shared, np.min(dmat, axis=1), -np.inf)))] = j
         if last is not None and np.array_equal(assign, last):
             history.append(prev_obj)
             break
@@ -146,10 +150,10 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
         dmat = _distances(spec, centers, pts)
         obj = _exact_sum(wts * dmat[np.arange(len(pts)), assign])
         history.append(obj)
-        if prev_obj - obj < 1e-10:
-            prev_obj = min(prev_obj, obj)
-            break
+        plateau = prev_obj - obj < 1e-10
         prev_obj = obj
+        if plateau:
+            break
     return Clustering(
         assignments=tuple(int(a) for a in assign),
         centers=tuple(float(c) for c in centers),

@@ -85,18 +85,18 @@ def _nonvanishing(d, what: str, at):
 
 
 def _zero_floor(value: float) -> float:
-    """value, with [-ZERO_FLOOR, 0) clamped to 0 and anything lower kept: for
+    """value, with [-ZERO_FLOOR, 0] made +0.0 and anything lower kept: for
     quadrature-backed values, whose error may exceed ZERO_FLOOR."""
-    return 0.0 if -ZERO_FLOOR <= value < 0.0 else value
+    return 0.0 if -ZERO_FLOOR <= value <= 0.0 else value
 
 
 def _nonnegative(raw):
-    """Divergence values elementwise: [-ZERO_FLOOR, 0) is clamped to 0, and
-    anything lower (or NaN) raises ConvexityError."""
+    """Divergence values elementwise: [-ZERO_FLOOR, 0] is made +0.0 (so -0.0
+    too), and anything lower (or NaN) raises ConvexityError."""
     if np.count_nonzero(bad := ~(np.asarray(raw) >= -ZERO_FLOOR)):
         value = _first(raw, bad)
         raise ConvexityError(f"negative divergence {value:.6e}: generator is not (M,N)-convex on this pair")
-    return np.where(raw < 0.0, 0.0, raw)
+    return np.where(raw <= 0.0, 0.0, raw)
 
 
 @dataclass(frozen=True)

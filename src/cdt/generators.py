@@ -135,7 +135,7 @@ def _wrap_callables(obj, names: tuple[str, ...]) -> np.ndarray:
     probe = np.array([a + 0.5 * (b - a), a + 0.25 * (b - a)])
     for name in names:
         if getattr(obj, name) is not None:
-            object.__setattr__(obj, name, _vectorized(getattr(obj, name), probe))
+            object.__setattr__(obj, name, _vectorized(getattr(obj, name), probe)[0])
     return probe
 
 
@@ -374,7 +374,7 @@ class Generator:
         probe = _wrap_callables(self, ("forward", "derivative"))
         with contextlib.suppress(ArithmeticError, ValueError), np.errstate(all="ignore"):
             probe = self.forward(probe)  # the image, where the inverse is defined
-        object.__setattr__(self, "inverse", _vectorized(self.inverse, probe))
+        object.__setattr__(self, "inverse", _vectorized(self.inverse, probe)[0])
 
     def value(self, x):
         return _apply(self.forward, x, f"generator {self.id!r}", self.domain, (OverflowError,), np.isnan)

@@ -3,26 +3,29 @@
 One core integrates every panel of an integral at once.  ``integrate``
 splits its interval into panels (breakpoints, or a geometric ladder over
 wide intervals) and hands them all to it.  The rule is the Gauss-Kronrod
-pair of QUADPACK's QAG, refined breadth first: each level evaluates the 15
-Kronrod nodes of every active subinterval of every panel in one integrand
-call, and accepts a subinterval's Kronrod sum when it differs from the
-embedded 7-point Gauss sum by at most the subinterval's budget; every panel
-starts with the full ``abs_tol``, halved at each refinement.  The rule
-samples only interior points, so an integrand that jumps at a panel
-boundary (a histogram bin edge) is never evaluated on the far side.  The
-public ``gauss_kronrod`` is ``integrate`` without breakpoints.
+pair of QUADPACK's QAG: a subinterval's Kronrod sum is accepted when it
+differs from the embedded 7-point Gauss sum by at most the subinterval's
+budget, else both halves are refined; every panel starts with the full
+``abs_tol``, halved at each refinement.  The rule samples only interior
+points, so an integrand that jumps at a panel boundary (a histogram bin
+edge) is never evaluated on the far side.  The public ``gauss_kronrod`` is
+``integrate`` without breakpoints.
 
-Panels start in groups of at most ``_MAX_ACTIVE``.  A group whose active
-subintervals outgrow that bound refines its lowest panel alone and the rest
-after it, so an integral that cannot converge on many panels needs about
-the memory of one.
+Work waits on one last-in-first-out stack of groups: subintervals of one
+depth, across panels, in panel order.  Each integrand call evaluates the
+15 Kronrod nodes of at most ``_MAX_ACTIVE`` subintervals of the group on
+top, its lowest first; the rest of the group goes back on the stack under
+the halves of the subintervals that call did not accept.  So an integral
+that cannot converge, on many panels or on one, holds about ``max_depth``
+groups of that size, not every subinterval of a level.
 
 The integrand is not probed: its first batch of points is evaluated on f
 itself, and only an f that fails on that array (other than with a
 CdtError, which passes through) or returns another shape is wrapped to be
-called point by point, that batch evaluated again.  Bounds must be finite
-(ParamError), and so must every integrand value (DomainError naming the
-first point that is not).  Accepted contributions are summed with
+called point by point, that batch evaluated again (``_vectorized``, which
+also decides how models built from callables call them).  Bounds must be
+finite (ParamError), and so must every integrand value (DomainError naming
+the first point that is not).  Accepted contributions are summed with
 ``math.fsum`` per panel, and the panel sums with ``math.fsum`` again;
 ``fsum`` is exact, so the result does not depend on the order in which
 pieces are accepted.
@@ -39,8 +42,7 @@ import numpy as np
 
 from .errors import CdtError, DomainError, ParamError, QuadratureFailure, require_int
 
-#: Most subintervals one adaptive Gauss-Kronrod level refines together,
-#: unless a single panel needs more on its own.
+#: Most subintervals one integrand call evaluates.
 _MAX_ACTIVE = 256
 
 # QUADPACK's qk15 pair on [-1, 1]: the 15 Kronrod nodes in ascending order
@@ -81,34 +83,15 @@ class _Pointwise:
         return np.array([float(self.f(float(x))) for x in np.ravel(xs)]).reshape(np.shape(xs))
 
 
-def _vectorized(f: Callable, probe) -> Callable:
-    """f itself if one call maps an array of points to an array of values
-    (tried once, on ``probe``), else f wrapped to be called point by point."""
-    probe = np.array(probe, dtype=float)
-    try:
-        with np.errstate(all="ignore"):
-            out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-    return _Pointwise(f)
-
-
-def _bounds(a, b) -> tuple[float, float]:
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ParamError(f"quadrature bounds must be finite, got [{a!r}, {b!r}]")
-    return a, b
-
-
-def _first_batch(f: Callable, x: np.ndarray) -> tuple[Callable, np.ndarray]:
+def _vectorized(f: Callable, x) -> tuple[Callable, np.ndarray]:
     """f and its values at the points x, if one call maps x to an array of
     x's shape; else f wrapped to be called point by point, and its values.
     A CdtError from f is f's own account of what went wrong and passes
     through."""
+    x = np.asarray(x, dtype=float)
     try:
-        y = np.asarray(f(x), dtype=float)
+        with np.errstate(all="ignore"):
+            y = np.asarray(f(x), dtype=float)
         if y.shape == x.shape:
             return f, y
     except CdtError:
@@ -119,16 +102,20 @@ def _first_batch(f: Callable, x: np.ndarray) -> tuple[Callable, np.ndarray]:
     return f, f(x)
 
 
+def _bounds(a, b) -> tuple[float, float]:
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ParamError(f"quadrature bounds must be finite, got [{a!r}, {b!r}]")
+    return a, b
+
+
 def _values(f: Callable, fv: Callable | None, pts: np.ndarray) -> tuple[Callable, np.ndarray]:
     """The values of fv at every point of pts, in pts' shape, and fv; on the
-    first batch of an integral (fv None), fv is what ``_first_batch`` makes
+    first batch of an integral (fv None), fv is what ``_vectorized`` makes
     of f.  DomainError names the first point where a value is NaN or
     infinite."""
     x = pts.ravel()
-    if fv is None:
-        fv, y = _first_batch(f, x)
-    else:
-        y = np.asarray(fv(x), dtype=float)
+    fv, y = _vectorized(f, x) if fv is None else (fv, np.asarray(fv(x), dtype=float))
     finite = np.isfinite(y)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -151,29 +138,24 @@ def gauss_kronrod(
 
 
 def _kronrod(f: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_depth: int) -> list[float]:
-    """Breadth-first adaptive Gauss-Kronrod over the panels [a[i], b[i]], a < b.
+    """Adaptive Gauss-Kronrod over the panels [a[i], b[i]], a < b.
 
-    A group holds active subintervals of one depth: their ends and panels.
-    Panels start in groups of at most ``_MAX_ACTIVE``, and each level
-    evaluates a whole group in one call.  A group grown past that bound
-    refines its lowest panel alone and the others after it, so at most one
-    group waits.  The first call decides how f is called from then on.
+    A group holds subintervals of one depth in panel order: their ends and
+    panels.  The stack starts with every panel in one group at depth 0.
+    Each call of f evaluates the lowest ``_MAX_ACTIVE`` subintervals of the
+    group on top, and pushes the rest of that group and then the halves of
+    the subintervals it did not accept, each pair side by side.  The first
+    call decides how f is called from then on.
     """
     fv = None  # f, or f point by point
-    queue = np.arange(len(a))  # panels not started
-    groups: list[tuple] = []   # (depth, error budget, lo, hi, pan), last in first out
+    stack = [(0, float(abs_tol), a, b, np.arange(len(a)))]  # (depth, error budget, lo, hi, pan)
     values: list[np.ndarray] = []
     owners: list[np.ndarray] = []
-    while groups or len(queue):
-        if not groups:
-            pan, queue = queue[:_MAX_ACTIVE], queue[_MAX_ACTIVE:]
-            groups.append((0, float(abs_tol), a[pan], b[pan], pan))
-        depth, tol, lo, hi, pan = groups.pop()
-        if len(pan) > _MAX_ACTIVE and pan.min() < pan.max():
-            alone = pan == pan.min()
-            groups.append((depth, tol, lo[~alone], hi[~alone], pan[~alone]))
-            groups.append((depth, tol, lo[alone], hi[alone], pan[alone]))
-            continue
+    while stack:
+        depth, tol, lo, hi, pan = stack.pop()
+        if len(pan) > _MAX_ACTIVE:
+            stack.append((depth, tol, lo[_MAX_ACTIVE:], hi[_MAX_ACTIVE:], pan[_MAX_ACTIVE:]))
+            lo, hi, pan = lo[:_MAX_ACTIVE], hi[:_MAX_ACTIVE], pan[:_MAX_ACTIVE]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         fv, fx = _values(f, fv, mid[:, None] + half[:, None] * _XK)
         kronrod = half * (fx * _WK).sum(axis=1)
@@ -186,9 +168,9 @@ def _kronrod(f: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_dept
         k = ~done
         if depth == max_depth:
             raise _failure(a, b, lo[k], hi[k], pan[k], err[k] / tol, depth)
-        lo, mid, hi, pan = lo[k], mid[k], hi[k], pan[k]
-        groups.append((depth + 1, 0.5 * tol, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
-                       np.concatenate([pan, pan])))
+        lo, mid, hi = lo[k], mid[k], hi[k]
+        stack.append((depth + 1, 0.5 * tol, np.column_stack((lo, mid)).ravel(),
+                      np.column_stack((mid, hi)).ravel(), np.repeat(pan[k], 2)))
     owner = np.concatenate(owners)
     ordered = np.concatenate(values)[np.argsort(owner)].tolist()
     ends = np.cumsum(np.bincount(owner, minlength=len(a))).tolist()
@@ -196,13 +178,13 @@ def _kronrod(f: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_dept
 
 
 def _failure(a, b, lo, hi, pan, ratio, depth) -> QuadratureFailure:
-    """QuadratureFailure naming the subinterval whose error most exceeds its
-    budget."""
+    """QuadratureFailure naming, of the subintervals of the last integrand
+    call, the one whose error most exceeds its budget."""
     i = int(np.argmax(ratio))
     p = int(pan[i])
     return QuadratureFailure(
-        f"adaptive Gauss-Kronrod exceeded {depth} refinement levels: {len(lo)} subintervals are "
-        f"still over their error budget; the worst, [{float(lo[i])!r}, {float(hi[i])!r}] "
+        f"adaptive Gauss-Kronrod exceeded {depth} refinement levels: {len(lo)} subintervals of the "
+        f"last integrand call are still over their error budget; the worst, [{float(lo[i])!r}, {float(hi[i])!r}] "
         f"at depth {depth} in panel [{float(a[p])!r}, {float(b[p])!r}], has "
         f"|err|/tol = {float(ratio[i]):.3g}"
     )
@@ -239,7 +221,7 @@ def integrate(
     """Integrate f over [lo, hi], splitting at the given interior breakpoints.
 
     f may map an array of points to an array of values, or take one float;
-    the first batch of points tells which (see ``_first_batch``).  An empty
+    the first batch of points tells which (see ``_vectorized``).  An empty
     interval gives 0.0 without calling f.
     """
     lo, hi = _bounds(lo, hi)

@@ -114,6 +114,11 @@ class TestCoefficient:
 class TestCmbd:
     def test_zero_on_identical(self):
         assert float(cmbd(GEOMETRIC, ARITHMETIC, 0.3, P, P)) == pytest.approx(0.0, abs=1e-12)
+        # -log(c^M / c^N) is -0.0 when the coefficients are equal: +0.0 is returned
+        for M, N in ((GEOMETRIC, ARITHMETIC), (HARMONIC, GEOMETRIC)):
+            value = cmbd(M, N, 0.5, P, P)
+            assert math.copysign(1.0, float(value)) == 1.0 and not value.clamped
+        assert math.copysign(1.0, _zero_floor(-0.0)) == 1.0
 
     def test_classic_value(self):
         want = -math.log(math.sqrt(0.45) + math.sqrt(0.05))

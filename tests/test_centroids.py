@@ -105,7 +105,7 @@ class TestCentroid:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AffineGeneratorWarning)
             affine = QabdSpec(F_EXP, IDENTITY, LOG)  # reduced generator is u -> u
-        with pytest.raises(NonInvertibleGradient):
+        with pytest.raises(NonInvertibleGradient, match=r"' is not monotone on \[1\.0, 3\.0\]$"):
             bregman_centroid(affine, WeightedSet.uniform((1.0, 2.0, 3.0)))
 
     def test_matches_golden_section(self, rng):
@@ -178,7 +178,9 @@ class TestKmeans:
 def recomputing_lloyd(spec, wset, k, seed=0, sweeps=None, reseeds=None):
     """Lloyd's loop without the fixed-point stop: every sweep solves the
     centroids, rebuilds the distance matrix and re-sums the objective, and
-    only the objective plateau ends it.  ``sweeps`` receives each sweep's
+    only the objective plateau ends it, reporting the last objective.  An
+    emptied cluster takes the farthest point (the first on ties) of a
+    cluster with another member.  ``sweeps`` receives each sweep's
     assignment after the reseed, ``reseeds`` the sweep of every reseed."""
     rng = np.random.default_rng(seed)
     pts = np.asarray(wset.points)
@@ -193,7 +195,8 @@ def recomputing_lloyd(spec, wset, k, seed=0, sweeps=None, reseeds=None):
             if not np.any(assign == j):
                 if reseeds is not None:
                     reseeds.append(iterations)
-                assign[int(np.argmax(np.min(dmat, axis=1)))] = j
+                nearest, sizes = np.min(dmat, axis=1), np.bincount(assign, minlength=k)
+                assign[max((i for i in range(len(pts)) if sizes[assign[i]] > 1), key=lambda i: nearest[i])] = j
         if sweeps is not None:
             sweeps.append(tuple(int(a) for a in assign))
         sub_w = np.empty(len(pts))
@@ -205,13 +208,12 @@ def recomputing_lloyd(spec, wset, k, seed=0, sweeps=None, reseeds=None):
         obj = _exact_sum(wts * dmat[np.arange(len(pts)), assign])
         history.append(obj)
         if prev_obj - obj < 1e-10:
-            prev_obj = min(prev_obj, obj)
             break
         prev_obj = obj
     return Clustering(
         assignments=tuple(int(a) for a in assign),
         centers=tuple(float(c) for c in centers),
-        objective=float(prev_obj),
+        objective=float(obj),
         iterations=iterations,
         history=tuple(history),
     )
@@ -298,6 +300,59 @@ class TestLloydFixedPoint:
         assert len(solves) == out.iterations - 1
         assert out.history[-1] == out.history[-2] == out.objective
         assert_same_clustering(out, ref)
+
+
+def returned_objective(spec, wset, out):
+    """The objective of the clustering ``out`` returns, summed exactly."""
+    return _exact_sum(np.array([w * float(qabd(spec, out.centers[a], p))
+                                for p, w, a in zip(wset.points, wset.weights, out.assignments)]))
+
+
+#: Three points within 2e-9 and two far ones: ties in the clamped distance
+#: empty clusters, two in one sweep at some seeds.
+NEAR_TIES = WeightedSet.uniform((1.0, 1.0 + 1e-9, 1.0 + 2e-9, 5.0, 6.0))
+
+
+class TestDegenerateClusters:
+    def test_two_emptied_clusters_take_different_points(self):
+        # At seeds 1 and 5 a sweep empties two clusters, which both took the
+        # same farthest point, so one stayed empty; at seed 3 the farthest
+        # point was alone in its cluster, which it left empty.
+        twice = []
+        for seed in range(6):
+            reseeds = []
+            ref = recomputing_lloyd(SPEC_SQ, NEAR_TIES, 5, seed=seed, reseeds=reseeds)
+            out = kmeans_cluster(SPEC_SQ, NEAR_TIES, 5, seed=seed)
+            assert_same_clustering(out, ref)
+            assert sorted(out.centers) == sorted(NEAR_TIES.points) and out.objective == 0.0
+            if any(reseeds.count(t) > 1 for t in reseeds):
+                twice.append(seed)
+        assert twice == [1, 5]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_near_ties_at_every_k_match_the_recomputing_loop(self, k):
+        for seed in range(6):
+            out = kmeans_cluster(SPEC_SQ, NEAR_TIES, k, seed=seed)
+            assert_same_clustering(out, recomputing_lloyd(SPEC_SQ, NEAR_TIES, k, seed=seed))
+            assert out.objective == returned_objective(SPEC_SQ, NEAR_TIES, out) == out.history[-1]
+
+    def test_plateau_stop_reports_the_returned_clustering(self):
+        # The objective rises by rounding in the second sweep, which ends
+        # the loop; the value reported is that sweep's, not the smaller one.
+        out = kmeans_cluster(SPEC_SQ, NEAR_TIES, 4, seed=2)
+        assert out.history[0] < out.history[1] == out.objective
+        assert out.objective == returned_objective(SPEC_SQ, NEAR_TIES, out)
+
+    def test_a_cluster_one_ulp_wide_is_solved_by_its_midpoint(self):
+        # G' shows no change on [2, 2 + 2^-51]; the bracket is already within
+        # the solver's tolerance, so its midpoint (rounded to 2.0) is the
+        # centroid.
+        ws = WeightedSet.uniform((2.0, 2.0000000000000004, 7.0))
+        for seed in range(6):
+            out = kmeans_cluster(SPEC_SQ, ws, 2, seed=seed)
+            a = out.assignments
+            assert a[0] == a[1] != a[2] and out.centers[a[0]] == 2.0 and out.centers[a[2]] == 7.0
+        assert bregman_centroid(SPEC_SQ, WeightedSet.uniform((2.0, 2.0000000000000004))) == 2.0
 
 
 class TestClusterInformation:

@@ -101,6 +101,14 @@ class TestBhat:
         with pytest.raises(SystemExit):
             config_from_argv(["bhat", "--M", "qa:log", "--alpha", "0.5", "--p", u, "--q", u, "--check-dominance"])
 
+    @pytest.mark.parametrize("doc", [{"type": "discrete", "masses": [0.5, 0.5]}, {"type": "cauchy", "scale": 1.0}])
+    def test_identical_inputs_print_positive_zero(self, tmp_path, capsys, doc):
+        # -log(c^M / c^N) is -0.0 when the two coefficients are equal
+        u = write_json(tmp_path, "u.json", doc)
+        assert main(["bhat", "--M", "qa:log", "--alpha", "0.5", "--p", u, "--q", u]) == 0
+        text = capsys.readouterr().out
+        assert '"value": 0.0,' in text and math.copysign(1.0, json.loads(text)["value"]) == 1.0
+
     def test_alpha_div(self, tmp_path):
         u = write_json(tmp_path, "u.json", {"type": "discrete", "masses": [0.5, 0.5]})
         v = write_json(tmp_path, "v.json", {"type": "discrete", "masses": [0.9, 0.1]})

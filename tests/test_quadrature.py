@@ -215,9 +215,9 @@ def test_batched_equals_per_panel_on_cauchy_pairs(s1, s2, M, alpha, cfg):
 
 def test_panels_past_the_active_bound_keep_their_results():
     # 100 panels that need several subintervals each: together they
-    # outgrow _MAX_ACTIVE, so panels are refined on their own (more calls
-    # than one level each), and no call evaluates more than the bound's
-    # subintervals.
+    # outgrow _MAX_ACTIVE, so a level takes several calls, none of which
+    # evaluates more than the bound's subintervals, and the value is the
+    # per-panel one bit for bit.
     sizes = []
 
     def f(x):
@@ -227,7 +227,7 @@ def test_panels_past_the_active_bound_keep_their_results():
     cfg = QuadratureConfig(abs_tol=1e-13)
     brk = tuple(np.linspace(0.0, 10.0, 101)[1:-1])
     got = integrate(f, 0.0, 10.0, cfg, brk)
-    assert len(sizes) > cfg.max_depth + 2 and max(sizes[1:]) <= len(_XK) * _MAX_ACTIVE
+    assert max(sizes) == len(_XK) * _MAX_ACTIVE
     assert got == _per_panel(f, 0.0, 10.0, cfg, brk)
     assert got == pytest.approx((300.0 * (1.0 - math.exp(-10.0) * math.cos(3000.0))
                                  - math.exp(-10.0) * math.sin(3000.0)) / (1.0 + 300.0**2), abs=1e-14)
@@ -455,3 +455,26 @@ def test_failing_integral_over_many_panels_stays_within_one_panel_memory():
             gauss_kronrod(_jumpy, 0.0, 0.005)
 
     assert _peak_bytes(batched) <= 2 * _peak_bytes(first_panel)
+
+
+def test_one_failing_panel_holds_a_bounded_chunk_per_level():
+    # sin(1e9 x) converges nowhere on [0, 1]: one panel whose every level
+    # fails.  Each call evaluates at most _MAX_ACTIVE subintervals, so the
+    # peak grows with the depth, not with the 2^depth subintervals of a
+    # level (about 16x from depth 10 to 14 if a level were one call).
+    sizes = []
+
+    def f(x):
+        sizes.append(np.size(x))
+        return np.sin(1e9 * x)
+
+    def fail_at(depth):
+        def run():
+            with pytest.raises(QuadratureFailure, match=f"exceeded {depth} refinement levels: "
+                               f"{_MAX_ACTIVE} subintervals of the last integrand call"):
+                integrate(f, 0.0, 1.0, QuadratureConfig(max_depth=depth))
+
+        return run
+
+    assert _peak_bytes(fail_at(14)) <= 2 * _peak_bytes(fail_at(10))
+    assert max(sizes) == len(_XK) * _MAX_ACTIVE
