@@ -26,7 +26,7 @@ import numpy as np
 
 from .divergences import QabdSpec, WeightedSet, _nonnegative, _qabd_raw, jensen_diversity
 from .errors import NonInvertibleGradient, ParamError
-from .generators import _first, _invert_monotone, _monotone_direction
+from .generators import _bisecting, _first, _invert_monotone, _monotone_direction
 from .means import _exact_sum, quasi_arithmetic
 
 
@@ -70,7 +70,7 @@ def _centroids(spec: QabdSpec, pts: np.ndarray, wts: np.ndarray, labels: np.ndar
     if solve.any():
         a, b, tol = lo[solve], hi[solve], 1e-12
         # a bracket within the solver's tolerance is solved by its midpoint
-        flat = (_monotone_direction(G.deriv, a, b) == 0) & (b - a > tol * np.maximum(1.0, np.maximum(b, -a)))
+        flat = (_monotone_direction(G.deriv, a, b) == 0) & _bisecting(a, b, tol)
         if flat.any():
             raise NonInvertibleGradient(f"{G.id!r}' is not monotone on [{_first(a, flat)!r}, {_first(b, flat)!r}]")
         c = spec.rho.inv(_invert_monotone(G.deriv, target[solve], a, b, tol))

@@ -228,6 +228,13 @@ _TREE_POINTS = 2048
 _MAX_LEVELS = 200
 
 
+def _bisecting(a, b, tol: float):
+    """Where ``_invert_monotone`` still bisects the bracket [a, b]: wider
+    than tol relative to max(1, |a|, |b|)."""
+    # max(|a|, |b|) is max(b, -a) while a <= b
+    return (b - a) > tol * np.maximum(1.0, np.maximum(b, -a))
+
+
 @lru_cache(maxsize=None)
 def _tree(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tables of the midpoint tree of depth d on grid positions 0..2^d, one
@@ -287,7 +294,7 @@ def _bisect_levels(fun: Callable, target, increasing, a, b, tol: float, d: int):
     rows = np.arange(n)
     E = P[ends[leaf], rows[:, None, None]]
     lo, hi = E[:, :, 0], E[:, :, 1]
-    active = (hi - lo) > tol * np.maximum(1.0, np.maximum(hi, -lo))
+    active = _bisecting(lo, hi, tol)
     active[:, d] = False  # the leaf's bracket goes to the next round
     return E[rows, np.argmin(active, axis=1)].T
 
@@ -328,8 +335,7 @@ def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
     depth = _DEPTH if a.size * ((1 << _DEPTH) - 1) <= _TREE_POINTS else 1
     levels, replay = _MAX_LEVELS, 0
     while levels:
-        # max(|a|, |b|) is max(b, -a) while a <= b
-        active = (b - a) > tol * np.maximum(1.0, np.maximum(b, -a))
+        active = _bisecting(a, b, tol)
         if not np.count_nonzero(active):
             break
         d = 1 if replay else min(depth, levels)

@@ -23,7 +23,9 @@ The integrand is not probed: its first batch of points is evaluated on f
 itself, and only an f that fails on that array (other than with a
 CdtError, which passes through) or returns another shape is wrapped to be
 called point by point, that batch evaluated again (``_vectorized``, which
-also decides how models built from callables call them).  Bounds must be
+also decides how models built from callables call them; there any failure
+on its two points, a CdtError too, makes the wrapper and nothing more is
+evaluated).  Bounds must be
 finite (ParamError), and so must every integrand value (DomainError naming
 the first point that is not).  Accepted contributions are summed with
 ``math.fsum`` per panel, and the panel sums with ``math.fsum`` again;
@@ -83,23 +85,25 @@ class _Pointwise:
         return np.array([float(self.f(float(x))) for x in np.ravel(xs)]).reshape(np.shape(xs))
 
 
-def _vectorized(f: Callable, x) -> tuple[Callable, np.ndarray]:
+def _vectorized(f: Callable, x, passing: tuple = ()) -> tuple[Callable, np.ndarray | None]:
     """f and its values at the points x, if one call maps x to an array of
-    x's shape; else f wrapped to be called point by point, and its values.
-    A CdtError from f is f's own account of what went wrong and passes
-    through."""
+    x's shape; else f wrapped to be called point by point, and None, having
+    evaluated nothing more.  An exception of f's other than the ``passing``
+    types makes the wrapper: a model's build, whose points only choose how f
+    is called, takes any failure for a callable of floats, while an
+    integral's first batch lets a CdtError, f's own account of its points,
+    pass through."""
     x = np.asarray(x, dtype=float)
     try:
         with np.errstate(all="ignore"):
             y = np.asarray(f(x), dtype=float)
         if y.shape == x.shape:
             return f, y
-    except CdtError:
+    except passing:
         raise
     except Exception:
         pass
-    f = _Pointwise(f)
-    return f, f(x)
+    return _Pointwise(f), None
 
 
 def _bounds(a, b) -> tuple[float, float]:
@@ -115,7 +119,9 @@ def _values(f: Callable, fv: Callable | None, pts: np.ndarray) -> tuple[Callable
     of f.  DomainError names the first point where a value is NaN or
     infinite."""
     x = pts.ravel()
-    fv, y = _vectorized(f, x) if fv is None else (fv, np.asarray(fv(x), dtype=float))
+    fv, y = _vectorized(f, x, CdtError) if fv is None else (fv, None)
+    if y is None:
+        y = np.asarray(fv(x), dtype=float)
     finite = np.isfinite(y)
     if not finite.all():
         i = int(np.argmin(finite))

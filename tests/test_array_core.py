@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import cdt.means as means_module
 from cdt.centroids import kmeans_cluster
 from cdt.cli import config_from_argv, dispatch
-from cdt.convexity import function_model, is_mn_convex
+from cdt.convexity import FunctionModel, function_model, is_mn_convex
 from cdt.divergences import (
     QabdSpec,
     WeightedSet,
@@ -32,7 +32,7 @@ from cdt.divergences import (
     qabd,
     skew_jccd,
 )
-from cdt.errors import ParamError
+from cdt.errors import DomainError, ParamError
 from cdt.expr import expression_generator, expression_model
 from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, Generator, Interval, get_generator, power_generator
 from cdt.means import (
@@ -178,6 +178,25 @@ def test_float_only_callables_are_wrapped_and_keep_the_shape():
     X = np.array([[0.5, 2.0], [1.0, 1.5]])
     assert MATH_LOG.value(X).shape == (2, 2) and MATH_F.value(X).shape == (2, 2)
     assert MATH_LOG.value(X) == pytest.approx(np.log(X), rel=1e-15)
+
+
+def test_a_failure_at_the_choosing_points_only_chooses_the_wrapper():
+    # On (0, inf) the two points that choose how a callable is called are
+    # 5e5 and 2.5e5: math.exp overflows there, and an array callable may be
+    # undefined there; neither stops the build.
+    G = Generator("e", Interval(0.0, math.inf), math.exp, math.log)
+    F = FunctionModel("e", Interval(0.0, math.inf), math.exp)
+    assert G.value(1.0) == F.value(1.0) == math.e and G.inv(math.e) == 1.0
+
+    def capped(x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x > 1e5):
+            raise DomainError(f"capped is undefined at {float(x.max())!r}")
+        return np.exp(-x)
+
+    C = FunctionModel("capped", Interval(0.0, math.inf), capped)
+    assert C.value(1.0) == math.exp(-1.0)
+    assert C.value(np.array([1.0, 2.0])) == pytest.approx(np.exp([-1.0, -2.0]), rel=1e-15)
 
 
 def test_float_only_twins_agree():
