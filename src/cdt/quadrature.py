@@ -25,12 +25,11 @@ CdtError, which passes through) or returns another shape is wrapped to be
 called point by point, that batch evaluated again (``_vectorized``, which
 also decides how models built from callables call them; there any failure
 on its two points, a CdtError too, makes the wrapper and nothing more is
-evaluated).  Bounds must be
-finite (ParamError), and so must every integrand value (DomainError naming
-the first point that is not).  Accepted contributions are summed with
-``math.fsum`` per panel, and the panel sums with ``math.fsum`` again;
-``fsum`` is exact, so the result does not depend on the order in which
-pieces are accepted.
+evaluated).  Bounds must be finite (ParamError), and so must every
+integrand value (DomainError naming the first point that is not).
+Accepted contributions are summed with ``math.fsum`` per panel, and the
+panel sums with ``math.fsum`` again; ``fsum`` is exact, so the result does
+not depend on the order in which pieces are accepted.
 """
 
 from __future__ import annotations
