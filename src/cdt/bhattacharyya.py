@@ -18,13 +18,27 @@ identity M(x, 0) = x M(1, 0), and M(1, 0), M(0, 1) ride along in that one
 call; other means evaluate those bins in it.  Every value is bit for bit
 the kernel's over all bins.  The terms are summed exactly, without a Python
 float per term, by ``means._exact_sum``: bit for bit ``math.fsum`` of them.
+A coefficient leaves out a one-sided block whose unit value M(1, 0) or
+M(0, 1) is +0.0 (geometric, harmonic and every negative power order): its
+terms are all +0.0, which add nothing to an exact sum, and the sum of no
+terms is +0.0 as well.  A -0.0 unit keeps its block, since it could set the
+sign of an all-zero sum.
+
+The partition of a pair into joint, only-p and only-q bins, with the mass
+columns each kernel call reads, is computed once per pair by ``_pair``.  It
+keeps the last pair in a single-entry memo, looked up by identity, for
+mass arrays that are both read-only and own their data, as
+``DiscreteDist.array`` is; a writeable array is partitioned afresh on every
+call and never stored.  The memo holds that one pair alive, together with
+derived arrays of about twice its size, until another pair replaces it;
+the derived arrays are read-only, so that a write to one raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -196,10 +210,57 @@ def _barycenters(M: MeanSpec, alpha: float, A, B) -> np.ndarray:
     return weighted_means(M, X, (1.0 - alpha, alpha))
 
 
-def _mass_barycenters(M: MeanSpec, alpha: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+class _Pair(NamedTuple):
+    """The kernel inputs of a pair of mass arrays (a, b), read-only."""
+
+    #: The joint support's masses, then the unit columns (1, 0) and (0, 1).
+    joint: np.ndarray
+    #: a where only a is positive, and b where only b is.
+    only_a: np.ndarray
+    only_b: np.ndarray
+    #: The masses of the joint, only-a and only-b bins and of the first bin
+    #: zero in both, if any: every column a mean that does not scale out
+    #: evaluates.
+    cols: np.ndarray
+    #: The number of bins where a mass is positive.
+    terms: int
+
+
+#: The last memoized pair, as (a, b, _Pair); replaced whole, never mutated.
+_memo: tuple = (None, None, None)
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> _Pair:
+    """The partition of (a, b) into joint, only-a and only-b bins, as the
+    arrays each kernel call reads; memoized for one pair of read-only
+    arrays that own their data (see the module docstring)."""
+    global _memo
+    frozen = not (a.flags.writeable or b.flags.writeable) and a.flags.owndata and b.flags.owndata
+    memo = _memo
+    if frozen and memo[0] is a and memo[1] is b:
+        return memo[2]
+    pa, pb = a > 0.0, b > 0.0
+    joint, only_a, only_b = (np.flatnonzero(m) for m in (pa & pb, pa & ~pb, pb & ~pa))
+    cols = np.concatenate((joint, only_a, only_b, np.flatnonzero(~(pa | pb))[:1]))
+    parts = _Pair(
+        np.concatenate(((a[joint], b[joint]), np.eye(2)), axis=1),
+        a[only_a],
+        b[only_b],
+        np.array((a[cols], b[cols])),
+        len(joint) + len(only_a) + len(only_b),
+    )
+    for x in parts[:4]:
+        x.flags.writeable = False
+    if frozen:
+        _memo = (a, b, parts)
+    return parts
+
+
+def _mass_blocks(M: MeanSpec, alpha: float, a: np.ndarray, b: np.ndarray) -> list[tuple[np.ndarray, np.float64 | None]]:
     """M(a_i, b_i; 1-alpha, alpha) over the bins of two mass arrays where
     a mass is positive, in one order for every M: the joint support, then
-    the bins where only a, then only b is positive.
+    the bins where only a, then only b is positive.  Each block is (x, u)
+    with terms x, or x * u where u is the kernel's unit value.
 
     A bin zero in both is left out: the kernel clips its mean to [0, 0].
     Where M ``scales_out``, a one-sided bin is a M(1, 0) or b M(0, 1), bit
@@ -208,23 +269,30 @@ def _mass_barycenters(M: MeanSpec, alpha: float, a: np.ndarray, b: np.ndarray) -
     that call, and a bin zero in both when there is one, so that a kernel
     undefined at 0 still raises.
     """
-    pa, pb = a > 0.0, b > 0.0
-    joint, only_a, only_b = (np.flatnonzero(m) for m in (pa & pb, pa & ~pb, pb & ~pa))
+    parts = _pair(a, b)
     W = (1.0 - alpha, alpha)
-    if M.scales_out:
-        v = weighted_means(M, np.concatenate(((a[joint], b[joint]), np.eye(2)), axis=1), W)
-        return np.concatenate((v[:-2], a[only_a] * v[-2], b[only_b] * v[-1]))
-    cols = np.concatenate((joint, only_a, only_b, np.flatnonzero(~(pa | pb))[:1]))
-    return weighted_means(M, (a[cols], b[cols]), W)[: len(joint) + len(only_a) + len(only_b)]
+    if not M.scales_out:
+        return [(weighted_means(M, parts.cols, W)[: parts.terms], None)]
+    v = weighted_means(M, parts.joint, W)
+    return [(v[:-2], None), (parts.only_a, v[-2]), (parts.only_b, v[-1])]
 
 
-def _is_discrete(d) -> bool:
-    return isinstance(d, DiscreteDist)
+def _mass_barycenters(M: MeanSpec, alpha: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every term of ``_mass_blocks``, in its order."""
+    return np.concatenate([x if u is None else x * u for x, u in _mass_blocks(M, alpha, a, b)])
+
+
+def _mass_coefficient(M: MeanSpec, alpha: float, a: np.ndarray, b: np.ndarray) -> float:
+    """The exact sum of ``_mass_barycenters``, without the blocks whose
+    unit value is +0.0 (see the module docstring)."""
+    blocks = _mass_blocks(M, alpha, a, b)
+    kept = [x if u is None else x * u for x, u in blocks if u is None or u != 0.0 or np.signbit(u)]
+    return _exact_sum(np.concatenate(kept))
 
 
 def _check_kinds(p, q) -> bool:
     """True for the discrete case; raises on mixed operands."""
-    if _is_discrete(p) and _is_discrete(q):
+    if isinstance(p, DiscreteDist) and isinstance(q, DiscreteDist):
         if len(p.masses) != len(q.masses):
             raise LengthMismatch("distributions have different lengths")
         if p.values is not None and q.values is not None and p.values != q.values:
@@ -261,6 +329,8 @@ def bhat_coefficient(M: MeanSpec, alpha: float, p, q) -> float:
         raise ParamError(f"alpha={alpha!r} outside (0, 1)")
     if not M.supports_weights:
         raise UnsupportedWeights(f"mean {M} does not support weights")
+    if _check_kinds(p, q):
+        return _mass_coefficient(M, alpha, p.array, q.array)
     return _total(lambda bary, A, B: bary(M, alpha, A, B), p, q)
 
 
@@ -276,12 +346,24 @@ def _builtin_order(M: MeanSpec, N: MeanSpec) -> bool | None:
 
 
 def _value_window(p, q) -> tuple[float, float]:
-    if _is_discrete(p):
-        vals = np.concatenate((p.array, q.array))
+    """Half the smallest and twice the largest positive mass or density
+    value of p and q, where sampled dominance is checked."""
+    if _check_kinds(p, q):
+        parts = _pair(p.array, q.array)
+        vals = np.concatenate((parts.joint[:, :-2].ravel(), parts.only_a, parts.only_b))
     else:
         vals = np.concatenate([np.asarray(d.eval(np.linspace(*d.truncation, 257)), float) for d in (p, q)])
-    vals = vals[vals > 0.0]
+        vals = vals[vals > 0.0]
+    if not vals.size:
+        raise DomainError("no positive mass: the means cannot be compared on an empty value window")
     return 0.5 * float(vals.min()), 2.0 * float(vals.max()) + 1e-12
+
+
+def _log_ratio(c1: float, c2: float) -> float:
+    """log(c1 / c2) of two affinity coefficients, both positive."""
+    if c1 <= 0.0 or c2 <= 0.0:
+        raise DomainError("affinity coefficient vanished; distributions are mutually singular")
+    return math.log(c1 / c2)
 
 
 def cmbd(
@@ -312,9 +394,7 @@ def cmbd(
             )
     cM = bhat_coefficient(M, alpha, p, q)
     cN = bhat_coefficient(N, alpha, p, q)
-    if cM <= 0.0 or cN <= 0.0:
-        raise DomainError("affinity coefficient vanished; distributions are mutually singular")
-    return DivergenceValue.create(-math.log(cM / cN), ("p", "q"))
+    return DivergenceValue.create(-_log_ratio(cM, cN), ("p", "q"))
 
 
 def power_cmbd(delta1: float, delta2: float, alpha: float, p, q) -> float:
@@ -327,7 +407,7 @@ def power_cmbd(delta1: float, delta2: float, alpha: float, p, q) -> float:
         raise ParamError("zero delta: use cmbd with the geometric mean instead")
     c1 = bhat_coefficient(power(delta1), alpha, p, q)
     c2 = bhat_coefficient(power(delta2), alpha, p, q)
-    value = math.log(c1 / c2) / (delta1 - delta2)
+    value = _log_ratio(c1, c2) / (delta1 - delta2)
     return _zero_floor(value)
 
 

@@ -39,6 +39,8 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
             raise DomainError("qa_expected_value needs a DiscreteDist with a value grid")
         xs = np.asarray(dist.values)
         ms = dist.array
+        if not ms.any():
+            raise DomainError("qa_expected_value needs a positive total mass")
         moment = float(np.dot(ms, f.value(xs)))
         if normalize:
             moment /= float(np.sum(ms))
@@ -60,6 +62,8 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
             )
         if normalize:
             total = integrate(dist.eval, lo, hi, dist.quadrature, dist.breakpoints)
+            if not total > 0.0:
+                raise DomainError(f"density integrates to {total!r}: qa_expected_value needs a positive total mass")
             moment /= total
         return f.inv(moment)
     raise KindMismatch(f"unsupported distribution type {type(dist).__name__}")

@@ -538,6 +538,127 @@ class TestSparseSupport:
         bhat_coefficient(M, 0.3, *self.DISJOINT)
         assert shapes == [(2, 2)]
 
+    @pytest.mark.parametrize("M", [GEOMETRIC, HARMONIC, power(-2)])
+    def test_means_vanishing_at_zero_give_positive_zero_on_disjoint_supports(self, M):
+        # M(1, 0) = M(0, 1) = +0.0: both one-sided blocks leave the sum,
+        # which is then the sum of no terms.
+        c = bhat_coefficient(M, 0.3, *self.DISJOINT)
+        assert c == 0.0 and math.copysign(1.0, c) == 1.0
+
+
+def sparse_pair(rng, n=3000):
+    """Two 30%-empty mass arrays on n bins, past the length where
+    ``_exact_sum`` stops deferring to fsum."""
+    p, q = (np.where(rng.random(n) < 0.3, 0.0, rng.gamma(0.5, 1.0, n)) for _ in range(2))
+    return DiscreteDist(tuple(p / p.sum()), normalized=False), DiscreteDist(tuple(q / q.sum()), normalized=False)
+
+
+def _dense_terms(M, alpha, a, b):
+    """The kernel over every bin, in ``_mass_barycenters``' order."""
+    order = np.concatenate([np.flatnonzero(m) for m in ((a > 0) & (b > 0), (a > 0) & (b == 0), (a == 0) & (b > 0))])
+    return weighted_means(M, np.array((a, b)), (1.0 - alpha, alpha))[order]
+
+
+class TestPairMemo:
+    MEANS = [GEOMETRIC, HARMONIC, power(-2), power(2), ARITHMETIC, lehmer(-0.3), gini(1, 1)]
+
+    def test_interleaved_pairs_equal_the_dense_sum_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        P1, Q1 = sparse_pair(rng)
+        Q2 = sparse_pair(rng)[0]
+        for p, q in ((P1, Q1), (Q1, P1), (P1, Q2), (P1, Q1)):
+            for M in self.MEANS:
+                assert bhat_coefficient(M, 0.35, p, q).hex() == dense_coefficient(M, 0.35, p, q).hex()
+                assert np.array_equal(_mass_barycenters(M, 0.35, p.array, q.array), _dense_terms(M, 0.35, p.array, q.array))
+
+    def test_writeable_arrays_are_never_memoized(self):
+        import cdt.bhattacharyya as bh
+
+        a, b = np.array((0.5, 0.0, 0.5)), np.array((0.2, 0.8, 0.0))
+        first = _mass_barycenters(GEOMETRIC, 0.5, a, b)
+        assert bh._memo[0] is not a and bh._memo[1] is not b
+        a[1] = 0.5  # the same array objects, with a new joint bin
+        assert np.array_equal(_mass_barycenters(GEOMETRIC, 0.5, a, b), _dense_terms(GEOMETRIC, 0.5, a, b))
+        assert len(first) == 3 and bh._memo[0] is not a
+        # A read-only view of a writeable array does not own its data.
+        view = a[:]
+        view.flags.writeable = False
+        _mass_barycenters(GEOMETRIC, 0.5, view, view)
+        assert bh._memo[0] is not view
+
+    def test_memoized_arrays_are_read_only(self):
+        import cdt.bhattacharyya as bh
+
+        p, q = TestSparseSupport.SAME
+        parts = bh._pair(p.array, q.array)
+        assert bh._memo == (p.array, q.array, parts) and bh._pair(p.array, q.array) is parts
+        for x in parts[:4]:
+            with pytest.raises(ValueError):
+                x[0] = 1.0
+
+    def test_threads_on_two_pairs_agree_with_serial_results(self):
+        import sys
+        import threading
+
+        # The pairs share p, so a memo torn between its entries would hand
+        # one pair's partition to the other.
+        rng = np.random.default_rng(6)
+        (p, q1), q2 = sparse_pair(rng, 40), sparse_pair(rng, 40)[0]
+        pairs = [(p, q1), (p, q2)]
+        want = [[bhat_coefficient(M, 0.4, *pair) for M in self.MEANS] for pair in pairs]
+        got, errors = [[] for _ in range(4)], []
+
+        def work(i):
+            try:
+                for _ in range(150):
+                    got[i].append([bhat_coefficient(M, 0.4, *pairs[i % 2]) for M in self.MEANS])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert got == [[want[i % 2]] * 150 for i in range(4)]
+
+
+class TestVanishingMass:
+    Z = DiscreteDist((0.0, 0.0), normalized=False)
+
+    def test_sampled_dominance_without_positive_mass(self):
+        with pytest.raises(DomainError, match="no positive mass"):
+            cmbd(lehmer(-0.3), ARITHMETIC, 0.5, self.Z, self.Z)
+
+    def test_sampled_dominance_on_mixed_operands(self):
+        with pytest.raises(KindMismatch):
+            cmbd(lehmer(-0.3), ARITHMETIC, 0.5, P, cauchy_density(1.0))
+        with pytest.raises(LengthMismatch):
+            cmbd(lehmer(-0.3), ARITHMETIC, 0.5, P, DiscreteDist((0.2, 0.3, 0.5)))
+
+    def test_power_cmbd_of_a_vanished_coefficient(self):
+        with pytest.raises(DomainError, match="affinity coefficient vanished"):
+            power_cmbd(2.0, -1.0, 0.5, self.Z, self.Z)  # c2 = 0
+        with pytest.raises(DomainError, match="affinity coefficient vanished"):
+            power_cmbd(-1.0, 2.0, 0.5, *TestSparseSupport.DISJOINT)  # c1 = 0
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_expected_value_of_no_mass(self, normalize):
+        z = DiscreteDist((0.0, 0.0), values=(1.0, 2.0), normalized=False)
+        with pytest.raises(DomainError, match="positive total mass"):
+            qa_expected_value(LOG, z, normalize=normalize)
+
+    def test_normalized_expected_value_of_a_zero_density(self):
+        zero = DensityModel(eval=lambda x: 0.0 * np.asarray(x), truncation=(1.0, 2.0), normalized=False)
+        with pytest.raises(DomainError, match="positive total mass"):
+            qa_expected_value(LOG, zero, normalize=True)
+
 
 class TestMassArray:
     def test_read_only_and_equal_to_the_masses(self):

@@ -142,13 +142,9 @@ def workload_outputs(alpha, P, Q):
     }
 
 
-def dense_total(fn, p, q):
-    """The coefficient as the sum over every bin of the mean kernel's value."""
-
-    def bary(M, alpha, a, b):
-        return weighted_means(M, np.array((a, b)), (1.0 - alpha, alpha))
-
-    return math.fsum(fn(bary, p.array, q.array).tolist())
+def dense_coefficient(M, alpha, a, b):
+    """The coefficient as the fsum over every bin of the mean kernel's value."""
+    return math.fsum(weighted_means(M, np.array((a, b)), (1.0 - alpha, alpha)).tolist())
 
 
 @pytest.mark.parametrize("kind", ["gamma", "spread"])
@@ -157,5 +153,5 @@ def test_bhat_workload_outputs_equal_the_dense_fsum(monkeypatch, kind):
     alpha = float(rng.uniform(0.3, 0.7))
     P, Q = (DiscreteDist(tuple(masses(rng, kind).tolist())) for _ in range(2))
     got = {k: _outcome(f) for k, f in workload_outputs(alpha, P, Q).items()}
-    monkeypatch.setattr(bhattacharyya, "_total", dense_total)
+    monkeypatch.setattr(bhattacharyya, "_mass_coefficient", dense_coefficient)
     assert got == {k: _outcome(f) for k, f in workload_outputs(alpha, P, Q).items()}
