@@ -10,28 +10,27 @@ distance, defined with exponent alpha on p, appears with alpha and 1-alpha
 swapped).  The arithmetic-mean coefficient of two normalized distributions
 is identically 1.
 
-A discrete coefficient is summed over the bins where a mass is positive,
-with one mean-kernel call per coefficient on the joint support (both masses
-positive); a bin zero in both contributes exactly 0.  For a scale-homogeneous
-kernel (power-order and Gini means) a bin where one mass is zero takes the
-identity M(x, 0) = x M(1, 0), and M(1, 0), M(0, 1) ride along in that one
-call; other means evaluate those bins in it.  Every value is bit for bit
-the kernel's over all bins.  The terms are summed exactly, without a Python
-float per term, by ``means._exact_sum``: bit for bit ``math.fsum`` of them.
-A coefficient leaves out a one-sided block whose unit value M(1, 0) or
-M(0, 1) is +0.0 (geometric, harmonic and every negative power order): its
-terms are all +0.0, which add nothing to an exact sum, and the sum of no
-terms is +0.0 as well.  A -0.0 unit keeps its block, since it could set the
-sign of an all-zero sum.
+A discrete pair is held as one array of columns (a_i, b_i): the unit
+columns (1, 0) and (0, 1), the joint support (both masses positive), the
+bins where only p, then only q is positive, and the first bin zero in
+both, if any, which contributes exactly 0.  Every kernel call reads a
+column slice of it.  A mean that does not scale out evaluates every column
+but the units in one call, so that a kernel undefined at 0 still raises.
+A scale-homogeneous kernel (power-order and Gini means) evaluates only the
+units and the joint support: a one-sided bin takes the identity
+M(x, 0) = x M(1, 0), bit for bit the kernel's value, and a block whose
+unit value is +0.0 (geometric, harmonic and every negative power order)
+is left out, since its terms add nothing to an exact sum and the sum of
+no terms is +0.0 as well.  A -0.0 unit keeps its block, since it could set
+the sign of an all-zero sum.  The terms are summed exactly by
+``means._exact_sum``: bit for bit ``math.fsum`` of them.
 
-The partition of a pair into joint, only-p and only-q bins, with the mass
-columns each kernel call reads, is computed once per pair by ``_pair``.  It
-keeps the last pair in a single-entry memo, looked up by identity, for
-mass arrays that are both read-only and own their data, as
-``DiscreteDist.array`` is; a writeable array is partitioned afresh on every
-call and never stored.  The memo holds that one pair alive, together with
-derived arrays of about twice its size, until another pair replaces it;
-the derived arrays are read-only, so that a write to one raises.
+The column array is computed once per pair by ``_pair``, which keeps the
+last pair in a single-entry memo, looked up by identity, for mass arrays
+that are both read-only and own their data, as ``DiscreteDist.array`` is;
+a writeable array is partitioned afresh on every call and never stored.
+The memo holds that one pair alive, with a read-only column array of
+about its size, until another pair replaces it.
 """
 
 from __future__ import annotations
@@ -101,6 +100,7 @@ class DiscreteDist:
             object.__setattr__(self, "values", vals)
             if len(vals) != len(m):
                 raise LengthMismatch("values and masses differ in length")
+            _check_finite(np.array(vals), "values")
 
 
 @dataclass(frozen=True)
@@ -211,17 +211,15 @@ def _barycenters(M: MeanSpec, alpha: float, A, B) -> np.ndarray:
 
 
 class _Pair(NamedTuple):
-    """The kernel inputs of a pair of mass arrays (a, b), read-only."""
+    """The kernel inputs of a pair of mass arrays (a, b)."""
 
-    #: The joint support's masses, then the unit columns (1, 0) and (0, 1).
-    joint: np.ndarray
-    #: a where only a is positive, and b where only b is.
-    only_a: np.ndarray
-    only_b: np.ndarray
-    #: The masses of the joint, only-a and only-b bins and of the first bin
-    #: zero in both, if any: every column a mean that does not scale out
-    #: evaluates.
+    #: Read-only, shape (2, terms + 2 or + 3): the unit columns (1, 0) and
+    #: (0, 1), the masses of the joint, only-a and only-b bins, and of the
+    #: first bin zero in both, if any.
     cols: np.ndarray
+    #: The number of joint and of only-a bins.
+    joint: int
+    only_a: int
     #: The number of bins where a mass is positive.
     terms: int
 
@@ -232,7 +230,7 @@ _memo: tuple = (None, None, None)
 
 def _pair(a: np.ndarray, b: np.ndarray) -> _Pair:
     """The partition of (a, b) into joint, only-a and only-b bins, as the
-    arrays each kernel call reads; memoized for one pair of read-only
+    columns every kernel call reads; memoized for one pair of read-only
     arrays that own their data (see the module docstring)."""
     global _memo
     frozen = not (a.flags.writeable or b.flags.writeable) and a.flags.owndata and b.flags.owndata
@@ -241,52 +239,35 @@ def _pair(a: np.ndarray, b: np.ndarray) -> _Pair:
         return memo[2]
     pa, pb = a > 0.0, b > 0.0
     joint, only_a, only_b = (np.flatnonzero(m) for m in (pa & pb, pa & ~pb, pb & ~pa))
-    cols = np.concatenate((joint, only_a, only_b, np.flatnonzero(~(pa | pb))[:1]))
-    parts = _Pair(
-        np.concatenate(((a[joint], b[joint]), np.eye(2)), axis=1),
-        a[only_a],
-        b[only_b],
-        np.array((a[cols], b[cols])),
-        len(joint) + len(only_a) + len(only_b),
-    )
-    for x in parts[:4]:
-        x.flags.writeable = False
+    bins = np.concatenate((joint, only_a, only_b, np.flatnonzero(~(pa | pb))[:1]))
+    cols = np.concatenate((np.eye(2), (a[bins], b[bins])), axis=1)
+    cols.flags.writeable = False
+    parts = _Pair(cols, len(joint), len(only_a), len(joint) + len(only_a) + len(only_b))
     if frozen:
         _memo = (a, b, parts)
     return parts
 
 
-def _mass_blocks(M: MeanSpec, alpha: float, a: np.ndarray, b: np.ndarray) -> list[tuple[np.ndarray, np.float64 | None]]:
-    """M(a_i, b_i; 1-alpha, alpha) over the bins of two mass arrays where
-    a mass is positive, in one order for every M: the joint support, then
-    the bins where only a, then only b is positive.  Each block is (x, u)
-    with terms x, or x * u where u is the kernel's unit value.
-
-    A bin zero in both is left out: the kernel clips its mean to [0, 0].
-    Where M ``scales_out``, a one-sided bin is a M(1, 0) or b M(0, 1), bit
-    for bit the kernel's value, and those two unit columns join the joint
-    support in one kernel call.  Other means take their one-sided bins into
-    that call, and a bin zero in both when there is one, so that a kernel
-    undefined at 0 still raises.
-    """
-    parts = _pair(a, b)
-    W = (1.0 - alpha, alpha)
-    if not M.scales_out:
-        return [(weighted_means(M, parts.cols, W)[: parts.terms], None)]
-    v = weighted_means(M, parts.joint, W)
-    return [(v[:-2], None), (parts.only_a, v[-2]), (parts.only_b, v[-1])]
-
-
-def _mass_barycenters(M: MeanSpec, alpha: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every term of ``_mass_blocks``, in its order."""
-    return np.concatenate([x if u is None else x * u for x, u in _mass_blocks(M, alpha, a, b)])
+def _mass_terms(M: MeanSpec, alpha: float, parts: _Pair) -> np.ndarray:
+    """M(a_i, b_i; 1-alpha, alpha) over the bins of a pair where a mass is
+    positive, in the order of ``parts.cols``.  The kernel also sees the
+    bin zero in both, if there is one, so that a kernel undefined at 0
+    still raises; its mean is clipped to [0, 0] and left out."""
+    return weighted_means(M, parts.cols[:, 2:], (1.0 - alpha, alpha))[: parts.terms]
 
 
 def _mass_coefficient(M: MeanSpec, alpha: float, a: np.ndarray, b: np.ndarray) -> float:
-    """The exact sum of ``_mass_barycenters``, without the blocks whose
-    unit value is +0.0 (see the module docstring)."""
-    blocks = _mass_blocks(M, alpha, a, b)
-    kept = [x if u is None else x * u for x, u in blocks if u is None or u != 0.0 or np.signbit(u)]
+    """The exact sum of ``_mass_terms``, scaling out where M does (see the
+    module docstring)."""
+    parts = _pair(a, b)
+    if not M.scales_out:
+        return _exact_sum(_mass_terms(M, alpha, parts))
+    i, j = 2 + parts.joint, 2 + parts.joint + parts.only_a
+    v = weighted_means(M, parts.cols[:, :i], (1.0 - alpha, alpha))
+    kept = [v[2:]]
+    for row, block in ((0, slice(i, j)), (1, slice(j, 2 + parts.terms))):
+        if v[row] != 0.0 or np.signbit(v[row]):
+            kept.append(parts.cols[row, block] * v[row])
     return _exact_sum(np.concatenate(kept))
 
 
@@ -312,14 +293,10 @@ def _merged_quadrature(p: DensityModel, q: DensityModel) -> tuple[float, float, 
     return lo, hi, cfg, np.concatenate((p.breakpoints, q.breakpoints))
 
 
-def _total(fn: Callable, p, q) -> float:
-    """Sum of fn(bary, A, B) over two discrete distributions, with A, B their
-    mass arrays and bary ``_mass_barycenters``, or the integral of
-    fn(bary, p(x), q(x)) over two densities, with bary ``_barycenters``."""
-    if _check_kinds(p, q):
-        return _exact_sum(fn(_mass_barycenters, p.array, q.array))
+def _integral(fn: Callable, p: DensityModel, q: DensityModel) -> float:
+    """The integral of fn(p(x), q(x)) over two densities."""
     lo, hi, cfg, brk = _merged_quadrature(p, q)
-    return integrate(lambda x: fn(_barycenters, p.eval(x), q.eval(x)), lo, hi, cfg, brk)
+    return integrate(lambda x: fn(p.eval(x), q.eval(x)), lo, hi, cfg, brk)
 
 
 def bhat_coefficient(M: MeanSpec, alpha: float, p, q) -> float:
@@ -331,7 +308,7 @@ def bhat_coefficient(M: MeanSpec, alpha: float, p, q) -> float:
         raise UnsupportedWeights(f"mean {M} does not support weights")
     if _check_kinds(p, q):
         return _mass_coefficient(M, alpha, p.array, q.array)
-    return _total(lambda bary, A, B: bary(M, alpha, A, B), p, q)
+    return _integral(lambda A, B: _barycenters(M, alpha, A, B), p, q)
 
 
 def _builtin_order(M: MeanSpec, N: MeanSpec) -> bool | None:
@@ -350,10 +327,10 @@ def _value_window(p, q) -> tuple[float, float]:
     value of p and q, where sampled dominance is checked."""
     if _check_kinds(p, q):
         parts = _pair(p.array, q.array)
-        vals = np.concatenate((parts.joint[:, :-2].ravel(), parts.only_a, parts.only_b))
+        vals = parts.cols[:, 2 : 2 + parts.terms]
     else:
         vals = np.concatenate([np.asarray(d.eval(np.linspace(*d.truncation, 257)), float) for d in (p, q)])
-        vals = vals[vals > 0.0]
+    vals = vals[vals > 0.0]
     if not vals.size:
         raise DomainError("no positive mass: the means cannot be compared on an empty value window")
     return 0.5 * float(vals.min()), 2.0 * float(vals.max()) + 1e-12
@@ -460,4 +437,7 @@ def mean_gap_distance(f: Generator, g: Generator, p, q) -> float:
             f"{g.id}({f.id}^-1) is not convex: M_{f.id} does not lie below M_{g.id}"
         )
     Mf, Mg = quasi_arithmetic(f), quasi_arithmetic(g)
-    return _zero_floor(_total(lambda bary, A, B: bary(Mg, 0.5, A, B) - bary(Mf, 0.5, A, B), p, q))
+    if _check_kinds(p, q):
+        parts = _pair(p.array, q.array)
+        return _zero_floor(_exact_sum(_mass_terms(Mg, 0.5, parts) - _mass_terms(Mf, 0.5, parts)))
+    return _zero_floor(_integral(lambda A, B: _barycenters(Mg, 0.5, A, B) - _barycenters(Mf, 0.5, A, B), p, q))

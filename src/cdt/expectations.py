@@ -32,38 +32,32 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
 
     For a DiscreteDist the value grid is required.  With ``normalize=True``
     the f-moment is divided by the total mass, extending the definition to
-    positive unnormalized measures.
+    positive unnormalized measures.  The total mass is taken when
+    ``normalize`` is set or ``dist`` is not normalized, and must then be
+    positive.  The value is clamped to the support: the span of the grid,
+    or a density's truncation.
     """
     if isinstance(dist, DiscreteDist):
         if dist.values is None:
             raise DomainError("qa_expected_value needs a DiscreteDist with a value grid")
         xs = np.asarray(dist.values)
-        ms = dist.array
-        if not ms.any():
-            raise DomainError("qa_expected_value needs a positive total mass")
-        moment = float(np.dot(ms, f.value(xs)))
-        if normalize:
-            moment /= float(np.sum(ms))
-        out = f.inv(moment)
-        return min(max(out, float(np.min(xs))), float(np.max(xs)))
-    if isinstance(dist, DensityModel):
+        lo, hi = float(np.min(xs)), float(np.max(xs))
+        moment = float(np.dot(dist.array, f.value(xs)))
+        mass = lambda: float(np.sum(dist.array))
+    elif isinstance(dist, DensityModel):
         lo, hi = dist.truncation
         if not (f.domain.contains(lo) and f.domain.contains(hi)):
-            raise DomainError(
-                f"support [{lo!r}, {hi!r}] is not inside the domain of generator {f.id!r}"
-            )
+            raise DomainError(f"support [{lo!r}, {hi!r}] is not inside the domain of generator {f.id!r}")
         with np.errstate(all="ignore"):
-            moment = integrate(
-                lambda x: np.asarray(dist.eval(x), dtype=float) * f.forward(x),
-                lo,
-                hi,
-                dist.quadrature,
-                dist.breakpoints,
-            )
+            moment = integrate(lambda x: np.asarray(dist.eval(x), dtype=float) * f.forward(x),
+                               lo, hi, dist.quadrature, dist.breakpoints)
+        mass = lambda: integrate(dist.eval, lo, hi, dist.quadrature, dist.breakpoints)
+    else:
+        raise KindMismatch(f"unsupported distribution type {type(dist).__name__}")
+    if normalize or not dist.normalized:
+        total = mass()
+        if not total > 0.0:
+            raise DomainError(f"total mass is {total!r}: qa_expected_value needs a positive total mass")
         if normalize:
-            total = integrate(dist.eval, lo, hi, dist.quadrature, dist.breakpoints)
-            if not total > 0.0:
-                raise DomainError(f"density integrates to {total!r}: qa_expected_value needs a positive total mass")
             moment /= total
-        return f.inv(moment)
-    raise KindMismatch(f"unsupported distribution type {type(dist).__name__}")
+    return min(max(f.inv(moment), lo), hi)

@@ -192,11 +192,15 @@ def _exact_sum(v: np.ndarray) -> float:
     total, which one int division rounds correctly, as fsum rounds: a small
     superaccumulator (Neal 2015, arXiv:1505.05571).  Short arrays, non-finite terms and sums
     that could overflow go to fsum for its value or error, and so does an
-    exact zero, for fsum's sign.
+    exact zero, for fsum's sign.  A sum past the float range raises
+    DomainError.
     """
     n = len(v)
     if not (_EXACT_SUM_MIN <= n < 1 << 26 and np.abs(v).max() < 2.0**1023 / n):
-        return math.fsum(v.tolist())
+        try:
+            return math.fsum(v.tolist())
+        except OverflowError:
+            raise DomainError(f"intermediate overflow past the float range in the exact sum of {n} terms") from None
     m, e = np.frexp(v)
     m *= 2.0**27
     hi = np.trunc(m)

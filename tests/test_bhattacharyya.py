@@ -19,7 +19,7 @@ from cdt.bhattacharyya import (
     mean_gap_distance,
     power_cmbd,
 )
-from cdt.bhattacharyya import _mass_barycenters
+from cdt.bhattacharyya import _mass_terms, _pair
 from cdt.divergences import _zero_floor, skew_jccd
 from cdt.convexity import function_model
 from cdt.expectations import qa_expected_value
@@ -376,6 +376,23 @@ class TestDensities:
         with pytest.raises(DomainError, match=r"^edges\[2\] = -inf is not finite$"):
             histogram_density((0.0, 1.0, -math.inf), (0.5, 0.5))
 
+    def test_non_finite_values_are_rejected(self):
+        # A NaN grid would compare unequal to itself, so two equal grids
+        # would raise KindMismatch.
+        with pytest.raises(DomainError, match=r"^values\[0\] = nan is not finite$"):
+            DiscreteDist((0.5, 0.5), values=(math.nan, 1.0))
+        with pytest.raises(DomainError, match=r"^values\[1\] = inf is not finite$"):
+            DiscreteDist((0.5, 0.5), values=(0.0, math.inf))
+
+    def test_a_sum_past_the_float_range_raises_domain_error(self):
+        with pytest.raises(DomainError, match="overflow past the float range"):
+            DiscreteDist((1e308, 1e308))
+        P = DiscreteDist((1e308, 1e308), normalized=False)
+        with pytest.raises(DomainError, match="overflow past the float range"):
+            bhat_coefficient(ARITHMETIC, 0.5, P, P)
+        with pytest.raises(DomainError, match="overflow past the float range"):
+            cmbd(GEOMETRIC, ARITHMETIC, 0.5, P, P)
+
 
 class TestOrderCheck:
     MISORDERED = [
@@ -465,10 +482,16 @@ def test_sparse_coefficient_equals_the_dense_sum_bit_for_bit(pair, M, alpha):
     a, b = p.array, q.array
     order = np.concatenate([np.flatnonzero(m) for m in ((a > 0) & (b > 0), (a > 0) & (b == 0), (a == 0) & (b > 0))])
     try:
-        want = weighted_means(M, np.array((a, b)), (1.0 - alpha, alpha))[order]
+        dense = weighted_means(M, np.array((a, b)), (1.0 - alpha, alpha))
     except DomainError:
         return
-    assert np.array_equal(_mass_barycenters(M, alpha, a, b), want)
+    assert np.array_equal(_mass_terms(M, alpha, _pair(a, b)), dense[order])
+    if M.scales_out:
+        # The identity by which a coefficient takes its one-sided terms from
+        # the unit values alone.
+        u = weighted_means(M, np.eye(2), (1.0 - alpha, alpha))
+        only_a, only_b = (a > 0) & (b == 0), (a == 0) & (b > 0)
+        assert np.array_equal(dense[only_a], a[only_a] * u[0]) and np.array_equal(dense[only_b], b[only_b] * u[1])
 
 
 GAP_PAIRS = [(LOG, IDENTITY), (RECIPROCAL, LOG), (IDENTITY, EXP), (power_generator(-0.5), power_generator(2))]
@@ -554,7 +577,7 @@ def sparse_pair(rng, n=3000):
 
 
 def _dense_terms(M, alpha, a, b):
-    """The kernel over every bin, in ``_mass_barycenters``' order."""
+    """The kernel over every bin, in ``_mass_terms``' order."""
     order = np.concatenate([np.flatnonzero(m) for m in ((a > 0) & (b > 0), (a > 0) & (b == 0), (a == 0) & (b > 0))])
     return weighted_means(M, np.array((a, b)), (1.0 - alpha, alpha))[order]
 
@@ -569,21 +592,25 @@ class TestPairMemo:
         for p, q in ((P1, Q1), (Q1, P1), (P1, Q2), (P1, Q1)):
             for M in self.MEANS:
                 assert bhat_coefficient(M, 0.35, p, q).hex() == dense_coefficient(M, 0.35, p, q).hex()
-                assert np.array_equal(_mass_barycenters(M, 0.35, p.array, q.array), _dense_terms(M, 0.35, p.array, q.array))
+                assert np.array_equal(_mass_terms(M, 0.35, _pair(p.array, q.array)), _dense_terms(M, 0.35, p.array, q.array))
+            for f, g in GAP_PAIRS:
+                X = np.array((p.array, q.array))
+                gap = weighted_means(quasi_arithmetic(g), X, (0.5, 0.5)) - weighted_means(quasi_arithmetic(f), X, (0.5, 0.5))
+                assert mean_gap_distance(f, g, p, q).hex() == _zero_floor(math.fsum(gap.tolist())).hex()
 
     def test_writeable_arrays_are_never_memoized(self):
         import cdt.bhattacharyya as bh
 
         a, b = np.array((0.5, 0.0, 0.5)), np.array((0.2, 0.8, 0.0))
-        first = _mass_barycenters(GEOMETRIC, 0.5, a, b)
+        first = _mass_terms(GEOMETRIC, 0.5, _pair(a, b))
         assert bh._memo[0] is not a and bh._memo[1] is not b
         a[1] = 0.5  # the same array objects, with a new joint bin
-        assert np.array_equal(_mass_barycenters(GEOMETRIC, 0.5, a, b), _dense_terms(GEOMETRIC, 0.5, a, b))
+        assert np.array_equal(_mass_terms(GEOMETRIC, 0.5, _pair(a, b)), _dense_terms(GEOMETRIC, 0.5, a, b))
         assert len(first) == 3 and bh._memo[0] is not a
         # A read-only view of a writeable array does not own its data.
         view = a[:]
         view.flags.writeable = False
-        _mass_barycenters(GEOMETRIC, 0.5, view, view)
+        _pair(view, view)
         assert bh._memo[0] is not view
 
     def test_memoized_arrays_are_read_only(self):
@@ -592,9 +619,11 @@ class TestPairMemo:
         p, q = TestSparseSupport.SAME
         parts = bh._pair(p.array, q.array)
         assert bh._memo == (p.array, q.array, parts) and bh._pair(p.array, q.array) is parts
-        for x in parts[:4]:
-            with pytest.raises(ValueError):
-                x[0] = 1.0
+        # One array: the unit columns, joint bins 0 and 2, and bin 1, zero in both.
+        assert (parts.joint, parts.only_a, parts.terms) == (2, 0, 2)
+        assert parts.cols.tolist() == [[1.0, 0.0, 0.2, 0.8, 0.0], [0.0, 1.0, 0.6, 0.4, 0.0]]
+        with pytest.raises(ValueError):
+            parts.cols[0, 0] = 1.0
 
     def test_threads_on_two_pairs_agree_with_serial_results(self):
         import sys

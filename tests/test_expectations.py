@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cdt.bhattacharyya import DiscreteDist, histogram_density
+from cdt.bhattacharyya import DensityModel, DiscreteDist, histogram_density
 from cdt.errors import DomainError
 from cdt.expectations import qa_expected_value, qa_mean
 from cdt.generators import IDENTITY, LOG, RECIPROCAL, power_generator
+from cdt.quadrature import integrate
 
 
 class TestQaMean:
@@ -93,3 +94,34 @@ class TestQaExpectedValue:
     def test_unnormalized_with_normalize_flag(self):
         d = DiscreteDist((0.5, 0.5, 0.5, 0.5), values=(1.0, 2.0, 3.0, 4.0), normalized=False)
         assert qa_expected_value(IDENTITY, d, normalize=True) == pytest.approx(2.5, rel=1e-12)
+
+    def test_a_density_without_mass_raises_unless_normalized(self):
+        # Zero on [1, 2]: its LOG moment is 0, whose inverse 1.0 is no
+        # expected value of anything.
+        zero = DensityModel(eval=lambda x: 0.0 * np.asarray(x), truncation=(1.0, 2.0), normalized=False)
+        with pytest.raises(DomainError, match="positive total mass"):
+            qa_expected_value(LOG, zero)
+
+    def test_an_unnormalized_measure_stays_inside_its_support(self):
+        # Mass 2 on [1, 2]: the identity moment is 3, past the support, and
+        # both kinds clamp it to the upper end alike.
+        dens = DensityModel(eval=lambda x: 2.0 + 0.0 * np.asarray(x), truncation=(1.0, 2.0), normalized=False)
+        grid = DiscreteDist((1.0, 1.0), values=(1.0, 2.0), normalized=False)
+        assert qa_expected_value(IDENTITY, dens) == qa_expected_value(IDENTITY, grid) == 2.0
+        assert qa_expected_value(IDENTITY, dens, normalize=True) == pytest.approx(1.5, abs=1e-12)
+
+    def test_a_normalized_density_integrates_its_mass_only_when_asked(self, monkeypatch):
+        import cdt.expectations as ex
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(ex, "integrate", counted)
+        dens = histogram_density((1.0, 2.0, 4.0), (0.25, 0.75))
+        qa_expected_value(LOG, dens)
+        assert len(calls) == 1
+        qa_expected_value(LOG, dens, normalize=True)
+        assert len(calls) == 3
