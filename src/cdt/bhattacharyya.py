@@ -92,7 +92,7 @@ class DiscreteDist:
         if np.any(a < 0.0):
             raise DomainError("masses must be nonnegative")
         if self.normalized:
-            total = _exact_sum(a)
+            total = _total_mass(self)
             if abs(total - 1.0) > WEIGHT_SUM_TOL:
                 raise WeightError(f"masses sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL:g}")
         if self.values is not None:
@@ -142,13 +142,20 @@ class DensityModel:
         object.__setattr__(self, "eval", _vectorized(self.eval, (lo + 0.5 * (hi - lo), lo + 0.25 * (hi - lo)))[0])
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
         if self.normalized:
-            total = integrate(self.eval, lo, hi, self.quadrature, self.breakpoints)
+            total = _total_mass(self)
             budget = self.quadrature.abs_tol + self.tail_tol + 1e-12
             if abs(total - 1.0) > budget:
                 raise WeightError(
                     f"density integrates to {total!r} over {self.truncation}, "
                     f"expected 1 within {budget:g}"
                 )
+
+
+def _total_mass(dist: DiscreteDist | DensityModel) -> float:
+    """The exact sum of discrete masses, or a density's integral over its truncation."""
+    if isinstance(dist, DiscreteDist):
+        return _exact_sum(dist.array)
+    return integrate(dist.eval, *dist.truncation, dist.quadrature, dist.breakpoints)
 
 
 def cauchy_density(s: CauchyParam | float, cfg: QuadratureConfig = QuadratureConfig()) -> DensityModel:
@@ -390,12 +397,15 @@ def power_cmbd(delta1: float, delta2: float, alpha: float, p, q) -> float:
 
 def alpha_divergence(alpha: float, p, q) -> float:
     """Alpha-divergence (1 - c_alpha) / (alpha(1-alpha)) with the geometric
-    coefficient carrying exponent alpha on p and 1-alpha on q."""
+    coefficient carrying exponent alpha on p and 1-alpha on q.  If p or q is
+    unnormalized, 1 becomes alpha m_p + (1 - alpha) m_q of their total masses:
+    Amari's form for positive measures, nonnegative by weighted AM-GM."""
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ParamError(f"alpha={alpha!r} outside (0, 1)")
     c = bhat_coefficient(GEOMETRIC, 1.0 - alpha, p, q)
-    value = (1.0 - c) / (alpha * (1.0 - alpha))
+    mass = 1.0 if p.normalized and q.normalized else alpha * _total_mass(p) + (1.0 - alpha) * _total_mass(q)
+    value = (mass - c) / (alpha * (1.0 - alpha))
     return _zero_floor(value)
 
 

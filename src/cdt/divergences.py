@@ -135,10 +135,12 @@ def midpoint_verdict(
 ) -> ConvexityReport:
     """Midpoint-sampling (M,N)-convexity certificate for arbitrary mean specs.
 
-    Each sampled pair (p, q) gives the normalized gap between N(F(p), F(q))
-    and F(M(p, q)), and the gaps go to the verdict rule shared with
-    :func:`is_mn_convex`: NOT_CONVEX when some gap is below -CONVEXITY_RTOL,
-    otherwise CONVEX when some gap is above CONVEXITY_RTOL, otherwise AFFINE.
+    Each pair (p, q), drawn uniformly in F's finite window (log-uniformly on
+    a positive half-line, as ``Interval.sample_grid`` spaces points), gives
+    the normalized gap between N(F(p), F(q)) and F(M(p, q)), and the gaps
+    go to the verdict rule shared with :func:`is_mn_convex`: NOT_CONVEX when
+    some gap is below -CONVEXITY_RTOL, otherwise CONVEX when some gap is
+    above CONVEXITY_RTOL, otherwise AFFINE.
     The witness is (p, q, gap) with the unnormalized gap.
 
     Verdicts are deterministic in their arguments and cached.  F and each
@@ -157,7 +159,10 @@ def _midpoint_verdict_cached(
 ) -> ConvexityReport:
     rng = np.random.default_rng(seed)
     a, b = F.domain.finite_window()
-    P = np.stack([rng.uniform(a, b, samples), rng.uniform(a, b, samples)])
+    if a > 0.0 and math.isinf(F.domain.hi):
+        P = np.exp(rng.uniform(math.log(a), math.log(b), (2, samples)))
+    else:
+        P = rng.uniform(a, b, (2, samples))
     lhs, rhs = _jensen_sides(F, M, N, P, (0.5, 0.5))
     scales = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     gaps = (lhs - rhs) / scales

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bhattacharyya import DensityModel, DiscreteDist
+from .bhattacharyya import DensityModel, DiscreteDist, _total_mass
 from .errors import DomainError, KindMismatch
 from .generators import Generator
 from .means import quasi_arithmetic, weighted_mean
@@ -43,7 +43,6 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
         xs = np.asarray(dist.values)
         lo, hi = float(np.min(xs)), float(np.max(xs))
         moment = float(np.dot(dist.array, f.value(xs)))
-        mass = lambda: float(np.sum(dist.array))
     elif isinstance(dist, DensityModel):
         lo, hi = dist.truncation
         if not (f.domain.contains(lo) and f.domain.contains(hi)):
@@ -51,11 +50,10 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
         with np.errstate(all="ignore"):
             moment = integrate(lambda x: np.asarray(dist.eval(x), dtype=float) * f.forward(x),
                                lo, hi, dist.quadrature, dist.breakpoints)
-        mass = lambda: integrate(dist.eval, lo, hi, dist.quadrature, dist.breakpoints)
     else:
         raise KindMismatch(f"unsupported distribution type {type(dist).__name__}")
     if normalize or not dist.normalized:
-        total = mass()
+        total = _total_mass(dist)
         if not total > 0.0:
             raise DomainError(f"total mass is {total!r}: qa_expected_value needs a positive total mass")
         if normalize:

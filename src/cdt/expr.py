@@ -288,18 +288,15 @@ def expression_generator(text: str, domain: Interval | tuple[float, float] | Non
     if domain is None:
         raise ParamError(f"expression generator {text!r} is not a recognized form; a finite domain is required")
     f, df = _compile(node)
-    fn = lambda x: _apply(f, x, repr(text))  # scalars of the scan and bisection take the array path
+    # reads f when called: after a decreasing scan, the increasing representative
+    finite = lambda x: _apply(f, x, repr(text), None, lambda v: ~np.isfinite(v))
     lo, hi = domain.finite_window()
-    if not np.all(np.isfinite(fn(np.linspace(lo, hi, 65)))):
-        raise DomainError(f"expression {text!r} is not finite on {domain}")
-    direction = _monotone_direction(fn, lo, hi, 65)
+    direction = _monotone_direction(finite, lo, hi, 65)
     if direction == 0:
         raise ParamError(f"expression {text!r} is not strictly monotone on {domain}")
     if direction < 0:  # the increasing representative
         f, df = _compile(Neg(node))
-        fn = lambda x: _apply(f, x, repr(text))
-    flo, fhi = float(fn(lo)), float(fn(hi))
-    finite = lambda x: _apply(f, x, repr(text), None, (), lambda v: ~np.isfinite(v))
+    flo, fhi = float(finite(lo)), float(finite(hi))
 
     def inverse(y):
         y = np.asarray(y, dtype=float)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParamError
+from .errors import CdtError, DomainError, ParamError
 from .quadrature import _vectorized
 
 INF = float("inf")
@@ -30,6 +30,9 @@ VALIDATION_POINTS = 64
 
 #: Relative tolerance for the inverse(forward(x)) = x round trip.
 ROUNDTRIP_RTOL = 1e-10
+
+#: The exceptions by which a callable says it is undefined at a point.
+UNDEFINED = (ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -59,16 +62,14 @@ class Interval:
         lo, hi = self.lo, self.hi
         if math.isinf(lo) and math.isinf(hi):
             return -100.0, 100.0
+        if math.isinf(lo):  # the mirror image of (-hi, inf); negation is exact
+            a, b = Interval(-hi, INF).finite_window()
+            return -b, -a
         if math.isinf(hi):
             if lo >= 0.0:
                 wlo = 1e-6 if lo == 0.0 else lo * (1.0 + 1e-9)
                 return wlo, max(1e6, lo * 1e6)
             return lo + 1e-9 * abs(lo), lo + 1e6 * max(1.0, abs(lo))
-        if math.isinf(lo):
-            if hi <= 0.0:
-                whi = -1e-6 if hi == 0.0 else hi * (1.0 + 1e-9)
-                return min(-1e6, hi * 1e6), whi
-            return hi - 1e6 * max(1.0, abs(hi)), hi - 1e-9 * abs(hi)
         pad = 1e-9 * max(1.0, abs(lo), abs(hi))
         if lo + pad >= hi - pad:
             pad = 1e-3 * (hi - lo)
@@ -100,11 +101,12 @@ def _check_inside(x: np.ndarray, domain: Interval, what: str) -> None:
         raise DomainError(f"{_first(x, bad)!r} outside domain {domain} of {what}")
 
 
-def _apply(fn: Callable, x, what: str, domain: Interval | None = None, errors: tuple = (), bad=None):
+def _apply(fn: Callable, x, what: str, domain: Interval | None = None, bad=None):
     """fn(x) elementwise as a float array (a float for a float), under one
     errstate.  Raises DomainError naming the first element of x outside
-    ``domain``, at which fn raises one of ``errors``, or whose value ``bad``
-    flags; a DomainError that fn raises itself passes through unchanged."""
+    ``domain``, at which fn raises one of ``UNDEFINED`` (ArithmeticError or
+    ValueError), or whose value ``bad`` flags; a CdtError that fn raises
+    itself passes through unchanged."""
     xa = np.asarray(x, dtype=float)
     if domain is not None:
         _check_inside(xa, domain, what)
@@ -112,13 +114,13 @@ def _apply(fn: Callable, x, what: str, domain: Interval | None = None, errors: t
     with np.errstate(all="ignore"):
         try:
             out = np.asarray(fn(flat), dtype=float)
-        except DomainError:  # fn's own account of what went wrong
+        except CdtError:  # fn's own account of what went wrong
             raise
-        except errors as exc:
+        except UNDEFINED as exc:
             for i in range(flat.size):  # rerun point by point, only to name the culprit
                 try:
                     fn(flat[i : i + 1])
-                except errors:
+                except UNDEFINED:
                     raise DomainError(f"{what} is undefined at {float(flat[i])!r}") from exc
             raise DomainError(f"{what} failed: {exc}") from exc
     out = (out if out.shape == flat.shape else np.full(flat.shape, out)).reshape(xa.shape)
@@ -139,17 +141,14 @@ def _wrap_callables(obj, names: tuple[str, ...]) -> np.ndarray:
     return probe
 
 
-def finite_difference(f: Callable, x, domain: Interval = Interval()):
+def finite_difference(f: Callable, x: np.ndarray, domain: Interval = Interval()) -> np.ndarray:
     """Central difference with step 1e-6*max(1,|x|), shrunk to stay inside
-    domain; elementwise over an array x, for an f that maps arrays."""
-
-    def central(v: np.ndarray) -> np.ndarray:
-        h = np.minimum(FD_STEP * np.maximum(1.0, np.abs(v)), 0.45 * np.minimum(v - domain.lo, domain.hi - v))
-        if np.count_nonzero(bad := ~((h > 0.0) & np.isfinite(h))):
-            raise DomainError(f"cannot differentiate at {_first(v, bad)}: no room inside {domain}")
-        return (np.asarray(f(v + h), dtype=float) - np.asarray(f(v - h), dtype=float)) / (2.0 * h)
-
-    return _apply(central, x, "")
+    domain; elementwise over an array x, for an f that maps arrays.  Its
+    callers run it inside ``_apply``, which gives the errstate and the checks."""
+    h = np.minimum(FD_STEP * np.maximum(1.0, np.abs(x)), 0.45 * np.minimum(x - domain.lo, domain.hi - x))
+    if np.count_nonzero(bad := ~((h > 0.0) & np.isfinite(h))):
+        raise DomainError(f"cannot differentiate at {_first(x, bad)}: no room inside {domain}")
+    return (np.asarray(f(x + h), dtype=float) - np.asarray(f(x - h), dtype=float)) / (2.0 * h)
 
 
 def _image(fn: Callable, lo: float, hi: float) -> Interval:
@@ -158,7 +157,7 @@ def _image(fn: Callable, lo: float, hi: float) -> Interval:
     ends = []
     for x, limit in ((lo, -INF), (hi, INF)):
         try:
-            ends.append(_apply(fn, x, "", None, (ValueError, OverflowError, ZeroDivisionError), np.isnan))
+            ends.append(_apply(fn, x, "", None, np.isnan))
         except DomainError:
             ends.append(limit)
     return Interval(*ends)
@@ -364,7 +363,7 @@ class Generator:
     ``derivative`` may take only floats: such a callable (one that fails on
     a probe inside the domain, or the image) is wrapped once, when the
     generator is built.  Without ``derivative`` a central finite difference
-    is used; a NaN from ``derivative`` raises DomainError.  ``power_order``
+    is used; a NaN derivative raises DomainError either way.  ``power_order``
     is the order d when the induced mean is the power mean P_d (identity 1,
     log 0, reciprocal -1, power:d d), else None.
     """
@@ -378,30 +377,32 @@ class Generator:
 
     def __post_init__(self) -> None:
         probe = _wrap_callables(self, ("forward", "derivative"))
-        with contextlib.suppress(ArithmeticError, ValueError), np.errstate(all="ignore"):
+        with contextlib.suppress(*UNDEFINED), np.errstate(all="ignore"):
             probe = self.forward(probe)  # the image, where the inverse is defined
         object.__setattr__(self, "inverse", _vectorized(self.inverse, probe)[0])
 
     def value(self, x):
-        return _apply(self.forward, x, f"generator {self.id!r}", self.domain, (OverflowError,), np.isnan)
+        return _apply(self.forward, x, f"generator {self.id!r}", self.domain, np.isnan)
 
     def inv(self, y):
-        errors = (ValueError, OverflowError, ZeroDivisionError)
-        return _apply(self.inverse, y, f"the inverse of generator {self.id!r}", None, errors, np.isnan)
+        return _apply(self.inverse, y, f"the inverse of generator {self.id!r}", None, np.isnan)
 
     def deriv(self, x):
-        if self.derivative is None:
-            return finite_difference(self.forward, x, self.domain)
-        what = f"the derivative of generator {self.id!r}"
-        return _apply(self.derivative, x, what, self.domain, (), np.isnan)
+        derivative = self.derivative or (lambda v: finite_difference(self.forward, v, self.domain))
+        return _apply(derivative, x, f"the derivative of generator {self.id!r}", self.domain, np.isnan)
 
     def image(self) -> Interval:
         return _image(self.forward, self.domain.lo, self.domain.hi)
 
     def validate(self) -> "Generator":
-        """Run sampled invariant checks; returns self so built-ins can chain."""
+        """Run sampled invariant checks where the values are finite normal
+        floats (at least two); returns self so built-ins can chain."""
         xs = self.domain.sample_grid(VALIDATION_POINTS)
         ys = self.value(xs)
+        normal = np.isfinite(ys) & (np.abs(ys) >= np.finfo(float).tiny)
+        if np.count_nonzero(normal) < 2:
+            raise ParamError(f"generator {self.id!r} overflows or underflows on {self.domain.finite_window()}")
+        xs, ys = xs[normal], ys[normal]
         if not np.all(np.diff(ys) > 0.0):
             raise ParamError(f"generator {self.id!r} is not strictly increasing")
         bad = np.abs(self.inv(ys) - xs) > ROUNDTRIP_RTOL * np.maximum(1.0, np.abs(xs))
@@ -452,9 +453,7 @@ def power_generator(delta: float) -> Generator:
 @lru_cache(maxsize=256)
 def _power_generator_cached(delta: float) -> Generator:
     if delta == 0.0:
-        return Generator(
-            "power:0", Interval(0.0, INF), np.log, np.exp, lambda x: 1.0 / x, power_order=0.0
-        )
+        return replace(LOG, id="power:0")
     if abs(delta) < _POWER_DELTA_MIN:
         raise ParamError(
             f"power generator with |delta|={abs(delta):g} < {_POWER_DELTA_MIN:g} "
@@ -462,31 +461,18 @@ def _power_generator_cached(delta: float) -> Generator:
         )
     # Short form when it round-trips, so parse_mean(format_mean(m)) == m.
     name = f"power:{delta:g}" if float(f"{delta:g}") == delta else f"power:{delta!r}"
-    if delta > 0.0:
-        return Generator(
-            name,
-            Interval(0.0, INF),
-            lambda x: np.power(x, delta),
-            lambda y: np.exp(np.log(y) / delta),
-            lambda x: delta * x ** (delta - 1.0),
-            power_order=delta,
-        ).validate()
+    s = 1.0 if delta > 0.0 else -1.0  # the sign of the increasing representative; exact
     return Generator(
         name,
         Interval(0.0, INF),
-        lambda x: -np.power(x, delta),
-        lambda y: np.exp(np.log(-y) / delta),
-        lambda x: -delta * x ** (delta - 1.0),
+        lambda x: s * np.power(x, delta),
+        lambda y: np.exp(np.log(s * y) / delta),
+        lambda x: s * delta * x ** (delta - 1.0),
         power_order=delta,
     ).validate()
 
 
-_BUILTINS = {
-    "identity": IDENTITY,
-    "log": LOG,
-    "reciprocal": RECIPROCAL,
-    "exp": EXP,
-}
+_BUILTINS = {g.id: g for g in (IDENTITY, LOG, RECIPROCAL, EXP)}
 
 
 def get_generator(name: str) -> Generator:

@@ -183,24 +183,27 @@ _EXACT_SUM_MIN = 700
 
 def _exact_sum(v: np.ndarray) -> float:
     """``math.fsum(v.tolist())`` of a one-dimensional float64 array, bit for
-    bit, without the list.
+    bit, without the list, and exactly rounded where fsum's partials overflow.
 
     Each term is M 2^(e-53) with M an integer of 53 bits (``np.frexp``),
     split into 27 high and 26 low bits.  ``np.bincount`` sums each half per
     exponent, exactly (integers below 2^53, since there are fewer than 2^26
     terms), and one Python integer per occupied exponent gathers the exact
     total, which one int division rounds correctly, as fsum rounds: a small
-    superaccumulator (Neal 2015, arXiv:1505.05571).  Short arrays, non-finite terms and sums
-    that could overflow go to fsum for its value or error, and so does an
-    exact zero, for fsum's sign.  A sum past the float range raises
-    DomainError.
+    superaccumulator (Neal 2015, arXiv:1505.05571).  Short arrays and
+    non-finite terms go to fsum for its value or error, and finite terms
+    come back when its partials overflow.  A zero total is +0.0, as fsum
+    gives it; a total past the float range raises DomainError.
     """
     n = len(v)
-    if not (_EXACT_SUM_MIN <= n < 1 << 26 and np.abs(v).max() < 2.0**1023 / n):
+    exact = n < 1 << 26 and np.isfinite(v).all()
+    past = f"overflow past the float range: the exact sum of {n} terms is too large for a float"
+    if n < _EXACT_SUM_MIN or not exact:
         try:
             return math.fsum(v.tolist())
-        except OverflowError:
-            raise DomainError(f"intermediate overflow past the float range in the exact sum of {n} terms") from None
+        except OverflowError:  # of the partials; finite terms are summed exactly below
+            if not exact:
+                raise DomainError(past) from None
     m, e = np.frexp(v)
     m *= 2.0**27
     hi = np.trunc(m)
@@ -212,9 +215,10 @@ def _exact_sum(v: np.ndarray) -> float:
     total = 0
     for s, h, lo in zip(bins.tolist(), H[bins].tolist(), L[bins].tolist()):
         total += ((int(h) << 26) + int(lo)) << s
-    if not total:
-        return math.fsum(v.tolist())
-    return total / (1 << (53 - e0))
+    try:
+        return total / (1 << (53 - e0))
+    except OverflowError:
+        raise DomainError(past) from None
 
 
 def _power_means(d: float, X: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:
@@ -241,8 +245,8 @@ def _power_means(d: float, X: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:
 def _generator_means(gen: Generator, X: np.ndarray, W: np.ndarray) -> np.ndarray:
     if np.any((X < gen.domain.lo) | (X > gen.domain.hi)):
         raise DomainError(f"argument outside the domain {gen.domain} of generator {gen.id!r}")
-    errors, what = (ArithmeticError, ValueError), f"generator {gen.id!r}"
-    return _apply(gen.inverse, _wsum(W, _apply(gen.forward, X, what, None, errors)), what, None, errors)
+    what = f"generator {gen.id!r}"
+    return _apply(gen.inverse, _wsum(W, _apply(gen.forward, X, what)), what)
 
 
 def _ratio_means(spec: MeanSpec, X: np.ndarray, W: np.ndarray, hi: np.ndarray) -> np.ndarray:

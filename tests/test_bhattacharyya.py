@@ -708,3 +708,59 @@ class TestMassArray:
         assert d.array.tolist() == [0.5, 0.5] and not d.array.flags.writeable
         with pytest.raises(WeightError):
             dataclasses.replace(d, masses=(0.5, 0.6))
+
+
+# ------------------------------------------- edges that no other test reaches
+
+
+def _uniform_pdf(x):
+    return np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: DiscreteDist((1.5, -0.5)), DomainError, "masses must be nonnegative"),
+        (lambda: DiscreteDist((0.5, 0.5), values=(1.0,)), LengthMismatch, "values and masses differ in length"),
+        (lambda: DensityModel(_uniform_pdf, truncation=(1.0, 1.0)), DomainError, "finite and ordered"),
+        (lambda: DensityModel(_uniform_pdf, truncation=(-math.inf, 1.0)), DomainError, "finite and ordered"),
+        (lambda: histogram_density((0.0, 1.0), (0.5, 0.5)), LengthMismatch, r"len\(edges\) == len\(masses\) \+ 1"),
+        (lambda: histogram_density((0.0, 1.0, 1.0), (0.5, 0.5)), DomainError, "edges must be strictly increasing"),
+        (lambda: histogram_density((0.0, 1.0, 2.0), (1.5, -0.5)), DomainError, "masses must be nonnegative"),
+        (lambda: alpha_divergence(1.0, DiscreteDist((1.0,)), DiscreteDist((1.0,))), ParamError, r"alpha=1.0 outside \(0, 1\)"),
+    ],
+)
+def test_malformed_inputs_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+class TestUnnormalizedAlphaDivergence:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_equal_measures_are_at_zero(self, alpha):
+        P = DiscreteDist((1.0, 1.0), normalized=False)
+        assert alpha_divergence(alpha, P, P) == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.7])
+    def test_amari_positive_measure_form(self, alpha):
+        p, q = np.array([0.5, 2.0, 0.0, 1.0]), np.array([0.4, 0.1, 0.3, 0.2])
+        P, Q = DiscreteDist(tuple(p), normalized=False), DiscreteDist(tuple(q))
+        want = math.fsum(alpha * p + (1.0 - alpha) * q - p**alpha * q ** (1.0 - alpha)) / (alpha * (1.0 - alpha))
+        assert alpha_divergence(alpha, P, Q) == pytest.approx(want, rel=1e-12)
+        assert want > 0.0
+
+    def test_unnormalized_densities(self):
+        P = DensityModel(lambda x: np.where(np.abs(x - 1.0) <= 1.0, 1.0, 0.0), (0.0, 2.0), normalized=False)
+        Q = histogram_density((0.0, 1.0, 2.0), (0.5, 0.5))
+        alpha = 0.4
+        want = (alpha * 2.0 + (1.0 - alpha) * 1.0 - 2.0 * 1.0**alpha * 0.5 ** (1.0 - alpha)) / (alpha * (1.0 - alpha))
+        assert alpha_divergence(alpha, P, Q) == pytest.approx(want, rel=1e-9)
+
+
+def test_mean_gap_distance_of_densities_integrates_the_gap():
+    edges = (1.0, 2.0, 3.0, 4.0)
+    pm, qm = np.array([0.2, 0.5, 0.3]), np.array([0.6, 0.1, 0.3])
+    P, Q = histogram_density(edges, tuple(pm)), histogram_density(edges, tuple(qm))
+    # unit-width bins: the density values are the masses, and the gap is constant on each bin
+    want = math.fsum(0.5 * (pm + qm) - np.sqrt(pm * qm))
+    assert mean_gap_distance(LOG, IDENTITY, P, Q) == pytest.approx(want, abs=1e-12)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from cdt.cli import config_from_argv, dispatch, main
+from cdt.cli import _domain, config_from_argv, dispatch, main
 from cdt.errors import ConfigError
+from cdt.generators import Interval
 
 
 def run(argv):
@@ -250,3 +251,14 @@ def test_python_m_cdt_cli_runs_console_main():
     )
     assert bad.returncode == 3
     assert json.loads(bad.stdout)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("anchors, domain", [((2.0, 2.0), (0.25, 12.0)), ((-2.0, -2.0), (-8.0, 4.0))])
+def test_equal_anchors_get_a_window_around_them(anchors, domain):
+    assert _domain({}, anchors) == Interval(*domain)
+
+
+def test_plain_format_prints_an_error_line(capsys):
+    code = main(["mean", "--spec", "qa:nope", "--format", "plain", "1", "3"])
+    assert code != 0
+    assert capsys.readouterr().out.strip() == "error: unknown generator 'nope'"

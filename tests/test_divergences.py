@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cdt.convexity import TRUSTED_CONVEX, Verdict, function_model
+from cdt.convexity import TRUSTED_CONVEX, Verdict, function_model, is_mn_convex, power_convexity_transform
 from cdt.divergences import (
     DivergenceValue,
     QabdSpec,
@@ -488,3 +488,45 @@ class TestMidpointVerdict:
             rep = midpoint_verdict(F, M, N, samples=10_000)
             assert rep.verdict is Verdict.CONVEX
             assert rep.min_gap >= -1e-9
+
+
+# ------------------------------------------- half-line certificates and unvisited edges
+
+
+class TestMidpointVerdictOnHalfLines:
+    CUBIC = function_model("x^3 - 3x^2", Interval(0.0, math.inf), lambda x: x**3 - 3.0 * x**2, lambda x: 3.0 * x**2 - 6.0 * x)
+
+    def test_a_function_concave_below_one_is_not_certified(self):
+        assert is_mn_convex(self.CUBIC, IDENTITY, IDENTITY).verdict is Verdict.NOT_CONVEX
+        assert midpoint_verdict(self.CUBIC, ARITHMETIC, ARITHMETIC).verdict is Verdict.NOT_CONVEX
+        with pytest.raises(ConvexityError, match="jccd: certificate failed"):
+            jccd(self.CUBIC, ARITHMETIC, ARITHMETIC, 0.1, 0.5)
+
+    def test_a_convex_function_stays_certified(self):
+        square = function_model("x^2", Interval(0.0, math.inf), lambda x: x**2, lambda x: 2.0 * x)
+        assert midpoint_verdict(square, ARITHMETIC, ARITHMETIC).verdict is Verdict.CONVEX
+
+    def test_the_witness_pair_lies_where_f_is_concave(self):
+        p, q, gap = midpoint_verdict(self.CUBIC, ARITHMETIC, ARITHMETIC).witness
+        assert max(p, q) < 1.0 and gap < 0.0  # F'' = 6x - 6
+
+
+F_SHIFTED = function_model("x-2", Interval(0.0, 5.0), lambda x: x - 2.0, lambda x: np.ones_like(x))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: power_convexity_transform(F_SQ, 1.0, 2.0), DomainError, "requires a positive domain"),
+        (lambda: power_convexity_transform(F_SHIFTED, 1.0, 0.0).value(1.0), DomainError,
+         "must be positive for the log branch"),
+        (lambda: power_convexity_transform(F_SHIFTED, 1.0, 0.5).value(1.0), DomainError,
+         "must be nonnegative for fractional exponents"),
+        (lambda: bccd_numeric(F_SQ_POS, stolarsky(2.0), ARITHMETIC, 1.0, 2.0, [0.5, 0.1]), UnsupportedWeights,
+         "must both support weights"),
+        (lambda: lehmer_bregman(F_SHIFTED, 0.0, 1.0, 1.0, 3.0), DomainError, "requires positive generator values"),
+    ],
+)
+def test_unvisited_edges_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

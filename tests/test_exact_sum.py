@@ -2,13 +2,15 @@
 
 The helper sums a float64 array exactly without building a Python list;
 every test here compares it with ``math.fsum(v.tolist())`` by ``float.hex``,
-or by the class and message of the error fsum raises, save that fsum's
-OverflowError is a DomainError.  The last tests run
+or by the class and message of the error fsum raises, save where fsum's
+partials overflow: there the oracle is the exactly rounded ``Fraction`` sum
+of finite terms, and a sum past the float range is a DomainError.  The last tests run
 the discrete outputs of the ``bhat`` benchmark workload on 10^4-bin pairs,
 where the helper takes over from fsum, against dense fsum coefficients.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +35,10 @@ def same_as_fsum(v):
     v = np.asarray(v, dtype=float)
     want = _outcome(lambda: math.fsum(v.tolist()))
     if want[0] is OverflowError:
-        want = DomainError, f"intermediate overflow past the float range in the exact sum of {len(v)} terms"
+        exact = lambda: float(sum(map(Fraction, v.tolist())))
+        want = _outcome(exact) if np.isfinite(v).all() else (OverflowError,)
+        if want[0] is OverflowError:
+            want = DomainError, f"overflow past the float range: the exact sum of {len(v)} terms is too large for a float"
     assert _outcome(lambda: _exact_sum(v)) == want
 
 
@@ -100,7 +105,8 @@ def test_fixed_cases(v):
 )
 @pytest.mark.parametrize("length", ["short", "long"])
 def test_non_finite_and_overflowing_sums_are_fsums(terms, length):
-    # Long enough for the exact path, these must still give fsum's value or error.
+    # Long enough for the exact path, these must still give fsum's value or
+    # error, or the exact sum where fsum overflows: (1e308, 1e308, -1e308) is 1e308.
     same_as_fsum(padded(*terms, fill=0.5) if length == "long" else terms)
 
 
@@ -159,3 +165,11 @@ def test_bhat_workload_outputs_equal_the_dense_fsum(monkeypatch, kind):
     got = {k: _outcome(f) for k, f in workload_outputs(alpha, P, Q).items()}
     monkeypatch.setattr(bhattacharyya, "_mass_coefficient", dense_coefficient)
     assert got == {k: _outcome(f) for k, f in workload_outputs(alpha, P, Q).items()}
+
+
+@pytest.mark.parametrize("length", ["short", "long"])
+def test_a_representable_sum_whose_fsum_overflows_is_exact(length):
+    terms = (1e308, 1e308, -1e308)
+    v = padded(*terms) if length == "long" else np.array(terms)
+    assert _exact_sum(v) == 1e308
+    assert _exact_sum(np.array([1e308, 1e308, -1e308, -1e308])) == 0.0

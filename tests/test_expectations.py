@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdt.bhattacharyya import DensityModel, DiscreteDist, histogram_density
-from cdt.errors import DomainError
+from cdt.errors import DomainError, KindMismatch
 from cdt.expectations import qa_expected_value, qa_mean
 from cdt.generators import IDENTITY, LOG, RECIPROCAL, power_generator
 from cdt.quadrature import integrate
@@ -111,6 +111,7 @@ class TestQaExpectedValue:
         assert qa_expected_value(IDENTITY, dens, normalize=True) == pytest.approx(1.5, abs=1e-12)
 
     def test_a_normalized_density_integrates_its_mass_only_when_asked(self, monkeypatch):
+        import cdt.bhattacharyya as bh
         import cdt.expectations as ex
 
         calls = []
@@ -119,9 +120,22 @@ class TestQaExpectedValue:
             calls.append(args)
             return integrate(*args)
 
-        monkeypatch.setattr(ex, "integrate", counted)
         dens = histogram_density((1.0, 2.0, 4.0), (0.25, 0.75))
+        monkeypatch.setattr(ex, "integrate", counted)
+        monkeypatch.setattr(bh, "integrate", counted)  # where the mass is integrated
         qa_expected_value(LOG, dens)
         assert len(calls) == 1
         qa_expected_value(LOG, dens, normalize=True)
         assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "dist, error, message",
+    [
+        (histogram_density((-1.0, 0.0, 1.0), (0.5, 0.5)), DomainError, r"support \[-1.0, 1.0\] is not inside the domain"),
+        ((0.5, 0.5), KindMismatch, "unsupported distribution type tuple"),
+    ],
+)
+def test_unsupported_inputs_are_refused(dist, error, message):
+    with pytest.raises(error, match=message):
+        qa_expected_value(LOG, dist)

@@ -22,7 +22,8 @@ from cdt.expr import (
     expression_model,
     parse_expression,
 )
-from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, Interval, get_generator
+from cdt.expr import _compile
+from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, Interval, _invert_monotone, get_generator
 from cdt.quadrature import _Pointwise
 
 mp = mpmath.mp.clone()
@@ -310,3 +311,29 @@ def test_no_expression_uses_finite_differences(monkeypatch):
 def test_linear_expression_property(a, b, x):
     f = compile_expression(f"{a!r} + {b!r}*x")
     assert float(f(x)) == pytest.approx(a + b * x, rel=1e-12, abs=1e-12)
+
+
+def test_an_unknown_character_names_its_offset_and_the_expected_tokens():
+    with pytest.raises(ParseError) as err:
+        parse_expression("x $ 2")
+    assert (err.value.offset, err.value.expected) == (2, ("number", "name", "operator"))
+
+
+def test_a_generator_expression_not_finite_on_its_domain_names_the_point():
+    with pytest.raises(DomainError, match="'1/x' is undefined at 0.0"):
+        expression_generator("1/x", (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("text, domain", [("x^3 + x", (-2.0, 2.0)), ("-exp(-x)", (-3.0, 3.0)), ("1/(1+x)", (0.0, 10.0))])
+def test_expression_generator_values_and_inverses_are_the_compiled_closures(text, domain):
+    gen = expression_generator(text, domain)
+    node = parse_expression(text)
+    f = _compile(node)[0]
+    lo, hi = Interval(*domain).finite_window()
+    with np.errstate(all="ignore"):
+        if f(hi) < f(lo):  # the increasing representative
+            f = _compile(Neg(node))[0]
+        xs = np.linspace(lo, hi, 101)
+        ys = np.linspace(float(f(lo)), float(f(hi)), 101)
+        assert gen.value(xs).tobytes() == np.asarray(f(xs), dtype=float).tobytes()
+        assert gen.inv(ys).tobytes() == _invert_monotone(f, ys, lo, hi, 1e-14).tobytes()

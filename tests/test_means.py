@@ -462,3 +462,9 @@ def test_power_mean_innerness_property(x, y, alpha, delta):
 @given(x=st.floats(0.01, 1e3), y=st.floats(0.01, 1e3))
 def test_amgm_property(x, y):
     assert mean_value(GEOMETRIC, x, y) <= mean_value(ARITHMETIC, x, y) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
+def test_mean_value_refuses_alpha_outside_the_closed_unit_interval(alpha):
+    with pytest.raises(WeightError, match=r"outside \[0, 1\]"):
+        mean_value(ARITHMETIC, 1.0, 2.0, alpha)

@@ -478,3 +478,11 @@ def test_one_failing_panel_holds_a_bounded_chunk_per_level():
 
     assert _peak_bytes(fail_at(14)) <= 2 * _peak_bytes(fail_at(10))
     assert max(sizes) == len(_XK) * _MAX_ACTIVE
+
+
+def test_a_wide_interval_without_breakpoints_is_split_by_the_ladder():
+    # (-1e6, 1e6) is wider than 1e4 max(1, |lo + hi|): integrate panels it
+    # geometrically around 0, where a Cauchy density's mass sits.
+    f = _counted(lambda x: 1.0 / (math.pi * (1.0 + np.asarray(x) ** 2)))
+    assert integrate(f, -1e6, 1e6) == pytest.approx(2.0 * math.atan(1e6) / math.pi, abs=1e-9)
+    assert f.sizes[0] > 15  # the first call already spans several panels
