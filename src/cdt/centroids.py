@@ -8,8 +8,9 @@ divergence has a unique minimizer obtained in the rho-embedded space via
 with c = rho^{-1}((G')^{-1}(...)).  (G')^{-1} has no closed inverse in
 general, so it is computed by bisection on the bracketing interval spanned
 by the embedded data, to tolerance 1e-12, for all clusters at once; each
-call of G' evaluates the midpoints of six bisection levels (about 40
-levels in 7 calls, see ``generators._invert_monotone``).  A Lloyd sweep is
+call of G' evaluates the bisection path toward a root interpolated from
+the values already known (about 40 levels in one to four calls, see
+``generators._invert_monotone``).  A Lloyd sweep is
 the matrix form of Bregman hard clustering (Banerjee, Merugu, Dhillon and
 Ghosh, JMLR 2005).  Lloyd's iteration is at its fixed point once a sweep
 reproduces the previous assignment: the centroids, distances and objective

@@ -50,7 +50,7 @@ from .errors import (
     WeightError,
     require_int,
 )
-from .generators import Generator, _first
+from .generators import Generator, _first, _fused, _outside, _raw
 from .means import WEIGHT_SUM_TOL, MeanSpec, _checked_means, lehmer
 
 #: Values in [-ZERO_FLOOR, 0) are clamped to 0: floating-point cancellation
@@ -301,14 +301,44 @@ class QabdSpec:
         object.__setattr__(self, "verdict", rep)
 
 
-def _qabd_raw(spec: QabdSpec, p, q) -> np.ndarray:
-    """Unclamped B(p:q) elementwise over broadcast arrays p and q."""
+def _qabd_checked(spec: QabdSpec, p, q):
+    """Unclamped B(p:q) from checked calls: the first bad element raises the
+    typed error that names it."""
     F, rho, tau = spec.F, spec.rho, spec.tau
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     fp, fq = F.value(p), F.value(q)
     td = _nonvanishing(tau.deriv(fq), "tau'(F(q))", q)
     rd = _nonvanishing(rho.deriv(q), "rho'(q)", q)
     return (tau.value(fp) - tau.value(fq)) / td - ((rho.value(p) - rho.value(q)) / rd) * F.deriv(q)
+
+
+def _qabd_raw(spec: QabdSpec, p, q):
+    """Unclamped B(p:q) elementwise over broadcast arrays p and q.
+
+    When F, rho and tau all have derivatives this is one raw numpy chain
+    (``generators._fused``), each side computed on its own points.  Its mask
+    restates every check of ``_qabd_checked``: p and q inside the domains of
+    F and rho, F(p) and F(q) inside tau's open domain (which also catches F
+    not finite), tau'(F(q)) and rho'(q) not vanishing, and a NaN anywhere
+    (which makes B NaN).  A flag reruns the checked chain to raise its
+    error; a check added there must be added to this mask too.
+    """
+    F, rho, tau = spec.F, spec.rho, spec.tau
+    checked = lambda p, q: _qabd_checked(spec, p, q)
+    if None in (F.derivative, rho.derivative, tau.derivative):
+        return checked(p, q)
+    dom = F.domain.intersect(rho.domain)
+
+    def raw(p, q):
+        fp, fq = _raw(F.eval, p), _raw(F.eval, q)
+        td, rd = _raw(tau.derivative, fq), _raw(rho.derivative, q)
+        out = (_raw(tau.forward, fp) - _raw(tau.forward, fq)) / td - (
+            (_raw(rho.forward, p) - _raw(rho.forward, q)) / rd
+        ) * _raw(F.derivative, q)
+        small = (np.abs(td) < _MIN_DERIVATIVE) | (np.abs(rd) < _MIN_DERIVATIVE)
+        outside = _outside(p, dom) | _outside(q, dom) | _outside(fp, tau.domain) | _outside(fq, tau.domain)
+        return out, outside | small | np.isnan(out)
+
+    return _fused(raw, checked)(p, q)
 
 
 def qabd(spec: QabdSpec, p: float, q: float) -> DivergenceValue:

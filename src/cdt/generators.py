@@ -53,13 +53,18 @@ class Interval:
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def finite_window(self) -> tuple[float, float]:
-        """A finite open sub-interval suitable for sampling.
+        """A finite sub-interval suitable for sampling, strictly inside.
 
         Unbounded ends are capped multiplicatively on the positive axis
         (generators such as log vary fastest near 0) and additively
-        otherwise.
+        otherwise.  Each end of the window lies at least one float inside
+        the interval, and so at most the largest finite float from 0; an
+        interval that holds no float raises DomainError.
         """
-        lo, hi = self.lo, self.hi
+        lo, hi = float(self.lo), float(self.hi)  # a numpy float would warn where this overflows
+        first, last = math.nextafter(lo, INF), math.nextafter(hi, -INF)  # the floats inside
+        if not first <= last:
+            raise DomainError(f"interval ({lo}, {hi}) holds no float")
         if math.isinf(lo) and math.isinf(hi):
             return -100.0, 100.0
         if math.isinf(lo):  # the mirror image of (-hi, inf); negation is exact
@@ -67,20 +72,28 @@ class Interval:
             return -b, -a
         if math.isinf(hi):
             if lo >= 0.0:
-                wlo = 1e-6 if lo == 0.0 else lo * (1.0 + 1e-9)
-                return wlo, max(1e6, lo * 1e6)
-            return lo + 1e-9 * abs(lo), lo + 1e6 * max(1.0, abs(lo))
-        pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if lo + pad >= hi - pad:
-            pad = 1e-3 * (hi - lo)
-        return lo + pad, hi - pad
+                a, b = (1e-6 if lo == 0.0 else lo * (1.0 + 1e-9)), max(1e6, lo * 1e6)
+            else:
+                a, b = lo + 1e-9 * abs(lo), lo + 1e6 * max(1.0, abs(lo))
+        else:
+            pad = 1e-9 * max(1.0, abs(lo), abs(hi))
+            if lo + pad >= hi - pad:
+                pad = 1e-3 * (hi - lo)
+            a, b = lo + pad, hi - pad
+        return min(max(a, first), last), min(max(b, first), last)
 
     def sample_grid(self, n: int) -> np.ndarray:
-        """n sample points: geometric spacing on positive windows, uniform otherwise."""
+        """n sample points of the window in order: geometric spacing on
+        positive windows, uniform otherwise."""
         a, b = self.finite_window()
-        if a > 0.0:
-            return np.geomspace(a, b, n)
-        return np.linspace(a, b, n)
+        with np.errstate(all="ignore"):  # a point that overflows is clipped to b
+            if a > 0.0:
+                grid = np.geomspace(a, b, n)
+            elif math.isfinite(b - a):
+                grid = np.linspace(a, b, n)
+            else:  # halving is exact and keeps the width finite
+                grid = 2.0 * np.linspace(0.5 * a, 0.5 * b, n)
+        return np.clip(grid, a, b)  # where rounding stepped out of the window
 
 
 def _first(x, bad: np.ndarray) -> float:
@@ -94,10 +107,14 @@ def _floats(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
+def _outside(x, domain: Interval) -> np.ndarray:
+    """The mask of the elements of x outside the open domain, NaN included."""
+    return ~((x > domain.lo) & (x < domain.hi))
+
+
 def _check_inside(x: np.ndarray, domain: Interval, what: str) -> None:
     """Raise DomainError naming the first element of x outside domain."""
-    bad = ~((x > domain.lo) & (x < domain.hi))
-    if np.count_nonzero(bad):  # cheaper than bad.any() on small arrays
+    if np.count_nonzero(bad := _outside(x, domain)):  # cheaper than bad.any() on small arrays
         raise DomainError(f"{_first(x, bad)!r} outside domain {domain} of {what}")
 
 
@@ -163,31 +180,37 @@ def _image(fn: Callable, lo: float, hi: float) -> Interval:
     return Interval(*ends)
 
 
+def _raw(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """fn at x unchecked: called on x flattened and converted to float as
+    ``_apply`` calls and converts it, in x's shape."""
+    return _floats(fn(x.reshape(-1))).reshape(x.shape)
+
+
 def _fused(raw: Callable, checked: Callable) -> Callable:
     """The values of ``raw``, checked as ``checked`` checks them, at about
     the cost of raw alone.
 
-    raw(x) returns the values and a mask flagging every element that
-    checked would reject.  It runs under one errstate, on x flattened as
-    ``_apply`` flattens it, and converts each callable's values to float as
-    ``_apply`` does, so its values are checked's bit for bit.  When raw
+    raw(*xs) takes the arguments as float arrays and returns the values in
+    their broadcast shape, and a mask flagging every element that checked
+    would reject.  It runs under one errstate and calls each callable
+    through ``_raw``, so its values are checked's bit for bit.  When raw
     raises, flags an element or returns a misshapen array, checked reruns
-    on the same x, only to raise the typed error that names the culprit; if
-    it raises none, its values are returned.
+    on the same arguments, only to raise the typed error that names the
+    culprit; if it raises none, its values are returned.
     """
 
-    def fun(x):
-        xa = np.asarray(x, dtype=float)
+    def fun(*args):
+        xs = [np.asarray(x, dtype=float) for x in args]
         with np.errstate(all="ignore"):
             try:
-                out, bad = raw(xa.reshape(-1))
+                out, bad = raw(*xs)
                 out = _floats(out)
-                clean = out.shape == (xa.size,) and not np.count_nonzero(bad)
+                clean = out.shape == np.broadcast(*xs).shape and not np.count_nonzero(bad)
             except Exception:  # whatever it was, the checked rerun raises it again
                 clean = False
         if not clean:
-            return checked(x)
-        return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
+            return checked(*args)
+        return float(out) if out.ndim == 0 else out
 
     return fun
 
@@ -215,13 +238,11 @@ def _monotone_direction(fun: Callable, lo, hi, n: int = 33):
     return int(out) if out.ndim == 0 else out
 
 
-#: Bisection levels that ``_invert_monotone`` evaluates per call of fun.
-_DEPTH = 6
-
-#: The most midpoints per call of fun: past about 32 elements, evaluating
-#: the 2^d - 1 nodes of each element's tree costs more than the d - 1 calls
-#: it saves, so ``_invert_monotone`` takes one level per call.
-_TREE_POINTS = 2048
+#: Elements up to which ``_invert_monotone`` steps predicted paths in floats,
+#: one element at a time.  On the G' of the four certified cluster triples
+#: (2-vCPU Xeon, numpy 2.4) that took 0.30 to 0.85 of the time of one level
+#: per call at 16 elements, and about as long at 20.
+_PATH_ELEMENTS = 16
 
 #: Bisection levels after which ``_invert_monotone`` stops in any case.
 _MAX_LEVELS = 200
@@ -234,88 +255,50 @@ def _bisecting(a, b, tol: float):
     return (b - a) > tol * np.maximum(1.0, np.maximum(b, -a))
 
 
-@lru_cache(maxsize=None)
-def _tree(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables of the midpoint tree of depth d on grid positions 0..2^d, one
-    row per leaf bracket [j, j + 1]:
-
-    * turns: +1 at each of the leaf's d ancestors (node k sits at grid
-      position k + 1) whose step goes up towards it, -1 at those that go
-      down, 0 at every other node;
-    * ups: the number of ancestors that go up, so that with a 0/1 vector
-      of the steps' choices, ups - turns @ choices counts the ancestors
-      that disagree with the leaf;
-    * ends: the grid positions of the ends of each ancestor's bracket,
-      level by level, followed by those of the leaf's own.
-    """
-    N = 1 << d
-    half = N >> np.arange(1, d + 1)
-    leaf = np.arange(N)[:, None]
-    ancestor = leaf - leaf % (2 * half) + half
-    up = leaf >= ancestor
-    turns = np.zeros((N, N - 1))
-    turns[leaf, ancestor - 1] = np.where(up, 1.0, -1.0)
-    ends = np.stack([np.hstack([ancestor - half, leaf]), np.hstack([ancestor + half, leaf + 1])], axis=2)
-    tables = turns, up.sum(axis=1)[:, None], ends
-    for t in tables:
-        t.flags.writeable = False  # shared by every call
-    return tables
-
-
-def _bisect_levels(fun: Callable, target, increasing, a, b, tol: float, d: int):
-    """d levels of bisection on the brackets [a, b] (flat arrays, as are
-    target and increasing) from one call of fun at all 2^d - 1 midpoints of
-    each bracket's tree: bit for bit the brackets that d one-level steps
-    reach, or None when that call raises, returns a misshapen array or a
-    NaN anywhere.
-
-    Level by level, each node of the tree is the midpoint of its bracket,
-    computed as a one-level step computes it.  The step's choice at every
-    node picks the one leaf whose ancestors all lead to it; along that
-    path, the first bracket that fails the tolerance rule is where
-    one-level steps stop, so it is returned in place of the leaf's.
-    """
-    N, n = 1 << d, a.size
-    P = np.empty((N + 1, n))  # one column per element, so the nodes P[1:-1] are contiguous
-    P[0], P[N] = a, b
-    for k in range(d):
-        s = N >> k
-        P[s // 2 :: s] = 0.5 * (P[: -1 : s] + P[s::s])
-    try:
-        Y = np.asarray(fun(P[1:-1]), dtype=float)
-    except Exception:  # the one-level replay raises it again
-        return None
-    if Y.shape != (N - 1, n) or np.count_nonzero(np.isnan(Y)):
-        return None
-    turns, ups, ends = _tree(d)
-    # 0 at the leaf that every ancestor's step leads to, negative elsewhere
-    leaf = np.argmax(turns @ ((Y < target) == increasing) - ups, axis=0)
-    rows = np.arange(n)
-    E = P[ends[leaf], rows[:, None, None]]
-    lo, hi = E[:, :, 0], E[:, :, 1]
-    active = _bisecting(lo, hi, tol)
-    active[:, d] = False  # the leaf's bracket goes to the next round
-    return E[rows, np.argmin(active, axis=1)].T
+def _estimate(a: float, ya: float, b: float, yb: float, c: float, yc: float, t: float) -> float:
+    """Where in [a, b] the root of y = t is expected from values known at
+    a, b and c: inverse quadratic interpolation through the three points
+    when it lands inside, else the secant through the ends (as in Brent,
+    Algorithms for Minimization without Derivatives, 1973), clipped into
+    [a, b]; the midpoint when neither is finite.  A NaN c is no point."""
+    r = math.nan
+    with contextlib.suppress(ZeroDivisionError):
+        r = a + (t - ya) * (b - a) / (yb - ya)
+        q = (
+            a * (t - yb) * (t - yc) / ((ya - yb) * (ya - yc))
+            + b * (t - ya) * (t - yc) / ((yb - ya) * (yb - yc))
+            + c * (t - ya) * (t - yb) / ((yc - ya) * (yc - yb))
+        )
+        if a < q < b:
+            r = q
+    return min(max(r, a), b) if math.isfinite(r) else 0.5 * (a + b)
 
 
 def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
     """Bisection solve of fun(m) = target for monotone fun on [lo, hi], to a
     bracket of relative width tol; elementwise over arrays of targets and
-    brackets, each element stopping at its own tolerance.
+    brackets, each element stopping at its own tolerance or after
+    ``_MAX_LEVELS`` levels.
 
-    fun is evaluated once at the bracket ends and then once per round of
-    ``_DEPTH`` levels, at every midpoint those levels could visit (see
-    ``_bisect_levels``), or of one level when the elements are so many that
-    a round would exceed ``_TREE_POINTS`` midpoints; the result is bit for
-    bit that of one level per call.  All points lie in [lo, hi], so callers
-    check the bracket against their domains once and may pass raw kernels
-    (see ``_fused``).  Every value is still checked: a NaN, which would
-    steer the bisection silently, raises DomainError naming its point.  A
-    round whose call raises, returns a misshapen array or a NaN anywhere in
-    its tree is replayed one level per call, with the midpoints in the
-    shape of the result, so an error names the point that one-level
-    bisection meets first, a NaN off its path goes unseen, and a fun taking
-    only floats works.
+    fun is evaluated once at the bracket ends and then once per round.  A
+    round estimates each element's root (see ``_estimate``), steps in floats
+    along the bisection path toward it, and evaluates every midpoint of the
+    path in one call of fun.  Each element keeps the levels whose decisions,
+    taken from fun's own values, match the path, and the first that does
+    not: every round confirms a level, and the result is bit for bit that
+    of one level per call.  The first paths run to the tolerance; after c
+    levels confirmed, an element's next path runs at most 2c + 2, so a fun
+    that defeats every estimate costs O(levels) float steps.  Past
+    ``_PATH_ELEMENTS`` elements the solver takes one level per call.
+
+    All points lie in [lo, hi], so callers check the bracket against their
+    domains once and may pass raw kernels (see ``_fused``).  Every value is
+    still checked: a NaN, which would steer the bisection silently, raises
+    DomainError naming its point.  After a round whose call raises, returns
+    a misshapen array or a NaN anywhere, the solve starts again at one
+    level per call, with the midpoints in the shape of the result, so an
+    error names the point that one-level bisection meets first, a NaN off
+    its path goes unseen, and a fun taking only floats works.
     """
 
     def values(x):
@@ -328,29 +311,84 @@ def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
     increasing = fhi >= flo
     # Floating-point drift can push the target marginally outside the bracket.
     target = np.minimum(np.maximum(target, np.minimum(flo, fhi)), np.maximum(flo, fhi))
-    args = np.broadcast_arrays(target, increasing, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    args = np.broadcast_arrays(target, increasing, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), flo, fhi)
     shape = args[0].shape
-    target, increasing, a, b = (v.reshape(-1) for v in args)
-    depth = _DEPTH if a.size * ((1 << _DEPTH) - 1) <= _TREE_POINTS else 1
-    levels, replay = _MAX_LEVELS, 0
-    while levels:
-        active = _bisecting(a, b, tol)
-        if not np.count_nonzero(active):
-            break
-        d = 1 if replay else min(depth, levels)
-        if d == 1:
+    target, increasing, a, b, ya, yb = (v.reshape(-1) for v in args)
+    bracket = _paths(fun, target, increasing, a, b, ya, yb, tol) if a.size <= _PATH_ELEMENTS else None
+    if bracket is not None:
+        a, b = bracket
+    else:
+        for _ in range(_MAX_LEVELS):
+            active = _bisecting(a, b, tol)
+            if not np.count_nonzero(active):
+                break
             m = 0.5 * (a + b)
             raise_a = active & ((values(m.reshape(shape)).reshape(-1) < target) == increasing)
             a, b = np.where(raise_a, m, a), np.where(active ^ raise_a, m, b)
-            replay = max(replay - 1, 0)
-        elif (bracket := _bisect_levels(fun, target, increasing, a, b, tol, d)) is not None:
-            a, b = bracket
-        else:
-            replay = d
-            continue
-        levels -= d
     out = 0.5 * (a + b)
     return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def _paths(fun, target, increasing, a, b, ya, yb, tol):
+    """The brackets [a, b] at which one-level bisection stops, reached in
+    rounds along predicted paths from ``_invert_monotone``'s flat arrays;
+    None when a round's call raises, returns a misshapen array or a NaN.
+
+    One-level bisection evaluates at each level the midpoint of every
+    element, also of one that has stopped while another goes on; here each
+    such midpoint is evaluated too, in the round after the element stops
+    at the latest.
+    """
+    n, t = a.size, target.tolist()
+    # each element's (a, f(a), b, f(b), c, f(c)), c the end it discarded last
+    S = [(*s, math.nan, math.nan) for s in zip(a.tolist(), ya.tolist(), b.tolist(), yb.tolist())]
+    levels = [0] * n
+    seen = [False] * n  # the midpoint where an element stopped was evaluated
+    depth = [_MAX_LEVELS] * n  # the most levels of each element's next path
+
+    def bisecting(lo, hi):  # _bisecting on floats
+        s = hi if hi > -lo else -lo
+        return hi - lo > tol * (s if s > 1.0 else 1.0)
+
+    def live(i):
+        return levels[i] < _MAX_LEVELS and bisecting(S[i][0], S[i][2])
+
+    while True:
+        top = max(levels, default=0)
+        if not any(live(i) or not (seen[i] or levels[i] == top) for i in range(n)):
+            return np.array([s[0] for s in S]), np.array([s[2] for s in S])
+        paths = []
+        for i, (lo, ylo, hi, yhi, c, yc) in enumerate(S):
+            r = _estimate(lo, ylo, hi, yhi, c, yc, t[i])
+            path = []
+            for _ in range(min(depth[i], _MAX_LEVELS - levels[i])):
+                if not bisecting(lo, hi):
+                    break
+                m = 0.5 * (lo + hi)
+                path.append(m)
+                lo, hi = (m, hi) if m < r else (lo, m)
+            paths.append((path, r, 0.5 * (lo + hi)))
+        D = max(1, *(len(p) for p, _, _ in paths))
+        # a shorter path is padded with the midpoint where it ends
+        P = np.array([p + [f] * (D - len(p)) for p, _, f in paths]).T
+        try:
+            Y = np.asarray(fun(P), dtype=float)
+        except Exception:  # one-level bisection raises it again
+            return None
+        if Y.shape != P.shape or np.count_nonzero(np.isnan(Y)):
+            return None
+        ups = ((Y < target) == increasing).T.tolist()
+        for i, (path, r, _), ys, us in zip(range(n), paths, Y.T.tolist(), ups):
+            kept, held = len(path), True
+            for j, (m, y, up) in enumerate(zip(path, ys, us)):
+                lo, ylo, hi, yhi, _, _ = S[i]
+                S[i] = (m, y, hi, yhi, lo, ylo) if up else (lo, ylo, m, y, hi, yhi)
+                if up != (m < r):  # the first level off the path
+                    kept, held = j + 1, False
+                    break
+            levels[i] += kept
+            depth[i] = 2 * kept + 2
+            seen[i] = held and kept < D and not live(i)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """``_invert_monotone`` against one bisection level per call, bit for bit.
 
-The solver evaluates the whole midpoint tree of several bisection levels in
-one call of the function and walks the path that one-level bisection takes.
+The solver predicts where each root lies, evaluates every midpoint of the
+bisection path toward it in one call of the function, and keeps the levels
+where the path agrees with the decisions that one-level bisection takes.
 ``one_level`` below is that one-level bisection, written out step by step;
 every test compares the two with ``==``: values, and the messages of the
-errors they raise.  Also here: the single-column ``means._wsum`` against
-its row loop.
+errors they raise.  The solver never calls the function more often.  Also
+here: the single-column ``means._wsum`` against its row loop.
 """
 
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from test_solver_kernels import Counted
 
 from cdt.errors import DomainError
-from cdt.generators import _MAX_LEVELS, _first, _invert_monotone
+from cdt.generators import _MAX_LEVELS, _PATH_ELEMENTS, _first, _invert_monotone
 from cdt.means import _wsum
 
 
@@ -106,6 +107,29 @@ def test_noise_dominated_functions(problem, tol):
     same(*problem, tol)
 
 
+@settings(deadline=None, max_examples=300)
+@given(problem=problems({**FUNS, **NOISY}), tol=st.sampled_from([1e-12, 1e-14, 1e-16]))
+def test_no_more_calls_than_one_level(problem, tol):
+    fun, target, lo, hi = problem
+    counted, ref = Counted(fun), Counted(fun)
+    _invert_monotone(counted, target, lo, hi, tol)
+    one_level(ref, target, lo, hi, tol)
+    assert counted.calls <= ref.calls
+
+
+@settings(deadline=None, max_examples=300)
+@given(problem=problems(NOISY), tol=st.sampled_from([1e-12, 1e-14, 1e-16]))
+def test_noise_costs_points_linear_in_the_levels(problem, tol):
+    # After a path that keeps c levels, the next runs at most 2c + 2: over
+    # L levels the rounds after the first evaluate at most 4L points, where
+    # a path run to the tolerance every round would cost O(L^2).
+    fun, target, lo, hi = problem
+    counted, ref = Counted(fun), Counted(fun)
+    _invert_monotone(counted, target[:1], lo[:1], hi[:1], tol)
+    one_level(ref, target[:1], lo[:1], hi[:1], tol)
+    assert counted.points <= 2 + _MAX_LEVELS + 4 * (ref.calls - 2)
+
+
 @settings(deadline=None, max_examples=100)
 @given(problem=problems(FUNS), tol=st.sampled_from([1e-12, 1e-14]))
 def test_one_element_as_a_float(problem, tol):
@@ -118,17 +142,23 @@ def test_one_element_as_a_float(problem, tol):
 @pytest.mark.parametrize("tol", [0.0, 1e-300])
 def test_the_level_cap(tol):
     # No bracket gets narrower than adjacent floats, so no element stops
-    # before the cap: 33 rounds of six levels and one of two.
+    # before the cap.  The first round's paths run 200 levels; the secant
+    # puts the second element's root at 0.1 + 9e-17, so its path leaves
+    # one-level bisection's at level 57.  Its next path runs 2 * 57 + 2
+    # levels, and the third the last 27.
     lo, hi = np.array([1.0, -3.0, 1e-8, 5.0]), np.array([2.0, 7.0, 1e-7, 5.0 + 2.0**-48])
     target = np.array([math.pi, 0.1, 3e-8, 5.0 + 2.0**-50])
     fun, ref = Counted(lambda x: x), Counted(lambda x: x)
     assert _invert_monotone(fun, target, lo, hi, tol).tobytes() == one_level(ref, target, lo, hi, tol).tobytes()
-    assert (ref.calls, fun.calls) == (2 + _MAX_LEVELS, 2 + 34)
+    assert (ref.calls, fun.calls) == (2 + _MAX_LEVELS, 2 + 3)
 
 
-@pytest.mark.parametrize("n, rounds", [(32, 8), (33, 47)])
+@pytest.mark.parametrize("n, rounds", [(_PATH_ELEMENTS, 4), (_PATH_ELEMENTS + 1, 47)])
 def test_many_elements_take_one_level_per_call(n, rounds):
-    # 32 trees of 63 midpoints fit in one call; 33 take one level per call.
+    # Up to _PATH_ELEMENTS elements go along predicted paths, in rounds of
+    # 47, 6, 14 and 25 levels: the furthest element keeps 2 levels of the
+    # first, so the second runs 2 * 2 + 2, and so on.  One more element
+    # takes one level per call.
     lo = np.linspace(1.0, 2.0, n)
     target = FUNS["cube"](lo + 0.3)
     fun, ref = Counted(FUNS["cube"]), Counted(FUNS["cube"])
@@ -153,19 +183,39 @@ def nan_at(c, fn=lambda x: x):
 
 
 def test_a_nan_off_the_path_is_not_seen():
-    # 1.5 is a node of the first round's tree over [0, 2], but the path to
-    # 0.4 goes down at 1.0; the batched call meets it, one level per call
-    # does not.
+    # 1.5 is off the path to 0.4 in [0, 2], which goes down at 1.0; the
+    # secant through the ends puts the root at 0.4, so no round meets it
+    # either, and the calls are those of a clean solve.
     fun = Counted(nan_at(1.5))
     assert _invert_monotone(fun, 0.4, 0.0, 2.0, 1e-14) == one_level(lambda x: x, 0.4, 0.0, 2.0, 1e-14)
     calls_clean = Counted(lambda x: x)
     _invert_monotone(calls_clean, 0.4, 0.0, 2.0, 1e-14)
-    assert fun.calls == calls_clean.calls + 6  # the first round replayed one level per call
+    assert fun.calls == calls_clean.calls
+
+
+def test_a_nan_on_a_predicted_path_only_is_replayed():
+    # For x^3 = 0.064 in [0, 2] the secant puts the root at 0.016, not 0.4:
+    # the first round's path goes down at 0.25, where one-level bisection
+    # goes up, and on to 0.125, a NaN one-level bisection never meets.
+    # The solve starts again at one level per call: 48 more calls.
+    cube = lambda x: x**3
+    fun, ref = Counted(nan_at(0.125, cube)), Counted(cube)
+    assert _invert_monotone(fun, 0.064, 0.0, 2.0, 1e-14) == one_level(ref, 0.064, 0.0, 2.0, 1e-14)
+    assert (ref.calls, fun.calls) == (2 + 48, 2 + 1 + 48)
+
+    def raising(x):
+        if np.any(np.asarray(x) == 0.125):
+            raise DomainError(f"undefined at {0.125!r}")
+        return cube(x)
+
+    assert outcome(_invert_monotone, raising, 0.064, 0.0, 2.0, 1e-14)[0] == "value"
+    same(raising, 0.064, 0.0, 2.0, 1e-14)
 
 
 def test_a_nan_on_the_path_raises_the_one_level_error():
     # 0.2003173828125 is the tenth midpoint on the way to 0.2 in [0, 1.5]:
-    # the first round's tree is clean, the second round's meets it.
+    # the first round's path meets it, and the replay raises where
+    # one-level bisection does.
     args = (nan_at(0.2003173828125), np.array([0.4, 0.2]), 0.0, np.array([2.0, 1.5]), 1e-14)
     message = "the function to invert is NaN at 0.2003173828125"
     assert outcome(_invert_monotone, *args) == ("error", "DomainError", message)
@@ -180,14 +230,14 @@ def test_a_raising_fun_raises_the_one_level_error():
 
     assert outcome(_invert_monotone, fun, 0.2, 0.0, 2.0, 1e-14) == ("error", "DomainError", "undefined at 0.5")
     same(fun, 0.2, 0.0, 2.0, 1e-14)
-    same(fun, 1.2, 0.0, 2.0, 1e-14)  # 0.5 is in the tree, not on the path
+    same(fun, 1.2, 0.0, 2.0, 1e-14)  # 0.5 is not on the path
 
 
 @settings(deadline=None, max_examples=200)
 @given(problem=problems(FUNS), k=st.integers(0, 40), other=st.floats(0.0, 1.0), tol=st.sampled_from([1e-12, 1e-14]))
 def test_a_nan_anywhere_gives_the_one_level_outcome(problem, k, other, tol):
     # The NaN sits at the k-th midpoint on the path to another target: a
-    # node of some round's tree, on this target's path or not.
+    # point of some round's path, on this target's path or not.
     fun, target, lo, hi = problem
     seen = []
     record = lambda x: (seen.append(np.ravel(x)[0]), fun(x))[1]
@@ -197,6 +247,30 @@ def test_a_nan_anywhere_gives_the_one_level_outcome(problem, k, other, tol):
     same(nan_at(c, fun), target, lo, hi, tol)
 
 
+@settings(deadline=None, max_examples=200)
+@given(problem=problems({**FUNS, **NOISY}), j=st.integers(0, 5), tol=st.sampled_from([1e-12, 1e-14]))
+def test_a_nan_where_an_element_stops_gives_the_one_level_outcome(problem, j, tol):
+    # One-level bisection evaluates a stopped element's midpoint at every
+    # level while another element goes on, so the NaN raises when element
+    # j stops before the last one does, and goes unseen otherwise.
+    fun, target, lo, hi = problem
+    j %= lo.size
+    stop = one_level(fun, target[j : j + 1], lo[j : j + 1], hi[j : j + 1], tol)[0]
+    same(nan_at(stop, fun), target, lo, hi, tol)
+
+
+def test_a_nan_where_an_element_stops_after_a_missed_level_raises():
+    # The round misses the first element's last level, so it never
+    # evaluates the midpoint where that element stops; the second element
+    # goes on past that level, so one-level bisection meets the NaN there.
+    lo, hi = np.array([1.9125639686005647, 0.01539926526059492]), np.array([1.9125641598569616, 0.015414664525855513])
+    target = np.array([1912564137.0247564, 15399269.81849397])
+    args = (nan_at(1.912564138100393, NOISY["steps"]), target, lo, hi, 1e-14)
+    message = "the function to invert is NaN at 1.912564138100393"
+    assert outcome(_invert_monotone, *args) == ("error", "DomainError", message)
+    same(*args)
+
+
 def test_float_only_callables():
     assert _invert_monotone(math.exp, 3.0, 0.0, 2.0, 1e-14) == one_level(math.exp, 3.0, 0.0, 2.0, 1e-14)
     assert _invert_monotone(math.log, 0.5, 1.0, 2.0, 1e-12) == one_level(math.log, 0.5, 1.0, 2.0, 1e-12)
@@ -204,7 +278,7 @@ def test_float_only_callables():
 
 def test_a_misshapen_result_is_replayed():
     # A fun that reduces its argument gives one value per call: right for a
-    # float, wrong for a tree.
+    # float, wrong for a round's paths.
     fun = lambda x: float(np.max(x)) ** 3
     assert _invert_monotone(fun, 3.0, 1.0, 2.0, 1e-14) == one_level(fun, 3.0, 1.0, 2.0, 1e-14)
 

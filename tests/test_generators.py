@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cdt.convexity import FunctionModel
 from cdt.errors import DomainError, ParamError
@@ -46,6 +48,14 @@ class TestInvertMonotone:
 # ------------------------------------------- one rule per generator-layer decision
 
 INF = math.inf
+MAX_FLOAT = np.finfo(float).max
+
+#: interval ends from +-0, subnormals, normal floats, 1e+-300, +-max float and +-inf
+EXTREME_ENDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-323, 1e-300, -1e-300, 1e300, -1e300, MAX_FLOAT, -MAX_FLOAT, INF, -INF]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(allow_nan=False),
+)
 
 
 def _hex(v):
@@ -55,21 +65,27 @@ def _hex(v):
 
 def _hand_mirrored_window(lo, hi):
     """``Interval.finite_window`` as it was written before its (-inf, hi)
-    cases became the mirror image of (-hi, inf): the reference for the fold."""
+    cases became the mirror image of (-hi, inf), with each end then stepped
+    inside as the window steps it: the reference for the fold."""
     if math.isinf(lo) and math.isinf(hi):
         return -100.0, 100.0
     if math.isinf(hi):
         if lo >= 0.0:
-            return (1e-6 if lo == 0.0 else lo * (1.0 + 1e-9)), max(1e6, lo * 1e6)
-        return lo + 1e-9 * abs(lo), lo + 1e6 * max(1.0, abs(lo))
-    if math.isinf(lo):
+            window = (1e-6 if lo == 0.0 else lo * (1.0 + 1e-9)), max(1e6, lo * 1e6)
+        else:
+            window = lo + 1e-9 * abs(lo), lo + 1e6 * max(1.0, abs(lo))
+    elif math.isinf(lo):
         if hi <= 0.0:
-            return min(-1e6, hi * 1e6), (-1e-6 if hi == 0.0 else hi * (1.0 + 1e-9))
-        return hi - 1e6 * max(1.0, abs(hi)), hi - 1e-9 * abs(hi)
-    pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-    if lo + pad >= hi - pad:
-        pad = 1e-3 * (hi - lo)
-    return lo + pad, hi - pad
+            window = min(-1e6, hi * 1e6), (-1e-6 if hi == 0.0 else hi * (1.0 + 1e-9))
+        else:
+            window = hi - 1e6 * max(1.0, abs(hi)), hi - 1e-9 * abs(hi)
+    else:
+        pad = 1e-9 * max(1.0, abs(lo), abs(hi))
+        if lo + pad >= hi - pad:
+            pad = 1e-3 * (hi - lo)
+        window = lo + pad, hi - pad
+    first, last = math.nextafter(lo, INF), math.nextafter(hi, -INF)
+    return tuple(min(max(v, first), last) for v in window)
 
 
 class TestFiniteWindow:
@@ -104,6 +120,38 @@ class TestFiniteWindow:
         for e in ends:
             for lo, hi in ((e, INF), (-INF, e)):
                 assert _hex(Interval(lo, hi).finite_window()) == _hex(_hand_mirrored_window(lo, hi)), (lo, hi)
+
+    @settings(deadline=None, max_examples=500)
+    @given(lo=EXTREME_ENDS, hi=EXTREME_ENDS, n=st.sampled_from([2, 3, 33, 257]))
+    def test_windows_and_grids_are_finite_and_strictly_inside(self, lo, hi, n):
+        assume(lo < hi)
+        interval = Interval(lo, hi)
+        if not math.nextafter(lo, INF) <= math.nextafter(hi, -INF):
+            with pytest.raises(DomainError, match="holds no float"):
+                interval.finite_window()
+            return
+        a, b = interval.finite_window()
+        assert math.isfinite(a) and math.isfinite(b) and lo < a <= b < hi
+        grid = interval.sample_grid(n)
+        assert np.all(np.isfinite(grid)) and np.all((lo < grid) & (grid < hi)) and np.all(grid[1:] >= grid[:-1])
+
+    @pytest.mark.parametrize(
+        "lo, hi, window",
+        [
+            (5e-324, INF, (1e-323, 1e6)),
+            (1.7e308, INF, (1.7000000017e308, MAX_FLOAT)),
+            (-INF, -1.7e308, (-MAX_FLOAT, -1.7000000017e308)),
+            (-1.7e308, INF, (-1.6999999982999998e308, MAX_FLOAT)),
+            (5e-324, 2e-323, (1e-323, 1.5e-323)),
+        ],
+    )
+    def test_extreme_ends_step_inside(self, lo, hi, window):
+        assert Interval(lo, hi).finite_window() == window
+
+    @pytest.mark.parametrize("lo, hi", [(5e-324, 1e-323), (MAX_FLOAT, INF), (-INF, -MAX_FLOAT), (1.0, 1.0000000000000002)])
+    def test_an_interval_without_floats_has_no_window(self, lo, hi):
+        with pytest.raises(DomainError, match="holds no float"):
+            Interval(lo, hi).finite_window()
 
     def test_an_empty_interval_is_refused(self):
         with pytest.raises(DomainError, match="empty interval"):

@@ -10,8 +10,8 @@ for finiteness in one call.  These tests pin:
   inverse far outside the domain raise the typed error, with the message,
   that the checked chain raised before the raw kernels (recorded then);
 * the solver's NaN check, which used to steer the bisection silently;
-* evaluation counts: one scan call and one call per round of bisection
-  levels;
+* evaluation counts: one scan call and one call per round along
+  predicted bisection paths;
 * the raw chain against the checked composition, bit for bit, also for
   callables that return float32;
 * ``lagrange_mean`` and ``cauchy_mean`` against a 50-digit mpmath oracle on
@@ -30,11 +30,12 @@ from hypothesis import strategies as st
 from test_solver_pins import CAUCHY, CLUSTER, LAGRANGE, _cluster_case
 
 import cdt.convexity
+import cdt.divergences
 import cdt.means
 from cdt.centroids import bregman_centroid
 from cdt.convexity import TRUSTED_CONVEX, _pullback, function_model
-from cdt.divergences import QabdSpec, WeightedSet
-from cdt.errors import DomainError
+from cdt.divergences import QabdSpec, WeightedSet, _qabd_checked, _qabd_raw
+from cdt.errors import DerivativeError, DomainError
 from cdt.expr import expression_generator, expression_model
 from cdt.generators import (
     IDENTITY,
@@ -187,11 +188,15 @@ def test_scan_of_a_raising_fun_names_the_row_by_row_culprit():
 # -------------------------------------------------------- evaluation counts
 
 #: per CLUSTER triple: (G' calls, F points) of one bregman_centroid: one
-#: call at the data, two at the bracket ends, one scan and one per round of
-#: six bisection levels, whose 63 midpoints per cluster go to F as well
-#: (one level per call gave 46, 46, 44 and 47 calls at 125, 125, 123 and
-#: 126 points)
-COUNTS = [(11, 524), (11, 524), (11, 524), (12, 587)]
+#: call at the 24 data points, one scan of 33, two at the bracket ends and
+#: one per round along predicted paths, whose midpoints go to F as well as
+#: the data.  G' of x^2 under (identity, identity) and of exp(x^2) under
+#: (identity, log) is linear, so the secant finds the root and one round of
+#: 42 and 40 levels confirms them all; the other two take rounds of 42, 8,
+#: 14 and 19 levels and of 43, 10, 14 and 19.  (Six levels per call gave
+#: 11, 11, 11 and 12 calls at 524, 524, 524 and 587 points; one level per
+#: call gave 46, 46, 44 and 47 calls at 125, 125, 123 and 126 points.)
+COUNTS = [(5, 125), (8, 166), (5, 123), (8, 169)]
 
 
 @pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
@@ -211,7 +216,10 @@ def test_lagrange_derivative_calls():
     fprime = Counted(LOG.derivative)
     gen = Generator("counted-log", LOG.domain, LOG.forward, LOG.inverse, fprime)
     assert lagrange_mean(gen, 1.5, 7.0) == LAGRANGE[0][3]
-    assert fprime.calls == 12  # 52 at one bisection level per call
+    # one probe when the generator is built, one scan, two calls at the
+    # bracket ends and five rounds, of 47, 4, 6, 14 and 25 levels (six
+    # levels per call gave 12, one level per call 52)
+    assert fprime.calls == 9
 
 
 # ------------------------------------------------ raw chain == checked chain
@@ -260,6 +268,86 @@ def test_float32_derivatives_give_the_checked_chains_cauchy_mean():
     raw = cauchy_mean(log32, cube32, 1.5, 7.0)
     with checked_only(cdt.means):
         assert raw == cauchy_mean(log32, cube32, 1.5, 7.0)
+
+
+# ------------------------------------------------- qabd's raw chain == checked
+
+#: qabd(p : q) over a row of centers p and a column of points q
+P_ROW, Q_COL = np.array([[1.0, 5.0, 9.0]]), np.array([[0.5], [2.0], [7.0]])
+X2 = function_model("x^2", (0.2, 12.0), lambda x: x * x, lambda x: 2.0 * x)
+X2_WIDE = function_model("x^2 wide", (-1.0, 12.0), lambda x: x * x, lambda x: 2.0 * x)
+
+
+def at(c, bad, good):
+    """good, with the value bad at the points equal to c."""
+    return lambda x: np.where(x == c, bad, good(x))
+
+
+def qabd_case(F=X2, rho=IDENTITY, tau=IDENTITY, p=P_ROW, q=Q_COL):
+    return QabdSpec(F, rho, tau, verdict=TRUSTED_CONVEX), p, q
+
+
+def identity_with(name, forward=lambda x: x, derivative=np.ones_like):
+    return Generator(name, Interval(), forward, lambda y: y, derivative)
+
+
+#: (spec, p, q), the error type and its message, recorded with the checked chain
+QABD_FAULTS = {
+    "F-not-finite": (qabd_case(F=function_model("x^2 inf", (0.2, 12.0), at(2.0, np.inf, np.square), lambda x: 2.0 * x)),
+                     DomainError, "'x^2 inf' is undefined at 2.0"),
+    "p-outside-F": (qabd_case(p=np.array([[1.0, 5.0, 13.0]])),
+                    DomainError, "13.0 outside domain Interval(lo=0.2, hi=12.0) of 'x^2'"),
+    "q-outside-rho": (qabd_case(F=X2_WIDE, rho=LOG, q=np.array([[0.5], [-0.5], [7.0]])),
+                      DomainError, "-0.5 outside domain Interval(lo=0.0, hi=inf) of the derivative of generator 'log'"),
+    "p-outside-rho": (qabd_case(F=X2_WIDE, rho=LOG, p=np.array([[1.0, -0.5, 9.0]])),
+                      DomainError, "-0.5 outside domain Interval(lo=0.0, hi=inf) of generator 'log'"),
+    "F(q)-outside-tau": (qabd_case(F=function_model("x^2 dip", (0.2, 12.0), at(2.0, -1.0, np.square), lambda x: 2.0 * x),
+                                   tau=LOG),
+                         DomainError, "-1.0 outside domain Interval(lo=0.0, hi=inf) of the derivative of generator 'log'"),
+    "F(p)-outside-tau": (qabd_case(F=function_model("x^2 dip", (0.2, 12.0), at(5.0, -1.0, np.square), lambda x: 2.0 * x),
+                                   tau=LOG),
+                         DomainError, "-1.0 outside domain Interval(lo=0.0, hi=inf) of generator 'log'"),
+    "tau'-vanishes": (qabd_case(tau=identity_with("flat-at-4", derivative=at(4.0, 1e-305, np.ones_like))),
+                      DerivativeError, "tau'(F(q)) underflowed at 2.0"),
+    "rho'-vanishes": (qabd_case(rho=identity_with("flat-at-7", derivative=at(7.0, 1e-305, np.ones_like))),
+                      DerivativeError, "rho'(q) underflowed at 7.0"),
+    "nan-F'": (qabd_case(F=function_model("x^2 nan-at-7", (0.2, 12.0), np.square, at(7.0, np.nan, lambda x: 2.0 * x))),
+               DomainError, "the derivative of 'x^2 nan-at-7' is undefined at 7.0"),
+    "nan-tau": (qabd_case(tau=identity_with("nan-at-81", forward=at(81.0, np.nan, lambda x: x))),
+                DomainError, "generator 'nan-at-81' is undefined at 81.0"),
+    "nan-rho": (qabd_case(rho=identity_with("nan-at-5", forward=at(5.0, np.nan, lambda x: x))),
+                DomainError, "generator 'nan-at-5' is undefined at 5.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QABD_FAULTS))
+def test_qabd_fault_raises_the_checked_chains_error(name):
+    (spec, p, q), error, message = QABD_FAULTS[name]
+    for chain in (_qabd_raw, _qabd_checked):
+        with pytest.raises(error) as info:
+            chain(spec, p, q)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
+@settings(deadline=None, max_examples=40)
+@given(s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_qabd_raw_chain_equals_checked_chain(case, s, t):
+    spec = _cluster_case(case)[0]
+    lo, hi = spec.F.domain.intersect(spec.rho.domain).finite_window()
+    p, q = lo + np.array(s)[None, :] * (hi - lo), lo + np.array(t)[:, None] * (hi - lo)
+    with checked_only(cdt.divergences):
+        want = _qabd_raw(spec, p, q)
+    assert _qabd_raw(spec, p, q).tobytes() == want.tobytes()
+    assert _qabd_raw(spec, float(p[0, 0]), float(q[0, 0])) == want[0, 0]
+
+
+def test_qabd_takes_the_raw_chain_on_clean_pairs():
+    spec, p, q = qabd_case(tau=LOG, rho=LOG)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cdt.divergences, "_qabd_checked", None)  # any call of it fails
+        raw = _qabd_raw(spec, p, q)
+    assert raw.tobytes() == _qabd_checked(spec, p, q).tobytes()
 
 
 # ------------------------------------------------------------ mpmath oracle
