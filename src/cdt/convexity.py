@@ -19,8 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, OrderError, ParamError, require_int
-from .generators import Generator, Interval, _apply, _first, _fused, _image, _outside, _raw
-from .generators import _wrap_callables, finite_difference
+from .generators import Generator, Interval, _apply, _first, _floats, _fused, _image, _wrap_callables, finite_difference
 
 #: Default number of grid points for convexity scans, and the number of
 #: sampled grid pairs whose midpoint inequality they check.
@@ -152,10 +151,10 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
         return tau.deriv(F.value(x)) * F.deriv(x) / rho.deriv(x)
 
     def raw_gprime(u):
-        x, far = _nudge(_raw(rho.inverse, u), dom)
-        fx = _raw(F.eval, x)
-        out = _raw(tau.derivative, fx) * _raw(F.derivative, x) / _raw(rho.derivative, x)
-        return out, far | _outside(fx, tau.domain) | np.isnan(out)
+        x, far = _nudge(_floats(rho.inverse(u)), dom)
+        fx = _floats(F.eval(x))
+        out = _floats(tau.derivative(fx)) * _floats(F.derivative(x)) / _floats(rho.derivative(x))
+        return out, far | ~((fx > tau.domain.lo) & (fx < tau.domain.hi)) | np.isnan(out)
 
     if None not in (F.derivative, rho.derivative, tau.derivative):
         gprime = _fused(raw_gprime, gprime)

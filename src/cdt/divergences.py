@@ -50,7 +50,7 @@ from .errors import (
     WeightError,
     require_int,
 )
-from .generators import Generator, _first, _fused, _outside, _raw
+from .generators import Generator, _first, _outside, _raw
 from .means import WEIGHT_SUM_TOL, MeanSpec, _checked_means, lehmer
 
 #: Values in [-ZERO_FLOOR, 0) are clamped to 0: floating-point cancellation
@@ -314,31 +314,37 @@ def _qabd_checked(spec: QabdSpec, p, q):
 def _qabd_raw(spec: QabdSpec, p, q):
     """Unclamped B(p:q) elementwise over broadcast arrays p and q.
 
-    When F, rho and tau all have derivatives this is one raw numpy chain
-    (``generators._fused``), each side computed on its own points.  Its mask
-    restates every check of ``_qabd_checked``: p and q inside the domains of
-    F and rho, F(p) and F(q) inside tau's open domain (which also catches F
-    not finite), tau'(F(q)) and rho'(q) not vanishing, and a NaN anywhere
-    (which makes B NaN).  A flag reruns the checked chain to raise its
-    error; a check added there must be added to this mask too.
+    When F, rho and tau all have derivatives this runs first as one raw
+    numpy chain under one errstate, each side on its own points and each
+    callable through ``generators._raw``, so its values are those of
+    ``_qabd_checked`` bit for bit.  Its mask restates every check of that
+    chain: p and q inside the domains of F and rho, F(p) and F(q) inside
+    tau's open domain (which also catches F not finite), tau'(F(q)) and
+    rho'(q) not vanishing, and a NaN anywhere (which makes B NaN).  When
+    the raw chain raises, flags an element or returns a misshapen array,
+    the checked chain reruns only to raise its typed error; a check added
+    there must be added to this mask too.
     """
     F, rho, tau = spec.F, spec.rho, spec.tau
-    checked = lambda p, q: _qabd_checked(spec, p, q)
     if None in (F.derivative, rho.derivative, tau.derivative):
-        return checked(p, q)
+        return _qabd_checked(spec, p, q)
+    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     dom = F.domain.intersect(rho.domain)
-
-    def raw(p, q):
-        fp, fq = _raw(F.eval, p), _raw(F.eval, q)
-        td, rd = _raw(tau.derivative, fq), _raw(rho.derivative, q)
-        out = (_raw(tau.forward, fp) - _raw(tau.forward, fq)) / td - (
-            (_raw(rho.forward, p) - _raw(rho.forward, q)) / rd
-        ) * _raw(F.derivative, q)
-        small = (np.abs(td) < _MIN_DERIVATIVE) | (np.abs(rd) < _MIN_DERIVATIVE)
-        outside = _outside(p, dom) | _outside(q, dom) | _outside(fp, tau.domain) | _outside(fq, tau.domain)
-        return out, outside | small | np.isnan(out)
-
-    return _fused(raw, checked)(p, q)
+    with np.errstate(all="ignore"):
+        try:
+            fp, fq = _raw(F.eval, pa), _raw(F.eval, qa)
+            td, rd = _raw(tau.derivative, fq), _raw(rho.derivative, qa)
+            out = (_raw(tau.forward, fp) - _raw(tau.forward, fq)) / td - (
+                (_raw(rho.forward, pa) - _raw(rho.forward, qa)) / rd
+            ) * _raw(F.derivative, qa)
+            outside = _outside(pa, dom) | _outside(qa, dom) | _outside(fp, tau.domain) | _outside(fq, tau.domain)
+            small = (np.abs(td) < _MIN_DERIVATIVE) | (np.abs(rd) < _MIN_DERIVATIVE)
+            clean = out.shape == np.broadcast(pa, qa).shape and not np.count_nonzero(outside | small | np.isnan(out))
+        except Exception:  # whatever it was, the checked rerun raises it again
+            clean = False
+    if not clean:
+        return _qabd_checked(spec, p, q)
+    return float(out) if out.ndim == 0 else out
 
 
 def qabd(spec: QabdSpec, p: float, q: float) -> DivergenceValue:

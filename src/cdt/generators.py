@@ -190,27 +190,27 @@ def _fused(raw: Callable, checked: Callable) -> Callable:
     """The values of ``raw``, checked as ``checked`` checks them, at about
     the cost of raw alone.
 
-    raw(*xs) takes the arguments as float arrays and returns the values in
-    their broadcast shape, and a mask flagging every element that checked
-    would reject.  It runs under one errstate and calls each callable
-    through ``_raw``, so its values are checked's bit for bit.  When raw
+    raw(x) returns the values and a mask flagging every element that
+    checked would reject.  It runs under one errstate, on x flattened as
+    ``_apply`` flattens it, and converts each callable's values to float as
+    ``_apply`` does, so its values are checked's bit for bit.  When raw
     raises, flags an element or returns a misshapen array, checked reruns
-    on the same arguments, only to raise the typed error that names the
-    culprit; if it raises none, its values are returned.
+    on the same x, only to raise the typed error that names the culprit; if
+    it raises none, its values are returned.
     """
 
-    def fun(*args):
-        xs = [np.asarray(x, dtype=float) for x in args]
+    def fun(x):
+        xa = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
             try:
-                out, bad = raw(*xs)
+                out, bad = raw(xa.reshape(-1))
                 out = _floats(out)
-                clean = out.shape == np.broadcast(*xs).shape and not np.count_nonzero(bad)
+                clean = out.shape == (xa.size,) and not np.count_nonzero(bad)
             except Exception:  # whatever it was, the checked rerun raises it again
                 clean = False
         if not clean:
-            return checked(*args)
-        return float(out) if out.ndim == 0 else out
+            return checked(x)
+        return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
     return fun
 
@@ -239,10 +239,10 @@ def _monotone_direction(fun: Callable, lo, hi, n: int = 33):
 
 
 #: Elements up to which ``_invert_monotone`` steps predicted paths in floats,
-#: one element at a time.  On the G' of the four certified cluster triples
-#: (2-vCPU Xeon, numpy 2.4) that took 0.30 to 0.85 of the time of one level
-#: per call at 16 elements, and about as long at 20.
-_PATH_ELEMENTS = 16
+#: one element at a time: summed over the G' of the four certified cluster
+#: triples (2-vCPU Xeon, numpy 2.4) paths took 0.61, 0.84, 0.96 and 1.01 of
+#: the time of one level per call at 16, 24, 28 and 32 elements, 1.29 at 40.
+_PATH_ELEMENTS = 32
 
 #: Bisection levels after which ``_invert_monotone`` stops in any case.
 _MAX_LEVELS = 200
@@ -256,11 +256,10 @@ def _bisecting(a, b, tol: float):
 
 
 def _estimate(a: float, ya: float, b: float, yb: float, c: float, yc: float, t: float) -> float:
-    """Where in [a, b] the root of y = t is expected from values known at
-    a, b and c: inverse quadratic interpolation through the three points
-    when it lands inside, else the secant through the ends (as in Brent,
-    Algorithms for Minimization without Derivatives, 1973), clipped into
-    [a, b]; the midpoint when neither is finite.  A NaN c is no point."""
+    """Where in [a, b] the root of y = t is expected: inverse quadratic
+    interpolation through a, b and c when it lands inside, else the secant
+    through a and b (as in Brent, Algorithms for Minimization without
+    Derivatives, 1973), clipped into [a, b]; the midpoint if not finite."""
     r = math.nan
     with contextlib.suppress(ZeroDivisionError):
         r = a + (t - ya) * (b - a) / (yb - ya)
@@ -280,20 +279,12 @@ def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
     brackets, each element stopping at its own tolerance or after
     ``_MAX_LEVELS`` levels.
 
-    fun is evaluated once at the bracket ends and then once per round.  A
-    round estimates each element's root (see ``_estimate``), steps in floats
-    along the bisection path toward it, and evaluates every midpoint of the
-    path in one call of fun.  Each element keeps the levels whose decisions,
-    taken from fun's own values, match the path, and the first that does
-    not: every round confirms a level, and the result is bit for bit that
-    of one level per call.  The first paths run to the tolerance; after c
-    levels confirmed, an element's next path runs at most 2c + 2, so a fun
-    that defeats every estimate costs O(levels) float steps.  Past
-    ``_PATH_ELEMENTS`` elements the solver takes one level per call.
-
-    All points lie in [lo, hi], so callers check the bracket against their
-    domains once and may pass raw kernels (see ``_fused``).  Every value is
-    still checked: a NaN, which would steer the bisection silently, raises
+    fun is evaluated once at the bracket ends and then once per round (see
+    ``_paths``), or once per level past ``_PATH_ELEMENTS`` elements; either
+    way the result is bit for bit that of one level per call.  All points
+    lie in [lo, hi], so callers check the bracket against their domains
+    once and may pass raw kernels (see ``_fused``).  Every value is still
+    checked: a NaN, which would steer the bisection silently, raises
     DomainError naming its point.  After a round whose call raises, returns
     a misshapen array or a NaN anywhere, the solve starts again at one
     level per call, with the midpoints in the shape of the result, so an
@@ -330,42 +321,39 @@ def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
 
 
 def _paths(fun, target, increasing, a, b, ya, yb, tol):
-    """The brackets [a, b] at which one-level bisection stops, reached in
-    rounds along predicted paths from ``_invert_monotone``'s flat arrays;
-    None when a round's call raises, returns a misshapen array or a NaN.
+    """The brackets at which one-level bisection stops, from the flat arrays
+    of ``_invert_monotone``; None when a round's call raises, returns a
+    misshapen array or a NaN.
 
-    One-level bisection evaluates at each level the midpoint of every
-    element, also of one that has stopped while another goes on; here each
-    such midpoint is evaluated too, in the round after the element stops
-    at the latest.
+    A round estimates each element's root, steps in floats along the
+    bisection path toward it, and evaluates every midpoint of the path in
+    one call.  Each element keeps the levels whose decisions, taken from
+    fun's own values, match the path, and the first that does not, so every
+    round confirms a level.  The first paths run to the tolerance; after c
+    levels kept, the next runs at most 2c + 2, so a fun that defeats every
+    estimate costs O(levels) float steps.  One-level bisection evaluates
+    the midpoint of an element that has stopped while another goes on, and
+    so does the round after it stops.
     """
-    n, t = a.size, target.tolist()
-    # each element's (a, f(a), b, f(b), c, f(c)), c the end it discarded last
-    S = [(*s, math.nan, math.nan) for s in zip(a.tolist(), ya.tolist(), b.tolist(), yb.tolist())]
-    levels = [0] * n
-    seen = [False] * n  # the midpoint where an element stopped was evaluated
-    depth = [_MAX_LEVELS] * n  # the most levels of each element's next path
+    # each element's lo, fun(lo), hi, fun(hi), the end c it discarded last,
+    # fun(c), its levels and the most levels of its next path: 0 while it
+    # has stopped at a midpoint not yet evaluated
+    S = [(*s, math.nan, math.nan, 0, _MAX_LEVELS) for s in zip(a.tolist(), ya.tolist(), b.tolist(), yb.tolist())]
 
-    def bisecting(lo, hi):  # _bisecting on floats
-        s = hi if hi > -lo else -lo
-        return hi - lo > tol * (s if s > 1.0 else 1.0)
-
-    def live(i):
-        return levels[i] < _MAX_LEVELS and bisecting(S[i][0], S[i][2])
+    def live(lo, hi, k):  # _bisecting on floats, under the level cap
+        return k < _MAX_LEVELS and hi - lo > tol * max(1.0, hi, -lo)
 
     while True:
-        top = max(levels, default=0)
-        if not any(live(i) or not (seen[i] or levels[i] == top) for i in range(n)):
+        top = max((s[6] for s in S), default=0)
+        if not any(live(s[0], s[2], s[6]) or (s[7] == 0 and s[6] < top) for s in S):
             return np.array([s[0] for s in S]), np.array([s[2] for s in S])
         paths = []
-        for i, (lo, ylo, hi, yhi, c, yc) in enumerate(S):
-            r = _estimate(lo, ylo, hi, yhi, c, yc, t[i])
-            path = []
-            for _ in range(min(depth[i], _MAX_LEVELS - levels[i])):
-                if not bisecting(lo, hi):
+        for (lo, ylo, hi, yhi, c, yc, k, d), t in zip(S, target.tolist()):
+            r, path = _estimate(lo, ylo, hi, yhi, c, yc, t), []
+            for _ in range(min(d, _MAX_LEVELS - k)):
+                if not hi - lo > tol * max(1.0, hi, -lo):
                     break
-                m = 0.5 * (lo + hi)
-                path.append(m)
+                path.append(m := 0.5 * (lo + hi))
                 lo, hi = (m, hi) if m < r else (lo, m)
             paths.append((path, r, 0.5 * (lo + hi)))
         D = max(1, *(len(p) for p, _, _ in paths))
@@ -378,17 +366,19 @@ def _paths(fun, target, increasing, a, b, ya, yb, tol):
         if Y.shape != P.shape or np.count_nonzero(np.isnan(Y)):
             return None
         ups = ((Y < target) == increasing).T.tolist()
-        for i, (path, r, _), ys, us in zip(range(n), paths, Y.T.tolist(), ups):
+        for i, ((path, r, _), ys, us) in enumerate(zip(paths, Y.T.tolist(), ups)):
+            lo, ylo, hi, yhi, c, yc, k, _ = S[i]
             kept, held = len(path), True
-            for j, (m, y, up) in enumerate(zip(path, ys, us)):
-                lo, ylo, hi, yhi, _, _ = S[i]
-                S[i] = (m, y, hi, yhi, lo, ylo) if up else (lo, ylo, m, y, hi, yhi)
-                if up != (m < r):  # the first level off the path
+            for j, m in enumerate(path):
+                if us[j]:
+                    lo, ylo, c, yc = m, ys[j], lo, ylo
+                else:
+                    hi, yhi, c, yc = m, ys[j], hi, yhi
+                if us[j] != (m < r):  # the first level off the path
                     kept, held = j + 1, False
                     break
-            levels[i] += kept
-            depth[i] = 2 * kept + 2
-            seen[i] = held and kept < D and not live(i)
+            seen = held and kept < D  # the midpoint where it ends was evaluated
+            S[i] = (lo, ylo, hi, yhi, c, yc, k + kept, 2 * kept + 2 if seen or live(lo, hi, k + kept) else 0)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .errors import (
     require_int,
 )
 from .generators import IDENTITY, LOG, RECIPROCAL, Generator, Interval, get_generator, power_generator
-from .generators import _apply, _check_inside, _first, _fused, _invert_monotone, _monotone_direction, _raw
+from .generators import _apply, _check_inside, _first, _floats, _fused, _invert_monotone, _monotone_direction
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -279,7 +279,7 @@ def _mean_value_means(spec: MeanSpec, X: np.ndarray) -> np.ndarray:
             # both domains; a NaN derivative makes the ratio NaN.  These are
             # the checks of Generator.deriv, which this mask must follow.
             def raw(x):
-                out = _raw(f.derivative, x) / _raw(g.derivative, x)
+                out = _floats(f.derivative(x)) / _floats(g.derivative(x))
                 return out, np.isnan(out)
 
             ratio = _fused(raw, ratio)

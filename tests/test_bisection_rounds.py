@@ -155,8 +155,8 @@ def test_the_level_cap(tol):
 
 @pytest.mark.parametrize("n, rounds", [(_PATH_ELEMENTS, 4), (_PATH_ELEMENTS + 1, 47)])
 def test_many_elements_take_one_level_per_call(n, rounds):
-    # Up to _PATH_ELEMENTS elements go along predicted paths, in rounds of
-    # 47, 6, 14 and 25 levels: the furthest element keeps 2 levels of the
+    # Up to _PATH_ELEMENTS = 32 elements go along predicted paths, in rounds
+    # of 47, 6, 14 and 25 levels: the furthest element keeps 2 levels of the
     # first, so the second runs 2 * 2 + 2, and so on.  One more element
     # takes one level per call.
     lo = np.linspace(1.0, 2.0, n)

@@ -291,12 +291,17 @@ def identity_with(name, forward=lambda x: x, derivative=np.ones_like):
     return Generator(name, Interval(), forward, lambda y: y, derivative)
 
 
+#: the identity on (0, inf): finite where it is not defined
+POSITIVE_IDENTITY = Generator("positive", Interval(0.0, INF), lambda x: x, lambda y: y, np.ones_like)
+
 #: (spec, p, q), the error type and its message, recorded with the checked chain
 QABD_FAULTS = {
     "F-not-finite": (qabd_case(F=function_model("x^2 inf", (0.2, 12.0), at(2.0, np.inf, np.square), lambda x: 2.0 * x)),
                      DomainError, "'x^2 inf' is undefined at 2.0"),
     "p-outside-F": (qabd_case(p=np.array([[1.0, 5.0, 13.0]])),
                     DomainError, "13.0 outside domain Interval(lo=0.2, hi=12.0) of 'x^2'"),
+    "q-outside-F": (qabd_case(q=np.array([[0.5], [0.1], [7.0]])),
+                    DomainError, "0.1 outside domain Interval(lo=0.2, hi=12.0) of 'x^2'"),
     "q-outside-rho": (qabd_case(F=X2_WIDE, rho=LOG, q=np.array([[0.5], [-0.5], [7.0]])),
                       DomainError, "-0.5 outside domain Interval(lo=0.0, hi=inf) of the derivative of generator 'log'"),
     "p-outside-rho": (qabd_case(F=X2_WIDE, rho=LOG, p=np.array([[1.0, -0.5, 9.0]])),
@@ -307,6 +312,9 @@ QABD_FAULTS = {
     "F(p)-outside-tau": (qabd_case(F=function_model("x^2 dip", (0.2, 12.0), at(5.0, -1.0, np.square), lambda x: 2.0 * x),
                                    tau=LOG),
                          DomainError, "-1.0 outside domain Interval(lo=0.0, hi=inf) of generator 'log'"),
+    "F(p)-outside-tau-finite": (qabd_case(F=function_model("x^2 dip", (0.2, 12.0), at(5.0, -1.0, np.square),
+                                                           lambda x: 2.0 * x), tau=POSITIVE_IDENTITY),
+                                DomainError, "-1.0 outside domain Interval(lo=0.0, hi=inf) of generator 'positive'"),
     "tau'-vanishes": (qabd_case(tau=identity_with("flat-at-4", derivative=at(4.0, 1e-305, np.ones_like))),
                       DerivativeError, "tau'(F(q)) underflowed at 2.0"),
     "rho'-vanishes": (qabd_case(rho=identity_with("flat-at-7", derivative=at(7.0, 1e-305, np.ones_like))),
@@ -336,8 +344,7 @@ def test_qabd_raw_chain_equals_checked_chain(case, s, t):
     spec = _cluster_case(case)[0]
     lo, hi = spec.F.domain.intersect(spec.rho.domain).finite_window()
     p, q = lo + np.array(s)[None, :] * (hi - lo), lo + np.array(t)[:, None] * (hi - lo)
-    with checked_only(cdt.divergences):
-        want = _qabd_raw(spec, p, q)
+    want = _qabd_checked(spec, p, q)
     assert _qabd_raw(spec, p, q).tobytes() == want.tobytes()
     assert _qabd_raw(spec, float(p[0, 0]), float(q[0, 0])) == want[0, 0]
 
