@@ -16,13 +16,13 @@ bins where only p, then only q is positive, and the first bin zero in
 both, if any, which contributes exactly 0.  Every kernel call reads a
 column slice of it.  A mean that does not scale out evaluates every column
 but the units in one call, so that a kernel undefined at 0 still raises.
-A scale-homogeneous kernel (power-order and Gini means) evaluates only the
-units and the joint support: a one-sided bin takes the identity
+The Gini kernel (power, Lehmer and Gini means) evaluates only the units
+and the joint support: a one-sided bin takes the identity
 M(x, 0) = x M(1, 0), bit for bit the kernel's value, and a block whose
-unit value is +0.0 (geometric, harmonic and every negative power order)
-is left out, since its terms add nothing to an exact sum and the sum of
-no terms is +0.0 as well.  A -0.0 unit keeps its block, since it could set
-the sign of an all-zero sum.  The terms are summed exactly by
+unit value is +0.0 (the geometric mean and every Gini mean with a
+negative order) is left out, since its terms add nothing to an exact sum
+and the sum of no terms is +0.0 as well.  A -0.0 unit keeps its block,
+since it could set the sign of an all-zero sum.  The terms are summed exactly by
 ``means._exact_sum``: bit for bit ``math.fsum`` of them.
 
 The column array is computed once per pair by ``_pair``, which keeps the
@@ -319,14 +319,16 @@ def bhat_coefficient(M: MeanSpec, alpha: float, p, q) -> float:
 
 
 def _builtin_order(M: MeanSpec, N: MeanSpec) -> bool | None:
-    """Whether M <= N for pairs ordered by a known theorem (power means and
-    Lehmer means are increasing in their order); None for other pairs."""
-    om, on = M.power_order, N.power_order
-    if om is not None and on is not None:
-        return om <= on
-    if M.family == "lehmer" and N.family == "lehmer":
-        return M.delta <= N.delta
-    return None
+    """Whether M <= N for two Gini means, by theorem; None where undecided.
+    log G_{r,s} is the slope of a chord of the convex t -> log sum w x^t, so
+    G_{r,s} <= G_{r',s'} at every weight when r <= r' and s <= s', each pair
+    taken in decreasing order (G_{r,s} = G_{s,r}), which decides the most."""
+    if M.gini_orders is None or N.gini_orders is None:
+        return None
+    (r, s), (r2, s2) = (sorted(X.gini_orders, reverse=True) for X in (M, N))
+    if r <= r2 and s <= s2:
+        return True
+    return False if r >= r2 and s >= s2 else None
 
 
 def _value_window(p, q) -> tuple[float, float]:
@@ -361,9 +363,9 @@ def cmbd(
 ) -> DivergenceValue:
     """Comparative-mean skewed Bhattacharyya distance -log(c^M / c^N).
 
-    Requires M <= N.  Built-in pairs (power-type and Lehmer means, e.g.
-    G <= A, H <= G) are decided by their orders, and a pair in the wrong
-    order raises DominanceError at once; other pairs are checked by
+    Requires M <= N.  Gini means ordered by theorem (``_builtin_order``:
+    e.g. G <= A, H <= G, L_{-0.3} <= A) are decided at once, and a pair in
+    the wrong order raises DominanceError at once; other pairs are checked by
     sampling unless ``trusted_dominance`` is set.  Satisfies the skew-swap
     identity cmbd(alpha, q, p) = cmbd(1-alpha, p, q).
     """

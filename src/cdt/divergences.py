@@ -145,7 +145,7 @@ def midpoint_verdict(
 
     Verdicts are deterministic in their arguments and cached.  F and each
     mean are evaluated once over all samples; a ``samples`` that is not an
-    integer, or is below one, raises ParamError.
+    integer or is below one, or a window too wide for a float, raises ParamError.
     """
     require_int(samples, "samples")
     if samples < 1:
@@ -161,8 +161,10 @@ def _midpoint_verdict_cached(
     a, b = F.domain.finite_window()
     if a > 0.0 and math.isinf(F.domain.hi):
         P = np.exp(rng.uniform(math.log(a), math.log(b), (2, samples)))
-    else:
+    elif math.isfinite(b - a):  # else numpy's uniform(a, b) would overflow forming it
         P = rng.uniform(a, b, (2, samples))
+    else:
+        raise ParamError(f"cannot sample F's window ({a!r}, {b!r}): its width is not a finite float")
     lhs, rhs = _jensen_sides(F, M, N, P, (0.5, 0.5))
     scales = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     gaps = (lhs - rhs) / scales

@@ -7,13 +7,14 @@ puts weight (1 - alpha) on the first argument and alpha on the second.
 
 All families share one kernel, :func:`weighted_means`, elementwise over
 columns of arguments (Lagrange, Cauchy, Stolarsky and dual means only for two
-arguments of weight 1/2).  The scalar API (:func:`mean_value`,
-:func:`weighted_mean`) requires arguments strictly inside the domain; array
-callers (distributions) may pass zeros, and a zero argument takes the x -> 0+
-limit of the mean: 0 log 0 counts as 0, and where the mean collapses (a
-geometric, harmonic or other negative-order mean with a zero argument) the
-value is 0.  Spec strings (``qa:log``, ``gini:1:2``, ``dual:power:1``) name
-means; :func:`format_mean` and :func:`parse_mean` read one table of them.
+arguments of weight 1/2); power, Lehmer and Gini means are Gini means
+G_{r,s} (``MeanSpec.gini_orders``) and share one branch.  The scalar API
+(:func:`mean_value`, :func:`weighted_mean`) requires arguments strictly
+inside the domain; array callers may pass zeros, and a zero argument takes
+the x -> 0+ limit of the mean: 0 log 0 counts as 0, and where the mean
+collapses (a negative-order or geometric mean with a zero argument) it is
+0.  Spec strings (``qa:log``, ``gini:1:2``, ``dual:power:1``) name means;
+:func:`format_mean` and :func:`parse_mean` read one table of them.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ WEIGHT_SUM_TOL = 1e-9
 #: Relative argument gap below which Lagrange/Cauchy/Stolarsky means return the
 #: midpoint (removable singularity, first-order accurate).
 NEAR_EQUAL_REL = 1e-9
-
-#: Lehmer means that equal a power mean at every weight: L_0 = A, L_-1 = H.
-_LEHMER_POWER_ORDER = {0.0: 1.0, -1.0: -1.0}
 
 _GENERATOR = "generator name"  # a field read as a generator; any other is a float
 
@@ -84,31 +82,32 @@ class MeanSpec:
         return self.family in _GRAMMAR and _GRAMMAR[self.family].weighted
 
     @property
-    def power_order(self) -> float | None:
-        """The order d when this is the power mean P_d at every weight, else None."""
-        if self.family == "power":
-            return self.delta
-        if self.family == "quasi_arithmetic":
-            return self.generator.power_order
-        if self.family == "lehmer":
-            return _LEHMER_POWER_ORDER.get(self.delta)
-        return None
+    def gini_orders(self) -> tuple[float, float] | None:
+        """The canonical (r, s) when this is the Gini mean G_{r,s} at every
+        weight, else None: (d, 0) for a power mean P_d (``power:d``, ``qa:``
+        of power order d), (d + 1, d) for the Lehmer mean L_d, and a Gini
+        mean's exponents in decreasing order but for a zero one, put last."""
+        if self.family in ("power", "quasi_arithmetic"):
+            d = self.delta if self.family == "power" else self.generator.power_order
+            return None if d is None else (d, 0.0)
+        if self.family not in ("lehmer", "gini"):
+            return None
+        pair = (self.delta + 1.0, self.delta) if self.family == "lehmer" else (self.delta, self.delta2)
+        r, s = sorted(pair, reverse=True)
+        return (s, r) if r == 0.0 else (r, s)
 
     @property
     def scales_out(self) -> bool:
         """Whether :func:`weighted_means` gives M(x, 0) = x M(1, 0) and
-        M(0, y) = y M(0, 1) bit for bit: its kernel returns s g(X / s) with
-        s the larger argument (power-order and Gini means), and X / s is
-        then exactly the unit column.  A Lehmer kernel groups as
-        (s A) / B instead."""
-        return self.power_order is not None or self.family == "gini"
+        M(0, y) = y M(0, 1) bit for bit: the Gini kernel returns s g(X / s)
+        with s the larger argument (or the smaller, which is then 0), and
+        X / s is then exactly the unit column."""
+        return self.gini_orders is not None
 
     @property
     def homogeneous(self) -> bool:
-        if self.family in ("power", "lehmer", "gini", "stolarsky"):
+        if self.gini_orders is not None or self.family == "stolarsky":
             return True
-        if self.family == "quasi_arithmetic":
-            return self.power_order is not None
         if self.family == "dual":
             return self.inner.homogeneous
         # Lagrange/Cauchy means are homogeneous only for special generators;
@@ -221,24 +220,37 @@ def _exact_sum(v: np.ndarray) -> float:
         raise DomainError(past) from None
 
 
-def _power_means(d: float, X: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:
-    if d == 1.0:
+def _gini_means(r: float, s: float, X: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:
+    """Gini means G_{r,s} = (sum w x^r / sum w x^s)^(1/(r - s)) with r > s
+    or s = 0, and their r = s limit exp(sum w x^s log x / sum w x^s).
+
+    With xm the largest argument (the smallest for a power mean of negative
+    order), L = log(X / xm) and E = exp(sL - max sL), so that no term
+    overflows, log(G / xm) is log1p(S) / (r - s) with
+    S = sum w E expm1((r - s) L) / sum w E: exact as r -> s, where the
+    ratio of sums cancels, but not where S nears -1; below -1/2 the direct
+    sum is exact instead.  At s = 0, the power mean P_r, E is 1 and nothing
+    is normalized."""
+    if s == 0.0 and r == 1.0:
         return _wsum(W, X)
-    # Scale by the largest argument for d >= 0 and the smallest for d < 0,
-    # so that every (x / xm)**d lies in [0, 1].
-    xm = hi if d >= 0.0 else lo
+    xm = lo if s == 0.0 and r < 0.0 else hi
     L = np.log(X / xm)
-    if d == 0.0:
-        return xm * np.exp(_wsum(W, L))
-    # log(sum w (x/xm)^d): log1p of sum w expm1(d log(x/xm)) stays exact as
-    # d -> 0, but cancels where the sum nears -1; there the direct sum is
-    # exact instead.
+    if s == 0.0:
+        avg = lambda Y: _wsum(W, Y)
+    else:
+        sL = s * L
+        E = np.exp(sL - np.maximum.reduce(sL))
+        total = _wsum(W, E)
+        avg = lambda Y: _wsum(W, E * Y) / total
+    d = r - s
+    if d == 0.0:  # 0 log 0 = 0 where s > 0; a geometric mean collapses
+        return xm * np.exp(avg(L if s == 0.0 else np.where(X == 0.0, 0.0, L)))
     dL = d * L
-    S = _wsum(W, np.expm1(dL))
+    S = avg(np.expm1(dL))
     logT = np.log1p(S)
     low = S < -0.5
     if np.logical_or.reduce(low):
-        logT = np.where(low, np.log(_wsum(W, np.exp(dL))), logT)
+        logT = np.where(low, np.log(avg(np.exp(dL))), logT)
     return xm * np.exp(logT / d)
 
 
@@ -247,19 +259,6 @@ def _generator_means(gen: Generator, X: np.ndarray, W: np.ndarray) -> np.ndarray
         raise DomainError(f"argument outside the domain {gen.domain} of generator {gen.id!r}")
     what = f"generator {gen.id!r}"
     return _apply(gen.inverse, _wsum(W, _apply(gen.forward, X, what)), what)
-
-
-def _ratio_means(spec: MeanSpec, X: np.ndarray, W: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Lehmer and Gini means, scaled by the largest argument."""
-    R = X / hi
-    d1, d2 = spec.delta, spec.delta2
-    if spec.family == "lehmer":
-        return hi * _wsum(W, R ** (d1 + 1.0)) / _wsum(W, R**d1)
-    if d1 == d2:
-        T = R**d1
-        TL = np.where(T == 0.0, 0.0, T * np.log(R))  # 0 log 0 = 0
-        return hi * np.exp(_wsum(W, TL) / _wsum(W, T))
-    return hi * np.exp(np.log(_wsum(W, R**d1) / _wsum(W, R**d2)) / (d1 - d2))
 
 
 def _mean_value_means(spec: MeanSpec, X: np.ndarray) -> np.ndarray:
@@ -313,11 +312,11 @@ def weighted_means(spec: MeanSpec, X, W) -> np.ndarray:
     one normalized weight per argument (arguments of weight 0 are ignored),
     or one per argument and column, shaped like ``X``.  Lagrange, Cauchy,
     Stolarsky and dual means take n = 2 and weights 1/2 only, else raise
-    UnsupportedWeights.  Callers validate their inputs.  Means with a
-    ``power_order`` share one scaled power branch; other generators are
-    evaluated once per array.  A zero argument takes the x -> 0+ limit (see
-    the module docstring) unless another argument of its column is NaN; any
-    other non-finite mean raises DomainError.
+    UnsupportedWeights.  Callers validate their inputs.  Power, Lehmer and
+    Gini means share one scaled Gini branch; other generators are evaluated
+    once per array.  A zero argument takes the x -> 0+ limit (see the module
+    docstring) unless another argument of its column is NaN; any other
+    non-finite mean raises DomainError.
     """
     X = np.asarray(X, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -327,16 +326,14 @@ def weighted_means(spec: MeanSpec, X, W) -> np.ndarray:
     X = X.reshape(len(X), -1)
     W = W.reshape(X.shape) if W.ndim > 1 else W
     lo, hi = np.minimum.reduce(X), np.maximum.reduce(X)
-    fam, order = spec.family, spec.power_order
+    fam, orders = spec.family, spec.gini_orders
     with np.errstate(all="ignore"):
         if not spec.supports_weights and (len(X) != 2 or np.any(np.abs(W - 0.5) > 1e-12)):
             raise UnsupportedWeights(f"{fam} mean has no weighted form (only two arguments of weight 1/2)")
-        if order is not None:
-            out = _power_means(order, X, W, lo, hi)
+        if orders is not None:
+            out = _gini_means(*orders, X, W, lo, hi)
         elif fam == "quasi_arithmetic":
             out = _generator_means(spec.generator, X, W)
-        elif fam in ("lehmer", "gini"):
-            out = _ratio_means(spec, X, W, hi)
         elif fam in ("lagrange", "cauchy"):
             out = _mean_value_means(spec, X)
         elif fam == "stolarsky":
@@ -454,20 +451,19 @@ def dominates(
     INCOMPARABLE otherwise, with the counterexample triple of lowest sample
     index for each violated direction.  Each mean is evaluated once, over all
     samples.  A ``samples`` that is not an integer or is below one, or a
-    non-finite bound, raises ParamError.
+    domain whose width is not a finite float, raises ParamError.
     """
-    lo, hi = (domain.lo, domain.hi) if isinstance(domain, Interval) else (float(domain[0]), float(domain[1]))
+    lo, hi = map(float, (domain.lo, domain.hi) if isinstance(domain, Interval) else domain)
     require_int(samples, "samples")
     if samples < 1:
         raise ParamError(f"samples={samples!r}: dominance needs at least one sample")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ParamError(f"dominance samples a bounded domain, got ({lo!r}, {hi!r})")
+    if not math.isfinite(hi - lo):  # numpy's uniform(lo, hi) would overflow forming it
+        raise ParamError(f"cannot sample the window ({lo!r}, {hi!r}): its width is not a finite float")
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(lo, hi, samples)
-    ys = rng.uniform(lo, hi, samples)
+    xs, ys = X = rng.uniform(lo, hi, (2, samples))
     weighted = a.supports_weights and b.supports_weights
     als = rng.uniform(0.0, 1.0, samples) if weighted else np.full(samples, 0.5)
-    X, W = np.stack([xs, ys]), np.stack([1.0 - als, als])
+    W = np.stack([1.0 - als, als])
     va, vb = _checked_means(a, X, W), _checked_means(b, X, W)
     tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(va), np.abs(vb)))
     up, down = va > vb + tol, va < vb - tol

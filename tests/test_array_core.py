@@ -274,6 +274,15 @@ def test_dominates_rejects_an_unbounded_domain():
         dominates(power(2), power(1), (1.0, math.inf))
 
 
+def test_windows_wider_than_the_float_range_raise_param_error():
+    # numpy's uniform(lo, hi) forms hi - lo, which overflows here
+    wide = function_model("x", (-1.7e308, math.inf), lambda x: x)
+    with pytest.raises(ParamError, match=r"cannot sample the window \(-1\.7e\+308, 1\.7e\+308\)"):
+        dominates(ARITHMETIC, ARITHMETIC, (-1.7e308, 1.7e308), samples=4)
+    with pytest.raises(ParamError, match="cannot sample F's window"):
+        midpoint_verdict(wide, ARITHMETIC, ARITHMETIC, samples=4)
+
+
 def test_dominates_rejects_zero_samples():
     with pytest.raises(ParamError):
         dominates(power(2), power(1), (1.0, 2.0), samples=0)
@@ -325,8 +334,9 @@ def test_certificate_settings_that_no_caller_sets_are_gone():
         ["dominates", "--a", "power:2", "--b", "power:1", "--domain", "0:inf"],
         ["dominates", "--a", "power:2", "--b", "power:1", "--domain", "1:2", "--samples", "0"],
         ["check-convexity", "--F", "exp(x)", "--domain", "0.5:8", "--grid", "0"],
+        ["dominates", "--a", "qa:identity", "--b", "qa:identity", "--domain=-1.7e308:1.7e308"],
     ],
-    ids=["unbounded-domain", "zero-samples", "zero-grid"],
+    ids=["unbounded-domain", "zero-samples", "zero-grid", "window-wider-than-floats"],
 )
 def test_cli_reports_param_errors(argv):
     code, out = dispatch(config_from_argv(argv))

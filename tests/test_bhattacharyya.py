@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -418,6 +419,32 @@ class TestOrderCheck:
                 cmbd(M, N, 0.5, P, Q, trusted_dominance=True)
             assert float(cmbd(N, M, 0.5, P, Q)) >= 0.0
 
+    def test_componentwise_ordered_gini_pairs_are_decided_without_sampling(self, monkeypatch):
+        # G_{r,s} <= G_{r',s'} when r <= r' and s <= s', with each pair of
+        # orders in decreasing order: every other Gini pair is sampled.
+        import cdt.bhattacharyya as bh
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("componentwise-ordered Gini pairs must not be sampled")
+
+        monkeypatch.setattr(bh, "dominates", no_sampling)
+        p, q = DiscreteDist((0.7, 0.2, 0.1, 0.0)), DiscreteDist((0.1, 0.3, 0.4, 0.2))
+        family = [M for M in WEIGHTED if M.gini_orders is not None] + [power(1)]
+        decided = []
+        for M, N in itertools.product(family, repeat=2):
+            (r, s), (r2, s2) = sorted(M.gini_orders, reverse=True), sorted(N.gini_orders, reverse=True)
+            if not (r <= r2 and s <= s2):
+                continue
+            decided.append((str(M), str(N)))
+            assert not cmbd(M, N, 0.3, p, q).clamped, (M, N)  # c^M <= c^N, as the theorem says
+            if (r, s) == (r2, s2):
+                assert float(cmbd(N, M, 0.3, p, q)) == 0.0
+            else:
+                with pytest.raises(DominanceError):
+                    cmbd(N, M, 0.3, p, q)
+        named = {("lehmer:-0.3", "qa:identity"), ("gini:1:1", "gini:2:1"), ("lehmer:0", "power:1")}
+        assert named <= set(decided) and len(decided) > 200
+
     def test_lehmer_minus_half_is_not_the_geometric_mean(self):
         # L_{-1/2} equals G only at alpha = 1/2, so the pair is sampled and
         # the order G <= L_{-1/2} fails at alpha = 0.1.
@@ -663,13 +690,13 @@ class TestVanishingMass:
 
     def test_sampled_dominance_without_positive_mass(self):
         with pytest.raises(DomainError, match="no positive mass"):
-            cmbd(lehmer(-0.3), ARITHMETIC, 0.5, self.Z, self.Z)
+            cmbd(ARITHMETIC, quasi_arithmetic(EXP), 0.5, self.Z, self.Z)
 
     def test_sampled_dominance_on_mixed_operands(self):
         with pytest.raises(KindMismatch):
-            cmbd(lehmer(-0.3), ARITHMETIC, 0.5, P, cauchy_density(1.0))
+            cmbd(ARITHMETIC, quasi_arithmetic(EXP), 0.5, P, cauchy_density(1.0))
         with pytest.raises(LengthMismatch):
-            cmbd(lehmer(-0.3), ARITHMETIC, 0.5, P, DiscreteDist((0.2, 0.3, 0.5)))
+            cmbd(ARITHMETIC, quasi_arithmetic(EXP), 0.5, P, DiscreteDist((0.2, 0.3, 0.5)))
 
     def test_power_cmbd_of_a_vanished_coefficient(self):
         with pytest.raises(DomainError, match="affinity coefficient vanished"):

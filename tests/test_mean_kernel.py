@@ -34,24 +34,8 @@ mp.dps = 50
 POWER_ORDERS = (1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6, 1e-4, 0.3, 1.0, 2.0, -1.0, 50.0)
 
 
-def mp_power(d):
-    def mean(x, w):
-        if d == 0:
-            return mp.exp(mp.fsum(wi * mp.log(xi) for xi, wi in zip(x, w)))
-        d_ = mp.mpf(d)
-        return mp.fsum(wi * xi**d_ for xi, wi in zip(x, w)) ** (1 / d_)
-
-    return mean
-
-
-def mp_lehmer(d):
-    d_ = mp.mpf(d)
-    return lambda x, w: (
-        mp.fsum(wi * xi ** (d_ + 1) for xi, wi in zip(x, w)) / mp.fsum(wi * xi**d_ for xi, wi in zip(x, w))
-    )
-
-
 def mp_gini(d1, d2):
+    """G_{d1,d2}: the power mean P_d is G_{d,0} and the Lehmer mean L_d is G_{d+1,d}."""
     a, b = mp.mpf(d1), mp.mpf(d2)
 
     def mean(x, w):
@@ -66,18 +50,20 @@ def mp_gini(d1, d2):
 
 ORACLES = (
     [
-        (ARITHMETIC, mp_power(1)),
-        (GEOMETRIC, mp_power(0)),
-        (HARMONIC, mp_power(-1)),
+        (ARITHMETIC, mp_gini(1, 0)),
+        (GEOMETRIC, mp_gini(0, 0)),
+        (HARMONIC, mp_gini(-1, 0)),
         (quasi_arithmetic(EXP), lambda x, w: mp.log(mp.fsum(wi * mp.exp(xi) for xi, wi in zip(x, w)))),
     ]
-    + [(quasi_arithmetic(power_generator(d)), mp_power(d)) for d in (-2.5, -1e-4, 1e-4, 0.5, 1.2345678, 3.0)]
-    + [(power(d), mp_power(d)) for d in POWER_ORDERS]
-    + [(lehmer(d), mp_lehmer(d)) for d in (-2.0, -1.0, -0.5, 0.0, 0.3, 1.0, 3.0)]
+    + [(quasi_arithmetic(power_generator(d)), mp_gini(d, 0)) for d in (-2.5, -1e-4, 1e-4, 0.5, 1.2345678, 3.0)]
+    + [(power(d), mp_gini(d, 0)) for d in POWER_ORDERS]
+    + [(lehmer(d), mp_gini(d + 1, d)) for d in (-2.0, -1.0, -0.5, 0.0, 0.3, 1.0, 3.0)]
     + [
         (gini(d1, d2), mp_gini(d1, d2))
-        for d1, d2 in ((1, 2), (0.5, 0.4), (-1, 0.5), (2, -3), (0, 1), (1, 1), (-1, -1), (0.5, 0.5))
+        for d1, d2 in ((1, 2), (0.5, 0.4), (-1, 0.5), (2, -3), (0, 1), (1, 1), (-1, -1), (0.5, 0.5), (1e-9, 0))
     ]
+    # the diagonal r - s -> 0, where a ratio of sums cancels
+    + [(gini(1.5, 1.5 - gap), mp_gini(1.5, 1.5 - gap)) for gap in (1, 1e-4, 1e-8, 1e-12, 1e-14)]
 )
 
 
@@ -109,6 +95,12 @@ def test_power_mean_does_not_overflow():
     assert tiny == pytest.approx(1e-10 * 2.0 ** (1 / 50), rel=1e-13)
 
 
+def test_gini_mean_does_not_overflow():
+    # E = exp(sL - max sL): unshifted, exp(-log(1e-300 / 1e10)) overflows
+    want = mp_gini(0.5, -1)([mp.mpf(1e-300), mp.mpf(1e10)], [mp.mpf(0.5)] * 2)
+    assert mean_value(gini(-1, 0.5), 1e-300, 1e10) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
 def test_gini_equal_orders_zero_mass_coefficient():
     p = DiscreteDist((0.5, 0.5, 0.0))
     q = DiscreteDist((0.0, 0.5, 0.5))
@@ -127,7 +119,8 @@ def test_qa_power_generator_equals_power_mean():
 
 SCALING = [
     power(-2.5), HARMONIC, GEOMETRIC, power(0.5), ARITHMETIC, power(3.0), quasi_arithmetic(power_generator(1.5)),
-    lehmer(0), lehmer(-1), gini(1, 1), gini(-0.5, -0.5), gini(0, 0), gini(2, 1), gini(0.5, -1),
+    lehmer(0), lehmer(-1), lehmer(-0.3), lehmer(0.5), lehmer(2), gini(1, 1), gini(-0.5, -0.5), gini(0, 0),
+    gini(2, 1), gini(0.5, -1),
 ]
 
 
@@ -147,19 +140,21 @@ def test_scaling_kernels_give_x_times_the_unit_mean(x, M, alpha):
     assert np.array_equal(weighted_means(M, (z, x), W), x * u[1])
 
 
-def test_lehmer_and_generator_means_do_not_scale_out():
-    assert not any(M.scales_out for M in (lehmer(2), lehmer(-0.3), quasi_arithmetic(EXP)))
+def test_generator_means_do_not_scale_out():
+    assert not quasi_arithmetic(EXP).scales_out
 
 
-def test_power_orders():
+def test_gini_orders():
     assert (IDENTITY.power_order, LOG.power_order, RECIPROCAL.power_order) == (1.0, 0.0, -1.0)
     assert power_generator(0).power_order == 0.0
     assert power_generator(-2.5).power_order == -2.5
     assert EXP.power_order is None
     assert quasi_arithmetic(power_generator(1.5)).homogeneous
     assert not quasi_arithmetic(EXP).homogeneous
-    assert (lehmer(0).power_order, lehmer(-1).power_order, lehmer(-0.5).power_order) == (1.0, -1.0, None)
-    assert power(2.5).power_order == 2.5 and gini(1, 0).power_order is None
+    assert (ARITHMETIC.gini_orders, GEOMETRIC.gini_orders, HARMONIC.gini_orders) == ((1, 0), (0, 0), (-1, 0))
+    assert power(2.5).gini_orders == (2.5, 0) and quasi_arithmetic(EXP).gini_orders is None
+    assert (lehmer(0).gini_orders, lehmer(-1).gini_orders, lehmer(-0.5).gini_orders) == ((1, 0), (-1, 0), (0.5, -0.5))
+    assert (gini(1, 0).gini_orders, gini(0, -2).gini_orders, gini(-1, 0.5).gini_orders) == ((1, 0), (-2, 0), (0.5, -1))
 
 
 # x -> 0+ limit of M(0, b; 1-a, a)
