@@ -424,10 +424,17 @@ class Generator:
 
     def validate(self) -> "Generator":
         """Run sampled invariant checks where the values are finite normal
-        floats (at least two); returns self so built-ins can chain."""
+        floats (at least two); returns self so built-ins can chain.  With
+        fewer than two on the domain's grid (a power of order in the
+        thousands), a second grid spans the grid points bracketing them."""
         xs = self.domain.sample_grid(VALIDATION_POINTS)
         ys = self.value(xs)
-        normal = np.isfinite(ys) & (np.abs(ys) >= np.finfo(float).tiny)
+        tiny = np.finfo(float).tiny
+        kind = np.where(np.abs(ys) < tiny, 1, np.where(np.isfinite(ys), 0, 2))  # below, normal, above or NaN
+        if np.count_nonzero(kind == 0) < 2 and len(ends := np.flatnonzero(np.diff(kind))):
+            xs = Interval(xs[ends[0]], xs[ends[-1] + 1]).sample_grid(VALIDATION_POINTS)
+            ys = self.value(xs)
+        normal = np.isfinite(ys) & (np.abs(ys) >= tiny)
         if np.count_nonzero(normal) < 2:
             raise ParamError(f"generator {self.id!r} overflows or underflows on {self.domain.finite_window()}")
         xs, ys = xs[normal], ys[normal]

@@ -27,9 +27,9 @@ also decides how models built from callables call them; there any failure
 on its two points, a CdtError too, makes the wrapper and nothing more is
 evaluated).  Bounds must be finite (ParamError), and so must every
 integrand value (DomainError naming the first point that is not).
-Accepted contributions are summed with ``math.fsum`` per panel, and the
-panel sums with ``math.fsum`` again; ``fsum`` is exact, so the result does
-not depend on the order in which pieces are accepted.
+The integral is one ``math.fsum`` of every accepted contribution, over all
+panels: the correctly rounded sum of the pieces, whatever the order in
+which they were accepted.
 """
 
 from __future__ import annotations
@@ -142,8 +142,9 @@ def gauss_kronrod(
     return integrate(f, a, b, QuadratureConfig(abs_tol=abs_tol, max_depth=max_depth))
 
 
-def _kronrod(f: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_depth: int) -> list[float]:
-    """Adaptive Gauss-Kronrod over the panels [a[i], b[i]], a < b.
+def _kronrod(f: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_depth: int) -> float:
+    """Adaptive Gauss-Kronrod integral over the panels [a[i], b[i]], a < b:
+    one ``math.fsum`` of the accepted Kronrod sums of every panel.
 
     A group holds subintervals of one depth in panel order: their ends and
     panels.  The stack starts with every panel in one group at depth 0.
@@ -155,7 +156,6 @@ def _kronrod(f: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_dept
     fv = None  # f, or f point by point
     stack = [(0, float(abs_tol), a, b, np.arange(len(a)))]  # (depth, error budget, lo, hi, pan)
     values: list[np.ndarray] = []
-    owners: list[np.ndarray] = []
     while stack:
         depth, tol, lo, hi, pan = stack.pop()
         if len(pan) > _MAX_ACTIVE:
@@ -167,7 +167,6 @@ def _kronrod(f: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_dept
         err = np.abs(kronrod - half * (fx[:, 1::2] * _WG).sum(axis=1))
         done = err <= tol
         values.append(kronrod[done])
-        owners.append(pan[done])
         if done.all():
             continue
         k = ~done
@@ -176,10 +175,7 @@ def _kronrod(f: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_dept
         lo, mid, hi = lo[k], mid[k], hi[k]
         stack.append((depth + 1, 0.5 * tol, np.column_stack((lo, mid)).ravel(),
                       np.column_stack((mid, hi)).ravel(), np.repeat(pan[k], 2)))
-    owner = np.concatenate(owners)
-    ordered = np.concatenate(values)[np.argsort(owner)].tolist()
-    ends = np.cumsum(np.bincount(owner, minlength=len(a))).tolist()
-    return [math.fsum(ordered[i:j]) for i, j in zip([0, *ends], ends)]
+    return math.fsum(np.concatenate(values).tolist())
 
 
 def _failure(a, b, lo, hi, pan, ratio, depth) -> QuadratureFailure:
@@ -236,4 +232,4 @@ def integrate(
     edges = np.concatenate(([lo], np.unique(brk[(lo < brk) & (brk < hi)]), [hi]))
     if len(edges) == 2 and (hi - lo) > 1e4 * max(1.0, abs(lo + hi)):
         edges = np.array(ladder_breakpoints(lo, hi, 0.0, max(1.0, abs(lo + hi) * 0.5)))
-    return math.fsum(_kronrod(f, edges[:-1], edges[1:], cfg.abs_tol, cfg.max_depth))
+    return _kronrod(f, edges[:-1], edges[1:], cfg.abs_tol, cfg.max_depth)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cdt.bhattacharyya import (
     mean_gap_distance,
     power_cmbd,
 )
-from cdt.bhattacharyya import _mass_terms, _pair
+from cdt.bhattacharyya import _mass_terms, _pair, _value_window
 from cdt.divergences import _zero_floor, skew_jccd
 from cdt.convexity import function_model
 from cdt.expectations import qa_expected_value
@@ -307,6 +308,27 @@ class TestDensities:
             disc = float(cmbd(M, N, 0.3, P, Q))
             cont = float(cmbd(M, N, 0.3, dp, dq))
             assert cont == pytest.approx(disc, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(cauchy_density(1.0), cauchy_density(3.0)),
+         (histogram_density((0.0, 1.0, 2.0, 3.0), (0.2, 0.5, 0.3)), histogram_density((0.0, 1.0, 2.0, 3.0), (0.6, 0.1, 0.3)))],
+        ids=["cauchy", "histogram"],
+    )
+    def test_sampled_dominance_on_densities(self, p, q):
+        # A <= qa:exp is no Gini order, so cmbd samples it on the window of
+        # the density values; the reversed pair names the triple it found.
+        E = quasi_arithmetic(EXP)
+        assert float(cmbd(ARITHMETIC, E, 0.3, p, q)) >= 0.0
+        with pytest.raises(DominanceError) as info:
+            cmbd(E, ARITHMETIC, 0.3, p, q)
+        found = re.fullmatch(r"sampling found qa:exp > qa:identity at \((.+), (.+), (.+)\); means are not ordered M <= N",
+                             str(info.value))
+        x, y, a = map(float, found.groups())
+        lo, hi = _value_window(p, q)
+        assert lo <= min(x, y) and max(x, y) <= hi and 0.0 < a < 1.0
+        X, W = np.array([[x], [y]]), np.array([1.0 - a, a])
+        assert weighted_means(E, X, W)[0] > weighted_means(ARITHMETIC, X, W)[0]
 
     def test_normalization_check(self):
         with pytest.raises(WeightError):

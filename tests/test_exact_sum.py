@@ -110,6 +110,14 @@ def test_non_finite_and_overflowing_sums_are_fsums(terms, length):
     same_as_fsum(padded(*terms, fill=0.5) if length == "long" else terms)
 
 
+def test_a_non_finite_term_after_overflowing_partials_is_refused():
+    # fsum's partials overflow before it reaches the inf, so it raises
+    # OverflowError; with a non-finite term there is no exact sum to give.
+    with pytest.raises(DomainError) as info:
+        _exact_sum(np.array([1e308, 1e308, math.inf]))
+    assert str(info.value) == "overflow past the float range: the exact sum of 3 terms is too large for a float"
+
+
 @pytest.mark.parametrize("n, fsum_calls", [(699, 1), (700, 0)])
 def test_break_even(monkeypatch, n, fsum_calls):
     # Arrays of 700 terms and more leave fsum; 699 still go to it.

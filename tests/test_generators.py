@@ -9,7 +9,7 @@ from cdt.convexity import FunctionModel
 from cdt.errors import DomainError, ParamError
 from cdt.generators import LOG, Generator, Interval, get_generator
 from cdt.generators import _POWER_DELTA_MIN, _invert_monotone, _monotone_direction, power_generator
-from cdt.means import parse_mean, power, quasi_arithmetic, weighted_mean
+from cdt.means import mean_value, parse_mean, power, quasi_arithmetic, weighted_mean
 
 
 class TestPowerGuard:
@@ -185,7 +185,9 @@ class TestPowerGenerators:
         assert gen.id == "power:0" and gen.power_order == 0.0
         assert (gen.forward, gen.inverse, gen.derivative, gen.domain) == (LOG.forward, LOG.inverse, LOG.derivative, LOG.domain)
 
-    @pytest.mark.parametrize("delta", [52.0, 60.0, 300.0, -60.0, -300.0])
+    # From about 3500, fewer than two points of the first grid have normal
+    # values, and validate checks on a second grid between them.
+    @pytest.mark.parametrize("delta", [52.0, 60.0, 300.0, -60.0, -300.0, 3500.0, -3500.0, 5000.0, -5000.0])
     def test_high_orders_validate_where_their_values_are_normal_floats(self, delta):
         assert power_generator(delta).power_order == delta
 
@@ -193,7 +195,11 @@ class TestPowerGenerators:
         xs, ws = [0.5, 1.5, 4.0], [0.2, 0.3, 0.5]
         assert weighted_mean(parse_mean("qa:power:60"), xs, ws) == weighted_mean(power(60), xs, ws)
 
-    @pytest.mark.parametrize("delta", [5000.0, -5000.0])
+    def test_qa_power_5000_is_the_power_mean(self):
+        assert parse_mean("qa:power:5000") == quasi_arithmetic(power_generator(5000))
+        assert mean_value(quasi_arithmetic(power_generator(5000)), 1.5, 3.0, 0.75) == mean_value(power(5000), 1.5, 3.0, 0.75)
+
+    @pytest.mark.parametrize("delta", [1e6, -1e6])
     def test_an_order_whose_window_overflows_is_refused_truthfully(self, delta):
         with pytest.raises(ParamError, match=r"overflows or underflows on \(1e-06, 1000000.0\)"):
             power_generator(delta)
@@ -215,6 +221,20 @@ class TestValidate:
     def test_each_invariant_is_checked(self, forward, inverse, derivative, message):
         with pytest.raises(ParamError, match=message):
             Generator("g", Interval(0.0, INF), forward, inverse, derivative).validate()
+
+
+def test_a_callable_failing_on_the_whole_array_only_is_reported_as_failed():
+    # No single point is undefined, so the point-by-point rerun names none
+    # and the error quotes the callable's own message.
+    def forward(x):
+        if np.size(x) > 2:
+            raise ValueError("three or more points")
+        return x
+
+    gen = Generator("pairs", Interval(), forward, lambda y: y, np.ones_like)
+    with pytest.raises(DomainError) as info:
+        gen.value(np.array([1.0, 2.0, 3.0]))
+    assert str(info.value) == "generator 'pairs' failed: three or more points"
 
 
 def _central(f, x, domain):

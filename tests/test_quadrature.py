@@ -169,15 +169,13 @@ def _kronrod_panel(fv, lo, hi, tol, depth, max_depth, accepted):
 
 
 def _per_panel(fv, lo, hi, cfg, breakpoints):
-    """integrate as a loop over its panels: adaptive G7K15 per panel, fsum per
-    panel, then fsum over the panels."""
+    """integrate as a loop over its panels: adaptive G7K15 per panel, then
+    one fsum of the pieces accepted on every panel."""
     edges = [lo, *sorted({float(b) for b in breakpoints if lo < b < hi}), hi]
-    parts = []
+    accepted = []
     for a, b in zip(edges[:-1], edges[1:]):
-        accepted = []
         _kronrod_panel(fv, a, b, cfg.abs_tol, 0, cfg.max_depth, accepted)
-        parts.append(math.fsum(accepted))
-    return math.fsum(parts)
+    return math.fsum(accepted)
 
 
 def _pair_integrand(M, alpha, p, q):

@@ -1,19 +1,20 @@
-"""The monotone solver on raw kernels.
+"""The monotone solver, on raw kernels and checked ones.
 
-``to_ordinary``'s G' and the Lagrange/Cauchy ratio f'/g' hand the solver
-raw numpy kernels that flag bad elements instead of checking them one call
-at a time; the expression-generator inverse hands it the expression checked
-for finiteness in one call.  These tests pin:
+``to_ordinary``'s G' hands the solver a raw numpy kernel that flags bad
+elements instead of checking them one call at a time, and ``qabd`` runs
+as one raw chain with a checked rerun; the Lagrange/Cauchy ratio f'/g' is
+the checked one, and the expression-generator inverse hands the solver the
+expression checked for finiteness in one call.  These tests pin:
 
 * fault injection: a NaN derivative at an interior bisection midpoint, F
-  leaving tau's domain between two good bracket ends, a NaN inverse and an
-  inverse far outside the domain raise the typed error, with the message,
-  that the checked chain raised before the raw kernels (recorded then);
+  leaving tau's domain between two good bracket ends, a NaN inverse, an
+  inverse far outside the domain and a derivative that raises on an array
+  raise the typed error, with the message, that the checked chain raises;
 * the solver's NaN check, which used to steer the bisection silently;
 * evaluation counts: one scan call and one call per round along
   predicted bisection paths;
-* the raw chain against the checked composition, bit for bit, also for
-  callables that return float32;
+* the raw G' and ``qabd`` chains against the checked ones, bit for bit,
+  G' also for callables that return float32;
 * ``lagrange_mean`` and ``cauchy_mean`` against a 50-digit mpmath oracle on
   far pairs and on pairs just below and just above ``NEAR_EQUAL_REL``.
 """
@@ -31,10 +32,9 @@ from test_solver_pins import CAUCHY, CLUSTER, LAGRANGE, _cluster_case
 
 import cdt.convexity
 import cdt.divergences
-import cdt.means
 from cdt.centroids import bregman_centroid
 from cdt.convexity import TRUSTED_CONVEX, _pullback, function_model
-from cdt.divergences import QabdSpec, WeightedSet, _qabd_checked, _qabd_raw
+from cdt.divergences import QabdSpec, WeightedSet, _qabd_checked, _qabd_raw, qabd
 from cdt.errors import DerivativeError, DomainError
 from cdt.expr import expression_generator, expression_model
 from cdt.generators import (
@@ -110,6 +110,22 @@ CUBE_NAN = Generator(
     "cube-nan", Interval(0.0, INF), lambda x: x**3, np.cbrt, lambda x: np.where(near(CAUCHY[1][4])(x), np.nan, 3.0 * x * x)
 )
 
+
+def sq_raising_above_5():
+    """x^2 on (0.1, 9) whose derivative raises ValueError on any array with
+    a point above 5: not on the two points that decide how it is called, so
+    the raw G' and qabd chains raise and the checked chain reruns."""
+
+    def derivative(x):
+        if np.any(np.asarray(x) > 5.0):
+            raise ValueError("above 5")
+        return 2.0 * np.asarray(x)
+
+    F = function_model("sq", (0.1, 9.0), lambda x: x * x, derivative)
+    assert F.derivative is derivative
+    return QabdSpec(F, IDENTITY, IDENTITY, verdict=TRUSTED_CONVEX)
+
+
 #: (case, expected message), recorded with the checked chain in the solver
 FAULTS = [
     (centroid_nan_derivative, "the derivative of 'x^2 bad-deriv' is undefined at 3.5463893105091477"),
@@ -125,6 +141,9 @@ FAULTS = [
     # The inverse's own DomainError passes through Generator.inv unchanged.
     (lambda: expression_generator("x^3+x", (0.1, 5)).inv(200.0),
      "200.0 outside the image of 'x^3+x' on Interval(lo=0.1, hi=5.0)"),
+    (lambda: bregman_centroid(sq_raising_above_5(), WeightedSet([1.0, 2.0, 6.0], [0.3, 0.3, 0.4])),
+     "the derivative of 'sq' is undefined at 6.0"),
+    (lambda: qabd(sq_raising_above_5(), 1.0, 6.0), "the derivative of 'sq' is undefined at 6.0"),
 ]
 
 
@@ -132,7 +151,8 @@ FAULTS = [
     "case,message",
     FAULTS,
     ids=["centroid-nan-F'", "centroid-F-outside-tau", "centroid-nan-rho^-1", "centroid-far-rho^-1",
-         "lagrange-nan-f'", "cauchy-nan-f'", "cauchy-nan-g'", "expr-outside-image"],
+         "lagrange-nan-f'", "cauchy-nan-f'", "cauchy-nan-g'", "expr-outside-image", "centroid-raising-F'",
+         "qabd-raising-F'"],
 )
 def test_fault_raises_the_checked_chains_error(case, message):
     with pytest.raises(DomainError) as info:
@@ -260,14 +280,6 @@ def test_float32_model_gives_the_checked_chains_centroid(case):
     with checked_only(cdt.convexity):
         checked = QabdSpec(F, spec.rho, spec.tau, verdict=TRUSTED_CONVEX)
     assert bregman_centroid(raw, WeightedSet(pts, w)) == bregman_centroid(checked, WeightedSet(pts, w))
-
-
-def test_float32_derivatives_give_the_checked_chains_cauchy_mean():
-    log32 = Generator("log32", LOG.domain, LOG.forward, LOG.inverse, single(LOG.derivative))
-    cube32 = Generator("cube32", Interval(0.0, INF), lambda x: x**3, np.cbrt, single(lambda x: 3.0 * x * x))
-    raw = cauchy_mean(log32, cube32, 1.5, 7.0)
-    with checked_only(cdt.means):
-        assert raw == cauchy_mean(log32, cube32, 1.5, 7.0)
 
 
 # ------------------------------------------------- qabd's raw chain == checked
