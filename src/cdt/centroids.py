@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import QabdSpec, WeightedSet, _nonnegative, _qabd_raw, jensen_diversity
-from .errors import NonInvertibleGradient, ParamError
+from .errors import NonInvertibleGradient, ParamError, require_int
 from .generators import _bisecting, _first, _invert_monotone, _monotone_direction
 from .means import _exact_sum, quasi_arithmetic
 
@@ -119,7 +119,7 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
     returned is always that of the clustering returned.  Deterministic for a
     fixed seed.
     """
-    k = int(k)
+    require_int(k, "k")
     if k < 1:
         raise ParamError("k must be at least 1")
     distinct = len(set(wset.points))

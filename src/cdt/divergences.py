@@ -115,7 +115,7 @@ class WeightedSet:
             raise LengthMismatch("points and weights differ in length")
         if not pts:
             raise WeightError("weighted set must be nonempty")
-        if any(w <= 0.0 for w in wts):
+        if any(not w > 0.0 for w in wts):  # a NaN weight too
             raise WeightError("weights must be strictly positive")
         if abs(math.fsum(wts) - 1.0) > WEIGHT_SUM_TOL:
             raise WeightError(f"weights must sum to 1 within {WEIGHT_SUM_TOL:g}")

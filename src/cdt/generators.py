@@ -218,22 +218,9 @@ def _fused(raw: Callable, checked: Callable) -> Callable:
 def _monotone_direction(fun: Callable, lo, hi, n: int = 33):
     """+1 or -1 where fun is strictly increasing or decreasing on n equispaced
     points of [lo, hi], else 0 (sampled, so a falsification only); over
-    arrays of brackets.
-
-    All n points of all brackets go to fun in one call, and fun checks
-    them; a NaN value gives the verdict 0.  A fun that takes only floats,
-    or raises on that call, is rerun one row of points at a time, so its
-    error names the same culprit as a row-by-row scan would.
-    """
-    xs = np.linspace(lo, hi, n)
-    try:
-        ys = np.asarray(fun(xs), dtype=float)
-        whole = ys.shape == xs.shape
-    except Exception:  # the row-by-row rerun raises it again
-        whole = False
-    if not whole:
-        ys = np.array([np.asarray(fun(x), dtype=float) for x in xs])
-    diffs = np.diff(ys, axis=0)
+    arrays of brackets.  All n points of all brackets go to fun in one call,
+    and fun checks them; a NaN value gives the verdict 0."""
+    diffs = np.diff(np.asarray(fun(np.linspace(lo, hi, n)), dtype=float), axis=0)
     out = np.where(np.all(diffs > 0.0, axis=0), 1, np.where(np.all(diffs < 0.0, axis=0), -1, 0))
     return int(out) if out.ndim == 0 else out
 
@@ -273,48 +260,46 @@ def _estimate(a: float, ya: float, b: float, yb: float, c: float, yc: float, t: 
     return min(max(r, a), b) if math.isfinite(r) else 0.5 * (a + b)
 
 
+def _values(fun: Callable, x):
+    """fun(x) as a float array; a NaN, which would steer the bisection
+    silently, raises DomainError naming the first."""
+    y = np.asarray(fun(x), dtype=float)
+    if np.count_nonzero(bad := np.isnan(y)):
+        raise DomainError(f"the function to invert is NaN at {_first(x, bad)!r}")
+    return y
+
+
 def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
     """Bisection solve of fun(m) = target for monotone fun on [lo, hi], to a
     bracket of relative width tol; elementwise over arrays of targets and
     brackets, each element stopping at its own tolerance or after
     ``_MAX_LEVELS`` levels.
 
-    fun is evaluated once at the bracket ends and then once per round (see
-    ``_paths``), or once per level past ``_PATH_ELEMENTS`` elements; either
-    way the result is bit for bit that of one level per call.  All points
-    lie in [lo, hi], so callers check the bracket against their domains
-    once and may pass raw kernels (see ``_fused``).  Every value is still
-    checked: a NaN, which would steer the bisection silently, raises
-    DomainError naming its point.  After a round whose call raises, returns
-    a misshapen array or a NaN anywhere, the solve starts again at one
-    level per call, with the midpoints in the shape of the result, so an
-    error names the point that one-level bisection meets first, a NaN off
-    its path goes unseen, and a fun taking only floats works.
+    fun maps arrays elementwise.  It is evaluated once at the bracket ends
+    and then once per round (see ``_paths``), or once per level past
+    ``_PATH_ELEMENTS`` elements; either way the brackets are bit for bit
+    those of one level per call.  All points lie in [lo, hi], so callers
+    check the bracket against their domains once and may pass raw kernels
+    (see ``_fused``).  A NaN at any point evaluated raises DomainError
+    naming the first NaN of that call, and an exception from fun passes
+    through from the call that raises it.
     """
-
-    def values(x):
-        y = np.asarray(fun(x), dtype=float)
-        if np.count_nonzero(bad := np.isnan(y)):
-            raise DomainError(f"the function to invert is NaN at {_first(x, bad)!r}")
-        return y
-
-    flo, fhi = values(lo), values(hi)
+    flo, fhi = _values(fun, lo), _values(fun, hi)
     increasing = fhi >= flo
     # Floating-point drift can push the target marginally outside the bracket.
     target = np.minimum(np.maximum(target, np.minimum(flo, fhi)), np.maximum(flo, fhi))
     args = np.broadcast_arrays(target, increasing, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), flo, fhi)
     shape = args[0].shape
     target, increasing, a, b, ya, yb = (v.reshape(-1) for v in args)
-    bracket = _paths(fun, target, increasing, a, b, ya, yb, tol) if a.size <= _PATH_ELEMENTS else None
-    if bracket is not None:
-        a, b = bracket
+    if a.size <= _PATH_ELEMENTS:
+        a, b = _paths(fun, target, increasing, a, b, ya, yb, tol)
     else:
         for _ in range(_MAX_LEVELS):
             active = _bisecting(a, b, tol)
             if not np.count_nonzero(active):
                 break
             m = 0.5 * (a + b)
-            raise_a = active & ((values(m.reshape(shape)).reshape(-1) < target) == increasing)
+            raise_a = active & ((_values(fun, m) < target) == increasing)
             a, b = np.where(raise_a, m, a), np.where(active ^ raise_a, m, b)
     out = 0.5 * (a + b)
     return float(out[0]) if shape == () else out.reshape(shape)
@@ -322,8 +307,7 @@ def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
 
 def _paths(fun, target, increasing, a, b, ya, yb, tol):
     """The brackets at which one-level bisection stops, from the flat arrays
-    of ``_invert_monotone``; None when a round's call raises, returns a
-    misshapen array or a NaN.
+    of ``_invert_monotone``.
 
     A round estimates each element's root, steps in floats along the
     bisection path toward it, and evaluates every midpoint of the path in
@@ -331,54 +315,42 @@ def _paths(fun, target, increasing, a, b, ya, yb, tol):
     fun's own values, match the path, and the first that does not, so every
     round confirms a level.  The first paths run to the tolerance; after c
     levels kept, the next runs at most 2c + 2, so a fun that defeats every
-    estimate costs O(levels) float steps.  One-level bisection evaluates
-    the midpoint of an element that has stopped while another goes on, and
-    so does the round after it stops.
+    estimate costs O(levels) float steps.
     """
     # each element's lo, fun(lo), hi, fun(hi), the end c it discarded last,
-    # fun(c), its levels and the most levels of its next path: 0 while it
-    # has stopped at a midpoint not yet evaluated
+    # fun(c), its levels and the most levels of its next path
     S = [(*s, math.nan, math.nan, 0, _MAX_LEVELS) for s in zip(a.tolist(), ya.tolist(), b.tolist(), yb.tolist())]
 
     def live(lo, hi, k):  # _bisecting on floats, under the level cap
         return k < _MAX_LEVELS and hi - lo > tol * max(1.0, hi, -lo)
 
-    while True:
-        top = max((s[6] for s in S), default=0)
-        if not any(live(s[0], s[2], s[6]) or (s[7] == 0 and s[6] < top) for s in S):
-            return np.array([s[0] for s in S]), np.array([s[2] for s in S])
+    while any(live(s[0], s[2], s[6]) for s in S):
         paths = []
         for (lo, ylo, hi, yhi, c, yc, k, d), t in zip(S, target.tolist()):
             r, path = _estimate(lo, ylo, hi, yhi, c, yc, t), []
-            for _ in range(min(d, _MAX_LEVELS - k)):
-                if not hi - lo > tol * max(1.0, hi, -lo):
-                    break
+            while len(path) < d and live(lo, hi, k + len(path)):
                 path.append(m := 0.5 * (lo + hi))
                 lo, hi = (m, hi) if m < r else (lo, m)
             paths.append((path, r, 0.5 * (lo + hi)))
-        D = max(1, *(len(p) for p, _, _ in paths))
-        # a shorter path is padded with the midpoint where it ends
+        D = max(len(p) for p, _, _ in paths)
+        # a shorter path, or none where an element has stopped, is padded
+        # with the midpoint where it ends, and a NaN there raises too
         P = np.array([p + [f] * (D - len(p)) for p, _, f in paths]).T
-        try:
-            Y = np.asarray(fun(P), dtype=float)
-        except Exception:  # one-level bisection raises it again
-            return None
-        if Y.shape != P.shape or np.count_nonzero(np.isnan(Y)):
-            return None
+        Y = _values(fun, P)
         ups = ((Y < target) == increasing).T.tolist()
         for i, ((path, r, _), ys, us) in enumerate(zip(paths, Y.T.tolist(), ups)):
             lo, ylo, hi, yhi, c, yc, k, _ = S[i]
-            kept, held = len(path), True
+            kept = len(path)
             for j, m in enumerate(path):
                 if us[j]:
                     lo, ylo, c, yc = m, ys[j], lo, ylo
                 else:
                     hi, yhi, c, yc = m, ys[j], hi, yhi
                 if us[j] != (m < r):  # the first level off the path
-                    kept, held = j + 1, False
+                    kept = j + 1
                     break
-            seen = held and kept < D  # the midpoint where it ends was evaluated
-            S[i] = (lo, ylo, hi, yhi, c, yc, k + kept, 2 * kept + 2 if seen or live(lo, hi, k + kept) else 0)
+            S[i] = (lo, ylo, hi, yhi, c, yc, k + kept, 2 * kept + 2)
+    return np.array([s[0] for s in S]), np.array([s[2] for s in S])
 
 
 @dataclass(frozen=True)

@@ -361,7 +361,7 @@ def weighted_mean(spec: MeanSpec, values: Sequence[float], weights: Sequence[flo
     weights = [float(w) for w in weights]
     if not values or len(values) != len(weights):
         raise WeightError("values and weights must be nonempty and of equal length")
-    if any(w <= 0.0 for w in weights):
+    if any(not w > 0.0 for w in weights):  # a NaN weight too
         raise WeightError("weights must be strictly positive")
     total = math.fsum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -442,7 +442,8 @@ def dominates(
     INCOMPARABLE otherwise, with the counterexample triple of lowest sample
     index for each violated direction.  Each mean is evaluated once, over all
     samples.  A ``samples`` that is not an integer or is below one, or a
-    domain whose width is not a finite float, raises ParamError.
+    domain whose width is not a finite float or whose ends are reversed,
+    raises ParamError.
     """
     lo, hi = map(float, (domain.lo, domain.hi) if isinstance(domain, Interval) else domain)
     require_int(samples, "samples")
@@ -450,6 +451,8 @@ def dominates(
         raise ParamError(f"samples={samples!r}: dominance needs at least one sample")
     if not math.isfinite(hi - lo):  # numpy's uniform(lo, hi) would overflow forming it
         raise ParamError(f"cannot sample the window ({lo!r}, {hi!r}): its width is not a finite float")
+    if not lo <= hi:  # numpy's uniform(lo, hi) would raise a bare ValueError
+        raise ParamError(f"cannot sample the window ({lo!r}, {hi!r}): its ends are reversed")
     rng = np.random.default_rng(seed)
     xs, ys = X = rng.uniform(lo, hi, (2, samples))
     weighted = a.supports_weights and b.supports_weights

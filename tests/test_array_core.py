@@ -283,6 +283,12 @@ def test_windows_wider_than_the_float_range_raise_param_error():
         midpoint_verdict(wide, ARITHMETIC, ARITHMETIC, samples=4)
 
 
+def test_dominates_rejects_a_reversed_window():
+    # numpy's uniform(3, 2) raises a bare ValueError: high - low < 0
+    with pytest.raises(ParamError, match=r"^cannot sample the window \(3\.0, 2\.0\): its ends are reversed$"):
+        dominates(ARITHMETIC, ARITHMETIC, (3.0, 2.0), samples=4)
+
+
 def test_dominates_rejects_zero_samples():
     with pytest.raises(ParamError):
         dominates(power(2), power(1), (1.0, 2.0), samples=0)

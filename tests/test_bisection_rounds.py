@@ -3,17 +3,20 @@
 The solver predicts where each root lies, evaluates every midpoint of the
 bisection path toward it in one call of the function, and keeps the levels
 where the path agrees with the decisions that one-level bisection takes.
-``one_level`` below is that one-level bisection, written out step by step;
-every test compares the two with ``==``: values, and the messages of the
-errors they raise.  The solver never calls the function more often.  Also
-here: the single-column ``means._wsum`` against its row loop.
+``one_level`` below is that one-level bisection, written out step by step.
+On clean functions every test compares the two with ``==``: values, and
+the messages of the errors they raise.  With a NaN planted at one point,
+the solver raises DomainError naming it, or never evaluates that point and
+returns one-level bisection's bytes.  The solver never calls the function
+more often.  Also here: the single-column ``means._wsum`` against its row
+loop.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_solver_kernels import Counted
@@ -193,29 +196,30 @@ def test_a_nan_off_the_path_is_not_seen():
     assert fun.calls == calls_clean.calls
 
 
-def test_a_nan_on_a_predicted_path_only_is_replayed():
+def test_a_nan_on_a_predicted_path_only_raises():
     # For x^3 = 0.064 in [0, 2] the secant puts the root at 0.016, not 0.4:
     # the first round's path goes down at 0.25, where one-level bisection
     # goes up, and on to 0.125, a NaN one-level bisection never meets.
-    # The solve starts again at one level per call: 48 more calls.
+    # The round evaluates it, so it raises.
     cube = lambda x: x**3
-    fun, ref = Counted(nan_at(0.125, cube)), Counted(cube)
-    assert _invert_monotone(fun, 0.064, 0.0, 2.0, 1e-14) == one_level(ref, 0.064, 0.0, 2.0, 1e-14)
-    assert (ref.calls, fun.calls) == (2 + 48, 2 + 1 + 48)
+    fun = Counted(nan_at(0.125, cube))
+    message = "the function to invert is NaN at 0.125"
+    assert outcome(_invert_monotone, fun, 0.064, 0.0, 2.0, 1e-14) == ("error", "DomainError", message)
+    assert fun.calls == 2 + 1
+    assert outcome(one_level, nan_at(0.125, cube), 0.064, 0.0, 2.0, 1e-14)[0] == "value"
 
     def raising(x):
         if np.any(np.asarray(x) == 0.125):
             raise DomainError(f"undefined at {0.125!r}")
         return cube(x)
 
-    assert outcome(_invert_monotone, raising, 0.064, 0.0, 2.0, 1e-14)[0] == "value"
-    same(raising, 0.064, 0.0, 2.0, 1e-14)
+    assert outcome(_invert_monotone, raising, 0.064, 0.0, 2.0, 1e-14) == ("error", "DomainError", "undefined at 0.125")
 
 
 def test_a_nan_on_the_path_raises_the_one_level_error():
     # 0.2003173828125 is the tenth midpoint on the way to 0.2 in [0, 1.5]:
-    # the first round's path meets it, and the replay raises where
-    # one-level bisection does.
+    # the first round's path meets it and raises, as one-level bisection
+    # does.
     args = (nan_at(0.2003173828125), np.array([0.4, 0.2]), 0.0, np.array([2.0, 1.5]), 1e-14)
     message = "the function to invert is NaN at 0.2003173828125"
     assert outcome(_invert_monotone, *args) == ("error", "DomainError", message)
@@ -231,56 +235,54 @@ def test_a_raising_fun_raises_the_one_level_error():
     assert outcome(_invert_monotone, fun, 0.2, 0.0, 2.0, 1e-14) == ("error", "DomainError", "undefined at 0.5")
     same(fun, 0.2, 0.0, 2.0, 1e-14)
     same(fun, 1.2, 0.0, 2.0, 1e-14)  # 0.5 is not on the path
+    with pytest.raises(TypeError):  # a fun taking only floats fails on a round's paths
+        _invert_monotone(math.exp, 3.0, 0.0, 2.0, 1e-14)
 
 
-@settings(deadline=None, max_examples=200)
-@given(problem=problems(FUNS), k=st.integers(0, 40), other=st.floats(0.0, 1.0), tol=st.sampled_from([1e-12, 1e-14]))
-def test_a_nan_anywhere_gives_the_one_level_outcome(problem, k, other, tol):
-    # The NaN sits at the k-th midpoint on the path to another target: a
-    # point of some round's path, on this target's path or not.
+#: x_0 and x_1 for a NaN where the first element stops: the first round
+#: misses that element's last level, so no round evaluates its midpoint,
+#: which one-level bisection meets while the second element goes on
+MISSED_LEVEL = (
+    NOISY["steps"],
+    np.array([1912564137.0247564, 15399269.81849397]),
+    np.array([1.9125639686005647, 0.01539926526059492]),
+    np.array([1.9125641598569616, 0.015414664525855513]),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    problem=problems({**FUNS, **NOISY}),
+    where=st.sampled_from(["path", "stop"]),
+    k=st.integers(0, 40),
+    other=st.floats(0.0, 1.0),
+    j=st.integers(0, 5),
+    tol=st.sampled_from([1e-12, 1e-14]),
+)
+@example(problem=MISSED_LEVEL, where="stop", k=0, other=0.0, j=0, tol=1e-14)
+def test_a_nan_anywhere_raises_or_goes_unseen(problem, where, k, other, j, tol):
+    # The NaN sits at the k-th midpoint on the path to another target (a
+    # point of some round's path, on this target's path or not), or where
+    # element j stops.  Either the solve raises naming it, or no call
+    # evaluates it and the brackets are one-level bisection's.
     fun, target, lo, hi = problem
-    seen = []
-    record = lambda x: (seen.append(np.ravel(x)[0]), fun(x))[1]
-    with np.errstate(all="ignore"):
-        one_level(record, fun(lo[:1] + other * (hi[:1] - lo[:1])), lo[:1], hi[:1], tol)
-    c = seen[min(2 + k, len(seen) - 1)]
-    same(nan_at(c, fun), target, lo, hi, tol)
-
-
-@settings(deadline=None, max_examples=200)
-@given(problem=problems({**FUNS, **NOISY}), j=st.integers(0, 5), tol=st.sampled_from([1e-12, 1e-14]))
-def test_a_nan_where_an_element_stops_gives_the_one_level_outcome(problem, j, tol):
-    # One-level bisection evaluates a stopped element's midpoint at every
-    # level while another element goes on, so the NaN raises when element
-    # j stops before the last one does, and goes unseen otherwise.
-    fun, target, lo, hi = problem
-    j %= lo.size
-    stop = one_level(fun, target[j : j + 1], lo[j : j + 1], hi[j : j + 1], tol)[0]
-    same(nan_at(stop, fun), target, lo, hi, tol)
-
-
-def test_a_nan_where_an_element_stops_after_a_missed_level_raises():
-    # The round misses the first element's last level, so it never
-    # evaluates the midpoint where that element stops; the second element
-    # goes on past that level, so one-level bisection meets the NaN there.
-    lo, hi = np.array([1.9125639686005647, 0.01539926526059492]), np.array([1.9125641598569616, 0.015414664525855513])
-    target = np.array([1912564137.0247564, 15399269.81849397])
-    args = (nan_at(1.912564138100393, NOISY["steps"]), target, lo, hi, 1e-14)
-    message = "the function to invert is NaN at 1.912564138100393"
-    assert outcome(_invert_monotone, *args) == ("error", "DomainError", message)
-    same(*args)
-
-
-def test_float_only_callables():
-    assert _invert_monotone(math.exp, 3.0, 0.0, 2.0, 1e-14) == one_level(math.exp, 3.0, 0.0, 2.0, 1e-14)
-    assert _invert_monotone(math.log, 0.5, 1.0, 2.0, 1e-12) == one_level(math.log, 0.5, 1.0, 2.0, 1e-12)
-
-
-def test_a_misshapen_result_is_replayed():
-    # A fun that reduces its argument gives one value per call: right for a
-    # float, wrong for a round's paths.
-    fun = lambda x: float(np.max(x)) ** 3
-    assert _invert_monotone(fun, 3.0, 1.0, 2.0, 1e-14) == one_level(fun, 3.0, 1.0, 2.0, 1e-14)
+    if where == "path":
+        seen = []
+        record = lambda x: (seen.append(np.ravel(x)[0]), fun(x))[1]
+        with np.errstate(all="ignore"):
+            one_level(record, fun(lo[:1] + other * (hi[:1] - lo[:1])), lo[:1], hi[:1], tol)
+        c = float(seen[min(2 + k, len(seen) - 1)])
+    else:
+        j %= lo.size
+        c = float(one_level(fun, target[j : j + 1], lo[j : j + 1], hi[j : j + 1], tol)[0])
+    met = []
+    planted = lambda x: (met.append(np.any(np.asarray(x) == c)), nan_at(c, fun)(x))[1]
+    got = outcome(_invert_monotone, planted, target, lo, hi, tol)
+    if got[0] == "error":
+        assert got == ("error", "DomainError", f"the function to invert is NaN at {c!r}")
+    else:
+        assert not any(met)
+        assert got == outcome(one_level, fun, target, lo, hi, tol)
 
 
 # ------------------------------------------------------------------ _wsum

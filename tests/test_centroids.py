@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cdt.divergences import QabdSpec, WeightedSet, qabd
 from cdt.errors import LengthMismatch, ParamError, WeightError
 from cdt.expr import expression_model
 from cdt.generators import IDENTITY, LOG, Interval, get_generator
-from cdt.means import ARITHMETIC, WEIGHT_SUM_TOL, _exact_sum
+from cdt.means import ARITHMETIC, WEIGHT_SUM_TOL, _exact_sum, weighted_mean
 
 F_SQ = function_model("x^2", Interval(-50.0, 50.0), lambda x: np.asarray(x, float) ** 2, lambda x: 2.0 * x)
 F_EXP = function_model("exp", Interval(0.2, 8.0), np.exp, np.exp)
@@ -53,6 +54,13 @@ class TestWeightedSet:
             WeightedSet((1.0, 2.0), (1.5, -0.5))
         with pytest.raises(LengthMismatch):
             WeightedSet((1.0,), (0.5, 0.5))
+
+    def test_a_nan_weight_is_not_positive(self):
+        # a NaN passes w <= 0 and leaves the sum's distance from 1 NaN
+        with pytest.raises(WeightError, match="^weights must be strictly positive$"):
+            WeightedSet((1.0, 2.0, 3.0), (0.5, math.nan, 0.5))
+        with pytest.raises(WeightError, match="^weights must be strictly positive$"):
+            weighted_mean(ARITHMETIC, (1.0, 2.0, 3.0), (0.5, math.nan, 0.5))
 
     def test_uniform(self):
         ws = WeightedSet.uniform((1.0, 2.0, 3.0, 4.0))
@@ -173,6 +181,15 @@ class TestKmeans:
             kmeans_cluster(SPEC_SQ, ws, 3, seed=0)  # only 2 distinct points
         with pytest.raises(ParamError):
             kmeans_cluster(SPEC_SQ, ws, 0, seed=0)
+
+    @pytest.mark.parametrize("k", [2.7, math.nan, True, "2"])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ParamError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+            kmeans_cluster(SPEC_SQ, WeightedSet.uniform((1.0, 2.0, 3.0)), k)
+
+    def test_a_numpy_integer_k(self):
+        ws = WeightedSet.uniform((0.5, 0.8, 4.0, 4.4, 7.0, 7.7))
+        assert kmeans_cluster(SPEC_SQ, ws, np.int64(3), seed=11) == kmeans_cluster(SPEC_SQ, ws, 3, seed=11)
 
 
 def recomputing_lloyd(spec, wset, k, seed=0, sweeps=None, reseeds=None):

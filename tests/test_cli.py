@@ -183,6 +183,22 @@ class TestIngestion:
         assert out["value"] == pytest.approx(2.0, rel=1e-12)
         assert any("normalized" in w for w in out["warnings"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["centroid", "--F", "x^2"],
+            ["cluster", "--F", "x^2", "--k", "2"],
+            ["mean", "--spec", "qa:log"],
+        ],
+        ids=["centroid", "cluster", "mean"],
+    )
+    def test_a_nan_weight_is_a_weight_error(self, tmp_path, capsys, argv):
+        d = tmp_path / "pts.csv"
+        d.write_text("1.0,0.5\n2.0,nan\n3.0,0.5\n", encoding="utf-8")
+        assert main([*argv, "--data", str(d)]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "WeightError", "message": "weights must be strictly positive"}
+
     def test_bad_distribution_type(self, tmp_path):
         p = write_json(tmp_path, "u.json", {"type": "mystery"})
         code, out = run(["bhat", "--M", "qa:log", "--alpha", "0.5", "--p", p, "--q", p])

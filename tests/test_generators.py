@@ -27,17 +27,17 @@ class TestPowerGuard:
 
 class TestMonotoneDirection:
     def test_directions(self):
-        assert _monotone_direction(math.exp, -1.0, 2.0) == 1
+        assert _monotone_direction(np.exp, -1.0, 2.0) == 1
         assert _monotone_direction(lambda x: -x**3, 0.5, 2.0, 65) == -1
         assert _monotone_direction(lambda x: x * x, -1.0, 2.0) == 0
 
     def test_flat_stretch_is_not_monotone(self):
-        assert _monotone_direction(lambda x: max(x, 0.0), -1.0, 1.0) == 0
+        assert _monotone_direction(lambda x: np.maximum(x, 0.0), -1.0, 1.0) == 0
 
 
 class TestInvertMonotone:
     def test_increasing_and_decreasing(self):
-        assert _invert_monotone(math.exp, 3.0, 0.0, 2.0, 1e-14) == pytest.approx(math.log(3.0), rel=1e-13)
+        assert _invert_monotone(np.exp, 3.0, 0.0, 2.0, 1e-14) == pytest.approx(math.log(3.0), rel=1e-13)
         assert _invert_monotone(lambda x: 1.0 / x, 0.25, 1.0, 8.0, 1e-14) == pytest.approx(4.0, rel=1e-13)
 
     def test_target_outside_bracket_is_clipped(self):

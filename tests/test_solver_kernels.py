@@ -193,15 +193,15 @@ def test_scan_makes_one_call():
     assert fun.calls == 1
 
 
-def test_scan_of_a_raising_fun_names_the_row_by_row_culprit():
+def test_scan_of_a_raising_fun_raises_the_error_of_its_one_call():
     # The checked chain tests every point's inverse before any point's F, so
-    # an error from one call over all points would name the NaN inverse at 7;
-    # row by row, the first bad row (x = 3) names F, as the scan always has.
+    # the one call over all points names the NaN inverse at 7, not F's
+    # infinity at 3, the first bad point in the order of the rows.
     dom = Interval(0.0, 10.0)
     rho = Generator("nan-above-6", dom, lambda x: x, lambda y: np.where(y > 6.0, np.nan, y), np.ones_like)
     F = function_model("inf-at-3", dom, lambda x: np.where(np.abs(x - 3.0) < 0.01, np.inf, x), np.ones_like)
     G = QabdSpec(F, rho, IDENTITY, verdict=TRUSTED_CONVEX).reduced
-    with pytest.raises(DomainError, match=r"^'inf-at-3' is undefined at 3.0$"):
+    with pytest.raises(DomainError, match=r"^the inverse of generator 'nan-above-6' is undefined at 7.0$"):
         _monotone_direction(G.deriv, 1.0, 9.0, 5)
 
 
