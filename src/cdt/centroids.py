@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import QabdSpec, WeightedSet, _nonnegative, _qabd_raw, jensen_diversity
-from .errors import NonInvertibleGradient, ParamError, require_int
+from .errors import NonInvertibleGradient, ParamError, require_int, require_seed
 from .generators import _bisecting, _first, _invert_monotone, _monotone_direction
 from .means import _exact_sum, quasi_arithmetic
 
@@ -117,11 +117,12 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
     and stops without solving.  Otherwise it stops when the objective falls
     by less than 1e-10 (or rises), or after 100 sweeps.  The objective
     returned is always that of the clustering returned.  Deterministic for a
-    fixed seed.
+    fixed seed; a seed that is not a nonnegative integer raises ParamError.
     """
     require_int(k, "k")
     if k < 1:
         raise ParamError("k must be at least 1")
+    require_seed(seed)
     distinct = len(set(wset.points))
     if k > distinct:
         raise ParamError(f"k={k} exceeds the {distinct} distinct points")

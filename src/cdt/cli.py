@@ -20,17 +20,18 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import bhattacharyya as bh
 from . import divergences as dv
-from .centroids import bregman_centroid, kmeans_cluster
 from .convexity import CONVEXITY_RTOL, DEFAULT_GRID, FunctionModel, is_mn_convex
 from .divergences import ZERO_FLOOR, QabdSpec, WeightedSet
-from .errors import CdtError, ConfigError, ParamError
-from .expectations import qa_expected_value
-from .expr import expression_generator, expression_model
+from .errors import CdtError, ConfigError, ParamError, WeightError
 from .generators import IDENTITY, Generator, Interval, get_generator
 from .means import WEIGHT_SUM_TOL, MeanSpec, dominates, parse_mean, weighted_mean
 from .quadrature import QuadratureConfig
+
+# A process runs one subcommand, so the layers that only some subcommands
+# use (bhattacharyya, centroids, expectations, expr) are imported where they
+# are called: a process imports, and without cached bytecode compiles, only
+# the layers its subcommand runs.
 
 TOLERANCES = {
     "weight_sum_tol": WEIGHT_SUM_TOL,
@@ -51,6 +52,8 @@ class RunConfig:
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def validate(self) -> "RunConfig":
+        if self.seed < 0:  # --seed and CDT_SEED are integers already
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         opt = self.options
         alpha = opt.get("alpha")
         extended = bool(opt.get("extended"))
@@ -114,6 +117,9 @@ def _read_rows(path: str) -> tuple[list[float], list[float] | None]:
 
 
 def _normalize_weights(weights: list[float], warnings_out: list[str]) -> list[float]:
+    bad = next((i for i, w in enumerate(weights) if not math.isfinite(w)), None)
+    if bad is not None:
+        raise WeightError(f"weights must be finite; weight {bad} is {weights[bad]!r}")
     total = math.fsum(weights)
     if total <= 0.0:
         raise ConfigError("weights must have a positive sum")
@@ -133,6 +139,8 @@ def load_points(path: str, warnings_out: list[str]) -> WeightedSet:
 def load_distribution(path: str, cfg: QuadratureConfig, warnings_out: list[str]):
     """Distribution from a JSON file: discrete, cauchy, or grid; CSV rows are
     treated as a value grid with optional masses."""
+    from . import bhattacharyya as bh
+
     if not path.endswith(".json"):
         values, weights = _read_rows(path)
         masses = _normalize_weights(weights or [1.0] * len(values), warnings_out)
@@ -275,11 +283,15 @@ def _generator(text: str, domain: Interval | None = None) -> Generator:
     try:
         return get_generator(text)
     except ParamError:
+        from .expr import expression_generator
+
         return expression_generator(text, domain)
 
 
 def _model(opt: dict, anchors=(), rho: Generator = IDENTITY) -> FunctionModel:
     """--F on its domain (see _domain)."""
+    from .expr import expression_model
+
     return expression_model(opt["F"], _domain(opt, anchors, rho))
 
 
@@ -369,6 +381,8 @@ def _run(cfg: RunConfig, caught: list[str]) -> dict:
         return {"value": dv.jensen_diversity(F, M, N, wset, seed=seed)}
 
     if sub in ("bhat", "alpha-div"):
+        from . import bhattacharyya as bh
+
         p = load_distribution(opt["p_path"], cfg.quadrature, caught)
         q = load_distribution(opt["q_path"], cfg.quadrature, caught)
         alpha = opt["alpha"]
@@ -382,10 +396,14 @@ def _run(cfg: RunConfig, caught: list[str]) -> dict:
         return {"value": float(bh.cmbd(M, parse_mean(opt["N"]), alpha, p, q, seed=seed))}
 
     if sub == "expect":
+        from .expectations import qa_expected_value
+
         dist = load_distribution(opt["data"], cfg.quadrature, caught)
         return {"value": qa_expected_value(_generator(opt["f"]), dist, normalize=opt["normalize"])}
 
     if sub in ("centroid", "cluster"):
+        from .centroids import bregman_centroid, kmeans_cluster
+
         wset = load_points(opt["data"], caught)
         spec = QabdSpec(*_triple(opt, wset.points), seed=seed)
         if sub == "centroid":

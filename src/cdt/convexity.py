@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OrderError, ParamError, require_int
+from .errors import DomainError, OrderError, ParamError, require_int, require_seed
 from .generators import Generator, Interval, _apply, _first, _floats, _fused, _image, _wrap_callables, finite_difference
 
 #: Default number of grid points for convexity scans, and the number of
@@ -194,11 +194,13 @@ def is_mn_convex(
     coordinates.  Both kinds of gap go to the one verdict rule: NOT_CONVEX
     when some gap is below -CONVEXITY_RTOL, otherwise CONVEX when some gap
     is above CONVEXITY_RTOL, otherwise AFFINE.  A non-integer ``grid``, or
-    one of fewer than 3 points (no second difference), raises ParamError.
+    one of fewer than 3 points (no second difference), raises ParamError, as
+    does a seed that is not a nonnegative integer.
     """
     require_int(grid, "grid")
     if grid < 3:
         raise ParamError(f"grid={grid!r}: a convexity scan needs at least 3 points")
+    require_seed(seed)
     dom = F.domain.intersect(rho.domain)
     xs = dom.sample_grid(grid)
     fvals = F.value(xs)

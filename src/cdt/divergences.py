@@ -49,6 +49,7 @@ from .errors import (
     UnsupportedWeights,
     WeightError,
     require_int,
+    require_seed,
 )
 from .generators import Generator, _first, _outside, _raw
 from .means import WEIGHT_SUM_TOL, MeanSpec, _checked_means, lehmer
@@ -145,11 +146,13 @@ def midpoint_verdict(
 
     Verdicts are deterministic in their arguments and cached.  F and each
     mean are evaluated once over all samples; a ``samples`` that is not an
-    integer or is below one, or a window too wide for a float, raises ParamError.
+    integer or is below one, a seed that is not a nonnegative integer, or a
+    window too wide for a float, raises ParamError.
     """
     require_int(samples, "samples")
     if samples < 1:
         raise ParamError(f"samples={samples!r}: a midpoint certificate needs at least one sample")
+    require_seed(seed)
     return _midpoint_verdict_cached(F, M, N, samples, seed)
 
 

@@ -71,6 +71,13 @@ def require_int(value, what: str) -> None:
         raise ParamError(f"{what} must be an integer, got {value!r}")
 
 
+def require_seed(seed) -> None:
+    """ParamError unless ``seed`` is a nonnegative integer, the seeds that
+    ``np.random.default_rng`` takes and a run can replay."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ParamError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 class ConfigError(CdtError, ValueError):
     """Command-line configuration failed validation before dispatch."""
 

@@ -34,6 +34,7 @@ from .errors import (
     UnsupportedWeights,
     WeightError,
     require_int,
+    require_seed,
 )
 from .generators import IDENTITY, LOG, RECIPROCAL, Generator, Interval, get_generator, power_generator
 from .generators import _apply, _check_inside, _first, _invert_monotone, _monotone_direction
@@ -442,13 +443,14 @@ def dominates(
     INCOMPARABLE otherwise, with the counterexample triple of lowest sample
     index for each violated direction.  Each mean is evaluated once, over all
     samples.  A ``samples`` that is not an integer or is below one, or a
-    domain whose width is not a finite float or whose ends are reversed,
-    raises ParamError.
+    domain whose width is not a finite float or whose ends are reversed, or
+    a seed that is not a nonnegative integer, raises ParamError.
     """
     lo, hi = map(float, (domain.lo, domain.hi) if isinstance(domain, Interval) else domain)
     require_int(samples, "samples")
     if samples < 1:
         raise ParamError(f"samples={samples!r}: dominance needs at least one sample")
+    require_seed(seed)
     if not math.isfinite(hi - lo):  # numpy's uniform(lo, hi) would overflow forming it
         raise ParamError(f"cannot sample the window ({lo!r}, {hi!r}): its width is not a finite float")
     if not lo <= hi:  # numpy's uniform(lo, hi) would raise a bare ValueError

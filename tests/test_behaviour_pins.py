@@ -9,11 +9,15 @@ array path must reproduce them exactly.  Stolarsky means are left out: their
 formula changed (see ``tests/test_array_core.py``).
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from cdt.centroids import kmeans_cluster
 from cdt.convexity import function_model, is_mn_convex
-from cdt.divergences import midpoint_verdict
+from cdt.divergences import QabdSpec, WeightedSet, midpoint_verdict
+from cdt.errors import ParamError
 from cdt.generators import IDENTITY, LOG, RECIPROCAL, Interval, power_generator
 from cdt.means import dominates, parse_mean, quasi_arithmetic
 
@@ -174,3 +178,28 @@ def test_dominance_pinned(case):
     a, b, domain, samples, seed, verdict, above, below = case
     res = dominates(parse_mean(a), parse_mean(b), domain, samples=samples, seed=seed)
     assert (res.verdict.value, res.above, res.below) == (verdict, above, below)
+
+
+SEEDED = {
+    "is_mn_convex": lambda seed: is_mn_convex(CORPUS["exp"], LOG, LOG, seed=seed),
+    "midpoint_verdict": lambda seed: midpoint_verdict(CORPUS["exp"], quasi_arithmetic(LOG), quasi_arithmetic(LOG),
+                                                      seed=seed),
+    "dominates": lambda seed: dominates(parse_mean("power:2"), parse_mean("power:1"), (0.5, 8.0), 100, seed),
+    "kmeans_cluster": lambda seed: kmeans_cluster(QabdSpec(CORPUS["x^2"], IDENTITY, IDENTITY),
+                                                  WeightedSet.uniform((0.5, 0.8, 4.0, 7.0)), 2, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, True, None, "3"])
+@pytest.mark.parametrize("name", list(SEEDED))
+def test_a_seed_is_a_nonnegative_integer(name, seed):
+    """Each sampling entry point checks its seed before numpy's generator
+    sees it (numpy raised a bare TypeError or ValueError, or drew fresh
+    entropy for None)."""
+    with pytest.raises(ParamError, match=f"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", list(SEEDED))
+def test_a_numpy_integer_seed(name):
+    assert SEEDED[name](np.int64(7)) == SEEDED[name](7)

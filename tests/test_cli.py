@@ -184,20 +184,25 @@ class TestIngestion:
         assert any("normalized" in w for w in out["warnings"])
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, bad",
         [
-            ["centroid", "--F", "x^2"],
-            ["cluster", "--F", "x^2", "--k", "2"],
-            ["mean", "--spec", "qa:log"],
+            (["centroid", "--F", "x^2", "--data", "pts.csv"], "nan"),
+            (["cluster", "--F", "x^2", "--k", "2", "--data", "pts.csv"], "nan"),
+            (["mean", "--spec", "qa:log", "--data", "pts.csv"], "nan"),
+            (["bhat", "--M", "qa:log", "--alpha", "0.5", "--p", "pts.csv", "--q", "pts.csv"], "nan"),
+            (["mean", "--spec", "qa:log", "--weights", "1,nan,1", "1", "2", "3"], "nan"),
+            (["mean", "--spec", "qa:log", "--weights", "1,inf,1", "1", "2", "3"], "inf"),
         ],
-        ids=["centroid", "cluster", "mean"],
+        ids=["centroid", "cluster", "mean", "bhat", "mean-weights", "mean-weights-inf"],
     )
-    def test_a_nan_weight_is_a_weight_error(self, tmp_path, capsys, argv):
-        d = tmp_path / "pts.csv"
-        d.write_text("1.0,0.5\n2.0,nan\n3.0,0.5\n", encoding="utf-8")
-        assert main([*argv, "--data", str(d)]) == 3
+    def test_a_nan_weight_is_a_weight_error(self, tmp_path, monkeypatch, capsys, argv, bad):
+        """The first non-finite weight is named before the weights are
+        normalized: dividing by their sum would spread it over every weight."""
+        (tmp_path / "pts.csv").write_text("1.0,0.5\n2.0,nan\n3.0,0.5\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
         error = json.loads(capsys.readouterr().out)["error"]
-        assert error == {"type": "WeightError", "message": "weights must be strictly positive"}
+        assert error == {"type": "WeightError", "message": f"weights must be finite; weight 1 is {bad}"}
 
     def test_bad_distribution_type(self, tmp_path):
         p = write_json(tmp_path, "u.json", {"type": "mystery"})
@@ -217,6 +222,28 @@ class TestContract:
         code, out = run(["mean", "--spec", "qa:log", "--", "-1", "4"])
         assert code == 3
         assert out["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dominates", "--a", "power:0", "--b", "power:1", "--domain", "0.1:5"],
+            ["cluster", "--F", "x^2", "--data", "pts.csv", "--k", "2"],
+            ["check-convexity", "--F", "x^2", "--domain", "0:1"],
+            ["div", "jensen", "--F", "x^2", "1", "3"],
+        ],
+        ids=["dominates", "cluster", "check-convexity", "div-jensen"],
+    )
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_a_negative_seed_is_a_config_error(self, tmp_path, monkeypatch, capsys, argv, how):
+        (tmp_path / "pts.csv").write_text("1.0\n2.0\n9.0\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        if how == "flag":
+            argv = [*argv[:1], "--seed", "-1", *argv[1:]]
+        else:
+            monkeypatch.setenv("CDT_SEED", "-1")
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "ConfigError", "message": "seed must be a nonnegative integer, got -1"}
 
     def test_seed_env_override(self, monkeypatch):
         monkeypatch.setenv("CDT_SEED", "77")

@@ -48,6 +48,7 @@ FILES = {
     "broken.json": "{not json",
     "scalar.json": 3,
     "nops.json": {"type": "grid", "xs": [1.0, 2.0]},
+    "nan.csv": "1.0,0.5\n2.0,nan\n3.0,0.5\n",
 }
 
 CUBIC = ["--F", "(x^3+x)^2", "--rho", "x^3+x"]
@@ -115,6 +116,7 @@ CASES = [
     ("mean-csv", ["mean", "--spec", "qa:identity", "--format", "csv", "1", "3"], {}),
     ("mean-seed-env", ["mean", "--spec", "qa:identity", "1", "3"], {"CDT_SEED": "77"}),
     ("mean-bad-seed-env", ["mean", "--spec", "qa:identity", "1", "3"], {"CDT_SEED": "seven"}),
+    ("mean-weights-nan", ["mean", "--spec", "qa:identity", "--weights", "1,nan,1", "1", "2", "3"], {}),
     # diversity
     ("diversity", ["diversity", "--F", "x^2", "--M", "qa:identity", "--N", "qa:identity", "--data", "pts.csv"], {}),
     ("diversity-log", ["diversity", "--F", "exp(x)", "--M", "qa:log", "--N", "qa:log", "--data", "obj.json"], {}),
@@ -145,6 +147,7 @@ CASES = [
     ("bhat-alpha-range", ["bhat", "--M", "qa:log", "--alpha", "1.5", "--p", "u.json", "--q", "v.json"], {}),
     ("bhat-quad-tol-zero", ["bhat", "--M", "qa:log", "--alpha", "0.5", "--quad-tol", "0",
                             "--p", "c1.json", "--q", "c3.json"], {}),
+    ("bhat-nan-mass", ["bhat", "--M", "qa:log", "--alpha", "0.5", "--p", "nan.csv", "--q", "nan.csv"], {}),
     ("bhat-csv", ["bhat", "--M", "qa:log", "--alpha", "0.5", "--format", "csv", "--p", "u.json", "--q", "v.json"], {}),
     # alpha-div
     ("alpha-div", ["alpha-div", "--alpha", "0.5", "--p", "u.json", "--q", "v.json"], {}),
@@ -166,6 +169,7 @@ CASES = [
     ("cluster-log", ["cluster", "--F", "exp(x)", "--rho", "log", "--tau", "log", "--data", "pts.csv", "--k", "2"], {}),
     ("cluster-csv", ["cluster", "--F", "x^2", "--data", "mixed.csv", "--k", "2", "--format", "csv"], {}),
     ("cluster-k0", ["cluster", "--F", "x^2", "--data", "pts.csv", "--k", "0"], {}),
+    ("cluster-negative-seed-env", ["cluster", "--F", "x^2", "--data", "pts.csv", "--k", "2"], {"CDT_SEED": "-1"}),
     ("cluster-rho-expr", ["cluster", *CUBIC, "--domain", "0.1:20", "--data", "pts.csv", "--k", "2"], {}),
     # check-convexity
     ("check-convexity", ["check-convexity", "--F", "exp(x)", "--rho", "log", "--tau", "log", "--domain", "0.5:5"], {}),
@@ -183,6 +187,8 @@ CASES = [
                                 "--samples", "500"], {}),
     ("dominates-plain", ["dominates", "--a", "qa:log", "--b", "qa:identity", "--domain", "1:2", "--samples", "50",
                          "--format", "plain"], {}),
+    ("dominates-negative-seed", ["dominates", "--a", "qa:log", "--b", "qa:identity", "--domain", "1:2",
+                                 "--seed", "-1"], {}),
     ("dominates-samples-zero", ["dominates", "--a", "qa:log", "--b", "qa:identity", "--domain", "1:2",
                                 "--samples", "0"], {}),
     # missing or malformed input: ConfigError, exit 2
