@@ -7,15 +7,16 @@ divergence has a unique minimizer obtained in the rho-embedded space via
 
 with c = rho^{-1}((G')^{-1}(...)).  (G')^{-1} has no closed inverse in
 general, so it is computed by bisection on the bracketing interval spanned
-by the embedded data, to tolerance 1e-12, for all clusters at once; each
-call of G' evaluates the bisection path toward a root interpolated from
-the values already known (about 40 levels in one to four calls, see
-``generators._invert_monotone``).  A Lloyd sweep is
-the matrix form of Bregman hard clustering (Banerjee, Merugu, Dhillon and
-Ghosh, JMLR 2005).  Lloyd's iteration is at its fixed point once a sweep
-reproduces the previous assignment: the centroids, distances and objective
-are functions of the assignment alone, so that sweep ends the loop without
-solving them again.
+by the embedded data, to tolerance 1e-12, for all clusters at once.  The
+33-point scan that checks G' is monotone on each bracket seeds the solve:
+each call of G' evaluates the bisection path toward a root interpolated
+from the values already known, the scan's first (about 40 levels in one to
+three calls after the scan, see ``generators._invert_monotone``).  A Lloyd
+sweep is the matrix form of Bregman hard clustering (Banerjee, Merugu,
+Dhillon and Ghosh, JMLR 2005).  Lloyd's iteration is at its fixed point
+once a sweep reproduces the previous assignment: the centroids, distances
+and objective are functions of the assignment alone, so that sweep ends the
+loop without solving them again.
 """
 
 from __future__ import annotations
@@ -71,10 +72,11 @@ def _centroids(spec: QabdSpec, pts: np.ndarray, wts: np.ndarray, labels: np.ndar
     if solve.any():
         a, b, tol = lo[solve], hi[solve], 1e-12
         # a bracket within the solver's tolerance is solved by its midpoint
-        flat = (_monotone_direction(G.deriv, a, b) == 0) & _bisecting(a, b, tol)
+        direction, scan = _monotone_direction(G.deriv, a, b)
+        flat = (direction == 0) & _bisecting(a, b, tol)
         if flat.any():
             raise NonInvertibleGradient(f"{G.id!r}' is not monotone on [{_first(a, flat)!r}, {_first(b, flat)!r}]")
-        c = spec.rho.inv(_invert_monotone(G.deriv, target[solve], a, b, tol))
+        c = spec.rho.inv(_invert_monotone(G.deriv, target[solve], a, b, tol, scan))
         plo[solve] = np.clip(c, plo[solve], phi[solve])
     return plo
 

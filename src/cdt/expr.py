@@ -291,19 +291,20 @@ def expression_generator(text: str, domain: Interval | tuple[float, float] | Non
     # reads f when called: after a decreasing scan, the increasing representative
     finite = lambda x: _apply(f, x, repr(text), None, lambda v: ~np.isfinite(v))
     lo, hi = domain.finite_window()
-    direction = _monotone_direction(finite, lo, hi, 65)
+    direction, (xs, ys) = _monotone_direction(finite, lo, hi, 65)
     if direction == 0:
         raise ParamError(f"expression {text!r} is not strictly monotone on {domain}")
-    if direction < 0:  # the increasing representative
+    if direction < 0:  # the increasing representative, whose values negate exactly
         f, df = _compile(Neg(node))
-    flo, fhi = float(finite(lo)), float(finite(hi))
+        ys = -ys
+    flo, fhi = float(ys[0]), float(ys[-1])
 
     def inverse(y):
         y = np.asarray(y, dtype=float)
         outside = ~((flo <= y) & (y <= fhi))
         if outside.any():
             raise DomainError(f"{_first(y, outside)!r} outside the image of {text!r} on {domain}")
-        return _invert_monotone(finite, y, lo, hi, 1e-14)
+        return _invert_monotone(finite, y, lo, hi, 1e-14, (xs, ys))
 
     canon = re.sub(r"\s+", "", text)
     return Generator(f"expr:{canon}", domain, f, inverse, df)

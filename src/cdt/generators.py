@@ -216,19 +216,27 @@ def _fused(raw: Callable, checked: Callable) -> Callable:
 
 
 def _monotone_direction(fun: Callable, lo, hi, n: int = 33):
-    """+1 or -1 where fun is strictly increasing or decreasing on n equispaced
-    points of [lo, hi], else 0 (sampled, so a falsification only); over
-    arrays of brackets.  All n points of all brackets go to fun in one call,
-    and fun checks them; a NaN value gives the verdict 0."""
-    diffs = np.diff(np.asarray(fun(np.linspace(lo, hi, n)), dtype=float), axis=0)
+    """The verdict +1 or -1 where fun is strictly increasing or decreasing on
+    n equispaced points of [lo, hi], else 0 (sampled, so a falsification
+    only), and the scan (xs, ys) it read: xs = np.linspace(lo, hi, n), whose
+    first row is lo and last hi, and ys = fun(xs) as floats.  Over arrays of
+    brackets; all n points of all brackets go to fun in one call, and fun
+    checks them; a NaN value gives the verdict 0.  ``_invert_monotone``
+    takes the scan as its table."""
+    xs = np.linspace(lo, hi, n)
+    ys = np.asarray(fun(xs), dtype=float)
+    diffs = np.diff(ys, axis=0)
     out = np.where(np.all(diffs > 0.0, axis=0), 1, np.where(np.all(diffs < 0.0, axis=0), -1, 0))
-    return int(out) if out.ndim == 0 else out
+    return (int(out) if out.ndim == 0 else out), (xs, ys)
 
 
 #: Elements up to which ``_invert_monotone`` steps predicted paths in floats,
-#: one element at a time: summed over the G' of the four certified cluster
-#: triples (2-vCPU Xeon, numpy 2.4) paths took 0.61, 0.84, 0.96 and 1.01 of
-#: the time of one level per call at 16, 24, 28 and 32 elements, 1.29 at 40.
+#: one element at a time.  Seeded from a 33-point scan (2-vCPU Xeon, numpy
+#: 2.4), paths took 0.40, 0.66, 0.87 and 1.14 of the time of one level per
+#: call at 16, 32, 48 and 64 elements, summed over the G' of the four
+#: certified cluster triples, but 1.09, 1.93, 2.74 and 3.47 of it on the
+#: cheap x^3 + x: past 32 they would lose more on such functions than they
+#: gain on G'.
 _PATH_ELEMENTS = 32
 
 #: Bisection levels after which ``_invert_monotone`` stops in any case.
@@ -260,31 +268,43 @@ def _estimate(a: float, ya: float, b: float, yb: float, c: float, yc: float, t: 
     return min(max(r, a), b) if math.isfinite(r) else 0.5 * (a + b)
 
 
-def _values(fun: Callable, x):
-    """fun(x) as a float array; a NaN, which would steer the bisection
+def _checked(x, y) -> np.ndarray:
+    """y = fun(x) as a float array; a NaN, which would steer the bisection
     silently, raises DomainError naming the first."""
-    y = np.asarray(fun(x), dtype=float)
+    y = np.asarray(y, dtype=float)
     if np.count_nonzero(bad := np.isnan(y)):
         raise DomainError(f"the function to invert is NaN at {_first(x, bad)!r}")
     return y
 
 
-def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
+def _invert_monotone(fun: Callable, target, lo, hi, tol: float, table=None):
     """Bisection solve of fun(m) = target for monotone fun on [lo, hi], to a
     bracket of relative width tol; elementwise over arrays of targets and
     brackets, each element stopping at its own tolerance or after
     ``_MAX_LEVELS`` levels.
 
-    fun maps arrays elementwise.  It is evaluated once at the bracket ends
-    and then once per round (see ``_paths``), or once per level past
-    ``_PATH_ELEMENTS`` elements; either way the brackets are bit for bit
-    those of one level per call.  All points lie in [lo, hi], so callers
-    check the bracket against their domains once and may pass raw kernels
-    (see ``_fused``).  A NaN at any point evaluated raises DomainError
-    naming the first NaN of that call, and an exception from fun passes
-    through from the call that raises it.
+    fun maps arrays elementwise.  ``table`` is the scan (xs, ys) of fun
+    that callers take before a solve (see ``_monotone_direction``): rows
+    from xs[0] = lo to xs[-1] = hi over the brackets' shape, and
+    ys = fun(xs).  Its end rows give fun at the bracket ends, and the cell
+    that holds each target seeds that root's first estimate (see
+    ``_seeds``); without a table, fun is evaluated once at each bracket
+    end, and those two rows are the table.  Then fun is evaluated once per
+    round (see ``_paths``), or once per level past ``_PATH_ELEMENTS``
+    elements; either way the brackets are bit for bit those of one level
+    per call.  All points lie in [lo, hi], so callers check the bracket
+    against their domains once and may pass raw kernels (see ``_fused``).
+    A NaN at any point evaluated, or in a table's end rows, raises
+    DomainError naming the first NaN of that call or row, the lower ends
+    first, and an exception from fun passes through from the call that
+    raises it.
     """
-    flo, fhi = _values(fun, lo), _values(fun, hi)
+    if table is None:
+        flo, fhi = _checked(lo, fun(lo)), _checked(hi, fun(hi))
+        xs, ys = np.array(np.broadcast_arrays(lo, hi), dtype=float), np.array(np.broadcast_arrays(flo, fhi))
+    else:
+        xs, ys = table
+        flo, fhi = _checked(xs[0], ys[0]), _checked(xs[-1], ys[-1])
     increasing = fhi >= flo
     # Floating-point drift can push the target marginally outside the bracket.
     target = np.minimum(np.maximum(target, np.minimum(flo, fhi)), np.maximum(flo, fhi))
@@ -292,64 +312,103 @@ def _invert_monotone(fun: Callable, target, lo, hi, tol: float):
     shape = args[0].shape
     target, increasing, a, b, ya, yb = (v.reshape(-1) for v in args)
     if a.size <= _PATH_ELEMENTS:
-        a, b = _paths(fun, target, increasing, a, b, ya, yb, tol)
+        a, b = _paths(fun, target, increasing, a, b, ya, yb, tol, _seeds(xs, ys, shape, target, increasing))
     else:
         for _ in range(_MAX_LEVELS):
             active = _bisecting(a, b, tol)
             if not np.count_nonzero(active):
                 break
             m = 0.5 * (a + b)
-            raise_a = active & ((_values(fun, m) < target) == increasing)
+            raise_a = active & ((_checked(m, fun(m)) < target) == increasing)
             a, b = np.where(raise_a, m, a), np.where(active ^ raise_a, m, b)
     out = 0.5 * (a + b)
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
-def _paths(fun, target, increasing, a, b, ya, yb, tol):
+def _seeds(xs, ys, shape, target, increasing) -> list[float]:
+    """Each element's first estimate of its root: ``_estimate`` through the
+    ends of the table cell that brackets the target and the next row above
+    it (none past the last, so a two-row table gives the secant through the
+    bracket ends).  On a monotone table the cell starts at the last row
+    where one-level bisection would raise its lower end; one numpy pass
+    counts those rows for all elements.  With none, or all, the root is at
+    the bracket's lower or upper end, whatever the values near it (fun may
+    be flat there, as where it underflows)."""
+    n, m = len(xs), target.size
+    XY = np.empty((2, n, *shape))
+    lead = (n,) + (1,) * (len(shape) + 1 - xs.ndim)  # the rows over the elements' shape
+    XY[0], XY[1] = xs.reshape(lead + xs.shape[1:]), ys.reshape(lead + ys.shape[1:])
+    XY = XY.reshape(2, n, m)
+    below = np.count_nonzero((XY[1] < target) == increasing, axis=0)
+    seeds = []
+    for e, (i, t) in enumerate(zip(below.tolist(), target.tolist())):
+        if i in (0, n):  # the root at a bracket end
+            seeds.append(XY.item(0, min(i, n - 1), e))
+            continue
+        i -= 1
+        a, ya, b, yb = XY.item(0, i, e), XY.item(1, i, e), XY.item(0, i + 1, e), XY.item(1, i + 1, e)
+        c, yc = (XY.item(0, i + 2, e), XY.item(1, i + 2, e)) if i + 2 < n else (math.nan, math.nan)
+        seeds.append(_estimate(a, ya, b, yb, c, yc, t))
+    return seeds
+
+
+def _paths(fun, target, increasing, a, b, ya, yb, tol, seeds):
     """The brackets at which one-level bisection stops, from the flat arrays
     of ``_invert_monotone``.
 
     A round estimates each element's root, steps in floats along the
     bisection path toward it, and evaluates every midpoint of the path in
-    one call.  Each element keeps the levels whose decisions, taken from
-    fun's own values, match the path, and the first that does not, so every
-    round confirms a level.  The first paths run to the tolerance; after c
-    levels kept, the next runs at most 2c + 2, so a fun that defeats every
-    estimate costs O(levels) float steps.
+    one call.  The first round steps toward ``seeds``; later ones estimate
+    from the values the rounds have evaluated.  Each element keeps the
+    levels whose decisions, taken from fun's own values, match the path,
+    and the first that does not, so every round confirms a level.  The
+    first paths run to the tolerance; after c levels kept, the next runs at
+    most 2c + 2, so a fun that defeats every estimate costs O(levels) float
+    steps.
     """
     # each element's lo, fun(lo), hi, fun(hi), the end c it discarded last,
-    # fun(c), its levels and the most levels of its next path
+    # fun(c), its levels and the most levels of its next path, 0 once stopped
     S = [(*s, math.nan, math.nan, 0, _MAX_LEVELS) for s in zip(a.tolist(), ya.tolist(), b.tolist(), yb.tolist())]
-
-    def live(lo, hi, k):  # _bisecting on floats, under the level cap
-        return k < _MAX_LEVELS and hi - lo > tol * max(1.0, hi, -lo)
-
-    while any(live(s[0], s[2], s[6]) for s in S):
+    T, rising = target.tolist(), increasing.tolist()
+    while True:
         paths = []
-        for (lo, ylo, hi, yhi, c, yc, k, d), t in zip(S, target.tolist()):
-            r, path = _estimate(lo, ylo, hi, yhi, c, yc, t), []
-            while len(path) < d and live(lo, hi, k + len(path)):
+        for (lo, _, hi, _, _, _, k, d), r, rises in zip(S, seeds, rising):
+            # where fun equals the target, bisection raises lo if fun falls
+            # and lowers hi if it rises, so a falling path steps up at m <= r
+            r = r if rises else math.nextafter(r, INF)
+            path, cap = [], min(d, _MAX_LEVELS - k)
+            for _ in range(cap):
+                w = hi if hi > -lo else -lo  # _bisecting on floats
+                if not hi - lo > tol * (w if w > 1.0 else 1.0):
+                    break
                 path.append(m := 0.5 * (lo + hi))
-                lo, hi = (m, hi) if m < r else (lo, m)
-            paths.append((path, r, 0.5 * (lo + hi)))
-        D = max(len(p) for p, _, _ in paths)
+                if m < r:
+                    lo = m
+                else:
+                    hi = m
+            paths.append((path, cap, r, 0.5 * (lo + hi)))
+        D = max((len(p) for p, *_ in paths), default=0)
+        if not D:
+            break
         # a shorter path, or none where an element has stopped, is padded
         # with the midpoint where it ends, and a NaN there raises too
-        P = np.array([p + [f] * (D - len(p)) for p, _, f in paths]).T
-        Y = _values(fun, P)
+        P = np.array([p + [f] * (D - len(p)) for p, _, _, f in paths]).T
+        Y = _checked(P, fun(P))
         ups = ((Y < target) == increasing).T.tolist()
-        for i, ((path, r, _), ys, us) in enumerate(zip(paths, Y.T.tolist(), ups)):
+        for i, ((path, cap, r, _), ys, us) in enumerate(zip(paths, Y.T.tolist(), ups)):
             lo, ylo, hi, yhi, c, yc, k, _ = S[i]
-            kept = len(path)
-            for j, m in enumerate(path):
-                if us[j]:
-                    lo, ylo, c, yc = m, ys[j], lo, ylo
+            # a path kept whole that ended short of its cap ended at the tolerance
+            kept, more = len(path), len(path) == cap > 0
+            for j, (m, y, up) in enumerate(zip(path, ys, us)):
+                if up:
+                    lo, ylo, c, yc = m, y, lo, ylo
                 else:
-                    hi, yhi, c, yc = m, ys[j], hi, yhi
-                if us[j] != (m < r):  # the first level off the path
-                    kept = j + 1
+                    hi, yhi, c, yc = m, y, hi, yhi
+                if up != (m < r):  # the first level off the path
+                    kept, more = j + 1, True
                     break
-            S[i] = (lo, ylo, hi, yhi, c, yc, k + kept, 2 * kept + 2)
+            S[i] = (lo, ylo, hi, yhi, c, yc, k + kept, 2 * kept + 2 if more else 0)
+        seeds = [_estimate(*s[:6], t) if s[7] else math.nan for s, t in zip(S, T)]
     return np.array([s[0] for s in S]), np.array([s[2] for s in S])
 
 

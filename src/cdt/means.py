@@ -274,12 +274,13 @@ def _mean_value_means(spec: MeanSpec, X: np.ndarray) -> np.ndarray:
     if far.any():
         a, b = np.minimum(p, q)[far], np.maximum(p, q)[far]
         ratio = lambda x: f.deriv(x) / g.deriv(x)
-        flat = _monotone_direction(ratio, a, b) == 0
+        direction, scan = _monotone_direction(ratio, a, b)
+        flat = direction == 0
         if flat.any():
             error = NonInvertibleRatio if spec.family == "cauchy" else NonInvertibleDerivative
             raise error(f"{f.id}'/{g.id}' is not monotone on [{_first(a, flat)!r}, {_first(b, flat)!r}]")
         target = ((FX[1] - FX[0]) / (GX[1] - GX[0]))[far]
-        out[far] = _invert_monotone(ratio, target, a, b, 1e-14)
+        out[far] = _invert_monotone(ratio, target, a, b, 1e-14, scan)
     return out
 
 

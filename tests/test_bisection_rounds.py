@@ -8,8 +8,9 @@ On clean functions every test compares the two with ``==``: values, and
 the messages of the errors they raise.  With a NaN planted at one point,
 the solver raises DomainError naming it, or never evaluates that point and
 returns one-level bisection's bytes.  The solver never calls the function
-more often.  Also here: the single-column ``means._wsum`` against its row
-loop.
+more often.  Each property holds as well when the solve is seeded, as its
+callers seed it, from the table of a monotonicity scan.  Also here: the
+single-column ``means._wsum`` against its row loop.
 """
 
 import math
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from test_solver_kernels import Counted
 
 from cdt.errors import DomainError
-from cdt.generators import _MAX_LEVELS, _PATH_ELEMENTS, _first, _invert_monotone
+from cdt.generators import _MAX_LEVELS, _PATH_ELEMENTS, _first, _invert_monotone, _monotone_direction
 from cdt.means import _wsum
 
 
@@ -59,8 +60,18 @@ def outcome(solver, *args):
     return "value", out.shape, out.tobytes()
 
 
-def same(*args):
-    assert outcome(_invert_monotone, *args) == outcome(one_level, *args)
+def same(*args, table=None):
+    assert outcome(_invert_monotone, *args, table) == outcome(one_level, *args)
+
+
+#: rows per bracket of the scan that seeds a solve (None: no table)
+ROWS = [None, 33, 65]
+
+
+def scan(fun, lo, hi, rows):
+    """The table a caller's monotonicity scan of ``rows`` points per bracket
+    hands the solver, or None."""
+    return None if rows is None else _monotone_direction(fun, lo, hi, rows)[1]
 
 
 #: strictly monotone on (0, inf), increasing and decreasing
@@ -98,37 +109,78 @@ def problems(draw, funs):
     return fun, target, lo, hi
 
 
-@settings(deadline=None, max_examples=300)
-@given(problem=problems(FUNS), tol=st.sampled_from([1e-12, 1e-14]))
-def test_monotone_functions(problem, tol):
-    same(*problem, tol)
+#: a path ended short of its cap by the tolerance, off one-level
+#: bisection's path at its last level: the element goes on
+OFF_AT_THE_LAST_LEVEL = (
+    FUNS["reciprocal"],
+    np.array([2.1544346900318834]),
+    np.array([0.4641588833612779]),
+    np.array([0.4641588833612826]),
+)
 
 
 @settings(deadline=None, max_examples=300)
-@given(problem=problems(NOISY), tol=st.sampled_from([1e-12, 1e-14, 1e-16]))
-def test_noise_dominated_functions(problem, tol):
-    same(*problem, tol)
+@given(problem=problems(FUNS), tol=st.sampled_from([1e-12, 1e-14, 1e-16]), rows=st.sampled_from(ROWS))
+@example(problem=OFF_AT_THE_LAST_LEVEL, tol=1e-16, rows=None)
+def test_monotone_functions(problem, tol, rows):
+    fun, target, lo, hi = problem
+    same(fun, target, lo, hi, tol, table=scan(fun, lo, hi, rows))
 
 
 @settings(deadline=None, max_examples=300)
-@given(problem=problems({**FUNS, **NOISY}), tol=st.sampled_from([1e-12, 1e-14, 1e-16]))
-def test_no_more_calls_than_one_level(problem, tol):
+@given(problem=problems(NOISY), tol=st.sampled_from([1e-12, 1e-14, 1e-16]), rows=st.sampled_from(ROWS))
+def test_noise_dominated_functions(problem, tol, rows):
+    fun, target, lo, hi = problem
+    same(fun, target, lo, hi, tol, table=scan(fun, lo, hi, rows))
+
+
+@settings(deadline=None, max_examples=300)
+@given(problem=problems({**FUNS, **NOISY}), tol=st.sampled_from([1e-12, 1e-14, 1e-16]), rows=st.sampled_from(ROWS))
+def test_no_more_calls_than_one_level(problem, tol, rows):
+    # the scan is the caller's, so its call is not the solver's
     fun, target, lo, hi = problem
     counted, ref = Counted(fun), Counted(fun)
-    _invert_monotone(counted, target, lo, hi, tol)
+    _invert_monotone(counted, target, lo, hi, tol, scan(fun, lo, hi, rows))
     one_level(ref, target, lo, hi, tol)
     assert counted.calls <= ref.calls
 
 
+#: a falling function whose target is its value at a scan row that is also
+#: a bisection midpoint
+AT_A_ROW = (FUNS["exp-"], FUNS["exp-"](np.array([1.000000025])), np.array([1.0]), np.array([1.0000001]))
+
+#: a falling function that underflows to 0, the target, on the upper end of
+#: the bracket: every row is above the root, and the last cells are flat
+UNDERFLOW = (FUNS["exp-"], np.array([0.0]), np.array([10.0**5.5]), np.array([2.0 * 10.0**5.5]))
+
+
 @settings(deadline=None, max_examples=300)
-@given(problem=problems(NOISY), tol=st.sampled_from([1e-12, 1e-14, 1e-16]))
-def test_noise_costs_points_linear_in_the_levels(problem, tol):
+@given(problem=problems(FUNS), tol=st.sampled_from([1e-12, 1e-14]), rows=st.sampled_from(ROWS[1:]))
+@example(problem=AT_A_ROW, tol=1e-14, rows=33)
+@example(problem=UNDERFLOW, tol=1e-12, rows=33)
+def test_a_seeded_solve_makes_no_more_calls_than_an_unseeded_one(problem, tol, rows):
+    # Seeded, the ends come from the table and the first path heads for a
+    # root interpolated in the scan cell that holds it, not on the secant
+    # through the ends.  Neither estimate is better where none helps: on
+    # noise-dominated functions, or where the tolerance is finer than the
+    # floats and midpoints round to the ends for up to _MAX_LEVELS levels
+    # (1e-16); there either may take more calls.
+    fun, target, lo, hi = problem
+    seeded, unseeded = Counted(fun), Counted(fun)
+    _invert_monotone(seeded, target, lo, hi, tol, scan(fun, lo, hi, rows))
+    _invert_monotone(unseeded, target, lo, hi, tol)
+    assert seeded.calls <= unseeded.calls
+
+
+@settings(deadline=None, max_examples=300)
+@given(problem=problems(NOISY), tol=st.sampled_from([1e-12, 1e-14, 1e-16]), rows=st.sampled_from(ROWS))
+def test_noise_costs_points_linear_in_the_levels(problem, tol, rows):
     # After a path that keeps c levels, the next runs at most 2c + 2: over
     # L levels the rounds after the first evaluate at most 4L points, where
     # a path run to the tolerance every round would cost O(L^2).
     fun, target, lo, hi = problem
     counted, ref = Counted(fun), Counted(fun)
-    _invert_monotone(counted, target[:1], lo[:1], hi[:1], tol)
+    _invert_monotone(counted, target[:1], lo[:1], hi[:1], tol, scan(fun, lo[:1], hi[:1], rows))
     one_level(ref, target[:1], lo[:1], hi[:1], tol)
     assert counted.points <= 2 + _MAX_LEVELS + 4 * (ref.calls - 2)
 
@@ -170,12 +222,16 @@ def test_many_elements_take_one_level_per_call(n, rounds):
     assert (ref.calls, fun.calls) == (2 + 47, 2 + rounds)  # 47 levels
 
 
-def test_shapes():
+@pytest.mark.parametrize("rows", ROWS)
+def test_shapes(rows):
     lo, hi = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[2.0, 3.0], [4.0, 5.0]])
-    same(FUNS["cube"], FUNS["cube"](lo + 0.3), lo, hi, 1e-14)  # 2-D
-    same(FUNS["cube"], np.array([2.5, 3.0, 9.0]), 1.0, 2.0, 1e-14)  # targets over one bracket
-    same(FUNS["log"], 0.5, np.array([1.0, 1.5]), 2.0, 1e-14)  # brackets over one target
-    same(FUNS["log"], np.zeros(0), np.zeros(0), np.zeros(0), 1e-14)
+    cube, log = FUNS["cube"], FUNS["log"]
+    same(cube, cube(lo + 0.3), lo, hi, 1e-14, table=scan(cube, lo, hi, rows))  # 2-D
+    # targets over one bracket, as an expression generator's inverse has them
+    same(cube, np.array([2.5, 3.0, 9.0]), 1.0, 2.0, 1e-14, table=scan(cube, 1.0, 2.0, rows))
+    brackets = np.array([1.0, 1.5])  # over one target
+    same(log, 0.5, brackets, 2.0, 1e-14, table=scan(log, brackets, 2.0, rows))
+    same(log, np.zeros(0), np.zeros(0), np.zeros(0), 1e-14, table=scan(log, np.zeros(0), np.zeros(0), rows))
 
 
 # --------------------------------------------------------------- faults
@@ -224,6 +280,18 @@ def test_a_nan_on_the_path_raises_the_one_level_error():
     message = "the function to invert is NaN at 0.2003173828125"
     assert outcome(_invert_monotone, *args) == ("error", "DomainError", message)
     same(*args)
+
+
+@pytest.mark.parametrize("rows", ROWS[1:])
+@pytest.mark.parametrize("nans, named", [([0.5], 0.5), ([3.0], 3.0), ([1.0, 2.5], 2.5)])
+def test_a_nan_at_a_table_end_raises_the_unseeded_error(rows, nans, named):
+    # 0.5 and 2.5 are lower ends, 1.0 and 3.0 upper ends: a NaN at a lower
+    # end is named before any at an upper end.
+    fun = lambda x: np.where(np.isin(x, nans), np.nan, x)
+    target, lo, hi = np.array([0.7, 1.7, 2.7]), np.array([0.5, 1.5, 2.5]), np.array([1.0, 2.0, 3.0])
+    message = ("error", "DomainError", f"the function to invert is NaN at {named!r}")
+    assert outcome(_invert_monotone, fun, target, lo, hi, 1e-14, scan(fun, lo, hi, rows)) == message
+    assert outcome(_invert_monotone, fun, target, lo, hi, 1e-14) == message
 
 
 def test_a_raising_fun_raises_the_one_level_error():

@@ -27,12 +27,20 @@ class TestPowerGuard:
 
 class TestMonotoneDirection:
     def test_directions(self):
-        assert _monotone_direction(np.exp, -1.0, 2.0) == 1
-        assert _monotone_direction(lambda x: -x**3, 0.5, 2.0, 65) == -1
-        assert _monotone_direction(lambda x: x * x, -1.0, 2.0) == 0
+        assert _monotone_direction(np.exp, -1.0, 2.0)[0] == 1
+        assert _monotone_direction(lambda x: -x**3, 0.5, 2.0, 65)[0] == -1
+        assert _monotone_direction(lambda x: x * x, -1.0, 2.0)[0] == 0
 
     def test_flat_stretch_is_not_monotone(self):
-        assert _monotone_direction(lambda x: np.maximum(x, 0.0), -1.0, 1.0) == 0
+        assert _monotone_direction(lambda x: np.maximum(x, 0.0), -1.0, 1.0)[0] == 0
+
+    def test_the_scan_it_read(self):
+        # the table _invert_monotone takes: rows from lo to hi, and their values
+        direction, (xs, ys) = _monotone_direction(np.exp, np.array([-1.0, 0.5]), np.array([2.0, 3.0]), 5)
+        assert direction.tolist() == [1, 1]
+        assert xs.shape == ys.shape == (5, 2)
+        assert xs[0].tolist() == [-1.0, 0.5] and xs[-1].tolist() == [2.0, 3.0]
+        assert ys.tobytes() == np.exp(xs).tobytes()
 
 
 class TestInvertMonotone:

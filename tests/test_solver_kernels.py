@@ -11,8 +11,8 @@ expression checked for finiteness in one call.  These tests pin:
   inverse far outside the domain and a derivative that raises on an array
   raise the typed error, with the message, that the checked chain raises;
 * the solver's NaN check, which used to steer the bisection silently;
-* evaluation counts: one scan call and one call per round along
-  predicted bisection paths;
+* evaluation counts: one scan call, whose rows seed the solve, and one
+  call per round along predicted bisection paths;
 * the raw G' and ``qabd`` chains against the checked ones, bit for bit,
   G' also for callables that return float32;
 * ``lagrange_mean`` and ``cauchy_mean`` against a 50-digit mpmath oracle on
@@ -32,6 +32,7 @@ from test_solver_pins import CAUCHY, CLUSTER, LAGRANGE, _cluster_case
 
 import cdt.convexity
 import cdt.divergences
+import cdt.expr
 from cdt.centroids import bregman_centroid
 from cdt.convexity import TRUSTED_CONVEX, _pullback, function_model
 from cdt.divergences import QabdSpec, WeightedSet, _qabd_checked, _qabd_raw, qabd
@@ -189,7 +190,7 @@ def test_solver_raises_at_the_first_nan():
 
 def test_scan_makes_one_call():
     fun = Counted(np.exp)
-    assert _monotone_direction(fun, np.array([-1.0, 0.0, 2.0]), np.array([2.0, 1.0, 3.0])).tolist() == [1, 1, 1]
+    assert _monotone_direction(fun, np.array([-1.0, 0.0, 2.0]), np.array([2.0, 1.0, 3.0]))[0].tolist() == [1, 1, 1]
     assert fun.calls == 1
 
 
@@ -208,15 +209,18 @@ def test_scan_of_a_raising_fun_raises_the_error_of_its_one_call():
 # -------------------------------------------------------- evaluation counts
 
 #: per CLUSTER triple: (G' calls, F points) of one bregman_centroid: one
-#: call at the 24 data points, one scan of 33, two at the bracket ends and
-#: one per round along predicted paths, whose midpoints go to F as well as
-#: the data.  G' of x^2 under (identity, identity) and of exp(x^2) under
-#: (identity, log) is linear, so the secant finds the root and one round of
-#: 42 and 40 levels confirms them all; the other two take rounds of 42, 8,
-#: 14 and 19 levels and of 43, 10, 14 and 19.  (Six levels per call gave
-#: 11, 11, 11 and 12 calls at 524, 524, 524 and 587 points; one level per
-#: call gave 46, 46, 44 and 47 calls at 125, 125, 123 and 126 points.)
-COUNTS = [(5, 125), (8, 166), (5, 123), (8, 169)]
+#: call at the 24 data points, one scan of 33, whose rows give the solver
+#: the values at the bracket ends and its first estimate, and one call per
+#: round along predicted paths, whose midpoints go to F as well as the
+#: data.  G' of x^2 under (identity, identity) and of exp(x^2) under
+#: (identity, log) is linear, so one round of 42 and 40 levels confirms
+#: them all; the other two take rounds of 42 and 27 levels and of 43, 28
+#: and 6.  (Two more calls at the bracket ends, and a first estimate from
+#: their secant, gave 5, 8, 5 and 8 calls at 125, 166, 123 and 169 points;
+#: six levels per call gave 11, 11, 11 and 12 calls at 524, 524, 524 and
+#: 587 points; one level per call gave 46, 46, 44 and 47 calls at 125,
+#: 125, 123 and 126 points.)
+COUNTS = [(3, 123), (4, 150), (3, 121), (5, 158)]
 
 
 @pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
@@ -236,10 +240,25 @@ def test_lagrange_derivative_calls():
     fprime = Counted(LOG.derivative)
     gen = Generator("counted-log", LOG.domain, LOG.forward, LOG.inverse, fprime)
     assert lagrange_mean(gen, 1.5, 7.0) == LAGRANGE[0][3]
-    # one probe when the generator is built, one scan, two calls at the
-    # bracket ends and five rounds, of 47, 4, 6, 14 and 25 levels (six
-    # levels per call gave 12, one level per call 52)
-    assert fprime.calls == 9
+    # one probe when the generator is built, one scan and three rounds, of
+    # 48, 32 and 1 levels (evaluating the bracket ends again and starting
+    # from their secant gave 9, six levels per call 12, one level per call
+    # 52)
+    assert fprime.calls == 5
+
+
+def test_expression_inverse_calls():
+    # One inverse of x^3 + x on (0.1, 5) evaluates the expression in three
+    # rounds, of 49, 33 and 11 levels: the 65-point scan taken when the
+    # generator was built gives the values at the bracket ends and the first
+    # estimate (evaluating the ends again and starting from their secant
+    # gave 8 calls at 104 points: 1, 1, 49, 8, 4, 10, 22 and 9).
+    gen = expression_generator("x^3 + x", (0.1, 5))
+    apply, sizes = cdt.expr._apply, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cdt.expr, "_apply", lambda fn, x, *rest: (sizes.append(np.size(x)), apply(fn, x, *rest))[1])
+        assert gen.inv(2.0) == 1.0000000000000036
+    assert sizes == [49, 33, 11]
 
 
 # ------------------------------------------------ raw chain == checked chain
