@@ -22,8 +22,8 @@ M(x, 0) = x M(1, 0), bit for bit the kernel's value, and a block whose
 unit value is +0.0 (the geometric mean and every Gini mean with a
 negative order) is left out, since its terms add nothing to an exact sum
 and the sum of no terms is +0.0 as well.  A -0.0 unit keeps its block,
-since it could set the sign of an all-zero sum.  The terms are summed exactly by
-``means._exact_sum``: bit for bit ``math.fsum`` of them.
+since it could set the sign of an all-zero sum.  ``means._exact_sum`` sums the
+terms exactly, bit for bit ``math.fsum``, in two error-free extraction passes.
 
 The column array is computed once per pair by ``_pair``, which keeps the
 last pair in a single-entry memo, looked up by identity, for mass arrays
@@ -193,13 +193,13 @@ def histogram_density(
         raise DomainError("edges must be strictly increasing")
     if np.any(m < 0.0):
         raise DomainError("masses must be nonnegative")
-    heights = m / np.diff(e)
+    # Heights padded with 0, the last edge raised one ulp: one search finds
+    # the bin of x in [e[0], e[-1]] and a 0 outside it, at +-inf and at NaN.
+    heights = np.concatenate(((0.0,), m / np.diff(e), (0.0,)))
+    e2 = np.concatenate((e[:-1], (math.nextafter(e[-1], math.inf),)))
 
     def pdf(x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(e, x, side="right") - 1, 0, len(m) - 1)
-        out = heights[idx]
-        return np.where((x >= e[0]) & (x <= e[-1]), out, 0.0)
+        return heights[np.searchsorted(e2, x, side="right")]
 
     return DensityModel(
         eval=pdf,

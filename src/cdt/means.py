@@ -177,33 +177,61 @@ def _wsum(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 #: Terms below which ``_exact_sum`` hands its array to ``math.fsum``: at
-#: about this many, fsum's list costs as much as the numpy passes.
-_EXACT_SUM_MIN = 700
+#: about this many, fsum's list costs as much as the two extraction passes.
+_EXACT_SUM_MIN = 240
 
 
 def _exact_sum(v: np.ndarray) -> float:
     """``math.fsum(v.tolist())`` of a one-dimensional float64 array, bit for
     bit, without the list, and exactly rounded where fsum's partials overflow.
 
-    Each term is M 2^(e-53) with M an integer of 53 bits (``np.frexp``),
-    split into 27 high and 26 low bits.  ``np.bincount`` sums each half per
-    exponent, exactly (integers below 2^53, since there are fewer than 2^26
-    terms), and one Python integer per occupied exponent gathers the exact
-    total, which one int division rounds correctly, as fsum rounds: a small
-    superaccumulator (Neal 2015, arXiv:1505.05571).  Short arrays and
-    non-finite terms go to fsum for its value or error, and finite terms
-    come back when its partials overflow.  A zero total is +0.0, as fsum
+    Two error-free extractions (Rump, Ogita and Oishi 2008, SIAM J. Sci.
+    Comput. 31(1)): with 2^M >= n + 2 and sigma = 2^k >= 2^M max|v|,
+    q = (v + sigma) - sigma and v - q are exact and numpy's sum of q is
+    exact in any order.  If a second pass at sigma 2^(M-53) leaves v - q as
+    it is, that sums exactly too, and one IEEE addition of the two sums
+    rounds the exact total as fsum does.  A second residual, a sigma past
+    the float range or a second unit sigma 2^(M-106) below the normal range
+    sends the terms to a superaccumulator.  Short arrays and non-finite
+    terms go to fsum for its value or error.  A zero total is +0.0, as fsum
     gives it; a total past the float range raises DomainError.
     """
     n = len(v)
-    exact = n < 1 << 26 and np.isfinite(v).all()
-    past = f"overflow past the float range: the exact sum of {n} terms is too large for a float"
-    if n < _EXACT_SUM_MIN or not exact:
-        try:
-            return math.fsum(v.tolist())
-        except OverflowError:  # of the partials; finite terms are summed exactly below
-            if not exact:
-                raise DomainError(past) from None
+    M = (n + 1).bit_length()  # the least M with 2^M >= n + 2
+    if n < _EXACT_SUM_MIN or M > 26:  # the superaccumulator takes at most 2^26 terms
+        exact = n < 1 << 26 and np.isfinite(v).all()
+    else:
+        q = np.abs(v)
+        top = float(np.maximum.reduce(q))  # inf or NaN where a term is
+        exact = math.isfinite(top)
+        k = math.frexp(top)[1] + M
+        if exact and k <= 1023 and k + M - 106 >= -1022:
+            sigma = 2.0**k
+            t1 = np.add.reduce(np.subtract(np.add(v, sigma, out=q), sigma, out=q))
+            r = v - q
+            sigma *= 2.0 ** (M - 53)
+            np.subtract(np.add(r, sigma, out=q), sigma, out=q)
+            if (q == r).all():
+                return float(t1 + np.add.reduce(r))
+            r -= q
+            return _superaccumulated(np.concatenate(((t1, np.add.reduce(q)), r[r != 0.0])))
+    try:
+        if n < _EXACT_SUM_MIN or not exact:
+            try:
+                return math.fsum(v.tolist())
+            except OverflowError:  # of the partials; finite terms are summed exactly below
+                if not exact:
+                    raise
+        return _superaccumulated(v)
+    except OverflowError:
+        raise DomainError(f"overflow past the float range: the exact sum of {n} terms is too large for a float") from None
+
+
+def _superaccumulated(v: np.ndarray) -> float:
+    """The exactly rounded sum of at most 2^26 finite terms (Neal 2015,
+    arXiv:1505.05571): ``np.bincount`` sums the 27 high and 26 low bits of
+    the integer mantissas per exponent, one Python integer per exponent
+    gathers them, and one int division rounds as fsum rounds (or overflows)."""
     m, e = np.frexp(v)
     m *= 2.0**27
     hi = np.trunc(m)
@@ -215,10 +243,7 @@ def _exact_sum(v: np.ndarray) -> float:
     total = 0
     for s, h, lo in zip(bins.tolist(), H[bins].tolist(), L[bins].tolist()):
         total += ((int(h) << 26) + int(lo)) << s
-    try:
-        return total / (1 << (53 - e0))
-    except OverflowError:
-        raise DomainError(past) from None
+    return total / (1 << (53 - e0))
 
 
 def _gini_means(r: float, s: float, X: np.ndarray, W: np.ndarray, lo, hi) -> np.ndarray:

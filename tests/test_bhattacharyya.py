@@ -310,6 +310,31 @@ class TestDensities:
             assert cont == pytest.approx(disc, abs=1e-9)
 
     @pytest.mark.parametrize(
+        "edges",
+        [np.geomspace(0.5, 8.0, 201), np.array([-3.0, -0.0, 1e-300, 2.0, 5.0]),
+         np.array([-1e308, 0.0, 1.7976931348623157e308]), np.linspace(-2.0, 3.0, 4)],
+    )
+    def test_histogram_pdf_equals_the_clipped_gather(self, edges):
+        # One search into heights padded with 0 gives, bit for bit, the
+        # clipped gather and two-sided mask it replaced: at every edge and
+        # one ulp either side, at the midpoints, outside the support, at
+        # +-inf and at NaN.
+        masses = np.random.default_rng(len(edges)).dirichlet(np.ones(len(edges) - 1))
+        masses[0] = 0.0
+        pdf = histogram_density(edges, masses / masses.sum()).eval
+        heights = masses / masses.sum() / np.diff(edges)
+
+        def gathered(x):
+            idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(heights) - 1)
+            return np.where((x >= edges[0]) & (x <= edges[-1]), heights[idx], 0.0)
+
+        with np.errstate(over="ignore"):  # one ulp past the largest float is inf
+            x = np.concatenate((edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf),
+                                edges[:-1] + np.diff(edges) / 2.0, [-1e300, 1e300, -math.inf, math.inf, math.nan]))
+        assert pdf(x).tobytes() == gathered(x).tobytes()
+        assert [float(pdf(v)) for v in x[:8]] == [float(gathered(v)) for v in x[:8]]
+
+    @pytest.mark.parametrize(
         "p, q",
         [(cauchy_density(1.0), cauchy_density(3.0)),
          (histogram_density((0.0, 1.0, 2.0, 3.0), (0.2, 0.5, 0.3)), histogram_density((0.0, 1.0, 2.0, 3.0), (0.6, 0.1, 0.3)))],

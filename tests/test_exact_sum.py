@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdt import bhattacharyya
+from cdt import bhattacharyya, means
 from cdt.bhattacharyya import DiscreteDist, alpha_divergence, bhat_coefficient, cmbd, power_cmbd
 from cdt.errors import DomainError, WeightError
 from cdt.means import ARITHMETIC, GEOMETRIC, HARMONIC, WEIGHT_SUM_TOL, _EXACT_SUM_MIN, _exact_sum, gini, lehmer, power, weighted_means
@@ -118,15 +118,94 @@ def test_a_non_finite_term_after_overflowing_partials_is_refused():
     assert str(info.value) == "overflow past the float range: the exact sum of 3 terms is too large for a float"
 
 
-@pytest.mark.parametrize("n, fsum_calls", [(699, 1), (700, 0)])
+@pytest.mark.parametrize("n, fsum_calls", [(239, 1), (240, 0)])
 def test_break_even(monkeypatch, n, fsum_calls):
-    # Arrays of 700 terms and more leave fsum; 699 still go to it.
+    # Arrays of 240 terms and more leave fsum; 239 still go to it.
     v = np.random.default_rng(7).gamma(2.0, 1.0, n) / n
     want = math.fsum(v.tolist())
     fsum, calls = math.fsum, []
     monkeypatch.setattr(math, "fsum", lambda x: calls.append(len(x)) or fsum(x))
     assert _exact_sum(v).hex() == want.hex()
     assert len(calls) == fsum_calls
+
+
+fsum = math.fsum  # the oracle, kept from the fixture's counted one
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Calls of the superaccumulator, fsum and np.bincount, by term count."""
+    calls = {"superaccumulated": [], "fsum": [], "bincount": []}
+
+    def counted(name, fn):
+        return lambda v, *args: calls[name].append(len(v)) or fn(v, *args)
+
+    monkeypatch.setattr(means, "_superaccumulated", counted("superaccumulated", means._superaccumulated))
+    monkeypatch.setattr(math, "fsum", counted("fsum", math.fsum))
+    monkeypatch.setattr(np, "bincount", counted("bincount", np.bincount))
+    return calls
+
+
+def extracted(v, paths):
+    """Whether the two extraction passes summed v, which equals fsum."""
+    want = fsum(v.tolist())
+    assert _exact_sum(v).hex() == want.hex()
+    assert paths["fsum"] == []  # never a list of one float per term
+    return paths["superaccumulated"] == []
+
+
+def test_bhat_masses_take_the_extraction(paths):
+    assert extracted(masses(np.random.default_rng(4), "gamma"), paths)
+    assert paths["bincount"] == []
+
+
+def test_a_wide_spread_falls_back_to_the_superaccumulator(paths):
+    # 1e-300..1e300 spans far more than the two passes' bits: the nonzero
+    # second residuals, with the two pass sums, are summed exactly.
+    v = 10.0 ** np.random.default_rng(5).uniform(-300.0, 300.0, 3000)
+    v[1::2] *= -1.0
+    assert not extracted(v, paths)
+    assert len(paths["superaccumulated"]) == 1 and 2 < paths["superaccumulated"][0] <= len(v) + 2
+
+
+@pytest.mark.parametrize("n", [1022, 1023, 2**14 - 2, 2**14 - 1])
+def test_term_counts_at_a_power_of_two(paths, n):
+    # n + 2 at and just past 2^10 and 2^14, where M steps up: terms just
+    # below 1, and 2^-60 + 2^-75, whose last bit at M = 15 is the unit
+    # that the second pass, at sigma = 2^(2M - 53), rounds positive terms to.
+    v = np.full(n, 1.0 - 2.0**-53)
+    v[1::3] = 2.0**-60 + 2.0**-75
+    assert extracted(v, paths)
+    assert extracted(-v, paths)
+
+
+@pytest.mark.parametrize("top", [1024.0, -1024.0, 2.0**-900])
+def test_largest_term_a_power_of_two(paths, top):
+    v = np.random.default_rng(6).uniform(-1.0, 1.0, 1000) * abs(top) / 3.0
+    v[500] = top
+    assert extracted(v, paths)
+
+
+N_GUARDS = 300  # 2^9 >= N_GUARDS + 2 > 2^8
+M_GUARDS = 9
+
+
+@pytest.mark.parametrize(
+    "top, admitted",
+    [
+        # sigma = 2^(e + M), e the exponent of frexp(max|v|): at most 2^1023
+        (2.0 ** (1023 - M_GUARDS) * (1.0 - 2.0**-53), True),
+        (2.0 ** (1023 - M_GUARDS), False),
+        # the second pass unit sigma 2^(M - 106) at least 2^-1022
+        (2.0 ** (-917 - 2 * M_GUARDS), True),
+        (2.0 ** (-917 - 2 * M_GUARDS) * (1.0 - 2.0**-53), False),
+    ],
+)
+def test_largest_term_at_a_guard(paths, top, admitted):
+    assert (N_GUARDS + 1).bit_length() == M_GUARDS
+    v = np.random.default_rng(8).uniform(-1.0, 1.0, N_GUARDS) * top / 4.0
+    v[0] = top
+    assert extracted(v, paths) == admitted
 
 
 def test_discrete_dist_reports_the_fsum_of_its_masses():
