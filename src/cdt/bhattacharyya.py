@@ -41,7 +41,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .convexity import Verdict, function_model, is_mn_convex
 from .divergences import DivergenceValue, _zero_floor
 from .errors import (
     DomainError,
@@ -52,7 +51,7 @@ from .errors import (
     UnsupportedWeights,
     WeightError,
 )
-from .generators import IDENTITY, Generator, Interval
+from .generators import Generator
 from .means import GEOMETRIC, WEIGHT_SUM_TOL, MeanSpec, _exact_sum, dominates, power, quasi_arithmetic, weighted_means
 from .quadrature import QuadratureConfig, _vectorized, integrate, ladder_breakpoints
 
@@ -352,6 +351,22 @@ def _log_ratio(c1: float, c2: float) -> float:
     return math.log(c1 / c2)
 
 
+def _check_order(M: MeanSpec, N: MeanSpec, p, q, trusted: bool = False, seed: int = 0) -> None:
+    """Raise DominanceError unless M <= N.  Gini means ordered by theorem
+    (``_builtin_order``: e.g. G <= A, H <= G, L_{-0.3} <= A) are decided at
+    once, and a pair in the wrong order raises at once; other pairs are
+    checked by sampling ``dominates`` over ``_value_window(p, q)`` unless
+    ``trusted`` is set.  A sampled check where neither p nor q has a
+    positive mass raises DomainError."""
+    order = _builtin_order(M, N)
+    if order is False:
+        raise DominanceError(f"{M} lies above {N}: means are not ordered M <= N")
+    if order is None and not trusted:
+        res = dominates(M, N, _value_window(p, q), samples=2000, seed=seed)
+        if res.above is not None:
+            raise DominanceError(f"sampling found {M} > {N} at {res.above!r}; means are not ordered M <= N")
+
+
 def cmbd(
     M: MeanSpec,
     N: MeanSpec,
@@ -363,21 +378,12 @@ def cmbd(
 ) -> DivergenceValue:
     """Comparative-mean skewed Bhattacharyya distance -log(c^M / c^N).
 
-    Requires M <= N.  Gini means ordered by theorem (``_builtin_order``:
-    e.g. G <= A, H <= G, L_{-0.3} <= A) are decided at once, and a pair in
-    the wrong order raises DominanceError at once; other pairs are checked by
-    sampling unless ``trusted_dominance`` is set.  Satisfies the skew-swap
-    identity cmbd(alpha, q, p) = cmbd(1-alpha, p, q).
+    Requires M <= N, checked by ``_check_order``: by theorem for Gini means
+    ordered componentwise, else by sampling unless ``trusted_dominance`` is
+    set.  Satisfies the skew-swap identity cmbd(alpha, q, p) =
+    cmbd(1-alpha, p, q).
     """
-    order = _builtin_order(M, N)
-    if order is False:
-        raise DominanceError(f"{M} lies above {N}: means are not ordered M <= N")
-    if order is None and not trusted_dominance:
-        res = dominates(M, N, _value_window(p, q), samples=2000, seed=seed)
-        if res.above is not None:
-            raise DominanceError(
-                f"sampling found {M} > {N} at {res.above!r}; means are not ordered M <= N"
-            )
+    _check_order(M, N, p, q, trusted_dominance, seed)
     cM = bhat_coefficient(M, alpha, p, q)
     cN = bhat_coefficient(N, alpha, p, q)
     return DivergenceValue.create(-_log_ratio(cM, cN), ("p", "q"))
@@ -433,22 +439,12 @@ def cauchy_ha_closed_form(s1: CauchyParam | float, s2: CauchyParam | float, alph
 def mean_gap_distance(f: Generator, g: Generator, p, q) -> float:
     """Symmetric distance gap sum/integral of M_g(p,q) - M_f(p,q).
 
-    Requires M_f <= M_g, certified by checking that g o f^{-1} is convex on
-    the shared value window (necessary and sufficient for quasi-arithmetic
-    dominance).
+    Requires M_f <= M_g, checked by ``_check_order`` as ``cmbd`` checks its
+    means: by theorem for power generators, else by sampling over the value
+    window of p and q.
     """
-    window = f.domain.intersect(g.domain)
-    comp = function_model(
-        f"{g.id}({f.id}^-1)",
-        f.image().intersect(Interval(*f.value(np.array(window.finite_window())))),
-        lambda u: g.value(f.inv(u)),
-    )
-    rep = is_mn_convex(comp, IDENTITY, IDENTITY)
-    if rep.verdict is Verdict.NOT_CONVEX:
-        raise DominanceError(
-            f"{g.id}({f.id}^-1) is not convex: M_{f.id} does not lie below M_{g.id}"
-        )
     Mf, Mg = quasi_arithmetic(f), quasi_arithmetic(g)
+    _check_order(Mf, Mg, p, q)
     if _check_kinds(p, q):
         parts = _pair(p.array, q.array)
         return _zero_floor(_exact_sum(_mass_terms(Mg, 0.5, parts) - _mass_terms(Mf, 0.5, parts)))

@@ -19,7 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, OrderError, ParamError, require_int, require_seed
-from .generators import Generator, Interval, _apply, _first, _floats, _fused, _image, _wrap_callables, finite_difference
+from .generators import (
+    Generator, Interval, _apply, _first, _floats, _fused, _image, _wrap_callables, finite_difference, power_generator
+)
 
 #: Default number of grid points for convexity scans, and the number of
 #: sampled grid pairs whose midpoint inequality they check.
@@ -252,30 +254,14 @@ def power_convexity_transform(f: FunctionModel, delta1: float, delta2: float) ->
     """Transform f into the function whose ordinary convexity characterizes
     (P_delta1, P_delta2)-convexity of f on a positive domain.
 
-    Four branches, with a sign(delta2) factor on the power branches and log
-    forms at zero exponents; the transformed domain is the image of the
-    original domain under x -> x**delta1 (or log at delta1 = 0).
+    This is ``to_ordinary(f, power_generator(delta1), power_generator(delta2))``,
+    with its domain checks and, where f has a derivative, its exact G', in
+    the coordinate u = x**delta1 (log x at delta1 = 0): for delta1 < 0 the
+    increasing representative -x**delta1 is undone by u -> -u.
     """
-    delta1, delta2 = float(delta1), float(delta2)
     if f.domain.lo < 0.0:
         raise DomainError("power convexity transform requires a positive domain")
-    ends = np.array([f.domain.lo, f.domain.hi])
-    with np.errstate(all="ignore"):  # 0 and inf map to their limits
-        tends = np.log(ends) if delta1 == 0.0 else np.power(ends, delta1)
-    tdom = Interval(float(tends.min()), float(tends.max()))
-    pull = np.exp if delta1 == 0.0 else lambda u: np.power(u, 1.0 / delta1)
-
-    sign2 = 1.0 if delta2 > 0.0 else -1.0
-
-    def transformed(u):
-        v = np.asarray(f.value(pull(np.asarray(u, dtype=float))))
-        if delta2 == 0.0:
-            if np.any(v <= 0.0):
-                raise DomainError(f"{f.id!r} must be positive for the log branch")
-            return np.log(v)
-        if delta2 != int(delta2) and np.any(v < 0.0):
-            raise DomainError(f"{f.id!r} must be nonnegative for fractional exponents")
-        return sign2 * np.power(v, delta2)
-
-    name = f"{f.id}|P({delta1:g},{delta2:g})"
-    return FunctionModel(name, tdom, transformed, None)
+    G = to_ordinary(f, power_generator(delta1), power_generator(delta2))
+    if float(delta1) >= 0.0:
+        return G
+    return FunctionModel(G.id, Interval(-G.domain.hi, -G.domain.lo), lambda u: G.value(-u), lambda u: -G.deriv(-u))

@@ -15,7 +15,7 @@ import numpy as np
 from .bhattacharyya import DensityModel, DiscreteDist, _total_mass
 from .errors import DomainError, KindMismatch
 from .generators import Generator
-from .means import quasi_arithmetic, weighted_mean
+from .means import _checked_means, quasi_arithmetic, weighted_mean
 from .quadrature import integrate
 
 
@@ -30,19 +30,21 @@ def qa_mean(f: Generator, samples: Sequence[float]) -> float:
 def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
     """Quasi-arithmetic expected value f^{-1}(E[f(X)]).
 
-    For a DiscreteDist the value grid is required.  With ``normalize=True``
-    the f-moment is divided by the total mass, extending the definition to
-    positive unnormalized measures.  The total mass is taken when
-    ``normalize`` is set or ``dist`` is not normalized, and must then be
-    positive.  The value is clamped to the support: the span of the grid,
-    or a density's truncation.
+    For a DiscreteDist the value grid is required, and a normalized grid
+    gives ``weighted_mean`` of its values and masses, bit for bit.  With
+    ``normalize=True`` the f-moment is divided by the total mass, extending
+    the definition to positive unnormalized measures; without it an
+    unnormalized grid of total mass m gives f^{-1}(m f(M)), M its mean
+    under the masses divided by m.  The total
+    mass is taken when ``normalize`` is set or ``dist`` is not normalized,
+    and must then be positive.  The value is clamped to the support: the
+    span of the grid, or a density's truncation.
     """
     if isinstance(dist, DiscreteDist):
         if dist.values is None:
             raise DomainError("qa_expected_value needs a DiscreteDist with a value grid")
         xs = np.asarray(dist.values)
         lo, hi = float(np.min(xs)), float(np.max(xs))
-        moment = float(np.dot(dist.array, f.value(xs)))
     elif isinstance(dist, DensityModel):
         lo, hi = dist.truncation
         if not (f.domain.contains(lo) and f.domain.contains(hi)):
@@ -52,10 +54,13 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
                                lo, hi, dist.quadrature, dist.breakpoints)
     else:
         raise KindMismatch(f"unsupported distribution type {type(dist).__name__}")
-    if normalize or not dist.normalized:
-        total = _total_mass(dist)
-        if not total > 0.0:
-            raise DomainError(f"total mass is {total!r}: qa_expected_value needs a positive total mass")
-        if normalize:
-            moment /= total
-    return min(max(f.inv(moment), lo), hi)
+    total = _total_mass(dist) if normalize or not dist.normalized else 1.0
+    if not total > 0.0:
+        raise DomainError(f"total mass is {total!r}: qa_expected_value needs a positive total mass")
+    if isinstance(dist, DiscreteDist):
+        value = float(_checked_means(quasi_arithmetic(f), xs, dist.array / total))
+        if not (normalize or dist.normalized):
+            value = f.inv(total * f.value(value))
+    else:
+        value = f.inv(moment / total if normalize else moment)
+    return min(max(value, lo), hi)

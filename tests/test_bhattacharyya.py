@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdt.bhattacharyya import (
@@ -295,6 +295,32 @@ class TestMeanGap:
         with pytest.raises(DominanceError):
             mean_gap_distance(IDENTITY, LOG, P, Q)  # exp <- wrong direction: log(id^-1) concave
 
+    P4, Q4 = DiscreteDist((0.1, 0.2, 0.3, 0.4)), DiscreteDist((0.4, 0.3, 0.2, 0.1))
+
+    @pytest.mark.parametrize("f, g", [(LOG, EXP), (RECIPROCAL, EXP)])
+    def test_pairs_ordered_on_their_values_are_accepted(self, f, g):
+        # M_f <= M_g at every positive value, though g o f^-1 overflows on
+        # most of f's image: the order is checked on the pair's values.
+        want = dense_gap(f, g, self.P4.array, self.Q4.array)
+        assert mean_gap_distance(f, g, self.P4, self.Q4) == want
+        # unit-width bins: the density values are the masses
+        edges = (1.0, 2.0, 3.0, 4.0, 5.0)
+        p, q = (histogram_density(edges, d.masses) for d in (self.P4, self.Q4))
+        assert mean_gap_distance(f, g, p, q) == pytest.approx(want, abs=1e-12)
+
+    def test_gini_pairs_are_ordered_without_sampling(self, monkeypatch):
+        import cdt.bhattacharyya as bh
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("Gini pairs must not be sampled")
+
+        monkeypatch.setattr(bh, "dominates", no_sampling)
+        for f, g in GAP_PAIRS:
+            if not sampled(f, g):
+                assert mean_gap_distance(f, g, self.P4, self.Q4) == dense_gap(f, g, self.P4.array, self.Q4.array)
+        with pytest.raises(DominanceError, match="qa:identity lies above qa:log"):
+            mean_gap_distance(IDENTITY, LOG, P, Q)
+
 
 class TestDensities:
     def test_histogram_matches_discrete(self):
@@ -568,16 +594,34 @@ def test_sparse_coefficient_equals_the_dense_sum_bit_for_bit(pair, M, alpha):
         assert np.array_equal(dense[only_a], a[only_a] * u[0]) and np.array_equal(dense[only_b], b[only_b] * u[1])
 
 
-GAP_PAIRS = [(LOG, IDENTITY), (RECIPROCAL, LOG), (IDENTITY, EXP), (power_generator(-0.5), power_generator(2))]
+GAP_PAIRS = [
+    (LOG, IDENTITY), (RECIPROCAL, LOG), (IDENTITY, EXP), (power_generator(-0.5), power_generator(2)), (LOG, EXP),
+]
+NO_MASS = DiscreteDist((0.0,), normalized=False)
+
+
+def sampled(f, g) -> bool:
+    """Whether the order M_f <= M_g is sampled, not decided by theorem."""
+    return None in (quasi_arithmetic(f).gini_orders, quasi_arithmetic(g).gini_orders)
+
+
+def dense_gap(f, g, a, b):
+    """The mean gap of the mass arrays a and b, as one fsum over every bin."""
+    X = np.array((a, b))
+    gap = weighted_means(quasi_arithmetic(g), X, (0.5, 0.5)) - weighted_means(quasi_arithmetic(f), X, (0.5, 0.5))
+    return _zero_floor(math.fsum(gap.tolist()))
 
 
 @settings(deadline=None, max_examples=40)
 @given(pair=mass_pairs(), gens=st.sampled_from(GAP_PAIRS))
+@example(pair=(NO_MASS, NO_MASS), gens=(IDENTITY, EXP))
+@example(pair=(NO_MASS, NO_MASS), gens=(LOG, IDENTITY))
 def test_sparse_mean_gap_equals_the_dense_sum_bit_for_bit(pair, gens):
     (p, q), (f, g) = pair, gens
-    X = np.array((p.masses, q.masses))
-    gap = weighted_means(quasi_arithmetic(g), X, (0.5, 0.5)) - weighted_means(quasi_arithmetic(f), X, (0.5, 0.5))
-    want = _outcome(lambda: _zero_floor(math.fsum(gap.tolist())))
+    if sampled(f, g) and not (p.array > 0.0).any() and not (q.array > 0.0).any():
+        want = DomainError, "no positive mass: the means cannot be compared on an empty value window"
+    else:
+        want = _outcome(lambda: dense_gap(f, g, p.array, q.array))
     assert _outcome(lambda: mean_gap_distance(f, g, p, q)) == want
 
 
@@ -668,9 +712,7 @@ class TestPairMemo:
                 assert bhat_coefficient(M, 0.35, p, q).hex() == dense_coefficient(M, 0.35, p, q).hex()
                 assert np.array_equal(_mass_terms(M, 0.35, _pair(p.array, q.array)), _dense_terms(M, 0.35, p.array, q.array))
             for f, g in GAP_PAIRS:
-                X = np.array((p.array, q.array))
-                gap = weighted_means(quasi_arithmetic(g), X, (0.5, 0.5)) - weighted_means(quasi_arithmetic(f), X, (0.5, 0.5))
-                assert mean_gap_distance(f, g, p, q).hex() == _zero_floor(math.fsum(gap.tolist())).hex()
+                assert mean_gap_distance(f, g, p, q).hex() == dense_gap(f, g, p.array, q.array).hex()
 
     def test_writeable_arrays_are_never_memoized(self):
         import cdt.bhattacharyya as bh
@@ -738,6 +780,15 @@ class TestVanishingMass:
     def test_sampled_dominance_without_positive_mass(self):
         with pytest.raises(DomainError, match="no positive mass"):
             cmbd(ARITHMETIC, quasi_arithmetic(EXP), 0.5, self.Z, self.Z)
+
+    def test_sampled_mean_gap_without_positive_mass(self):
+        with pytest.raises(DomainError, match="no positive mass"):
+            mean_gap_distance(IDENTITY, EXP, self.Z, self.Z)
+
+    def test_mean_gap_of_gini_pairs_without_positive_mass(self):
+        for f, g in GAP_PAIRS:
+            if not sampled(f, g):
+                assert mean_gap_distance(f, g, self.Z, self.Z) == 0.0
 
     def test_sampled_dominance_on_mixed_operands(self):
         with pytest.raises(KindMismatch):

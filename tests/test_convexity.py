@@ -224,6 +224,8 @@ class TestPowerConvexityTransform:
             (F_SQ, 1.0, -1.0),
             (F_SQ, 2.0, 1.0),
             (F_EXP, 0.0, 0.0),
+            (F_EXP, -1.0, 2.0),
+            (F_SQ, -2.0, -0.5),
         ]
         for F, d1, d2 in cases:
             T = power_convexity_transform(F, d1, d2)
@@ -233,10 +235,26 @@ class TestPowerConvexityTransform:
             rhs = is_mn_convex(F, rho, tau).verdict
             assert lhs == rhs, (F.id, d1, d2, lhs, rhs)
 
+    def test_negative_delta1_flip(self, rng):
+        # u = x^-1 undoes the representative -x^-1: T(u) = F(1/u) = u^-2,
+        # with F's exact derivative carried through, T'(u) = -2 u^-3
+        T = power_convexity_transform(F_SQ, -1.0, 1.0)
+        assert (T.domain.lo, T.domain.hi) == pytest.approx((1.0 / 12.0, 5.0), rel=1e-15)
+        u = rng.uniform(0.1, 4.9, 30)
+        np.testing.assert_allclose(T.value(u), u**-2.0, rtol=1e-14)
+        np.testing.assert_allclose(T.deriv(u), -2.0 * u**-3.0, rtol=1e-14)
+
     def test_domain_requirement(self):
         F = fm("x", -2.0, 2.0, lambda x: np.asarray(x, float))
         with pytest.raises(DomainError):
             power_convexity_transform(F, 2.0, 1.0)
+
+    def test_values_outside_the_power_domain_are_refused_as_by_the_generators(self):
+        F = fm("x-2", 0.0, 5.0, lambda x: np.asarray(x, float) - 2.0, lambda x: np.ones_like(x))
+        with pytest.raises(DomainError):
+            is_mn_convex(F, power_generator(1.0), power_generator(2.0))
+        with pytest.raises(DomainError, match="values of 'x-2' leave the domain of generator 'power:2'"):
+            power_convexity_transform(F, 1.0, 2.0)
 
 
 class TestOneVerdictRule:

@@ -519,9 +519,9 @@ F_SHIFTED = function_model("x-2", Interval(0.0, 5.0), lambda x: x - 2.0, lambda 
     [
         (lambda: power_convexity_transform(F_SQ, 1.0, 2.0), DomainError, "requires a positive domain"),
         (lambda: power_convexity_transform(F_SHIFTED, 1.0, 0.0).value(1.0), DomainError,
-         "must be positive for the log branch"),
+         "values of 'x-2' leave the domain of generator 'power:0'"),
         (lambda: power_convexity_transform(F_SHIFTED, 1.0, 0.5).value(1.0), DomainError,
-         "must be nonnegative for fractional exponents"),
+         r"values of 'x-2' leave the domain of generator 'power:0\.5'"),
         (lambda: bccd_numeric(F_SQ_POS, stolarsky(2.0), ARITHMETIC, 1.0, 2.0, [0.5, 0.1]), UnsupportedWeights,
          "must both support weights"),
         (lambda: lehmer_bregman(F_SHIFTED, 0.0, 1.0, 1.0, 3.0), DomainError, "requires positive generator values"),

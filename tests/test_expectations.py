@@ -6,7 +6,8 @@ import pytest
 from cdt.bhattacharyya import DensityModel, DiscreteDist, histogram_density
 from cdt.errors import DomainError, KindMismatch
 from cdt.expectations import qa_expected_value, qa_mean
-from cdt.generators import IDENTITY, LOG, RECIPROCAL, power_generator
+from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, power_generator
+from cdt.means import quasi_arithmetic, weighted_mean
 from cdt.quadrature import integrate
 
 
@@ -79,6 +80,30 @@ class TestQaExpectedValue:
             w = rng.dirichlet(np.ones(5))
             d = DiscreteDist(tuple(w), values=xs)
             assert qa_expected_value(LOG, d) <= qa_expected_value(IDENTITY, d) + 1e-12
+
+    @pytest.mark.parametrize("gen", [LOG, RECIPROCAL, EXP, IDENTITY])
+    def test_a_grid_gives_the_weighted_mean_bit_for_bit(self, gen):
+        rng = np.random.default_rng(2111)
+        for _ in range(100):
+            n = int(rng.integers(2, 401))
+            xs, w = rng.uniform(0.1, 10.0, n), rng.dirichlet(np.ones(n))
+            d = DiscreteDist(tuple(w), values=tuple(xs))
+            assert qa_expected_value(gen, d).hex() == weighted_mean(quasi_arithmetic(gen), xs, w).hex()
+
+    def test_an_unnormalized_grid_gives_the_inverse_of_its_moment(self):
+        # f^{-1}(sum w f(x)) at total mass 0.6, which no mean of the grid gives
+        d = DiscreteDist((0.3, 0.3), values=(1.0, 4.0), normalized=False)
+        assert qa_expected_value(LOG, d) == pytest.approx(4.0**0.3, rel=1e-14)
+        assert qa_expected_value(power_generator(2), d) == pytest.approx(math.sqrt(5.1), rel=1e-14)
+        assert qa_expected_value(RECIPROCAL, d) == pytest.approx(1.0 / 0.375, rel=1e-14)
+
+    def test_an_overflowing_moment_is_refused_as_by_weighted_mean(self):
+        # exp(1000) overflows: the expected value, about 999.31, has no finite
+        # f-moment, so it is refused rather than clamped to the grid's end
+        d = DiscreteDist((0.5, 0.5), values=(1.0, 1000.0))
+        for call in (lambda: qa_expected_value(EXP, d), lambda: weighted_mean(quasi_arithmetic(EXP), d.values, d.masses)):
+            with pytest.raises(DomainError, match="qa:exp mean is not finite"):
+                call()
 
     def test_requires_value_grid(self):
         with pytest.raises(DomainError):
