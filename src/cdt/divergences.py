@@ -52,7 +52,7 @@ from .errors import (
     require_seed,
 )
 from .generators import Generator, _first, _outside, _raw
-from .means import WEIGHT_SUM_TOL, MeanSpec, _checked_means, lehmer
+from .means import WEIGHT_SUM_TOL, MeanSpec, _checked_means, lehmer, quasi_arithmetic
 
 #: Values in [-ZERO_FLOOR, 0) are clamped to 0: floating-point cancellation
 #: near p = q, not a convexity violation.
@@ -456,8 +456,7 @@ def jensen_bregman(spec: QabdSpec, p: float, q: float) -> float:
     (B(p : m) + B(q : m)) / 2 with m = M_rho(p, q).  Coincides with the
     plain Jensen divergence J(F, M_rho, A) when tau is the identity.
     """
-    m = spec.rho.inv(0.5 * (spec.rho.value(p) + spec.rho.value(q)))
-    m = min(max(m, min(p, q)), max(p, q))
+    m = float(_checked_means(quasi_arithmetic(spec.rho), (p, q), (0.5, 0.5)))
     return 0.5 * (float(qabd(spec, p, m)) + float(qabd(spec, q, m)))
 
 

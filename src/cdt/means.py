@@ -37,13 +37,36 @@ from .errors import (
     require_seed,
 )
 from .generators import IDENTITY, LOG, RECIPROCAL, Generator, Interval, get_generator, power_generator
-from .generators import _apply, _check_inside, _first, _invert_monotone, _monotone_direction
+from .generators import _apply, _check_inside, _checked, _first, _invert_monotone, _monotone_direction
+from .quadrature import _WG, _WK, _XK
 
 WEIGHT_SUM_TOL = 1e-9
 
-#: Relative argument gap below which Lagrange/Cauchy/Stolarsky means return the
-#: midpoint (removable singularity, first-order accurate).
+#: Relative argument gap |p - q| / max(1, |p|) below which Lagrange, Cauchy
+#: and Stolarsky means return the midpoint: the removable singularity, where
+#: the midpoint is off by O(gap^2), within 1.8e-19 of a 50-digit oracle at
+#: p = 3 for the 14 generator pairs of the solver pins.  At a one-ulp gap a
+#: Lagrange or Cauchy solve would find f'/g' flat on its scan.
 NEAR_EQUAL_REL = 1e-9
+
+#: Relative gap |p - q| / min(|p|, |q|) from which Lagrange and Cauchy means
+#: take their divided differences as quotients in any case.  At p = 3, over
+#: the same 14 pairs, quotients were within 3.6e-15 to 6.8e-15 of the oracle
+#: at gaps from 3e-2 to 0.16 (1.5e-14 at 2e-2), and K15 means within 5.9e-16
+#: at 40 gaps from 1.01e-9 to 0.124.  The solver pins' closest far pair, at
+#: 1/6, keeps its quotient bit for bit.
+_QUOTIENT_REL = 0.125
+
+#: |K15 - G7| relative to K15 up to which a closer pair takes the K15 mean of
+#: each derivative (see ``_k15_mean``); past it the derivative varies too
+#: much over [p, q] for 15 points, and the pair keeps its quotient.  Exp
+#: varies on an absolute scale: on (400, 449.6) K15 was 4.8e-6 off, G7 8e-2
+#: from it.  Over log, exp, reciprocal and powers from -30 to 40, at |p|
+#: from 0.01 to 400 and gaps from 1e-9 to 0.124 (1008 brackets), rounding
+#: alone gave distances up to 2.9e-15 (exp at 400), K15 went past 1e-14
+#: only from a distance of 4.3e-4 up, and the quotient was within 1.5e-16
+#: wherever the distance passed 1e-10.
+_K15_REL = 1e-10
 
 _GENERATOR = "generator name"  # a field read as a generator; any other is a float
 
@@ -176,6 +199,18 @@ def _wsum(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _k15_mean(fun, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The K15 sum of the mean of fun over [a, b] and its distance from the
+    G7 sum on every other node, elementwise over arrays of brackets, in one
+    call of fun on 15 points per bracket and summed as ``_wsum`` sums.  The
+    mean of f' is the divided difference (f(b) - f(a)) / (b - a), which
+    this form gives without cancellation for nearly equal a and b, while
+    the distance stays small against it (see ``_K15_REL``)."""
+    Y = fun(a + np.multiply.outer(0.5 + 0.5 * _XK, b - a))
+    kronrod = _wsum(_WK, Y)
+    return 0.5 * kronrod, 0.5 * np.abs(kronrod - _wsum(_WG, Y[1::2]))
+
+
 #: Terms below which ``_exact_sum`` hands its array to ``math.fsum``: at
 #: about this many, fsum's list costs as much as the two extraction passes.
 _EXACT_SUM_MIN = 240
@@ -288,9 +323,16 @@ def _generator_means(gen: Generator, X: np.ndarray, W: np.ndarray) -> np.ndarray
 
 
 def _mean_value_means(spec: MeanSpec, X: np.ndarray) -> np.ndarray:
-    """Lagrange and Cauchy means (f'/g')^{-1}((f(q) - f(p)) / (g(q) - g(p)))
-    of the columns (p, q) of X, solved in one bisection over all columns;
-    nearly equal arguments give their midpoint."""
+    """Lagrange and Cauchy means (f'/g')^{-1}(f[p, q] / g[p, q]) of the
+    columns (p, q) of X, solved in one bisection over all columns.
+
+    Nearly equal arguments (``NEAR_EQUAL_REL``) give their midpoint.  Up to
+    ``_QUOTIENT_REL`` each divided difference f[p, q] is the K15 mean of f'
+    over [p, q], which does not cancel as (f(q) - f(p)) / (q - p) does,
+    wherever both K15 means pass their G7 check (``_K15_REL``); the solve
+    is then for the bracket fraction theta of xi = a + theta (b - a), so
+    that its tolerance is relative to the gap, not to xi.  Other pairs take
+    the quotients and solve for xi."""
     f, g = spec.generator, spec.generator2 or IDENTITY
     FX, GX = f.value(X), g.value(X)
     p, q = X
@@ -299,13 +341,29 @@ def _mean_value_means(spec: MeanSpec, X: np.ndarray) -> np.ndarray:
     if far.any():
         a, b = np.minimum(p, q)[far], np.maximum(p, q)[far]
         ratio = lambda x: f.deriv(x) / g.deriv(x)
-        direction, scan = _monotone_direction(ratio, a, b)
+        target = ((FX[1] - FX[0]) / (GX[1] - GX[0]))[far]
+        # Close pairs take K15 means where both pass their G7 check, and
+        # solve for the bracket fraction y = (x - a) / (b - a); the rest
+        # keep the quotients and solve for x itself (c = 0, s = 1: bit for
+        # bit x).
+        close = b - a < _QUOTIENT_REL * np.minimum(np.abs(a), np.abs(b))
+        if close.any():
+            ac, bc = a[close], b[close]
+            (tf, ef), (tg, eg) = _k15_mean(f.deriv, ac, bc), _k15_mean(g.deriv, ac, bc)
+            exact = (ef <= _K15_REL * np.abs(tf)) & (eg <= _K15_REL * np.abs(tg))
+            close[close] = exact
+            target[close] = (tf / tg)[exact]
+        c, s = np.where(close, a, 0.0), np.where(close, b - a, 1.0)
+        lo, hi = np.where(close, 0.0, a), np.where(close, 1.0, b)
+        direction, scan = _monotone_direction(lambda y: ratio(c + s * y), lo, hi)
         flat = direction == 0
         if flat.any():
             error = NonInvertibleRatio if spec.family == "cauchy" else NonInvertibleDerivative
             raise error(f"{f.id}'/{g.id}' is not monotone on [{_first(a, flat)!r}, {_first(b, flat)!r}]")
-        target = ((FX[1] - FX[0]) / (GX[1] - GX[0]))[far]
-        out[far] = _invert_monotone(ratio, target, a, b, 1e-14, scan)
+        # The solve checks each value on the side of x, so that a NaN is
+        # named by its argument, not by its bracket fraction.
+        fun = lambda y: _checked(x := c + s * y, ratio(x))
+        out[far] = c + s * _invert_monotone(fun, target, lo, hi, 1e-14, scan)
     return out
 
 

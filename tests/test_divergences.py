@@ -34,7 +34,7 @@ from cdt.errors import (
     WeightError,
 )
 from cdt.generators import IDENTITY, LOG, RECIPROCAL, Interval, power_generator
-from cdt.means import ARITHMETIC, GEOMETRIC, HARMONIC, lehmer, stolarsky
+from cdt.means import ARITHMETIC, GEOMETRIC, HARMONIC, lehmer, mean_value, quasi_arithmetic, stolarsky
 
 F_SQ = function_model("x^2", Interval(-25.0, 25.0), lambda x: np.asarray(x, float) ** 2, lambda x: 2.0 * x)
 F_SQ_POS = function_model("x^2", Interval(0.1, 25.0), lambda x: np.asarray(x, float) ** 2, lambda x: 2.0 * x)
@@ -402,6 +402,13 @@ class TestJensenBregman:
         plain = float(jccd(F_EXP, ARITHMETIC, ARITHMETIC, 1.0, 3.0))
         assert abs(jb) <= 1e-12
         assert plain > 0.1
+
+    @pytest.mark.parametrize("rho", [LOG, RECIPROCAL, power_generator(0.5)], ids=lambda g: g.id)
+    def test_midpoint_is_the_mean_kernels(self, rho):
+        spec = QabdSpec(F_SQ_POS, rho, IDENTITY)
+        for p, q in np.random.default_rng(3).uniform(0.2, 5.0, (40, 2)).tolist():
+            m = mean_value(quasi_arithmetic(rho), p, q)
+            assert jensen_bregman(spec, p, q) == 0.5 * (float(qabd(spec, p, m)) + float(qabd(spec, q, m)))
 
 
 class TestSeparable:

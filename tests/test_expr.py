@@ -1,11 +1,11 @@
 import math
-import operator
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import oracle
 
 from cdt import convexity, generators
 from cdt.centroids import bregman_centroid
@@ -25,10 +25,6 @@ from cdt.expr import (
 from cdt.expr import _compile
 from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, Interval, _invert_monotone, get_generator
 from cdt.quadrature import _Pointwise
-
-mp = mpmath.mp.clone()
-mp.dps = 50
-
 
 class TestParsing:
     def test_power_node(self):
@@ -213,23 +209,6 @@ class TestExpressionModel:
             gen.deriv(0.0)
 
 
-MP_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-             "^": operator.pow}
-
-
-def _mp_eval(node, x):
-    """The AST evaluated in mpmath."""
-    if isinstance(node, Num):
-        return mp.mpf(node.value)
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -_mp_eval(node.child, x)
-    if isinstance(node, Call):
-        return {"exp": mp.exp, "log": mp.log, "sqrt": mp.sqrt, "abs": abs}[node.fn](_mp_eval(node.arg, x))
-    return MP_BINARY[node.op](_mp_eval(node.left, x), _mp_eval(node.right, x))
-
-
 #: (expression, domain): one case per rule of differentiation
 RULES = [
     ("3", (-2.0, 2.0)),  # constant
@@ -255,12 +234,12 @@ RULES = [
 
 @pytest.mark.parametrize("text,domain", RULES, ids=[t for t, _ in RULES])
 def test_derivative_rules_match_mpmath(text, domain):
-    F, node = expression_model(text, domain), parse_expression(text)
+    F, exact = expression_model(text, domain), oracle.expression(text)
     assert not isinstance(F.eval, _Pointwise) and not isinstance(F.derivative, _Pointwise)
     xs = np.linspace(*domain, 11)[1:-1]
     got = F.deriv(xs)
     for x, d in zip(xs, got):
-        want = mp.diff(lambda v: _mp_eval(node, v), mp.mpf(float(x)))
+        want = oracle.mp.diff(exact, oracle.mp.mpf(float(x)))
         assert abs(d - want) <= 1e-13 * abs(want)
 
 

@@ -1,0 +1,52 @@
+"""The 50-digit oracle against closed forms it does not compute through.
+
+Every other accuracy test compares with ``tests/oracle.py``, so an error in
+the oracle itself (a wrong root bracket, a wrong AST rule) would shift them
+all at once.  Each check here holds to 1e-40.
+"""
+
+import pytest
+
+import oracle
+from oracle import mp, rel_error
+
+PAIRS = [(1.5, 7.0), (9.0, 0.25), (3.0, 3.0 * (1.0 + 1e-6))]
+
+
+@pytest.mark.parametrize("p,q", PAIRS)
+def test_lagrange_mean_of_log_is_the_logarithmic_mean(p, q):
+    P, Q = mp.mpf(p), mp.mpf(q)
+    assert rel_error(oracle.cauchy("log", "identity", p, q), (Q - P) / mp.log(Q / P)) < 1e-40
+
+
+@pytest.mark.parametrize("p,q", PAIRS)
+def test_lagrange_mean_of_the_square_is_the_midpoint(p, q):
+    assert rel_error(oracle.cauchy("power:2", "identity", p, q), (mp.mpf(p) + q) / 2) < 1e-40
+
+
+@pytest.mark.parametrize("p,q", [(400.0, 449.0), (-449.0, -400.0)])
+def test_lagrange_mean_of_exp_is_the_log_of_its_divided_difference(p, q):
+    P, Q = mp.mpf(p), mp.mpf(q)
+    assert rel_error(oracle.cauchy("exp", "identity", p, q), mp.log((mp.exp(Q) - mp.exp(P)) / (Q - P))) < 1e-40
+
+
+@pytest.mark.parametrize("p,q", PAIRS)
+def test_stolarsky_mean_of_order_2_is_the_midpoint(p, q):
+    assert rel_error(oracle.stolarsky(2, p, q), (mp.mpf(p) + q) / 2) < 1e-40
+
+
+def test_gini_1_0_is_the_weighted_arithmetic_mean():
+    x = [mp.mpf(v) for v in (0.1, 2.5, 7.0, 40.0)]
+    w = [mp.mpf(v) / 10 for v in (1, 2, 3, 4)]
+    assert rel_error(oracle.gini(1, 0)(x, w), mp.fsum(wi * xi for xi, wi in zip(x, w))) < 1e-40
+
+
+@pytest.mark.parametrize("p,q", PAIRS)
+def test_qabd_of_the_square_is_the_squared_gap(p, q):
+    assert rel_error(oracle.qabd("x^2", "identity", "identity", p, q), (mp.mpf(p) - q) ** 2) < 1e-40
+
+
+@pytest.mark.parametrize("x", [0.1, 1.0, 4.75])
+def test_expression_follows_its_ast(x):
+    X = mp.mpf(x)
+    assert rel_error(oracle.expression("x^2+exp(x)")(X), X**2 + mp.exp(X)) < 1e-40

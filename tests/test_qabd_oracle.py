@@ -1,38 +1,23 @@
 """The quasi-arithmetic Bregman divergence against a 50-digit oracle.
 
 B(p:q) = (tau(F(p)) - tau(F(q))) / tau'(F(q)) - ((rho(p) - rho(q)) / rho'(q)) F'(q)
-is evaluated in mpmath on the exact float inputs, and ``qabd`` and
-``qabd_conformal`` must match it closely.  The closed form needs F'(q), so
+is evaluated by the 50-digit oracle on the exact float inputs, and ``qabd``
+and ``qabd_conformal`` must match it closely.  The closed form needs F'(q), so
 this pins the exactness of the expression derivative: a finite-difference
 F' misses the oracle by 1e-11 to 1e-8 here.
 """
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracle
+from oracle import rel_error
+
 from cdt.divergences import QabdSpec, qabd, qabd_conformal
 from cdt.expr import expression_model
 from cdt.generators import get_generator
-
-mp = mpmath.mp.clone()
-mp.dps = 50
-
-#: mpmath forms of the expressions and generators below
-MP_F = {
-    "x^2": lambda x: x**2,
-    "exp(x)": mp.exp,
-    "exp(x^2)": lambda x: mp.exp(x**2),
-    "x^2+exp(x)": lambda x: x**2 + mp.exp(x),
-}
-MP_GEN = {
-    "identity": lambda x: x,
-    "log": mp.log,
-    "power:2": lambda x: x**2,
-    "power:3": lambda x: x**3,
-}
 
 #: (F, domain, rho, tau): the four triples of the clustering benchmark, and
 #: one expression that is not a built-in form
@@ -51,32 +36,19 @@ IDS = [f"{t}|{r},{u}" for t, _, r, u in TRIPLES]
 GAPS = [1.0, 0.1, 0.01]
 
 
-def oracle(case: int, p: float, q: float):
-    text, _, rho_name, tau_name = TRIPLES[case]
-    F, rho, tau = MP_F[text], MP_GEN[rho_name], MP_GEN[tau_name]
-    p, q = mp.mpf(p), mp.mpf(q)
-    fq = F(q)
-    return (tau(F(p)) - tau(fq)) / mp.diff(tau, fq) - (rho(p) - rho(q)) / mp.diff(rho, q) * mp.diff(F, q)
-
-
-def rel_error(got: float, want) -> float:
-    return float(abs((mp.mpf(got) - want) / want))
-
-
 @pytest.mark.parametrize("gap", GAPS)
 @pytest.mark.parametrize("case", range(len(TRIPLES)), ids=IDS)
 def test_qabd_matches_oracle(case, gap):
-    p, q = 1.0 + gap, 1.0
-    want = oracle(case, p, q)
-    assert rel_error(qabd(SPECS[case], p, q).value, want) < 1e-12
+    (text, _, rho, tau), p, q = TRIPLES[case], 1.0 + gap, 1.0
+    assert rel_error(qabd(SPECS[case], p, q).value, oracle.qabd(text, rho, tau, p, q)) < 1e-12
 
 
 @pytest.mark.parametrize("gap", GAPS)
 @pytest.mark.parametrize("case", range(len(TRIPLES)), ids=IDS)
 def test_qabd_conformal_matches_oracle(case, gap):
-    p, q = 1.0 + gap, 1.0
+    (text, _, rho, tau), p, q = TRIPLES[case], 1.0 + gap, 1.0
     factor, base = qabd_conformal(SPECS[case], p, q)
-    assert rel_error(factor * base, oracle(case, p, q)) < 1e-12
+    assert rel_error(factor * base, oracle.qabd(text, rho, tau, p, q)) < 1e-12
 
 
 @settings(deadline=None, max_examples=60)

@@ -4,11 +4,13 @@ import math
 import re
 import tracemalloc
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import oracle
+from oracle import mp
 
 from cdt import bhattacharyya, expectations
 from cdt.bhattacharyya import (
@@ -144,10 +146,9 @@ def test_kronrod_pair_constants():
     def moment_error(nodes, weights, k):
         return abs(mp.fsum(mp.mpf(wi) * mp.mpf(xi) ** k for xi, wi in zip(nodes, weights)) - mp.mpf(2) / (k + 1))
 
-    with mp.workdps(40):
-        assert max(moment_error(_XK, _WK, k) for k in range(0, 23, 2)) < 1e-15
-        assert max(moment_error(_XK[1::2], _WG, k) for k in range(0, 14, 2)) < 1e-15
-        assert moment_error(_XK, _WK, 24) > 1e-12 and moment_error(_XK[1::2], _WG, 14) > 1e-6
+    assert max(moment_error(_XK, _WK, k) for k in range(0, 23, 2)) < 1e-15
+    assert max(moment_error(_XK[1::2], _WG, k) for k in range(0, 14, 2)) < 1e-15
+    assert moment_error(_XK, _WK, 24) > 1e-12 and moment_error(_XK[1::2], _WG, 14) > 1e-6
 
 
 # ------------------------------------------- batched core against per panel
@@ -270,11 +271,6 @@ def test_cauchy_closed_form_false_convergence(s1, s2, alpha):
 # ------------------------------------------------------- 50-digit oracles
 
 
-def _mp_cauchy(s):
-    s = mp.mpf(s)
-    return lambda x: s / (mp.pi * (x * x + s * s))
-
-
 def test_cauchy_geometric_coefficient_matches_mpmath():
     # The integral over the merged truncation [-L, L] that the coefficient
     # approximates, split where the density's ladder splits it.
@@ -282,10 +278,9 @@ def test_cauchy_geometric_coefficient_matches_mpmath():
     p, q = cauchy_density(s1), cauchy_density(s2)
     got = bhat_coefficient(GEOMETRIC, alpha, p, q)
     lo, hi, _, brk = _merged_quadrature(p, q)
-    with mp.workdps(50):
-        f, g = _mp_cauchy(s1), _mp_cauchy(s2)
-        want = mp.quad(lambda x: f(x) ** (1 - alpha) * g(x) ** alpha, [lo, *np.unique(brk).tolist(), hi])
-        assert abs(got - want) <= 1e-14
+    f, g = oracle.cauchy_density(s1), oracle.cauchy_density(s2)
+    want = mp.quad(lambda x: f(x) ** (1 - alpha) * g(x) ** alpha, [lo, *np.unique(brk).tolist(), hi])
+    assert abs(got - want) <= 1e-14
 
 
 def test_log_expected_value_of_a_histogram_matches_mpmath():
@@ -293,10 +288,9 @@ def test_log_expected_value_of_a_histogram_matches_mpmath():
     masses = np.random.default_rng(7).gamma(2.0, 1.0, 40)
     masses /= masses.sum()
     got = qa_expected_value(LOG, histogram_density(edges, masses))
-    with mp.workdps(50):
-        bins = zip(masses.tolist(), edges[:-1].tolist(), edges[1:].tolist())
-        want = mp.exp(mp.fsum(m / (mp.mpf(b) - a) * mp.quad(mp.log, [a, b]) for m, a, b in bins))
-        assert abs(got - want) <= 1e-14 * want
+    bins = zip(masses.tolist(), edges[:-1].tolist(), edges[1:].tolist())
+    want = mp.exp(mp.fsum(m / (mp.mpf(b) - a) * mp.quad(mp.log, [a, b]) for m, a, b in bins))
+    assert abs(got - want) <= 1e-14 * want
 
 
 # ------------------------------------------------------------- validation

@@ -6,11 +6,12 @@ values below were recorded when each of these callers still ran its own
 bisection loop; the shared solver must reproduce them bit for bit.
 """
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracle import mp, rel_error
 
 from cdt.centroids import bregman_centroid, kmeans_cluster
 from cdt.divergences import QabdSpec, WeightedSet
@@ -103,19 +104,15 @@ def test_exp_x2_centroids_match_oracle():
     case = 2
     spec, pts, w = _cluster_case(case)
 
-    def oracle(points, weights):
-        wp = [mpmath.mpf(wi) * mpmath.exp(mpmath.mpf(p) ** 2) for p, wi in zip(points, weights)]
-        return mpmath.fsum(wi * p for wi, p in zip(wp, points)) / mpmath.fsum(wp)
+    def centroid(points, weights):
+        wp = [mp.mpf(wi) * mp.exp(mp.mpf(p) ** 2) for p, wi in zip(points, weights)]
+        return mp.fsum(wi * p for wi, p in zip(wp, points)) / mp.fsum(wp)
 
-    def rel_error(got, want):
-        return float(abs((got - want) / want))
-
-    with mpmath.workdps(50):
-        assert rel_error(bregman_centroid(spec, WeightedSet(pts, w)), oracle(pts, w)) < 1e-12
-        cl = kmeans_cluster(spec, WeightedSet.uniform(pts), 3, seed=case)
-        for j, c in enumerate(cl.centers):
-            members = [p for p, a in zip(pts, cl.assignments) if a == j]
-            assert rel_error(c, oracle(members, [1.0] * len(members))) < 1e-12
+    assert rel_error(bregman_centroid(spec, WeightedSet(pts, w)), centroid(pts, w)) < 1e-12
+    cl = kmeans_cluster(spec, WeightedSet.uniform(pts), 3, seed=case)
+    for j, c in enumerate(cl.centers):
+        members = [p for p, a in zip(pts, cl.assignments) if a == j]
+        assert rel_error(c, centroid(members, [1.0] * len(members))) < 1e-12
 
 
 @settings(deadline=None, max_examples=80)
