@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import DomainError, OrderError, ParamError, require_int, require_seed
 from .generators import (
-    Generator, Interval, _apply, _first, _floats, _fused, _image, _wrap_callables, finite_difference, power_generator
+    Generator, Interval, _apply, _first, _floats, _fused, _image, _memoize, _wrap_callables, finite_difference,
+    power_generator,
 )
 
 #: Default number of grid points for convexity scans, and the number of
@@ -118,6 +119,7 @@ def _pullback(rho: Generator, u, dom: Interval) -> np.ndarray:
     return nudged
 
 
+@_memoize
 def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionModel:
     """Reduce F to the ordinary-convexity candidate G(u) = tau(F(rho^{-1}(u))).
 
@@ -137,6 +139,11 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
     The mask restates the checks of ``Generator.inv``/``deriv`` and
     ``FunctionModel.value``/``deriv``: a check added to one of those must
     be added to ``raw_gprime``'s mask too, or the raw chain skips it.
+
+    Reductions are memoized per (F, rho, tau), up to 512 entries, so a
+    repeat call returns the same object; models that do not hash are
+    reduced on each call.  A callable's state is taken as fixed: after
+    mutating one, build a new model.
     """
     dom = F.domain.intersect(rho.domain)
     a, b = dom.finite_window()
@@ -198,11 +205,21 @@ def is_mn_convex(
     is above CONVEXITY_RTOL, otherwise AFFINE.  A non-integer ``grid``, or
     one of fewer than 3 points (no second difference), raises ParamError, as
     does a seed that is not a nonnegative integer.
+
+    Reports are memoized per (F, rho, tau, grid, seed), up to 512 entries;
+    models that do not hash are certified on each call.  A callable's state
+    is taken as fixed, so one mutated after certification keeps its cached
+    report: build a new model instead.
     """
     require_int(grid, "grid")
     if grid < 3:
         raise ParamError(f"grid={grid!r}: a convexity scan needs at least 3 points")
     require_seed(seed)
+    return _is_mn_convex_cached(F, rho, tau, grid, seed)
+
+
+@_memoize
+def _is_mn_convex_cached(F: FunctionModel, rho: Generator, tau: Generator, grid: int, seed: int) -> ConvexityReport:
     dom = F.domain.intersect(rho.domain)
     xs = dom.sample_grid(grid)
     fvals = F.value(xs)

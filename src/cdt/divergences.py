@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +50,7 @@ from .errors import (
     require_int,
     require_seed,
 )
-from .generators import Generator, _first, _outside, _raw
+from .generators import Generator, _first, _memoize, _outside, _raw
 from .means import WEIGHT_SUM_TOL, MeanSpec, _checked_means, lehmer, quasi_arithmetic
 
 #: Values in [-ZERO_FLOOR, 0) are clamped to 0: floating-point cancellation
@@ -144,10 +143,12 @@ def midpoint_verdict(
     above CONVEXITY_RTOL, otherwise AFFINE.
     The witness is (p, q, gap) with the unnormalized gap.
 
-    Verdicts are deterministic in their arguments and cached.  F and each
-    mean are evaluated once over all samples; a ``samples`` that is not an
-    integer or is below one, a seed that is not a nonnegative integer, or a
-    window too wide for a float, raises ParamError.
+    Verdicts are deterministic in their arguments and memoized per
+    (F, M, N, samples, seed), up to 512 entries; models that do not hash are
+    certified on each call.  F and each mean are evaluated once over all
+    samples; a ``samples`` that is not an integer or is below one, a seed
+    that is not a nonnegative integer, or a window too wide for a float,
+    raises ParamError.
     """
     require_int(samples, "samples")
     if samples < 1:
@@ -156,7 +157,7 @@ def midpoint_verdict(
     return _midpoint_verdict_cached(F, M, N, samples, seed)
 
 
-@lru_cache(maxsize=512)
+@_memoize
 def _midpoint_verdict_cached(
     F: FunctionModel, M: MeanSpec, N: MeanSpec, samples: int, seed: int
 ) -> ConvexityReport:
@@ -280,7 +281,12 @@ class QabdSpec:
 
     Construction re-checks (M_rho, M_tau)-convexity of F; a NOT_CONVEX
     verdict raises, an AFFINE verdict warns (the divergence is identically
-    zero, which only forfeits the law of the indiscernible).
+    zero, which only forfeits the law of the indiscernible), on every
+    construction.  The reduction and the ``is_mn_convex`` report behind
+    these checks are memoized per (F, rho, tau), up to 512 entries, so a
+    repeat spec does not evaluate F again; models that do not hash are certified
+    on each construction.  A callable's state is taken as fixed: after
+    mutating one, build a new model.
     """
 
     F: FunctionModel

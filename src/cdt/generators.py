@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
@@ -33,6 +33,32 @@ ROUNDTRIP_RTOL = 1e-10
 
 #: The exceptions by which a callable says it is undefined at a point.
 UNDEFINED = (ArithmeticError, ValueError)
+
+#: Entries each memo keeps, the least recently used going first.
+MEMO_SIZE = 512
+
+
+def _memoize(fn: Callable) -> Callable:
+    """fn memoized per argument tuple, up to MEMO_SIZE entries, for the pure
+    functions of model objects: reductions, certificates and generators.
+
+    Arguments that do not hash (a model holding a mutable dataclass, say)
+    are computed on each call, so the memo itself never raises TypeError.
+    A callable's state is taken as fixed: one mutated after a call keeps
+    that call's result.  ``cache_info`` and ``__wrapped__`` (fn) are kept.
+    """
+    cached = lru_cache(maxsize=MEMO_SIZE)(fn)
+
+    @wraps(fn)
+    def memo(*args, **kwargs):
+        try:
+            hash((args, *kwargs.values()))
+        except TypeError:
+            return fn(*args, **kwargs)
+        return cached(*args, **kwargs)
+
+    memo.cache_info = cached.cache_info
+    return memo
 
 
 @dataclass(frozen=True)
@@ -516,7 +542,7 @@ def power_generator(delta: float) -> Generator:
     return _power_generator_cached(float(delta))
 
 
-@lru_cache(maxsize=256)
+@_memoize
 def _power_generator_cached(delta: float) -> Generator:
     if delta == 0.0:
         return replace(LOG, id="power:0")

@@ -4,7 +4,8 @@
 access.  A bare ``import cdt`` loads no layer module, and a ``cdt`` process
 loads only the layers of its subcommand: the benchmark's CLI processes
 compile every module they import, so each module left out is start-up time
-saved.  The module sets are taken in fresh interpreters.
+saved.  The memo of reductions and certificates adds no module to any of
+them.  The module sets are taken in fresh interpreters.
 """
 
 import importlib
@@ -114,6 +115,11 @@ SUBCOMMANDS = [
     ("cluster", ["cluster", "--F", "x^2", "--data", "pts.csv", "--k", "2"], 0, ("centroids", "expr")),
 ]
 
+#: The one module outside cdt that the memo of reductions and certificates
+#: (``generators._memoize``) imports.  The interpreter loads it before
+#: ``cdt``, so the memo adds no import to a subcommand's process.
+MEMO_IMPORTS = ["functools"]
+
 
 @pytest.mark.parametrize("argv, code, extra", [c[1:] for c in SUBCOMMANDS], ids=[c[0] for c in SUBCOMMANDS])
 def test_a_subcommand_loads_only_its_layers(tmp_path, argv, code, extra):
@@ -124,11 +130,14 @@ def test_a_subcommand_loads_only_its_layers(tmp_path, argv, code, extra):
     (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
     script = (
         "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
         "from cdt.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'cdt')]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'cdt'),\n"
+        f"                  sorted(set({MEMO_IMPORTS!r}) - before)]))\n"
     )
-    got_code, loaded = json.loads(run_fresh(script, *argv, cwd=tmp_path))
+    got_code, loaded, memo_added = json.loads(run_fresh(script, *argv, cwd=tmp_path))
     assert got_code == code
     assert set(loaded) == CORE | {f"cdt.{layer}" for layer in extra}
+    assert memo_added == []
