@@ -26,7 +26,7 @@ _LAYERS = {
         "power_convexity_transform", "relative_convexity_det", "to_ordinary",
     ),
     "divergences": (
-        "DivergenceValue", "QabdSpec", "WeightedSet", "bccd_numeric", "extended_skew_jensen", "jccd",
+        "DivergenceValue", "QabdSpec", "WeightedSet", "bccd_numeric", "bregman", "extended_skew_jensen", "jccd",
         "jensen_bregman", "jensen_diversity", "kappa", "lehmer_bregman", "midpoint_verdict",
         "omega_divergence", "qabd", "qabd_conformal", "separable_divergence", "skew_jccd",
     ),

@@ -1,23 +1,28 @@
 """Generalized Jensen and Bregman divergences under comparative convexity.
 
-The central closed form is the quasi-arithmetic Bregman divergence for a
-(M_rho, M_tau)-convex generator F:
+The generalized Bregman divergence of an (M, N)-convex generator F is the
+one-sided limit of skew Jensen divergences scaled by 1/(alpha(1-alpha)):
+
+    B(p:q) = T_N(F(q):F(p)) - F'(q) T_M(q:p),
+
+with T_M(x:y) = d/dbeta M((x, y); (1 - beta, beta)) at beta = 0 the tangent
+of a weighted mean at its x end (``bregman``; every tangent is ``_tangent``).
+For quasi-arithmetic means M_rho and M_tau it is the closed form
 
     B(p:q) = (tau(F(p)) - tau(F(q))) / tau'(F(q))
              - ((rho(p) - rho(q)) / rho'(q)) * F'(q)
 
-obtained as the one-sided limit of skew Jensen divergences scaled by
-1/(alpha(1-alpha)).  It factors as a conformal ordinary Bregman divergence
-in the rho-embedded space with positive factor 1/tau'(F(q)).
+of ``qabd``, which factors as a conformal ordinary Bregman divergence in the
+rho-embedded space with positive factor 1/tau'(F(q)).
 
 One helper computes both sides of every Jensen gap N(F(X); W) - F(M(X; W))
 here, certificate included.  A divergence is certified by the ``verdict``
 it is given, else by the default certificate at ``seed``; a caller who
 wants other sampling passes the verdict of a certificate that used it.
 
-Orientation conventions: ``qabd`` anchors its expansion at q (second
-argument); ``lehmer_bregman`` follows the Lehmer-mean expansion anchored at
-p (first argument).  Both are kept as-is, with no silent reconciliation.
+Orientation conventions: ``bregman`` and ``qabd`` anchor their expansion at
+q (second argument); ``lehmer_bregman`` keeps the Lehmer-mean expansion
+anchored at p (first argument), and is ``bregman`` with p and q swapped.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from .errors import (
     require_int,
     require_seed,
 )
-from .generators import Generator, _first, _memoize, _outside, _raw
+from .generators import Generator, Interval, _check_inside, _first, _memoize, _outside, _raw
 from .means import WEIGHT_SUM_TOL, MeanSpec, _checked_means, lehmer, quasi_arithmetic
 
 #: Values in [-ZERO_FLOOR, 0) are clamped to 0: floating-point cancellation
@@ -58,6 +63,8 @@ from .means import WEIGHT_SUM_TOL, MeanSpec, _checked_means, lehmer, quasi_arith
 ZERO_FLOOR = 1e-12
 
 _MIN_DERIVATIVE = 1e-300
+
+_POSITIVE = Interval(0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -265,14 +272,90 @@ def jensen_diversity(
     return float(_nonnegative(lhs - rhs))
 
 
+def _slope(M: MeanSpec, x, what: str, at):
+    """rho'(x) of a quasi-arithmetic mean M_rho, which its tangent at x
+    divides by, unless some |rho'(x)| underflows (DerivativeError naming
+    ``what`` at the matching element of ``at``); None for a Gini mean."""
+    if M.family != "quasi_arithmetic":
+        return None
+    return _nonvanishing(M.generator.deriv(x), what, at)
+
+
+def _tangent(M: MeanSpec, x, y, slope):
+    """The tangent T_M(x:y) = d/dbeta M((x, y); (1 - beta, beta)) at
+    beta = 0 of a weighted mean at its x end, elementwise over arrays.
+
+    A quasi-arithmetic mean M_rho gives kappa_rho(x:y) =
+    (rho(y) - rho(x)) / rho'(x), with ``slope`` its ``_slope`` at x.  A Gini
+    mean G_{r,s} (power, Lehmer and Gini means) gives
+    x (y/x)^s expm1((r - s) log(y/x)) / (r - s), exact as r -> s, and
+    x (y/x)^s log(y/x) at r = s, with log(y/x) taken as log1p((y - x)/x) for
+    close arguments; at (1, 0) it gives y - x, as the Gini kernel gives the
+    plain weighted sum there.  A Gini tangent takes arguments in (0, inf)
+    and raises DomainError where it is not finite.
+    """
+    if M.family == "quasi_arithmetic":
+        return (M.generator.value(y) - M.generator.value(x)) / slope
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    for v in (x, y):
+        _check_inside(v, _POSITIVE, f"the {M} mean")
+    r, s = M.gini_orders
+    if (r, s) == (1.0, 0.0):
+        return y - x
+    d = r - s
+    with np.errstate(all="ignore"):
+        L = np.log1p((y - x) / x)
+        out = x * np.power(y / x, s) * (L if d == 0.0 else np.expm1(d * L) / d)
+    if np.count_nonzero(bad := ~np.isfinite(out)):
+        raise DomainError(f"the tangent of the {M} mean is not finite at {_first(x, bad)!r}")
+    return out
+
+
 def kappa(gamma: Generator, x: float, y: float) -> float:
-    """Auxiliary function kappa_gamma(x:y) = (gamma(y) - gamma(x)) / gamma'(x).
+    """kappa_gamma(x:y) = (gamma(y) - gamma(x)) / gamma'(x), the tangent of
+    the quasi-arithmetic mean M_gamma at x.
 
     For the arithmetic generator this is y - x; for log, x*log(y/x); for the
-    power generator, (y^d - x^d) / (d x^(d-1)).
+    power generator, (y^d - x^d) / (d x^(d-1)).  With M = M_rho and
+    N = M_tau, kappa_tau(F(q):F(p)) - F'(q) kappa_rho(q:p) is
+    :func:`bregman` (and :func:`qabd`), the exact alpha -> 1 limit.
     """
-    d = _nonvanishing(gamma.deriv(x), f"derivative of generator {gamma.id!r}", x)
-    return (gamma.value(y) - gamma.value(x)) / d
+    M = quasi_arithmetic(gamma)
+    return _tangent(M, x, y, _slope(M, x, f"derivative of generator {gamma.id!r}", x))
+
+
+def _bregman_checked(F: FunctionModel, M: MeanSpec, N: MeanSpec, p, q):
+    """Unclamped B(p:q) = T_N(F(q):F(p)) - F'(q) T_M(q:p) from checked calls,
+    elementwise: the first bad element raises the typed error that names
+    it.  Both slopes are checked before either tangent is formed; with
+    M = M_rho and N = M_tau they are named tau'(F(q)) and rho'(q)."""
+    fp, fq = F.value(p), F.value(q)
+    sn, sm = _slope(N, fq, "tau'(F(q))", q), _slope(M, q, "rho'(q)", q)
+    return _tangent(N, fq, fp, sn) - _tangent(M, q, p, sm) * F.deriv(q)
+
+
+def bregman(
+    F: FunctionModel,
+    M: MeanSpec,
+    N: MeanSpec,
+    p: float,
+    q: float,
+    verdict: ConvexityReport | None = None,
+    seed: int = 0,
+) -> DivergenceValue:
+    """Generalized Bregman divergence B(p:q) = T_N(F(q):F(p)) - F'(q) T_M(q:p),
+    anchored at q, for any two means with weighted forms.
+
+    T_M is the tangent of M at its first argument (see ``_tangent``), so B
+    is the exact alpha -> 1 limit that :func:`bccd_numeric` approximates.
+    Under quasi-arithmetic means it is :func:`qabd` bit for bit.  Certified
+    and clamped as :func:`jccd`; a mean without weighted forms raises
+    UnsupportedWeights.
+    """
+    if not (M.supports_weights and N.supports_weights):
+        raise UnsupportedWeights(f"means {M} and {N} must both support weights")
+    _require_certified("bregman", verdict, F, M, N, seed)
+    return DivergenceValue.create(_bregman_checked(F, M, N, p, q), (p, q))
 
 
 @dataclass(frozen=True)
@@ -313,13 +396,9 @@ class QabdSpec:
 
 
 def _qabd_checked(spec: QabdSpec, p, q):
-    """Unclamped B(p:q) from checked calls: the first bad element raises the
-    typed error that names it."""
-    F, rho, tau = spec.F, spec.rho, spec.tau
-    fp, fq = F.value(p), F.value(q)
-    td = _nonvanishing(tau.deriv(fq), "tau'(F(q))", q)
-    rd = _nonvanishing(rho.deriv(q), "rho'(q)", q)
-    return (tau.value(fp) - tau.value(fq)) / td - ((rho.value(p) - rho.value(q)) / rd) * F.deriv(q)
+    """Unclamped B(p:q) from checked calls: ``bregman``'s kernel on
+    (M_rho, M_tau)."""
+    return _bregman_checked(spec.F, quasi_arithmetic(spec.rho), quasi_arithmetic(spec.tau), p, q)
 
 
 def _qabd_raw(spec: QabdSpec, p, q):
@@ -392,7 +471,7 @@ def bccd_numeric(
     For each a_i in the decreasing positive sequence, evaluates
     J_{F,alpha}(p:q) / (alpha(1-alpha)) at alpha = 1 - a_i.  The whole
     sequence is returned so callers can assert its decay; the last entry is
-    the limit estimate.
+    the limit estimate, and :func:`bregman` the exact limit.
     """
     seq = [float(a) for a in alpha_sequence]
     if not seq or not all(0.0 < a < 1.0 for a in seq):
@@ -426,10 +505,6 @@ def omega_divergence(
     return float(skew_jccd(F, M, N, alpha, p, q, verdict, seed)) / (1.0 - omega * omega)
 
 
-def _chi(delta: float, a: float, b: float) -> float:
-    return (b ** (1.0 + delta) - b**delta - a ** (1.0 + delta) + a**delta) / a**delta
-
-
 def lehmer_bregman(
     F: FunctionModel,
     delta: float,
@@ -440,10 +515,11 @@ def lehmer_bregman(
     seed: int = 0,
 ) -> float:
     """Bregman divergence from Lehmer-mean comparative convexity, anchored at p:
+    :func:`bregman` under (L_delta, L_delta2) at (q, p),
 
-    chi_{delta2}(F(p):F(q)) - chi_delta(p:q) * F'(p),
-    with chi_d(a:b) = (b^(1+d) - b^d - a^(1+d) + a^d) / a^d, clamped as
-    :func:`jccd`.
+    T_{delta2}(F(p):F(q)) - T_delta(p:q) * F'(p),
+    with T_d(a:b) = b^d (b - a) / a^d the tangent of the weighted Lehmer
+    mean L_d at a.  Clamped as :func:`jccd`.
     """
     p, q = float(p), float(q)
     if p <= 0.0 or q <= 0.0:
@@ -451,9 +527,7 @@ def lehmer_bregman(
     fp, fq = F.value(p), F.value(q)
     if fp <= 0.0 or fq <= 0.0:
         raise DomainError("lehmer_bregman requires positive generator values")
-    _require_certified("lehmer_bregman", verdict, F, lehmer(delta), lehmer(delta2), seed)
-    value = _chi(float(delta2), fp, fq) - _chi(float(delta), p, q) * F.deriv(p)
-    return float(_nonnegative(value))
+    return bregman(F, lehmer(delta), lehmer(delta2), q, p, verdict, seed).value
 
 
 def jensen_bregman(spec: QabdSpec, p: float, q: float) -> float:

@@ -63,12 +63,19 @@ def _memoize(fn: Callable) -> Callable:
 
 @dataclass(frozen=True)
 class Interval:
-    """Open real interval (lo, hi)."""
+    """Open real interval (lo, hi).  A zero end is stored as +0.0 at lo and
+    -0.0 at hi, the side the interval lies on, so that a callable evaluated
+    there (``_image``) takes its one-sided limit: -1/x is -inf at lo = 0.0
+    and inf at hi = -0.0, however the zero was written."""
 
     lo: float = -INF
     hi: float = INF
 
     def __post_init__(self) -> None:
+        if self.lo == 0.0:
+            object.__setattr__(self, "lo", 0.0)
+        if self.hi == 0.0:
+            object.__setattr__(self, "hi", -0.0)
         if not self.lo < self.hi:
             raise DomainError(f"empty interval ({self.lo}, {self.hi})")
 
@@ -536,8 +543,10 @@ def power_generator(delta: float) -> Generator:
     """Generator of the power mean P_delta on (0, inf).
 
     delta = 0 returns the geometric limit (log form).  For delta < 0 the
-    increasing representative -x**delta is used.  Instances are cached per
-    exponent, so equal exponents compare equal.
+    increasing representative -x**delta is used.  Instances are memoized for
+    up to MEMO_SIZE exponents, and generators compare by the identity of
+    their callables: two calls with one exponent give the same instance, so
+    equal generators, only while the first is still in the memo.
     """
     return _power_generator_cached(float(delta))
 

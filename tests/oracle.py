@@ -102,6 +102,15 @@ def qabd(F: str, rho: str, tau: str, p, q):
     return (t(F(p)) - t(F(q))) / dt(F(q)) - (r(p) - r(q)) / dr(q) * mp.diff(F, q)
 
 
+def bregman(F: str, M, N, p, q):
+    """B(p:q) = d/dbeta [N((F(q), F(p)); (1 - beta, beta)) - F(M((q, p); (1 - beta, beta)))]
+    at beta = 0+, by ``mp.diff`` on weights in [0, 1]: the alpha -> 1 limit
+    of the skew Jensen gap over alpha(1 - alpha), anchored at q."""
+    F, p, q = expression(F), mp.mpf(p), mp.mpf(q)
+    fp, fq = F(p), F(q)
+    return mp.diff(lambda b: N([fq, fp], [1 - b, b]) - F(M([q, p], [1 - b, b])), 0, direction=1)
+
+
 def jensen(F: str, M, N, p, q):
     """N(F(p), F(q)) - F(M(p, q)), M and N weighted means at weights 1/2."""
     F, half, p, q = expression(F), [mp.mpf(0.5)] * 2, mp.mpf(p), mp.mpf(q)

@@ -26,6 +26,7 @@ from cdt.divergences import (
     _nonnegative,
     _qabd_raw,
     bccd_numeric,
+    bregman,
     jccd,
     jensen_diversity,
     lehmer_bregman,
@@ -325,7 +326,7 @@ def test_malformed_settings_raise_param_error(call, message):
 
 
 def test_certificate_settings_that_no_caller_sets_are_gone():
-    for fn in (jccd, skew_jccd, jensen_diversity, bccd_numeric, omega_divergence, lehmer_bregman):
+    for fn in (jccd, skew_jccd, jensen_diversity, bccd_numeric, omega_divergence, lehmer_bregman, bregman):
         assert "samples" not in inspect.signature(fn).parameters, fn.__name__
         assert "seed" in inspect.signature(fn).parameters, fn.__name__
     assert "grid" not in {f.name for f in dataclasses.fields(QabdSpec)}

@@ -29,6 +29,7 @@ from cdt.divergences import (
     WeightedSet,
     _midpoint_verdict_cached,
     bccd_numeric,
+    bregman,
     jccd,
     jensen_diversity,
     lehmer_bregman,
@@ -232,6 +233,7 @@ UNHASHABLE_CALLS = {
     "skew_jccd": lambda F: skew_jccd(F, GEOMETRIC, ARITHMETIC, 0.3, 0.8, 2.0),
     "jensen_diversity": lambda F: jensen_diversity(F, ARITHMETIC, ARITHMETIC, PTS),
     "bccd_numeric": lambda F: bccd_numeric(F, ARITHMETIC, ARITHMETIC, 1.0, 2.5, (0.1, 0.01, 0.001)),
+    "bregman": lambda F: bregman(F, GEOMETRIC, ARITHMETIC, 1.0, 2.5),
     "lehmer_bregman": lambda F: lehmer_bregman(F, 0.0, 0.0, 1.0, 2.5),
     "midpoint_verdict": lambda F: midpoint_verdict(F, GEOMETRIC, ARITHMETIC),
     "is_mn_convex": lambda F: is_mn_convex(F, IDENTITY, LOG),

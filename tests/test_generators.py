@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cdt.convexity import FunctionModel
+from cdt.convexity import FunctionModel, function_model, to_ordinary
 from cdt.errors import DomainError, ParamError
-from cdt.generators import LOG, Generator, Interval, get_generator
+from cdt.generators import IDENTITY, LOG, RECIPROCAL, Generator, Interval, get_generator
 from cdt.generators import _POWER_DELTA_MIN, _invert_monotone, _monotone_direction, power_generator
 from cdt.means import mean_value, parse_mean, power, quasi_arithmetic, weighted_mean
 
@@ -164,6 +164,19 @@ class TestFiniteWindow:
     def test_an_empty_interval_is_refused(self):
         with pytest.raises(DomainError, match="empty interval"):
             Interval(2.0, 1.0)
+
+
+class TestZeroEnds:
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 0])
+    def test_a_zero_end_takes_the_sign_of_its_side(self, zero):
+        assert math.copysign(1.0, Interval(zero, 3.0).lo) == 1.0
+        assert math.copysign(1.0, Interval(-3.0, zero).hi) == -1.0
+        assert repr(Interval(zero, 3.0)) == "Interval(lo=0.0, hi=3.0)"
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_models_with_either_zero_end_reduce_alike(self, zero):
+        F = function_model("x", (zero, 3.0), lambda x: np.asarray(x, dtype=float), np.ones_like)
+        assert to_ordinary(F, RECIPROCAL, IDENTITY).domain == Interval(-INF, -1.0 / 3.0)
 
 
 #: The two hand-written constructions of a power generator, before one sign

@@ -15,7 +15,7 @@ from cdt.divergences import QabdSpec, jccd, midpoint_verdict, qabd
 from cdt.errors import ConvexityError, QuadratureFailure
 from cdt.expr import expression_model
 from cdt.generators import IDENTITY
-from cdt.means import ARITHMETIC, GEOMETRIC
+from cdt.means import ARITHMETIC, GEOMETRIC, gini, power
 from cdt.quadrature import integrate
 
 #: F of items 2 and 3, on (0.1, 5)
@@ -53,3 +53,12 @@ def test_item_3_certified_pair_raises_no_convexity_error():
                    reason="item 4: each subinterval's budget halves, so an infinite f' at an end never converges")
 def test_item_4_integral_of_sqrt_from_zero():
     assert rel_error(integrate(lambda x: x**0.5, 0.0, 1.0), mp.mpf(2) / 3) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="item 11: midpoint_verdict samples weight 1/2 only, and certifies x^2 under (P_2, G_{1/2,1/2}), "
+                          "whose Bregman divergence at (2, 1) is -0.2274")
+def test_item_11_a_certified_gini_pair_is_convex_at_every_weight():
+    M, N = power(2.0), gini(0.5, 0.5)
+    certified = midpoint_verdict(expression_model("x^2", (0.1, 5.0)), M, N).verdict is Verdict.CONVEX
+    assert not certified or oracle.bregman("x^2", oracle.gini(2, 0), oracle.gini(0.5, 0.5), 2.0, 1.0) >= 0

@@ -5,6 +5,9 @@ the oracle itself (a wrong root bracket, a wrong AST rule) would shift them
 all at once.  Each check here holds to 1e-40.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import oracle
@@ -46,7 +49,36 @@ def test_qabd_of_the_square_is_the_squared_gap(p, q):
     assert rel_error(oracle.qabd("x^2", "identity", "identity", p, q), (mp.mpf(p) - q) ** 2) < 1e-40
 
 
+@pytest.mark.parametrize("p,q", PAIRS)
+def test_bregman_of_the_square_under_arithmetic_means_is_the_squared_gap(p, q):
+    A = oracle.gini(1, 0)
+    assert rel_error(oracle.bregman("x^2", A, A, p, q), (mp.mpf(p) - q) ** 2) < 1e-40
+
+
+@pytest.mark.parametrize("p,q", PAIRS)
+def test_bregman_of_the_identity_under_geometric_and_arithmetic_means(p, q):
+    P, Q = mp.mpf(p), mp.mpf(q)
+    got = oracle.bregman("x", oracle.gini(0, 0), oracle.gini(1, 0), p, q)
+    assert rel_error(got, P - Q - Q * mp.log(P / Q)) < 1e-40
+
+
 @pytest.mark.parametrize("x", [0.1, 1.0, 4.75])
 def test_expression_follows_its_ast(x):
     X = mp.mpf(x)
     assert rel_error(oracle.expression("x^2+exp(x)")(X), X**2 + mp.exp(X)) < 1e-40
+
+
+def test_no_other_test_file_imports_mpmath():
+    """The oracle stays the suite's one 50-digit reference, pinned here."""
+    importers = set()
+    for path in Path(__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "mpmath" for m in modules):
+                importers.add(path.name)
+    assert importers == {"oracle.py"}
