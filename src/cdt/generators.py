@@ -544,9 +544,9 @@ def power_generator(delta: float) -> Generator:
 
     delta = 0 returns the geometric limit (log form).  For delta < 0 the
     increasing representative -x**delta is used.  Instances are memoized for
-    up to MEMO_SIZE exponents, and generators compare by the identity of
-    their callables: two calls with one exponent give the same instance, so
-    equal generators, only while the first is still in the memo.
+    up to MEMO_SIZE exponents, and a Generator compares its callables by
+    identity: two calls with one exponent return equal generators only while
+    the first instance is still in the memo.
     """
     return _power_generator_cached(float(delta))
 

@@ -1,8 +1,8 @@
 """Known defects, each a strict xfail named after its ROADMAP item.
 
 Each test asserts what its item promises, against the 50-digit oracle: no
-error, and 1e-12 relative.  So each one passes, and must lose its marker,
-when its item lands.
+error and 1e-12 relative, or a nonnegative divergence on a certified pair.
+So each one passes, and must lose its marker, when its item lands.
 """
 
 import pytest

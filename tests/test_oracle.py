@@ -2,7 +2,7 @@
 
 Every other accuracy test compares with ``tests/oracle.py``, so an error in
 the oracle itself (a wrong root bracket, a wrong AST rule) would shift them
-all at once.  Each check here holds to 1e-40.
+all at once.  Each value check here holds to 1e-40.
 """
 
 import ast
