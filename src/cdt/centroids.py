@@ -1,22 +1,27 @@
 """Closed-form Bregman centroids and k-means-style clustering.
 
 The weighted objective sum_i w_i B(c : p_i) for a quasi-arithmetic Bregman
-divergence has a unique minimizer obtained in the rho-embedded space via
+divergence has a unique minimizer, a weighted quasi-arithmetic mean of the
+points under h = tau'(F) F' / rho' = G' . rho (Banerjee, Merugu, Dhillon
+and Ghosh, JMLR 2005; Nielsen and Nock, IEEE Trans. Inf. Theory 2009):
 
-    G'(c') = sum_i (w'_i / W') G'(rho(p_i)),   w'_i = w_i / tau'(F(p_i)),
+    h(c) = sum_i (w'_i / W') h(p_i),   w'_i = w_i / tau'(F(p_i)).
 
-with c = rho^{-1}((G')^{-1}(...)).  (G')^{-1} has no closed inverse in
-general, so it is computed by bisection on the bracketing interval spanned
-by the embedded data, to tolerance 1e-12, for all clusters at once.  The
-33-point scan that checks G' is monotone on each bracket seeds the solve:
-each call of G' evaluates the bisection path toward a root interpolated
-from the values already known, the scan's first (about 40 levels in one to
-three calls after the scan, see ``generators._invert_monotone``).  A Lloyd
-sweep is the matrix form of Bregman hard clustering (Banerjee, Merugu,
-Dhillon and Ghosh, JMLR 2005).  Lloyd's iteration is at its fixed point
-once a sweep reproduces the previous assignment: the centroids, distances
-and objective are functions of the assignment alone, so that sweep ends the
-loop without solving them again.
+h(p_i) and tau'(F(p_i)) are columns of the per-point table of
+``divergences._anchors``, so the solve needs no rho^{-1}.  h has no closed
+inverse in general, so c is computed in x by bisection on the bracket
+spanned by each cluster's points, to tolerance 1e-12 relative to
+max(1, |bracket ends|), for all clusters at once.  The 33-point scan that
+checks h is monotone on each bracket seeds the solve: each call of h
+evaluates the bisection path toward a root interpolated from the values
+already known, the scan's first (about 40 levels in one to three calls
+after the scan, see ``generators._invert_monotone``).  A Lloyd sweep is the
+matrix form of Bregman hard clustering; ``kmeans_cluster`` builds the table
+at the data once, so each distance call evaluates F, rho and tau at the
+centers alone.  Lloyd's iteration is at its fixed point once a sweep
+reproduces the previous assignment: the centroids, distances and objective
+are functions of the assignment alone, so that sweep ends the loop without
+solving them again.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import QabdSpec, WeightedSet, _nonnegative, _qabd_raw, jensen_diversity
+from .divergences import QabdSpec, WeightedSet, _anchors, _Anchors, _nonnegative, _qabd_at, jensen_diversity
 from .errors import NonInvertibleGradient, ParamError, require_int, require_seed
-from .generators import _bisecting, _first, _invert_monotone, _monotone_direction
+from .generators import _bisecting, _first, _floats, _fused, _invert_monotone, _monotone_direction, _outside
 from .means import _exact_sum, quasi_arithmetic
 
 
@@ -52,50 +57,87 @@ class Clustering:
 def bregman_centroid(spec: QabdSpec, wset: WeightedSet) -> float:
     """Unique minimizer of sum_i w_i * qabd(c : p_i)."""
     pts = np.asarray(wset.points)
-    return float(_centroids(spec, pts, np.asarray(wset.weights), np.zeros(len(pts), dtype=int), 1)[0])
+    return float(_centroids(spec, _anchors(spec, pts), np.asarray(wset.weights), np.zeros(len(pts), dtype=int), 1)[0])
 
 
-def _centroids(spec: QabdSpec, pts: np.ndarray, wts: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def _gradient(spec: QabdSpec):
+    """h(x) = tau'(F(x)) F'(x) / rho'(x) elementwise, which the centroid
+    solve inverts: one raw chain with a checked rerun (``_fused``) when F,
+    rho and tau all have derivatives, else the checked chain.
+
+    The raw chain's mask restates the checks of ``FunctionModel.value`` and
+    ``deriv`` and ``Generator.deriv``: x outside the domains of F and rho,
+    F(x) outside tau's open domain (which also catches F not finite) and a
+    NaN in h (which any NaN derivative makes); a check added to one of
+    those must be added here too.
+    """
+    F, rho, tau = spec.F, spec.rho, spec.tau
+
+    def checked(x):
+        return tau.deriv(F.value(x)) * F.deriv(x) / rho.deriv(x)
+
+    if None in (F.derivative, rho.derivative, tau.derivative):
+        return checked
+    dom = F.domain.intersect(rho.domain)
+
+    def raw(x):
+        fx = _floats(F.eval(x))
+        out = _floats(tau.derivative(fx)) * _floats(F.derivative(x)) / _floats(rho.derivative(x))
+        return out, _outside(x, dom) | _outside(fx, tau.domain) | np.isnan(out)
+
+    return _fused(raw, checked)
+
+
+def _centroids(spec: QabdSpec, anchors: _Anchors, wts: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """bregman_centroid of each cluster ``labels == j`` (weights normalized
-    per cluster), from one evaluation of each function over all points and
-    one bisection for all clusters."""
-    G = spec.reduced
-    us = spec.rho.value(pts)
-    gd, td = G.deriv(us), spec.tau.deriv(spec.F.value(pts))
-    lo, hi, plo, phi, target = (np.empty(k) for _ in range(5))
+    per cluster) of the points of ``anchors``, from their table and one
+    bisection in x for all clusters.  A table that flags anything takes
+    rho(x), h and tau'(F(x)) at the points from checked calls, which raise
+    the typed error of a bad point."""
+    pts = anchors.q.reshape(-1)
+    h = _gradient(spec)
+    if anchors.clean:
+        td = anchors.tau_slope.reshape(-1)
+        hd = (anchors.tau_slope * anchors.F_slope / anchors.rho_slope).reshape(-1)
+    else:
+        spec.rho.value(pts)  # the solve reads no rho, but a bad one raises as the table flagged it
+        hd, td = h(pts), spec.tau.deriv(spec.F.value(pts))
+    lo, hi, target = (np.empty(k) for _ in range(3))
     for j in range(k):
         m = labels == j
-        lo[j], hi[j], plo[j], phi[j] = us[m].min(), us[m].max(), pts[m].min(), pts[m].max()
+        lo[j], hi[j] = pts[m].min(), pts[m].max()
         wprime = wts[m] / td[m]
-        target[j] = np.dot(wprime / wprime.sum(), gd[m])
+        target[j] = np.dot(wprime / wprime.sum(), hd[m])
     solve = lo < hi  # else the cluster is a single point
     if solve.any():
         a, b, tol = lo[solve], hi[solve], 1e-12
         # a bracket within the solver's tolerance is solved by its midpoint
-        direction, scan = _monotone_direction(G.deriv, a, b)
+        direction, scan = _monotone_direction(h, a, b)
         flat = (direction == 0) & _bisecting(a, b, tol)
         if flat.any():
-            raise NonInvertibleGradient(f"{G.id!r}' is not monotone on [{_first(a, flat)!r}, {_first(b, flat)!r}]")
-        c = spec.rho.inv(_invert_monotone(G.deriv, target[solve], a, b, tol, scan))
-        plo[solve] = np.clip(c, plo[solve], phi[solve])
-    return plo
+            F, rho, tau = spec.F.id, spec.rho.id, spec.tau.id
+            raise NonInvertibleGradient(
+                f"{tau}'({F}) {F}'/{rho}' is not monotone on [{_first(a, flat)!r}, {_first(b, flat)!r}]"
+            )
+        lo[solve] = _invert_monotone(h, target[solve], a, b, tol, scan)
+    return lo
 
 
-def _distances(spec: QabdSpec, centers, pts: np.ndarray) -> np.ndarray:
-    """The n x k matrix qabd(centers[j] : pts[i])."""
-    return _nonnegative(_qabd_raw(spec, np.asarray(centers)[None, :], pts[:, None]))
+def _distances(spec: QabdSpec, anchors: _Anchors, centers) -> np.ndarray:
+    """The n x k matrix qabd(centers[j] : pts[i]) over a table built at the
+    column of points pts[:, None]."""
+    return _nonnegative(_qabd_at(spec, anchors, np.asarray(centers)[None, :]))
 
 
-def _seed_centers(spec: QabdSpec, wset: WeightedSet, k: int, rng: np.random.Generator) -> list[float]:
+def _seed_centers(spec: QabdSpec, anchors: _Anchors, pts: np.ndarray, wts: np.ndarray, k: int,
+                  rng: np.random.Generator) -> list[float]:
     """k-means++ seeding (Arthur and Vassilvitskii, SODA 2007) with
     qabd(candidate-center : point) distances."""
-    pts = np.asarray(wset.points)
-    wts = np.asarray(wset.weights)
     first = int(rng.choice(len(pts), p=wts / wts.sum()))
     centers = [pts[first]]
     dists = np.full(len(pts), math.inf)
     while len(centers) < k:
-        dists = np.minimum(dists, _distances(spec, centers[-1:], pts)[:, 0])
+        dists = np.minimum(dists, _distances(spec, anchors, centers[-1:])[:, 0])
         probs = wts * dists
         total = probs.sum()
         if total <= 0.0:
@@ -131,12 +173,13 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
     rng = np.random.default_rng(seed)
     pts = np.asarray(wset.points)
     wts = np.asarray(wset.weights)
-    centers = np.array(_seed_centers(spec, wset, k, rng))
+    anchors = _anchors(spec, pts[:, None])
+    centers = np.array(_seed_centers(spec, anchors, pts, wts, k, rng))
     prev_obj = math.inf
     assign = None
     iterations = 0
     history: list[float] = []
-    dmat = _distances(spec, centers, pts)
+    dmat = _distances(spec, anchors, centers)
     for iterations in range(1, 101):
         last, assign = assign, np.argmin(dmat, axis=1)  # argmin takes the lowest index on ties
         for j in range(k):
@@ -150,8 +193,8 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
         for j in range(k):
             mask = assign == j
             sub_w[mask] = wts[mask] / wts[mask].sum()
-        centers = _centroids(spec, pts, sub_w, assign, k)
-        dmat = _distances(spec, centers, pts)
+        centers = _centroids(spec, anchors, sub_w, assign, k)
+        dmat = _distances(spec, anchors, centers)
         obj = _exact_sum(wts * dmat[np.arange(len(pts)), assign])
         history.append(obj)
         plateau = prev_obj - obj < 1e-10

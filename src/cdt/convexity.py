@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import DomainError, OrderError, ParamError, require_int, require_seed
 from .generators import (
-    Generator, Interval, _apply, _first, _floats, _fused, _image, _memoize, _wrap_callables, finite_difference,
-    power_generator,
+    Generator, Interval, _apply, _first, _image, _memoize, _wrap_callables, finite_difference, power_generator,
 )
 
 #: Default number of grid points for convexity scans, and the number of
@@ -124,21 +123,11 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
     """Reduce F to the ordinary-convexity candidate G(u) = tau(F(rho^{-1}(u))).
 
     G lives on rho(I); its derivative is composed by the chain rule
-    G'(u) = tau'(F(x)) F'(x) / rho'(x) at x = rho^{-1}(u).
-
-    The monotone solver calls G' at every step, so when all three
-    derivatives are given G' is one raw numpy chain (``generators._fused``).
-    The nudged pullback always lies inside the domains of F and rho, so
-    those are not rechecked.  Each call flags what the checked chain would
-    reject: a pullback far outside the domain or NaN, F(x) outside tau's
-    open domain (which also catches F(x) not finite) and a NaN derivative
-    (which makes G' NaN).  A flag reruns the checked chain to raise its
-    error.  Without a derivative (the finite-difference path) G' is the
-    checked chain.
-
-    The mask restates the checks of ``Generator.inv``/``deriv`` and
-    ``FunctionModel.value``/``deriv``: a check added to one of those must
-    be added to ``raw_gprime``'s mask too, or the raw chain skips it.
+    G'(u) = tau'(F(x)) F'(x) / rho'(x) at x = rho^{-1}(u), from checked
+    calls: each names the first bad element.  No solver calls G': the
+    centroids solve h = G' . rho in data coordinates instead, on their own
+    raw chain (``centroids._gradient``), so G and G' serve
+    ``qabd_conformal`` and ``power_convexity_transform``.
 
     Reductions are memoized per (F, rho, tau), up to 512 entries, so a
     repeat call returns the same object; models that do not hash are
@@ -159,14 +148,6 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
         x = _pullback(rho, u, dom)
         return tau.deriv(F.value(x)) * F.deriv(x) / rho.deriv(x)
 
-    def raw_gprime(u):
-        x, far = _nudge(_floats(rho.inverse(u)), dom)
-        fx = _floats(F.eval(x))
-        out = _floats(tau.derivative(fx)) * _floats(F.derivative(x)) / _floats(rho.derivative(x))
-        return out, far | ~((fx > tau.domain.lo) & (fx < tau.domain.hi)) | np.isnan(out)
-
-    if None not in (F.derivative, rho.derivative, tau.derivative):
-        gprime = _fused(raw_gprime, gprime)
     name = f"{tau.id}({F.id}({rho.id}^-1))"
     return FunctionModel(name, image, g, gprime)
 

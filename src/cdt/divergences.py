@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -401,40 +401,88 @@ def _qabd_checked(spec: QabdSpec, p, q):
     return _bregman_checked(spec.F, quasi_arithmetic(spec.rho), quasi_arithmetic(spec.tau), p, q)
 
 
-def _qabd_raw(spec: QabdSpec, p, q):
-    """Unclamped B(p:q) elementwise over broadcast arrays p and q.
+class _Anchors(NamedTuple):
+    """The data side of B(. : q) at anchor points q, elementwise in q's
+    shape: every term of ``qabd`` that depends on q alone."""
 
-    When F, rho and tau all have derivatives this runs first as one raw
-    numpy chain under one errstate, each side on its own points and each
-    callable through ``generators._raw``, so its values are those of
-    ``_qabd_checked`` bit for bit.  Its mask restates every check of that
-    chain: p and q inside the domains of F and rho, F(p) and F(q) inside
-    tau's open domain (which also catches F not finite), tau'(F(q)) and
-    rho'(q) not vanishing, and a NaN anywhere (which makes B NaN).  When
-    the raw chain raises, flags an element or returns a misshapen array,
-    the checked chain reruns only to raise its typed error; a check added
-    there must be added to this mask too.
+    q: np.ndarray
+    tau_F: np.ndarray  # tau(F(q))
+    tau_slope: np.ndarray  # tau'(F(q))
+    rho: np.ndarray  # rho(q)
+    rho_slope: np.ndarray  # rho'(q)
+    F_slope: np.ndarray  # F'(q)
+    #: no element is flagged: every column is the checked chain's, bit for bit
+    clean: bool
+
+
+def _anchors(spec: QabdSpec, q) -> _Anchors:
+    """The per-point table of ``qabd(. : q)``, from one raw numpy chain.
+
+    With all three derivatives given, each column is one call of its
+    callable through ``generators._raw`` under one errstate, so its values
+    are those of the checked calls bit for bit.  The table's one mask
+    restates every check the checked chain makes at q: q inside the
+    domains of F and rho, F(q) inside tau's open domain (which also catches
+    F not finite), tau'(F(q)) and rho'(q) not vanishing, and a NaN in any
+    column.  A check added to ``_bregman_checked`` or the model classes
+    must be added to this mask too.  A table built without derivatives, or
+    whose chain raises or flags an element, is not ``clean``, and every use
+    of it runs the checked chain instead, which raises the typed error.
     """
     F, rho, tau = spec.F, spec.rho, spec.tau
+    qa = np.asarray(q, dtype=float)
     if None in (F.derivative, rho.derivative, tau.derivative):
-        return _qabd_checked(spec, p, q)
-    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    dom = F.domain.intersect(rho.domain)
+        return _Anchors(qa, *(None,) * 5, clean=False)
     with np.errstate(all="ignore"):
         try:
-            fp, fq = _raw(F.eval, pa), _raw(F.eval, qa)
-            td, rd = _raw(tau.derivative, fq), _raw(rho.derivative, qa)
-            out = (_raw(tau.forward, fp) - _raw(tau.forward, fq)) / td - (
-                (_raw(rho.forward, pa) - _raw(rho.forward, qa)) / rd
-            ) * _raw(F.derivative, qa)
-            outside = _outside(pa, dom) | _outside(qa, dom) | _outside(fp, tau.domain) | _outside(fq, tau.domain)
-            small = (np.abs(td) < _MIN_DERIVATIVE) | (np.abs(rd) < _MIN_DERIVATIVE)
-            clean = out.shape == np.broadcast(pa, qa).shape and not np.count_nonzero(outside | small | np.isnan(out))
-        except Exception:  # whatever it was, the checked rerun raises it again
-            clean = False
-    if not clean:
-        return _qabd_checked(spec, p, q)
-    return float(out) if out.ndim == 0 else out
+            fq = _raw(F.eval, qa)
+            cols = (
+                _raw(tau.forward, fq), td := _raw(tau.derivative, fq),
+                _raw(rho.forward, qa), rd := _raw(rho.derivative, qa), _raw(F.derivative, qa),
+            )
+            bad = _outside(qa, F.domain.intersect(rho.domain)) | _outside(fq, tau.domain)
+            bad |= (np.abs(td) < _MIN_DERIVATIVE) | (np.abs(rd) < _MIN_DERIVATIVE)
+            for c in cols:
+                bad |= np.isnan(c)
+            clean = not np.count_nonzero(bad)
+        except Exception:  # whatever it was, the checked chain raises it again
+            cols, clean = (None,) * 5, False
+    return _Anchors(qa, *cols, clean=clean)
+
+
+def _qabd_at(spec: QabdSpec, anchors: _Anchors, p):
+    """Unclamped B(p:q) over p broadcast against the anchors' q: the
+    combining step of ``qabd``, which evaluates F, rho and tau at p alone.
+
+    A clean table gives ``_qabd_checked``'s values bit for bit, from one
+    raw chain at p whose mask restates the checks at p: p inside the
+    domains of F and rho, F(p) inside tau's open domain, and a NaN in B.
+    When the table or that mask flags anything, when the chain raises or
+    returns a misshapen array, the checked chain reruns on (p, q) only to
+    raise its typed error.
+    """
+    F, rho, tau = spec.F, spec.rho, spec.tau
+    a = anchors
+    if a.clean:
+        pa = np.asarray(p, dtype=float)
+        with np.errstate(all="ignore"):
+            try:
+                fp = _raw(F.eval, pa)
+                out = (_raw(tau.forward, fp) - a.tau_F) / a.tau_slope - (
+                    (_raw(rho.forward, pa) - a.rho) / a.rho_slope
+                ) * a.F_slope
+                bad = _outside(pa, F.domain.intersect(rho.domain)) | _outside(fp, tau.domain)
+                if out.shape == np.broadcast(pa, a.q).shape and not np.count_nonzero(bad | np.isnan(out)):
+                    return float(out) if out.ndim == 0 else out
+            except Exception:  # whatever it was, the checked rerun raises it again
+                pass
+    return _qabd_checked(spec, p, a.q)
+
+
+def _qabd_raw(spec: QabdSpec, p, q):
+    """Unclamped B(p:q) elementwise over broadcast arrays p and q: the
+    per-point table at q, combined at p."""
+    return _qabd_at(spec, _anchors(spec, q), p)
 
 
 def qabd(spec: QabdSpec, p: float, q: float) -> DivergenceValue:

@@ -30,7 +30,9 @@ class NonInvertibleRatio(CdtError):
 
 
 class NonInvertibleGradient(CdtError):
-    """The reduced generator's derivative is not monotone on the data range."""
+    """The centroid map h = tau'(F) F' / rho' is not monotone on the range of
+    a cluster's points, named in data coordinates: the reduced generator's
+    derivative G' = h . rho^{-1} is not monotone on its image."""
 
 
 class ConvexityError(CdtError):

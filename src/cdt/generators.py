@@ -266,10 +266,12 @@ def _monotone_direction(fun: Callable, lo, hi, n: int = 33):
 #: Elements up to which ``_invert_monotone`` steps predicted paths in floats,
 #: one element at a time.  Seeded from a 33-point scan (2-vCPU Xeon, numpy
 #: 2.4), paths took 0.40, 0.66, 0.87 and 1.14 of the time of one level per
-#: call at 16, 32, 48 and 64 elements, summed over the G' of the four
-#: certified cluster triples, but 1.09, 1.93, 2.74 and 3.47 of it on the
-#: cheap x^3 + x: past 32 they would lose more on such functions than they
-#: gain on G'.
+#: call at 16, 32, 48 and 64 elements, summed over G' (in rho(x), with its
+#: rho^-1 pullback) of the four certified cluster triples, but 1.09, 1.93,
+#: 2.74 and 3.47 of it on the cheap x^3 + x: past 32 they would lose more on
+#: such functions than they gain on G'.  The map h = G' . rho that the
+#: centroids solve skips the pullback, so it is cheaper per point than G'
+#: and its break-even may lie lower; it has not been measured.
 _PATH_ELEMENTS = 32
 
 #: Bisection levels after which ``_invert_monotone`` stops in any case.

@@ -102,6 +102,23 @@ def qabd(F: str, rho: str, tau: str, p, q):
     return (t(F(p)) - t(F(q))) / dt(F(q)) - (r(p) - r(q)) / dr(q) * mp.diff(F, q)
 
 
+def centroid(F: str, rho: str, tau: str, points, weights):
+    """The minimizer c of sum w_i qabd(c : p_i): the root in [min p, max p]
+    of h(c) = sum w'_i h(p_i) / sum w'_i, with h = tau'(F) F' / rho' and
+    w'_i = w_i / tau'(F(p_i)), F' by ``mp.diff``."""
+    F, (_, dr, _), (_, dt, _) = expression(F), generator(rho), generator(tau)
+    p, w = [mp.mpf(v) for v in points], [mp.mpf(v) for v in weights]
+
+    def h(x):
+        return dt(F(x)) * mp.diff(F, x) / dr(x)
+
+    if min(p) == max(p):
+        return p[0]
+    wp = [wi / dt(F(pi)) for pi, wi in zip(p, w)]
+    target = mp.fsum(wi * h(pi) for pi, wi in zip(p, wp)) / mp.fsum(wp)
+    return mp.findroot(lambda x: h(x) - target, (min(p), max(p)), solver="anderson")
+
+
 def bregman(F: str, M, N, p, q):
     """B(p:q) = d/dbeta [N((F(q), F(p)); (1 - beta, beta)) - F(M((q, p); (1 - beta, beta)))]
     at beta = 0+, by ``mp.diff`` on weights in [0, 1]: the alpha -> 1 limit

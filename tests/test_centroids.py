@@ -7,8 +7,8 @@ import pytest
 from cdt import centroids
 from cdt.centroids import Clustering, bregman_centroid, cluster_information, kmeans_cluster
 from cdt.convexity import function_model
-from cdt.divergences import QabdSpec, WeightedSet, qabd
-from cdt.errors import LengthMismatch, ParamError, WeightError
+from cdt.divergences import QabdSpec, WeightedSet, _anchors, qabd
+from cdt.errors import AffineGeneratorWarning, LengthMismatch, NonInvertibleGradient, ParamError, WeightError
 from cdt.expr import expression_model
 from cdt.generators import IDENTITY, LOG, Interval, get_generator
 from cdt.means import ARITHMETIC, WEIGHT_SUM_TOL, _exact_sum, weighted_mean
@@ -108,13 +108,21 @@ class TestCentroid:
     def test_affine_reduced_generator_rejected(self):
         import warnings
 
-        from cdt.errors import AffineGeneratorWarning, NonInvertibleGradient
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AffineGeneratorWarning)
             affine = QabdSpec(F_EXP, IDENTITY, LOG)  # reduced generator is u -> u
         with pytest.raises(NonInvertibleGradient, match=r"' is not monotone on \[1\.0, 3\.0\]$"):
             bregman_centroid(affine, WeightedSet.uniform((1.0, 2.0, 3.0)))
+
+    def test_a_non_monotone_gradient_names_the_bracket_in_data_coordinates(self):
+        # G(u) = u for log x under (log, identity): h = G'(log x) is 1, and
+        # the bracket named is that of the points, not [log 1, log 3]
+        F = function_model("log(x)", Interval(0.0, math.inf), np.log, lambda x: 1.0 / x)
+        with pytest.warns(AffineGeneratorWarning):
+            affine = QabdSpec(F, LOG, IDENTITY)
+        with pytest.raises(NonInvertibleGradient) as info:
+            bregman_centroid(affine, WeightedSet.uniform((1.0, 2.0, 3.0)))
+        assert str(info.value) == "identity'(log(x)) log(x)'/log' is not monotone on [1.0, 3.0]"
 
     def test_matches_golden_section(self, rng):
         for spec, box in ((SPEC_SQ, (-5.0, 5.0)), (SPEC_GG, (0.5, 6.0))):
@@ -202,10 +210,11 @@ def recomputing_lloyd(spec, wset, k, seed=0, sweeps=None, reseeds=None):
     rng = np.random.default_rng(seed)
     pts = np.asarray(wset.points)
     wts = np.asarray(wset.weights)
-    centers = np.array(centroids._seed_centers(spec, wset, k, rng))
+    anchors = _anchors(spec, pts[:, None])
+    centers = np.array(centroids._seed_centers(spec, anchors, pts, wts, k, rng))
     prev_obj = math.inf
     history = []
-    dmat = centroids._distances(spec, centers, pts)
+    dmat = centroids._distances(spec, anchors, centers)
     for iterations in range(1, 101):
         assign = np.argmin(dmat, axis=1)
         for j in range(k):
@@ -220,8 +229,8 @@ def recomputing_lloyd(spec, wset, k, seed=0, sweeps=None, reseeds=None):
         for j in range(k):
             mask = assign == j
             sub_w[mask] = wts[mask] / wts[mask].sum()
-        centers = centroids._centroids(spec, pts, sub_w, assign, k)
-        dmat = centroids._distances(spec, centers, pts)
+        centers = centroids._centroids(spec, anchors, sub_w, assign, k)
+        dmat = centroids._distances(spec, anchors, centers)
         obj = _exact_sum(wts * dmat[np.arange(len(pts)), assign])
         history.append(obj)
         if prev_obj - obj < 1e-10:

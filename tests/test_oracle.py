@@ -62,6 +62,21 @@ def test_bregman_of_the_identity_under_geometric_and_arithmetic_means(p, q):
     assert rel_error(got, P - Q - Q * mp.log(P / Q)) < 1e-40
 
 
+POINTS, WEIGHTS = (0.3, 1.1, 2.0, 2.4), (0.1, 0.2, 0.3, 0.4)
+
+
+def test_centroid_of_the_square_is_the_weighted_arithmetic_mean():
+    want = mp.fsum(mp.mpf(p) * w for p, w in zip(POINTS, WEIGHTS)) / mp.fsum(mp.mpf(w) for w in WEIGHTS)
+    assert rel_error(oracle.centroid("x^2", "identity", "identity", POINTS, WEIGHTS), want) < 1e-40
+
+
+def test_centroid_of_exp_x2_under_identity_and_log_is_a_weighted_mean():
+    # h(x) = 2x and w'_i = w_i exp(p_i^2), so c = sum w'_i p_i / sum w'_i
+    wp = [mp.mpf(w) * mp.exp(mp.mpf(p) ** 2) for p, w in zip(POINTS, WEIGHTS)]
+    want = mp.fsum(w * p for p, w in zip(POINTS, wp)) / mp.fsum(wp)
+    assert rel_error(oracle.centroid("exp(x^2)", "identity", "log", POINTS, WEIGHTS), want) < 1e-40
+
+
 @pytest.mark.parametrize("x", [0.1, 1.0, 4.75])
 def test_expression_follows_its_ast(x):
     X = mp.mpf(x)

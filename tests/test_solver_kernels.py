@@ -1,21 +1,25 @@
 """The monotone solver, on raw kernels and checked ones.
 
-``to_ordinary``'s G' hands the solver a raw numpy kernel that flags bad
-elements instead of checking them one call at a time, and ``qabd`` runs
-as one raw chain with a checked rerun; the Lagrange/Cauchy ratio f'/g' is
-the checked one, and the expression-generator inverse hands the solver the
-expression checked for finiteness in one call.  These tests pin:
+The centroids solve h = tau'(F) F' / rho' in data coordinates on one raw
+numpy kernel that flags bad elements instead of checking them one call at
+a time, ``qabd`` combines a raw per-point table of its anchors with a raw
+chain at its other argument, each with a checked rerun; the Lagrange/Cauchy
+ratio f'/g' is the checked one, and the expression-generator inverse hands
+the solver the expression checked for finiteness in one call.  These tests
+pin:
 
 * fault injection: a NaN derivative at an interior bisection midpoint, F
-  leaving tau's domain between two good bracket ends, a NaN inverse, an
-  inverse far outside the domain, a derivative that raises on an array and
-  a ratio f'/g' that is NaN where neither derivative is raise the typed
-  error, with the message, that the checked chain raises;
+  leaving tau's domain between two good bracket ends, a derivative that
+  raises on an array and a ratio f'/g' that is NaN where neither
+  derivative is raise the typed error, with the message, that the checked
+  chain raises; ``kmeans_cluster`` raises ``qabd``'s errors as the checked
+  chain does, and no centroid reads rho^-1;
 * the solver's NaN check, which used to steer the bisection silently;
 * evaluation counts: one scan call, whose rows seed the solve, and one
-  call per round along predicted bisection paths;
-* the raw G' and ``qabd`` chains against the checked ones, bit for bit,
-  G' also for callables that return float32;
+  call per round along predicted bisection paths; one F call at the data
+  per ``kmeans_cluster``;
+* the raw h and ``qabd`` chains against the checked ones, bit for bit,
+  h also for callables that return float32;
 * ``lagrange_mean`` and ``cauchy_mean`` against the 50-digit oracle on far
   pairs, on pairs just below and just above ``NEAR_EQUAL_REL``, on every
   relative gap from there to ``_QUOTIENT_REL``; the far pairs include exp
@@ -34,12 +38,12 @@ import oracle
 from oracle import rel_error
 from test_solver_pins import CAUCHY, CLUSTER, LAGRANGE, _cluster_case
 
-import cdt.convexity
+import cdt.centroids
 import cdt.divergences
 import cdt.expr
-from cdt.centroids import bregman_centroid
-from cdt.convexity import TRUSTED_CONVEX, _pullback, function_model
-from cdt.divergences import QabdSpec, WeightedSet, _qabd_checked, _qabd_raw, qabd
+from cdt.centroids import _gradient, bregman_centroid, kmeans_cluster
+from cdt.convexity import TRUSTED_CONVEX, function_model
+from cdt.divergences import QabdSpec, WeightedSet, _anchors, _qabd_at, _qabd_checked, _qabd_raw, qabd
 from cdt.errors import DerivativeError, DomainError
 from cdt.expr import expression_generator, expression_model
 from cdt.generators import (
@@ -59,11 +63,12 @@ from cdt.means import NEAR_EQUAL_REL, _QUOTIENT_REL, cauchy_mean, lagrange_mean
 
 class Counted:
     def __init__(self, fn):
-        self.fn, self.calls, self.points = fn, 0, 0
+        self.fn, self.calls, self.points, self.args = fn, 0, 0, []
 
     def __call__(self, x):
         self.calls += 1
         self.points += np.size(x)
+        self.args.append(np.array(x))
         return self.fn(x)
 
 
@@ -95,18 +100,6 @@ def centroid_F_leaves_tau_domain():
         "exp(x^2) dip", (0.1, 2.5), lambda x: np.where(bad(x), -1.0, np.exp(x * x)), lambda x: 2.0 * x * np.exp(x * x)
     )
     return centroid_with(F, IDENTITY, LOG, 2)
-
-
-def centroid_nan_inverse():
-    bad = near(CENTROID_X2)
-    rho = Generator("identity-nan", Interval(), lambda x: x, lambda y: np.where(bad(y), np.nan, y), np.ones_like)
-    return centroid_with(expression_model("x^2", (0.2, 12.0)), rho, IDENTITY, 0)
-
-
-def centroid_far_inverse():
-    bad = near(CENTROID_X2)
-    rho = Generator("identity-far", Interval(), lambda x: x, lambda y: np.where(bad(y), 50.0, y), np.ones_like)
-    return centroid_with(expression_model("x^2", (0.2, 12.0)), rho, IDENTITY, 0)
 
 
 LOG_NAN = Generator(
@@ -150,8 +143,6 @@ FAULTS = [
     (centroid_nan_derivative, "the derivative of 'x^2 bad-deriv' is undefined at 3.5463893105091477"),
     (centroid_F_leaves_tau_domain,
      "-1.0 outside domain Interval(lo=0.0, hi=inf) of the derivative of generator 'log'"),
-    (centroid_nan_inverse, "the inverse of generator 'identity-nan' is undefined at 3.5463893105091477"),
-    (centroid_far_inverse, "3.5463893105091477 pulls back to 50.0, outside Interval(lo=0.2, hi=12.0)"),
     (lambda: lagrange_mean(LOG_NAN, 1.5, 7.0), "the derivative of generator 'log-nan' is undefined at 3.570396825671196"),
     (lambda: cauchy_mean(LOG_NAN, IDENTITY, 1.5, 7.0),
      "the derivative of generator 'log-nan' is undefined at 3.570396825671196"),
@@ -170,14 +161,23 @@ FAULTS = [
 @pytest.mark.parametrize(
     "case,message",
     FAULTS,
-    ids=["centroid-nan-F'", "centroid-F-outside-tau", "centroid-nan-rho^-1", "centroid-far-rho^-1",
-         "lagrange-nan-f'", "cauchy-nan-f'", "cauchy-nan-g'", "cauchy-close-nan-f'/g'",
-         "expr-outside-image", "centroid-raising-F'", "qabd-raising-F'"],
+    ids=["centroid-nan-F'", "centroid-F-outside-tau", "lagrange-nan-f'", "cauchy-nan-f'", "cauchy-nan-g'",
+         "cauchy-close-nan-f'/g'", "expr-outside-image", "centroid-raising-F'", "qabd-raising-F'"],
 )
 def test_fault_raises_the_checked_chains_error(case, message):
     with pytest.raises(DomainError) as info:
         case()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("wrong", [np.nan, 50.0], ids=["nan", "far"])
+def test_a_broken_rho_inverse_leaves_the_centroid_unchanged(wrong):
+    # The centroid is solved in x: no solve reads rho^-1, which returned a
+    # NaN or a point far outside the domain near the centroid (and raised
+    # there while the solve was in rho(x)).
+    bad = near(CENTROID_X2)
+    rho = Generator("identity-broken", Interval(), lambda x: x, lambda y: np.where(bad(y), wrong, y), np.ones_like)
+    assert centroid_with(expression_model("x^2", (0.2, 12.0)), rho, IDENTITY, 0) == CENTROID_X2
 
 
 def test_expression_inverse_raises_at_a_nan_midpoint():
@@ -227,19 +227,16 @@ def test_scan_of_a_raising_fun_raises_the_error_of_its_one_call():
 
 # -------------------------------------------------------- evaluation counts
 
-#: per CLUSTER triple: (G' calls, F points) of one bregman_centroid: one
-#: call at the 24 data points, one scan of 33, whose rows give the solver
-#: the values at the bracket ends and its first estimate, and one call per
-#: round along predicted paths, whose midpoints go to F as well as the
-#: data.  G' of x^2 under (identity, identity) and of exp(x^2) under
-#: (identity, log) is linear, so one round of 42 and 40 levels confirms
-#: them all; the other two take rounds of 42 and 27 levels and of 43, 28
-#: and 6.  (Two more calls at the bracket ends, and a first estimate from
-#: their secant, gave 5, 8, 5 and 8 calls at 125, 166, 123 and 169 points;
-#: six levels per call gave 11, 11, 11 and 12 calls at 524, 524, 524 and
-#: 587 points; one level per call gave 46, 46, 44 and 47 calls at 125,
-#: 125, 123 and 126 points.)
-COUNTS = [(3, 123), (4, 150), (3, 121), (5, 158)]
+#: per CLUSTER triple: (h calls, F points) of one bregman_centroid: the
+#: table's one F call at the 24 data points, one scan of 33, whose rows give
+#: the solver the values at the bracket ends and its first estimate, and one
+#: call per round along predicted paths.  h of x^2 under (identity,
+#: identity) and of exp(x^2) under (identity, log) is linear, so one round
+#: of 42 and 40 levels confirms them all; the other two take one round of
+#: 41 levels and three of 41, 28 and 3.  (Solved in rho(x), G' took a call
+#: at the data and tau'(F) another F call there: 3, 4, 3 and 5 G' calls at
+#: 123, 150, 121 and 158 F points.)
+COUNTS = [(2, 99), (2, 98), (2, 97), (4, 129)]
 
 
 @pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
@@ -247,12 +244,35 @@ def test_centroid_evaluation_counts(case):
     spec, pts, w = _cluster_case(case)
     counted = dataclasses.replace(spec.F, eval=Counted(spec.F.eval))
     spec = QabdSpec(counted, spec.rho, spec.tau, verdict=TRUSTED_CONVEX)
-    G = spec.reduced
-    gprime = Counted(G.derivative)
-    object.__setattr__(G, "derivative", gprime)
-    counted.eval.points = 0
+    counted.eval.points, calls = 0, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cdt.centroids, "_gradient", lambda spec: calls.append(Counted(_gradient(spec))) or calls[-1])
+        assert bregman_centroid(spec, WeightedSet(pts, w)) == CLUSTER[case][4]
+    assert (calls[0].calls, counted.eval.points) == COUNTS[case]
+
+
+#: F points of one kmeans_cluster at k = 3 per CLUSTER triple.  Case 0
+#: evaluates F at [24, 1, 1, 3, 99, 123, 3] points: the table's one call at
+#: the data, one center per seeding call, three per Lloyd distance call, and
+#: the centroid solve's scan and one round for three clusters.  With every
+#: distance call evaluating the data side and the centroids solved in
+#: rho(x), the four took 374, 446, 965 and 836 F points and 249, 321, 744
+#: and 663 rho^-1 points.
+KMEANS_F_POINTS = [254, 251, 701, 632]
+
+
+@pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
+def test_kmeans_evaluates_F_at_the_data_once_and_never_rho_inverse(case):
+    spec, pts, w = _cluster_case(case)
+    F = dataclasses.replace(spec.F, eval=Counted(spec.F.eval))
+    rho = Generator("counted", spec.rho.domain, spec.rho.forward, Counted(spec.rho.inverse), spec.rho.derivative)
+    spec = QabdSpec(F, rho, spec.tau, verdict=TRUSTED_CONVEX)
+    F.eval.args.clear()
+    F.eval.points = rho.inverse.calls = 0
+    assert kmeans_cluster(spec, WeightedSet.uniform(pts), 3, seed=case).centers == CLUSTER[case][5]
+    assert len([x for x in F.eval.args if np.isin(pts, x).all()]) == 1 and F.eval.points == KMEANS_F_POINTS[case]
     assert bregman_centroid(spec, WeightedSet(pts, w)) == CLUSTER[case][4]
-    assert (gprime.calls, counted.eval.points) == COUNTS[case]
+    assert rho.inverse.calls == 0
 
 
 def test_lagrange_derivative_calls():
@@ -289,12 +309,10 @@ def test_expression_inverse_calls():
 def test_raw_chain_equals_checked_composition(case, t):
     spec = _cluster_case(case)[0]
     F, rho, tau = spec.F, spec.rho, spec.tau
-    dom = F.domain.intersect(rho.domain)
-    ulo, uhi = rho.value(np.array(dom.finite_window()))
-    u = ulo + np.array(t) * (uhi - ulo)
-    x = _pullback(rho, u, dom)
+    lo, hi = F.domain.intersect(rho.domain).finite_window()
+    x = lo + np.array(t) * (hi - lo)
     want = tau.deriv(F.value(x)) * F.deriv(x) / rho.deriv(x)
-    assert spec.reduced.deriv(u).tolist() == want.tolist()
+    assert _gradient(spec)(x).tolist() == want.tolist()
 
 
 def single(fn):
@@ -314,10 +332,10 @@ def checked_only(module):
 def test_float32_model_gives_the_checked_chains_centroid(case):
     spec, pts, w = _cluster_case(case)
     F = function_model("single", spec.F.domain, single(spec.F.eval), single(spec.F.derivative))
-    raw = QabdSpec(F, spec.rho, spec.tau, verdict=TRUSTED_CONVEX)
-    with checked_only(cdt.convexity):
-        checked = QabdSpec(F, spec.rho, spec.tau, verdict=TRUSTED_CONVEX)
-    assert bregman_centroid(raw, WeightedSet(pts, w)) == bregman_centroid(checked, WeightedSet(pts, w))
+    spec = QabdSpec(F, spec.rho, spec.tau, verdict=TRUSTED_CONVEX)
+    with checked_only(cdt.centroids):
+        checked = bregman_centroid(spec, WeightedSet(pts, w))
+    assert bregman_centroid(spec, WeightedSet(pts, w)) == checked
 
 
 # ------------------------------------------------- qabd's raw chain == checked
@@ -387,6 +405,34 @@ def test_qabd_fault_raises_the_checked_chains_error(name):
         assert str(info.value) == message
 
 
+#: the error of kmeans_cluster on the points of a QABD_FAULTS case (its q
+#: column, then its p row), where it is not qabd's: a bad p is a data
+#: point, which the checked chain reaches first as an anchor q
+KMEANS_MESSAGES = {
+    "F(p)-outside-tau": "-1.0 outside domain Interval(lo=0.0, hi=inf) of the derivative of generator 'log'",
+    "F(p)-outside-tau-finite":
+        "-1.0 outside domain Interval(lo=0.0, hi=inf) of the derivative of generator 'positive'",
+    "p-outside-rho": "-0.5 outside domain Interval(lo=0.0, hi=inf) of the derivative of generator 'log'",
+}
+
+
+@pytest.mark.parametrize("name", sorted(QABD_FAULTS))
+def test_kmeans_fault_raises_the_checked_chains_error(name):
+    (spec, p, q), error, message = QABD_FAULTS[name]
+    ws = WeightedSet.uniform(tuple(np.concatenate([q.ravel(), p.ravel()]).tolist()))
+    for k, seed in ((2, 0), (3, 1)):
+        with pytest.raises(error) as info:
+            kmeans_cluster(spec, ws, k, seed=seed)
+        assert str(info.value) == KMEANS_MESSAGES.get(name, message)
+
+
+def test_a_nan_rho_at_a_data_point_raises_from_the_centroid():
+    # no solve in x reads rho, but the table's mask checks every column
+    spec = QABD_FAULTS["nan-rho"][0][0]
+    with pytest.raises(DomainError, match=r"^generator 'nan-at-5' is undefined at 5\.0$"):
+        bregman_centroid(spec, WeightedSet.uniform((1.0, 5.0, 9.0)))
+
+
 @pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
 @settings(deadline=None, max_examples=40)
 @given(s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
@@ -397,6 +443,9 @@ def test_qabd_raw_chain_equals_checked_chain(case, s, t):
     want = _qabd_checked(spec, p, q)
     assert _qabd_raw(spec, p, q).tobytes() == want.tobytes()
     assert _qabd_raw(spec, float(p[0, 0]), float(q[0, 0])) == want[0, 0]
+    anchors = _anchors(spec, q)  # one table for every row, as in kmeans_cluster
+    for row in (p, p[:, ::-1], p[:, :1]):
+        assert _qabd_at(spec, anchors, row).tobytes() == _qabd_checked(spec, row, q).tobytes()
 
 
 def test_qabd_takes_the_raw_chain_on_clean_pairs():
