@@ -265,24 +265,23 @@ def _monotone_direction(fun: Callable, lo, hi, n: int = 33):
 
 #: Elements up to which ``_invert_monotone`` steps predicted paths in floats,
 #: one element at a time.  Seeded from a 33-point scan (2-vCPU Xeon, numpy
-#: 2.4), paths took 0.40, 0.66, 0.87 and 1.14 of the time of one level per
-#: call at 16, 32, 48 and 64 elements, summed over G' (in rho(x), with its
-#: rho^-1 pullback) of the four certified cluster triples, but 1.09, 1.93,
-#: 2.74 and 3.47 of it on the cheap x^3 + x: past 32 they would lose more on
-#: such functions than they gain on G'.  The map h = G' . rho that the
-#: centroids solve skips the pullback, so it is cheaper per point than G'
-#: and its break-even may lie lower; it has not been measured.
+#: 2.4, CPython 3.11), paths took 0.36, 0.65, 0.81 and 1.21 of the time of
+#: one level per call at 16, 32, 48 and 64 elements, summed over the
+#: centroid map h = tau'(F) F' / rho' of the four certified cluster
+#: triples, but 1.09, 2.09, 2.98 and 3.63 of it on the cheap x^3 + x: past
+#: 32 they would lose more on such functions than they gain on h.
 _PATH_ELEMENTS = 32
 
 #: Bisection levels after which ``_invert_monotone`` stops in any case.
 _MAX_LEVELS = 200
 
 
-def _bisecting(a, b, tol: float):
+def _bisecting(a, b, tol: float, unit: float = 1.0):
     """Where ``_invert_monotone`` still bisects the bracket [a, b]: wider
-    than tol relative to max(1, |a|, |b|)."""
+    than tol relative to max(unit, |a|, |b|), so tol is absolute below
+    unit (relative all the way down at unit = 0)."""
     # max(|a|, |b|) is max(b, -a) while a <= b
-    return (b - a) > tol * np.maximum(1.0, np.maximum(b, -a))
+    return (b - a) > tol * np.maximum(unit, np.maximum(b, -a))
 
 
 def _estimate(a: float, ya: float, b: float, yb: float, c: float, yc: float, t: float) -> float:
@@ -312,11 +311,11 @@ def _checked(x, y) -> np.ndarray:
     return y
 
 
-def _invert_monotone(fun: Callable, target, lo, hi, tol: float, table=None):
+def _invert_monotone(fun: Callable, target, lo, hi, tol: float, table=None, unit: float = 1.0):
     """Bisection solve of fun(m) = target for monotone fun on [lo, hi], to a
-    bracket of relative width tol; elementwise over arrays of targets and
-    brackets, each element stopping at its own tolerance or after
-    ``_MAX_LEVELS`` levels.
+    bracket of width tol relative to max(unit, its ends' magnitudes) (see
+    ``_bisecting``); elementwise over arrays of targets and brackets, each
+    element stopping at its own tolerance or after ``_MAX_LEVELS`` levels.
 
     fun maps arrays elementwise.  ``table`` is the scan (xs, ys) of fun
     that callers take before a solve (see ``_monotone_direction``): rows
@@ -347,10 +346,10 @@ def _invert_monotone(fun: Callable, target, lo, hi, tol: float, table=None):
     shape = args[0].shape
     target, increasing, a, b, ya, yb = (v.reshape(-1) for v in args)
     if a.size <= _PATH_ELEMENTS:
-        a, b = _paths(fun, target, increasing, a, b, ya, yb, tol, _seeds(xs, ys, shape, target, increasing))
+        a, b = _paths(fun, target, increasing, a, b, ya, yb, tol, unit, _seeds(xs, ys, shape, target, increasing))
     else:
         for _ in range(_MAX_LEVELS):
-            active = _bisecting(a, b, tol)
+            active = _bisecting(a, b, tol, unit)
             if not np.count_nonzero(active):
                 break
             m = 0.5 * (a + b)
@@ -387,7 +386,7 @@ def _seeds(xs, ys, shape, target, increasing) -> list[float]:
     return seeds
 
 
-def _paths(fun, target, increasing, a, b, ya, yb, tol, seeds):
+def _paths(fun, target, increasing, a, b, ya, yb, tol, unit, seeds):
     """The brackets at which one-level bisection stops, from the flat arrays
     of ``_invert_monotone``.
 
@@ -414,7 +413,7 @@ def _paths(fun, target, increasing, a, b, ya, yb, tol, seeds):
             path, cap = [], min(d, _MAX_LEVELS - k)
             for _ in range(cap):
                 w = hi if hi > -lo else -lo  # _bisecting on floats
-                if not hi - lo > tol * (w if w > 1.0 else 1.0):
+                if not hi - lo > tol * (w if w > unit else unit):
                     break
                 path.append(m := 0.5 * (lo + hi))
                 if m < r:

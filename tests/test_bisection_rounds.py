@@ -27,8 +27,9 @@ from cdt.generators import _MAX_LEVELS, _PATH_ELEMENTS, _first, _invert_monotone
 from cdt.means import _wsum
 
 
-def one_level(fun, target, lo, hi, tol):
-    """Bisection of fun(m) = target with one midpoint per element per call."""
+def one_level(fun, target, lo, hi, tol, unit=1.0):
+    """Bisection of fun(m) = target with one midpoint per element per call,
+    to width tol relative to max(unit, |a|, |b|)."""
 
     def values(x):
         y = np.asarray(fun(x), dtype=float)
@@ -41,7 +42,7 @@ def one_level(fun, target, lo, hi, tol):
     target = np.minimum(np.maximum(target, np.minimum(flo, fhi)), np.maximum(flo, fhi))
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     for _ in range(_MAX_LEVELS):
-        active = (b - a) > tol * np.maximum(1.0, np.maximum(b, -a))
+        active = (b - a) > tol * np.maximum(unit, np.maximum(b, -a))
         if not np.count_nonzero(active):
             break
         m = 0.5 * (a + b)
@@ -60,8 +61,8 @@ def outcome(solver, *args):
     return "value", out.shape, out.tobytes()
 
 
-def same(*args, table=None):
-    assert outcome(_invert_monotone, *args, table) == outcome(one_level, *args)
+def same(*args, table=None, unit=1.0):
+    assert outcome(_invert_monotone, *args, table, unit) == outcome(one_level, *args, unit)
 
 
 #: rows per bracket of the scan that seeds a solve (None: no table)
@@ -119,29 +120,37 @@ OFF_AT_THE_LAST_LEVEL = (
 )
 
 
+#: the scale below which the tolerance is absolute: 1 for the means and
+#: the expression inverse, 0 (relative at every magnitude) for centroids
+UNITS = [1.0, 0.0]
+
+
 @settings(deadline=None, max_examples=300)
-@given(problem=problems(FUNS), tol=st.sampled_from([1e-12, 1e-14, 1e-16]), rows=st.sampled_from(ROWS))
-@example(problem=OFF_AT_THE_LAST_LEVEL, tol=1e-16, rows=None)
-def test_monotone_functions(problem, tol, rows):
+@given(problem=problems(FUNS), tol=st.sampled_from([1e-12, 1e-14, 1e-16]), rows=st.sampled_from(ROWS),
+       unit=st.sampled_from(UNITS))
+@example(problem=OFF_AT_THE_LAST_LEVEL, tol=1e-16, rows=None, unit=1.0)
+def test_monotone_functions(problem, tol, rows, unit):
     fun, target, lo, hi = problem
-    same(fun, target, lo, hi, tol, table=scan(fun, lo, hi, rows))
+    same(fun, target, lo, hi, tol, table=scan(fun, lo, hi, rows), unit=unit)
 
 
 @settings(deadline=None, max_examples=300)
-@given(problem=problems(NOISY), tol=st.sampled_from([1e-12, 1e-14, 1e-16]), rows=st.sampled_from(ROWS))
-def test_noise_dominated_functions(problem, tol, rows):
+@given(problem=problems(NOISY), tol=st.sampled_from([1e-12, 1e-14, 1e-16]), rows=st.sampled_from(ROWS),
+       unit=st.sampled_from(UNITS))
+def test_noise_dominated_functions(problem, tol, rows, unit):
     fun, target, lo, hi = problem
-    same(fun, target, lo, hi, tol, table=scan(fun, lo, hi, rows))
+    same(fun, target, lo, hi, tol, table=scan(fun, lo, hi, rows), unit=unit)
 
 
 @settings(deadline=None, max_examples=300)
-@given(problem=problems({**FUNS, **NOISY}), tol=st.sampled_from([1e-12, 1e-14, 1e-16]), rows=st.sampled_from(ROWS))
-def test_no_more_calls_than_one_level(problem, tol, rows):
+@given(problem=problems({**FUNS, **NOISY}), tol=st.sampled_from([1e-12, 1e-14, 1e-16]), rows=st.sampled_from(ROWS),
+       unit=st.sampled_from(UNITS))
+def test_no_more_calls_than_one_level(problem, tol, rows, unit):
     # the scan is the caller's, so its call is not the solver's
     fun, target, lo, hi = problem
     counted, ref = Counted(fun), Counted(fun)
-    _invert_monotone(counted, target, lo, hi, tol, scan(fun, lo, hi, rows))
-    one_level(ref, target, lo, hi, tol)
+    _invert_monotone(counted, target, lo, hi, tol, scan(fun, lo, hi, rows), unit)
+    one_level(ref, target, lo, hi, tol, unit)
     assert counted.calls <= ref.calls
 
 
@@ -206,6 +215,20 @@ def test_the_level_cap(tol):
     fun, ref = Counted(lambda x: x), Counted(lambda x: x)
     assert _invert_monotone(fun, target, lo, hi, tol).tobytes() == one_level(ref, target, lo, hi, tol).tobytes()
     assert (ref.calls, fun.calls) == (2 + _MAX_LEVELS, 2 + 3)
+
+
+def test_relative_at_every_magnitude():
+    # At unit 0 a root of 3e-8 stops at width 1e-12 relative (1.9e-13 off
+    # it), where the default, absolute below 1, stops 8.9e-6 off; a root at
+    # 0 between ends of both signs never gets narrower relative to its ends,
+    # so it runs to the level cap, on paths as on one level per call.
+    lo, hi, target = np.array([1e-8, -1.0]), np.array([1e-7, 1.0]), np.array([3e-8, 0.0])
+    fun, ref = Counted(lambda x: x), Counted(lambda x: x)
+    got = _invert_monotone(fun, target, lo, hi, 1e-12, None, 0.0)
+    assert got.tobytes() == one_level(ref, target, lo, hi, 1e-12, 0.0).tobytes()
+    assert abs(got[0] - 3e-8) <= 1e-12 * 3e-8 and abs(got[1]) <= 2.0**-_MAX_LEVELS
+    assert ref.calls == 2 + _MAX_LEVELS
+    assert abs(_invert_monotone(lambda x: x, 3e-8, 1e-8, 1e-7, 1e-12) - 3e-8) > 1e-6 * 3e-8  # absolute
 
 
 @pytest.mark.parametrize("n, rounds", [(_PATH_ELEMENTS, 4), (_PATH_ELEMENTS + 1, 47)])

@@ -257,8 +257,10 @@ def test_centroid_evaluation_counts(case):
 #: the centroid solve's scan and one round for three clusters.  With every
 #: distance call evaluating the data side and the centroids solved in
 #: rho(x), the four took 374, 446, 965 and 836 F points and 249, 321, 744
-#: and 663 rho^-1 points.
-KMEANS_F_POINTS = [254, 251, 701, 632]
+#: and 663 rho^-1 points.  A centre below 1 costs a few more points than
+#: when the tolerance was absolute below 1 (251, 701 and 632 for the last
+#: three): each solve of such a centre steps its paths a level further.
+KMEANS_F_POINTS = [254, 254, 704, 638]
 
 
 @pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])

@@ -57,16 +57,21 @@ EXPR_INVERSE = [
 #: checks it against the closed-form centroid.  The two rows with rho other
 #: than the identity were recorded when the centroid was solved in x; in
 #: rho(x) they read 2.789160741952692 and 0.9964176611871663, with centres
-#: just as close to the oracle (test_centroids_match_oracle).
+#: just as close to the oracle (test_centroids_match_oracle).  The first
+#: centres of the last three rows lie below 1 and were recorded with the
+#: solve's tolerance relative to the bracket all the way down; with it
+#: relative to max(1, |bracket ends|) they read 0.704365327134493,
+#: 0.6402243975979439 and 0.8658741562084045, all within 5e-13 of the
+#: oracle as these are.
 CLUSTER = [
     ("x^2", (0.2, 12.0), "identity", "identity", 3.546389323652038,
      (1.5693061474025045, 10.311259297968936, 5.139093022981189)),
     ("exp(x)", (0.2, 4.0), "log", "log", 2.7891607419532005,
-     (0.704365327134493, 3.1432146103898537, 1.8835879068700918)),
+     (0.7043653271342804, 3.1432146103898537, 1.8835879068700918)),
     ("exp(x^2)", (0.1, 2.5), "identity", "log", 2.2687072397827555,
-     (0.6402243975979439, 2.3324650437170797, 1.812684174202059)),
+     (0.6402243975981872, 2.3324650437170797, 1.812684174202059)),
     ("exp(x)", (0.5, 3.0), "power:2", "power:3", 0.9964176611871879,
-     (0.8658741562084045, 2.014295335078231, 2.579395800598855)),
+     (0.8658741562086433, 2.014295335078231, 2.579395800598855)),
 ]
 
 
@@ -125,6 +130,29 @@ def test_centroids_match_oracle(case):
     spec, pts, w = _cluster_case(case)
     assert rel_error(bregman_centroid(spec, WeightedSet(pts, w)), oracle.centroid(text, rho, tau, pts, w)) < 1e-12
     cl = kmeans_cluster(spec, WeightedSet.uniform(pts), 3, seed=case)
+    for j, c in enumerate(cl.centers):
+        members = [p for p, a in zip(pts, cl.assignments) if a == j]
+        assert rel_error(c, oracle.centroid(text, rho, tau, members, [1.0] * len(members))) < 1e-12
+
+
+#: (F, domain, rho, tau) with data far below 1, where a tolerance absolute
+#: below 1 would stop the solve about 1e-7 relative off the centroid
+SMALL = [
+    ("exp(x)", (1e-9, 1.0), "log", "log"),
+    ("exp(x^2)", (1e-9, 2.5), "identity", "log"),
+    ("x^2", (1e-9, 2.5), "identity", "identity"),
+]
+
+
+@pytest.mark.parametrize("case", SMALL, ids=[f"{c[0]}|{c[2]},{c[3]}" for c in SMALL])
+def test_centroids_of_small_points_match_oracle(case):
+    text, dom, rho, tau = case
+    spec = QabdSpec(expression_model(text, dom), get_generator(rho), get_generator(tau))
+    rng = np.random.default_rng(7)
+    pts = tuple(np.exp(rng.uniform(np.log(1e-7), np.log(1e-6), 15)))
+    w = tuple(rng.dirichlet(np.ones(15)))
+    assert rel_error(bregman_centroid(spec, WeightedSet(pts, w)), oracle.centroid(text, rho, tau, pts, w)) < 1e-12
+    cl = kmeans_cluster(spec, WeightedSet.uniform(pts), 2, seed=1)
     for j, c in enumerate(cl.centers):
         members = [p for p, a in zip(pts, cl.assignments) if a == j]
         assert rel_error(c, oracle.centroid(text, rho, tau, members, [1.0] * len(members))) < 1e-12
