@@ -31,6 +31,14 @@ that are both read-only and own their data, as ``DiscreteDist.array`` is;
 a writeable array is partitioned afresh on every call and never stored.
 The memo holds that one pair alive, with a read-only column array of
 about its size, until another pair replaces it.
+
+A density pair's coefficients are integrals over the merged truncation
+and breakpoints of both densities.  ``cmbd`` and ``power_cmbd`` take both
+in one joint quadrature pass (``_coefficients``): each batch of points
+evaluates p and q and checks them nonnegative once, then runs each mean's
+kernel, and each coefficient is bit for bit its own integral's.  Where the
+joint pass raises anything, each coefficient is integrated alone, in order,
+with the values and errors of separate integrals.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from .errors import (
 )
 from .generators import Generator
 from .means import GEOMETRIC, WEIGHT_SUM_TOL, MeanSpec, _exact_sum, dominates, power, quasi_arithmetic, weighted_means
-from .quadrature import QuadratureConfig, _vectorized, integrate, ladder_breakpoints
+from .quadrature import QuadratureConfig, _integrals, _vectorized, integrate, ladder_breakpoints
 
 
 def _check_finite(x: np.ndarray, what: str) -> None:
@@ -208,12 +216,17 @@ def histogram_density(
     )
 
 
-def _barycenters(M: MeanSpec, alpha: float, A, B) -> np.ndarray:
-    """M(a, b; 1-alpha, alpha) elementwise over density values."""
+def _density_values(A, B) -> np.ndarray:
+    """The rows (a, b) of two arrays of density values, checked nonnegative."""
     X = np.array((A, B), dtype=float)
     if not np.minimum.reduce(X, axis=None) >= 0.0:  # NaN propagates through the minimum
         raise DomainError("distribution values must be nonnegative and not NaN")
-    return weighted_means(M, X, (1.0 - alpha, alpha))
+    return X
+
+
+def _barycenters(M: MeanSpec, alpha: float, A, B) -> np.ndarray:
+    """M(a, b; 1-alpha, alpha) elementwise over density values."""
+    return weighted_means(M, _density_values(A, B), (1.0 - alpha, alpha))
 
 
 class _Pair(NamedTuple):
@@ -305,16 +318,40 @@ def _integral(fn: Callable, p: DensityModel, q: DensityModel) -> float:
     return integrate(lambda x: fn(p.eval(x), q.eval(x)), lo, hi, cfg, brk)
 
 
-def bhat_coefficient(M: MeanSpec, alpha: float, p, q) -> float:
-    """Generalized affinity coefficient: the total M-barycenter of (p, q)."""
+def _coefficients(means: Sequence[MeanSpec], alpha: float, p, q) -> list[float]:
+    """The affinity coefficient of (p, q) under each mean, in order: the
+    values, and the first error, of one coefficient per mean computed by
+    itself.  A discrete pair takes one ``_mass_coefficient`` per mean.  A
+    density pair is integrated in one joint pass (``quadrature._integrals``):
+    each batch of points evaluates p, q and their nonnegativity check once,
+    then each mean's kernel; where that pass raises anything, each mean's
+    integral runs alone.  A mean without weights raises after the
+    coefficients of the means before it."""
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ParamError(f"alpha={alpha!r} outside (0, 1)")
-    if not M.supports_weights:
-        raise UnsupportedWeights(f"mean {M} does not support weights")
-    if _check_kinds(p, q):
-        return _mass_coefficient(M, alpha, p.array, q.array)
-    return _integral(lambda A, B: _barycenters(M, alpha, A, B), p, q)
+    n = next((i for i, M in enumerate(means) if not M.supports_weights), len(means))
+    head, out = means[:n], []
+    if head and _check_kinds(p, q):
+        out = [_mass_coefficient(M, alpha, p.array, q.array) for M in head]
+    elif head:
+        lo, hi, cfg, brk = _merged_quadrature(p, q)
+        w = (1.0 - alpha, alpha)
+
+        def joint(x):
+            X = _density_values(p.eval(x), q.eval(x))
+            return np.array([weighted_means(M, X, w) for M in head])
+
+        alone = [lambda M=M: _integral(lambda A, B: _barycenters(M, alpha, A, B), p, q) for M in head]
+        out = _integrals(joint, alone, lo, hi, cfg, brk)
+    if n < len(means):
+        raise UnsupportedWeights(f"mean {means[n]} does not support weights")
+    return out
+
+
+def bhat_coefficient(M: MeanSpec, alpha: float, p, q) -> float:
+    """Generalized affinity coefficient: the total M-barycenter of (p, q)."""
+    return _coefficients((M,), alpha, p, q)[0]
 
 
 def _builtin_order(M: MeanSpec, N: MeanSpec) -> bool | None:
@@ -384,8 +421,7 @@ def cmbd(
     cmbd(1-alpha, p, q).
     """
     _check_order(M, N, p, q, trusted_dominance, seed)
-    cM = bhat_coefficient(M, alpha, p, q)
-    cN = bhat_coefficient(N, alpha, p, q)
+    cM, cN = _coefficients((M, N), alpha, p, q)
     return DivergenceValue.create(-_log_ratio(cM, cN), ("p", "q"))
 
 
@@ -397,8 +433,7 @@ def power_cmbd(delta1: float, delta2: float, alpha: float, p, q) -> float:
         raise ParamError("delta1 and delta2 must differ")
     if abs(delta1) < 1e-12 or abs(delta2) < 1e-12:
         raise ParamError("zero delta: use cmbd with the geometric mean instead")
-    c1 = bhat_coefficient(power(delta1), alpha, p, q)
-    c2 = bhat_coefficient(power(delta2), alpha, p, q)
+    c1, c2 = _coefficients((power(delta1), power(delta2)), alpha, p, q)
     value = _log_ratio(c1, c2) / (delta1 - delta2)
     return _zero_floor(value)
 

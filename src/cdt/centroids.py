@@ -206,7 +206,7 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
         if plateau:
             break
     return Clustering(
-        assignments=tuple(int(a) for a in assign),
+        assignments=tuple(assign.tolist()),
         centers=tuple(float(c) for c in centers),
         objective=float(prev_obj),
         iterations=iterations,

@@ -16,7 +16,7 @@ from .bhattacharyya import DensityModel, DiscreteDist, _total_mass
 from .errors import DomainError, KindMismatch
 from .generators import Generator
 from .means import _checked_means, quasi_arithmetic, weighted_mean
-from .quadrature import integrate
+from .quadrature import _integrals, integrate
 
 
 def qa_mean(f: Generator, samples: Sequence[float]) -> float:
@@ -45,16 +45,29 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
             raise DomainError("qa_expected_value needs a DiscreteDist with a value grid")
         xs = np.asarray(dist.values)
         lo, hi = float(np.min(xs)), float(np.max(xs))
+        total = _total_mass(dist) if normalize or not dist.normalized else 1.0
     elif isinstance(dist, DensityModel):
         lo, hi = dist.truncation
         if not (f.domain.contains(lo) and f.domain.contains(hi)):
             raise DomainError(f"support [{lo!r}, {hi!r}] is not inside the domain of generator {f.id!r}")
-        with np.errstate(all="ignore"):
-            moment = integrate(lambda x: np.asarray(dist.eval(x), dtype=float) * f.forward(x),
-                               lo, hi, dist.quadrature, dist.breakpoints)
+
+        def moment_alone() -> float:
+            with np.errstate(all="ignore"):
+                return integrate(lambda x: np.asarray(dist.eval(x), dtype=float) * f.forward(x),
+                                 lo, hi, dist.quadrature, dist.breakpoints)
+
+        def joint(x):
+            d = np.asarray(dist.eval(x), dtype=float)
+            with np.errstate(all="ignore"):
+                return np.array((d * f.forward(x), d))
+
+        if normalize or not dist.normalized:
+            moment, total = _integrals(joint, (moment_alone, lambda: _total_mass(dist)), lo, hi,
+                                       dist.quadrature, dist.breakpoints)
+        else:
+            moment, total = moment_alone(), 1.0
     else:
         raise KindMismatch(f"unsupported distribution type {type(dist).__name__}")
-    total = _total_mass(dist) if normalize or not dist.normalized else 1.0
     if not total > 0.0:
         raise DomainError(f"total mass is {total!r}: qa_expected_value needs a positive total mass")
     if isinstance(dist, DiscreteDist):

@@ -30,6 +30,17 @@ integrand value (DomainError naming the first point that is not).
 The integral is one ``math.fsum`` of every accepted contribution, over all
 panels: the correctly rounded sum of the pieces, whatever the order in
 which they were accepted.
+
+The core also integrates a stack of m integrands (``_integrals``: the two
+coefficients of ``cmbd``, a moment and a mass) over one set of
+subintervals, one call per batch for all of them.  Each component keeps
+its own accepted subintervals, budgets and ``math.fsum``; a subinterval is
+split while a component still open on it is over budget, and its halves
+are open to those components only.  So each value is bit for bit that of
+the component's own integral, which ``integrate`` is, the m = 1 case.
+Where the joint pass raises anything, each integral runs alone, in order,
+so values and errors are those of separate integrals: a component can meet
+a NaN or a failing kernel on a subinterval only another one refines.
 """
 
 from __future__ import annotations
@@ -112,20 +123,21 @@ def _bounds(a, b) -> tuple[float, float]:
     return a, b
 
 
-def _values(f: Callable, fv: Callable | None, pts: np.ndarray) -> tuple[Callable, np.ndarray]:
-    """The values of fv at every point of pts, in pts' shape, and fv; on the
-    first batch of an integral (fv None), fv is what ``_vectorized`` makes
-    of f.  DomainError names the first point where a value is NaN or
-    infinite."""
+def _values(f: Callable, fv: Callable | None, pts: np.ndarray, m: int) -> tuple[Callable, np.ndarray]:
+    """The values of fv at every point of pts, in pts' shape for m = 1, else
+    shaped (m, *pts.shape), and fv, which maps the flattened points to their
+    values (m rows of them for m > 1).  On the first batch of an integral
+    (fv None), fv is what ``_vectorized`` makes of f.  DomainError names the
+    first point where a value is NaN or infinite."""
     x = pts.ravel()
     fv, y = _vectorized(f, x, CdtError) if fv is None else (fv, None)
     if y is None:
         y = np.asarray(fv(x), dtype=float)
     finite = np.isfinite(y)
     if not finite.all():
-        i = int(np.argmin(finite))
-        raise DomainError(f"integrand is {float(y[i])!r} at x = {float(x[i])!r}")
-    return fv, y.reshape(pts.shape)
+        i = int(np.argmin(finite.ravel()))
+        raise DomainError(f"integrand is {float(y.flat[i])!r} at x = {float(x[i % len(x)])!r}")
+    return fv, y.reshape(pts.shape if m == 1 else (m, *pts.shape))
 
 
 def gauss_kronrod(
@@ -142,40 +154,61 @@ def gauss_kronrod(
     return integrate(f, a, b, QuadratureConfig(abs_tol=abs_tol, max_depth=max_depth))
 
 
-def _kronrod(f: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_depth: int) -> float:
-    """Adaptive Gauss-Kronrod integral over the panels [a[i], b[i]], a < b:
-    one ``math.fsum`` of the accepted Kronrod sums of every panel.
+def _kronrod(
+    f: Callable, a: np.ndarray, b: np.ndarray, abs_tol: float, max_depth: int, m: int = 1
+) -> list[float]:
+    """Adaptive Gauss-Kronrod integrals of the m components of f over the
+    panels [a[i], b[i]], a < b: for each component, one ``math.fsum`` of the
+    Kronrod sums it accepted on every panel.
 
-    A group holds subintervals of one depth in panel order: their ends and
-    panels.  The stack starts with every panel in one group at depth 0.
-    Each call of f evaluates the lowest ``_MAX_ACTIVE`` subintervals of the
-    group on top, and pushes the rest of that group and then the halves of
-    the subintervals it did not accept, each pair side by side.  The first
-    call decides how f is called from then on.
+    A group holds subintervals of one depth in panel order: their ends,
+    panels and the components open on each (None for m = 1).  The stack
+    starts with every panel in one group at depth 0, open to every
+    component.  Each call of f evaluates the lowest ``_MAX_ACTIVE``
+    subintervals of the group on top, and each component accepts its
+    Kronrod sum on those open to it that are within the budget.  The call
+    pushes the rest of that group and then the halves of the subintervals
+    still over budget for some open component, each pair side by side, open
+    to those components only.  So a component accepts exactly the subintervals
+    that its own run (m = 1) accepts, and its integral is that run's, bit
+    for bit; it fails at ``max_depth`` where that run fails.  For m = 1
+    the first call decides how f is called from then on; for m > 1 f maps
+    the flattened points to an (m, points) array.
     """
-    fv = None  # f, or f point by point
-    stack = [(0, float(abs_tol), a, b, np.arange(len(a)))]  # (depth, error budget, lo, hi, pan)
-    values: list[np.ndarray] = []
+    fv = None if m == 1 else f  # f, or f point by point
+    live = None if m == 1 else np.ones((m, len(a)), dtype=bool)
+    stack = [(0, float(abs_tol), a, b, np.arange(len(a)), live)]  # (depth, error budget, lo, hi, pan, open)
+    values: list[list[np.ndarray]] = [[] for _ in range(m)]
     while stack:
-        depth, tol, lo, hi, pan = stack.pop()
+        depth, tol, lo, hi, pan, live = stack.pop()
         if len(pan) > _MAX_ACTIVE:
-            stack.append((depth, tol, lo[_MAX_ACTIVE:], hi[_MAX_ACTIVE:], pan[_MAX_ACTIVE:]))
+            rest = None if live is None else live[:, _MAX_ACTIVE:]
+            stack.append((depth, tol, lo[_MAX_ACTIVE:], hi[_MAX_ACTIVE:], pan[_MAX_ACTIVE:], rest))
             lo, hi, pan = lo[:_MAX_ACTIVE], hi[:_MAX_ACTIVE], pan[:_MAX_ACTIVE]
+            live = None if live is None else live[:, :_MAX_ACTIVE]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fv, fx = _values(f, fv, mid[:, None] + half[:, None] * _XK)
-        kronrod = half * (fx * _WK).sum(axis=1)
-        err = np.abs(kronrod - half * (fx[:, 1::2] * _WG).sum(axis=1))
+        fv, fx = _values(f, fv, mid[:, None] + half[:, None] * _XK, m)
+        kronrod = half * (fx * _WK).sum(axis=-1)
+        err = np.abs(kronrod - half * (fx[..., 1::2] * _WG).sum(axis=-1))
         done = err <= tol
-        values.append(kronrod[done])
-        if done.all():
+        if live is None:  # one component, open on every subinterval
+            values[0].append(kronrod[done])
+            k = ~done
+        else:
+            over = live & ~done
+            for c in range(m):
+                values[c].append(kronrod[c, live[c] & done[c]])
+            k = np.logical_or.reduce(over)
+        if not np.count_nonzero(k):
             continue
-        k = ~done
         if depth == max_depth:
-            raise _failure(a, b, lo[k], hi[k], pan[k], err[k] / tol, depth)
+            worst = err if live is None else np.where(over, err, 0.0).max(axis=0)
+            raise _failure(a, b, lo[k], hi[k], pan[k], worst[k] / tol, depth)
         lo, mid, hi = lo[k], mid[k], hi[k]
+        live = None if live is None else np.repeat(over[:, k], 2, axis=1)
         stack.append((depth + 1, 0.5 * tol, np.column_stack((lo, mid)).ravel(),
-                      np.column_stack((mid, hi)).ravel(), np.repeat(pan[k], 2)))
-    return math.fsum(np.concatenate(values).tolist())
+                      np.column_stack((mid, hi)).ravel(), np.repeat(pan[k], 2), live))
+    return [math.fsum(np.concatenate(v).tolist()) for v in values]
 
 
 def _failure(a, b, lo, hi, pan, ratio, depth) -> QuadratureFailure:
@@ -212,6 +245,19 @@ def ladder_breakpoints(lo: float, hi: float, center: float = 0.0, width: float =
     return tuple(sorted(pts))
 
 
+def _panels(lo: float, hi: float, breakpoints: Sequence[float]) -> np.ndarray:
+    """The panel edges of an integral over [lo, hi], lo < hi: the interior
+    breakpoints, sorted, each first of its repeats kept (``np.unique``'s
+    values at a fraction of its cost), or a geometric ladder around 0 over
+    an interval without them wider than 1e4 max(1, |lo + hi|)."""
+    brk = np.asarray(breakpoints, dtype=float)
+    brk = np.sort(brk[(lo < brk) & (brk < hi)])
+    edges = np.concatenate(([lo], brk[:1], brk[1:][brk[1:] != brk[:-1]], [hi]))
+    if len(edges) == 2 and (hi - lo) > 1e4 * max(1.0, abs(lo + hi)):
+        edges = np.array(ladder_breakpoints(lo, hi, 0.0, max(1.0, abs(lo + hi) * 0.5)))
+    return edges
+
+
 def integrate(
     f: Callable,
     lo: float,
@@ -228,8 +274,36 @@ def integrate(
     lo, hi = _bounds(lo, hi)
     if hi <= lo:
         return -integrate(f, hi, lo, cfg, breakpoints) if hi < lo else 0.0
-    brk = np.asarray(breakpoints, dtype=float)
-    edges = np.concatenate(([lo], np.unique(brk[(lo < brk) & (brk < hi)]), [hi]))
-    if len(edges) == 2 and (hi - lo) > 1e4 * max(1.0, abs(lo + hi)):
-        edges = np.array(ladder_breakpoints(lo, hi, 0.0, max(1.0, abs(lo + hi) * 0.5)))
-    return _kronrod(f, edges[:-1], edges[1:], cfg.abs_tol, cfg.max_depth)
+    edges = _panels(lo, hi, breakpoints)
+    return _kronrod(f, edges[:-1], edges[1:], cfg.abs_tol, cfg.max_depth)[0]
+
+
+def _integrals(
+    f: Callable,
+    alone: Sequence[Callable[[], float]],
+    lo: float,
+    hi: float,
+    cfg: QuadratureConfig,
+    breakpoints: Sequence[float],
+) -> list[float]:
+    """The integrals over [lo, hi] of the m = len(alone) components of f,
+    which maps a 1-D array of points to an (m, points) array, each bit for
+    bit what ``integrate`` gives for that component alone: one pass of
+    ``_kronrod`` over the panels of ``integrate``.
+
+    alone[i]() is the i-th integral computed by itself.  If the joint pass
+    raises anything (a non-finite value, a subinterval still over its budget
+    at ``max_depth``, an error or warning of f, which runs outside
+    ``np.errstate``), every alone[i]() runs, in order, and gives the values
+    and the first error of separate integrals: a component may meet a
+    value on a subinterval that only another component refines.  One
+    component is integrated alone from the start.
+    """
+    try:
+        a, b = _bounds(lo, hi)
+        if len(alone) > 1 and a < b:
+            edges = _panels(a, b, breakpoints)
+            return _kronrod(f, edges[:-1], edges[1:], cfg.abs_tol, cfg.max_depth, len(alone))
+    except Exception:  # whatever it was, the integral that meets it alone raises it again
+        pass
+    return [g() for g in alone]

@@ -21,6 +21,7 @@ from cdt.bhattacharyya import (
     mean_gap_distance,
     power_cmbd,
 )
+from cdt import bhattacharyya as bh
 from cdt.bhattacharyya import _mass_terms, _pair, _value_window
 from cdt.divergences import _zero_floor, skew_jccd
 from cdt.convexity import function_model
@@ -111,6 +112,21 @@ class TestCoefficient:
             bhat_coefficient(stolarsky(2), 0.5, P, Q)
         with pytest.raises(ParamError):
             bhat_coefficient(GEOMETRIC, 1.2, P, Q)
+
+    def test_errors_of_several_coefficients_come_in_the_order_of_their_means(self, monkeypatch):
+        # the coefficients before a mean without weights are computed first,
+        # and a mean without weights raises before the kinds are compared
+        seen = []
+        monkeypatch.setattr(bh, "_mass_coefficient", lambda M, *args: seen.append(M) or 0.5)
+        with pytest.raises(UnsupportedWeights, match="stolarsky"):
+            bh._coefficients((GEOMETRIC, HARMONIC, stolarsky(2), ARITHMETIC), 0.5, P, Q)
+        assert seen == [GEOMETRIC, HARMONIC]
+        with pytest.raises(UnsupportedWeights):
+            bh._coefficients((stolarsky(2), GEOMETRIC), 0.5, P, cauchy_density(1.0))
+        with pytest.raises(KindMismatch):
+            bh._coefficients((GEOMETRIC, stolarsky(2)), 0.5, P, cauchy_density(1.0))
+        with pytest.raises(ParamError, match="alpha"):
+            bh._coefficients((stolarsky(2),), 1.2, P, Q)
 
 
 class TestCmbd:

@@ -199,6 +199,14 @@ class TestKmeans:
         ws = WeightedSet.uniform((0.5, 0.8, 4.0, 4.4, 7.0, 7.7))
         assert kmeans_cluster(SPEC_SQ, ws, np.int64(3), seed=11) == kmeans_cluster(SPEC_SQ, ws, 3, seed=11)
 
+    def test_assignments_are_python_ints(self):
+        # ints, not numpy integers: equal, hashable alike, and printed alike
+        ws = WeightedSet.uniform((0.5, 0.8, 4.0, 4.4, 7.0, 7.7))
+        out = kmeans_cluster(SPEC_SQ, ws, 3, seed=11)
+        assert all(type(a) is int for a in out.assignments)
+        assert repr(out.assignments) == repr(tuple(int(a) for a in out.assignments))
+        assert sorted(set(out.assignments)) == [0, 1, 2]
+
 
 def recomputing_lloyd(spec, wset, k, seed=0, sweeps=None, reseeds=None):
     """Lloyd's loop without the fixed-point stop: every sweep solves the

@@ -4,11 +4,22 @@ import numpy as np
 import pytest
 
 from cdt.bhattacharyya import DensityModel, DiscreteDist, histogram_density
-from cdt.errors import DomainError, KindMismatch
+from cdt.errors import DomainError, KindMismatch, QuadratureFailure
 from cdt.expectations import qa_expected_value, qa_mean
 from cdt.generators import EXP, IDENTITY, LOG, RECIPROCAL, power_generator
 from cdt.means import quasi_arithmetic, weighted_mean
-from cdt.quadrature import integrate
+from cdt.quadrature import QuadratureConfig, integrate
+
+
+def _counted(f):
+    """f, recording the number of points of each call."""
+
+    def g(x):
+        g.sizes.append(np.size(x))
+        return f(x)
+
+    g.sizes = []
+    return g
 
 
 class TestQaMean:
@@ -141,17 +152,82 @@ class TestQaExpectedValue:
 
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return integrate(*args)
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return call
 
         dens = histogram_density((1.0, 2.0, 4.0), (0.25, 0.75))
-        monkeypatch.setattr(ex, "integrate", counted)
-        monkeypatch.setattr(bh, "integrate", counted)  # where the mass is integrated
+        monkeypatch.setattr(ex, "integrate", counted("moment", integrate))
+        monkeypatch.setattr(bh, "integrate", counted("mass", integrate))  # where the mass is integrated alone
+        monkeypatch.setattr(ex, "_integrals", counted("both", ex._integrals))
         qa_expected_value(LOG, dens)
-        assert len(calls) == 1
+        assert calls == ["moment"]
         qa_expected_value(LOG, dens, normalize=True)
-        assert len(calls) == 3
+        assert calls == ["moment", "both"]  # one joint pass, no integral alone
+
+
+def _alone(f, dens):
+    """The f-moment and the total mass of dens as two ``integrate`` calls."""
+    args = (*dens.truncation, dens.quadrature, dens.breakpoints)
+    with np.errstate(all="ignore"):
+        moment = integrate(lambda x: np.asarray(dens.eval(x), dtype=float) * f.forward(x), *args)
+    return moment, integrate(dens.eval, *args)
+
+
+NORMALIZED_CASES = {
+    "histogram, log": (LOG, lambda: histogram_density(np.geomspace(0.5, 8.0, 41),
+                                                      np.random.default_rng(7).dirichlet(np.ones(40)))),
+    "histogram, reciprocal": (RECIPROCAL, lambda: histogram_density((1.0, 2.0, 4.0), (0.25, 0.75))),
+    "unnormalized 1/x, log, 1e-12": (LOG, lambda: DensityModel(
+        eval=lambda x: 1.0 / np.asarray(x), truncation=(0.01, 1.0),
+        quadrature=QuadratureConfig(abs_tol=1e-12), normalized=False)),
+    "unnormalized 2 + sin, identity": (IDENTITY, lambda: DensityModel(
+        eval=lambda x: 2.0 + np.sin(7.0 * np.asarray(x)), truncation=(-1.0, 3.0), normalized=False)),
+}
+
+
+@pytest.mark.parametrize("case", list(NORMALIZED_CASES))
+def test_moment_and_mass_in_one_pass_equal_two_integrals(case):
+    f, build = NORMALIZED_CASES[case]
+    dens = build()
+    moment, total = _alone(f, dens)
+    lo, hi = dens.truncation
+    assert qa_expected_value(f, dens, normalize=True) == min(max(f.inv(moment / total), lo), hi)
+    if not dens.normalized:
+        assert qa_expected_value(f, dens) == min(max(f.inv(moment), lo), hi)
+
+
+def test_moment_and_mass_of_one_pass_refine_to_different_depths():
+    # 1/x at abs_tol 1e-12: log(x)/x and 1/x split [0.01, 1] unequally,
+    # so the joint pass must refine each only where its own run does
+    dens = NORMALIZED_CASES["unnormalized 1/x, log, 1e-12"][1]()
+    sizes = []
+    for g in (lambda x: dens.eval(x) * LOG.forward(x), dens.eval):
+        h = _counted(g)
+        integrate(h, *dens.truncation, dens.quadrature)
+        sizes.append(sum(h.sizes))
+    assert sizes[0] != sizes[1]
+
+
+def test_the_moment_error_comes_before_the_mass_error():
+    # 1 then 2 past 1.3: both integrands jump inside [1, 2] and fail at
+    # depth 3 with different ratios; the moment's failure is the one raised
+    cfg = QuadratureConfig(max_depth=3)
+    dens = DensityModel(eval=lambda x: np.where(np.asarray(x) < 1.3, 1.0, 2.0), truncation=(1.0, 2.0),
+                        quadrature=cfg, normalized=False)
+    errors = []
+    for g in (lambda x: dens.eval(x) * LOG.forward(x), dens.eval):
+        with pytest.raises(QuadratureFailure) as info:
+            integrate(g, 1.0, 2.0, cfg)
+        errors.append(str(info.value))
+    assert errors[0] != errors[1]
+    for normalize in (True, False):
+        with pytest.raises(QuadratureFailure) as info:
+            qa_expected_value(LOG, dens, normalize=normalize)
+        assert str(info.value) == errors[0]
 
 
 @pytest.mark.parametrize(

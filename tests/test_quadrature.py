@@ -14,26 +14,31 @@ from oracle import mp
 
 from cdt import bhattacharyya, expectations
 from cdt.bhattacharyya import (
+    DensityModel,
     _barycenters,
+    _coefficients,
     _merged_quadrature,
     bhat_coefficient,
     cauchy_density,
     cauchy_ha_closed_form,
     cmbd,
     histogram_density,
+    power_cmbd,
 )
 from cdt.cli import main
+from cdt.divergences import DivergenceValue, _zero_floor
 from cdt.errors import DomainError, ParamError, QuadratureFailure
 from cdt.expectations import qa_expected_value
 from cdt.expr import expression_model
 from cdt.generators import LOG, RECIPROCAL
-from cdt.means import ARITHMETIC, GEOMETRIC, HARMONIC
+from cdt.means import ARITHMETIC, GEOMETRIC, HARMONIC, power
 from cdt.quadrature import (
     _MAX_ACTIVE,
     _WG,
     _WK,
     _XK,
     QuadratureConfig,
+    _integrals,
     gauss_kronrod,
     integrate,
 )
@@ -64,25 +69,32 @@ def test_histogram_integral_probes_once():
     assert f.calls == 1
 
 
-def test_density_integrals_of_a_bhat_operation_are_not_probed(monkeypatch):
-    # The densities of one operation of the bhat benchmark workload at seed
-    # 1, drawn as it draws them: its 8 integrals make one integrand call
-    # each, on 15120 points (a probe per integral made that 16 calls on
-    # 15136 points).
-    rng = np.random.default_rng(1)
+def _counted_density(d):
+    """d with its eval counted as ``_counted`` counts, from after its build."""
+    e = _counted(d.eval)
+    d = dataclasses.replace(d, eval=e)
+    e.calls, e.sizes = 0, []
+    return d, e
+
+
+def _bhat_operation_densities(seed):
+    """alpha and the Cauchy and histogram densities of one operation of the
+    bhat benchmark workload, drawn as it draws them."""
+    rng = np.random.default_rng(seed)
     alpha = float(rng.uniform(0.3, 0.7))
     for _ in range(2):  # the two sparse 10^4-bin mass vectors
         rng.gamma(2.0, 1.0, 10_000), rng.random(10_000)
     C1, C2 = (cauchy_density(float(s)) for s in rng.uniform(0.5, 2.0, 2))
     H1, H2 = (histogram_density(np.geomspace(0.5, 8.0, 201), h / h.sum()) for h in rng.gamma(2.0, 1.0, (2, 200)))
-    integrands = []
+    return alpha, C1, C2, H1, H2
 
-    def counted(f, *args):
-        integrands.append(_counted(f))
-        return integrate(integrands[-1], *args)
 
-    monkeypatch.setattr(bhattacharyya, "integrate", counted)
-    monkeypatch.setattr(expectations, "integrate", counted)
+def test_density_integrals_of_a_bhat_operation_are_not_probed():
+    # At seed 1 every panel is accepted at depth 0: each cmbd evaluates each
+    # density once, on the 15 nodes of every panel (52 for the Cauchy pair,
+    # 200 for the histograms), and each expected value its density once.
+    alpha, *densities = _bhat_operation_densities(1)
+    (C1, c1), (C2, c2), (H1, h1), (H2, h2) = map(_counted_density, densities)
     got = [
         float(cmbd(HARMONIC, ARITHMETIC, alpha, C1, C2)),
         float(cmbd(GEOMETRIC, ARITHMETIC, alpha, C1, C2)),
@@ -90,12 +102,29 @@ def test_density_integrals_of_a_bhat_operation_are_not_probed(monkeypatch):
         qa_expected_value(LOG, H1),
         qa_expected_value(RECIPROCAL, H1),
     ]
-    sizes = [n for g in integrands for n in g.sizes]
-    assert sizes == [780] * 4 + [3000] * 4 and sum(sizes) == 15120
+    assert c1.sizes == c2.sizes == [780, 780] and h1.sizes == [3000] * 3 and h2.sizes == [3000]
     assert [v.hex() for v in got] == [
         "0x1.fd7301fbecce1p-5", "0x1.00b40284fadb5p-5", "0x1.c73448a25e3aap-4",
         "0x1.0e54b47f309b6p+1", "0x1.93653f2a0c9bcp+0",
     ]
+
+
+@pytest.mark.parametrize("pair, counts", [
+    # density points of one cmbd, p's and q's: one integral per mean
+    # evaluated both densities at every node (3120 and 12000 points in all),
+    # the joint pass evaluates them once per batch
+    ("cauchy", (780, 780)),
+    ("histogram", (3000, 3000)),
+])
+def test_one_cmbd_evaluates_each_density_once_per_batch(pair, counts):
+    alpha, C1, C2, H1, H2 = _bhat_operation_densities(1)
+    (p, pe), (q, qe) = map(_counted_density, (C1, C2) if pair == "cauchy" else (H1, H2))
+    got = float(cmbd(GEOMETRIC, ARITHMETIC, alpha, p, q))
+    joint = (sum(pe.sizes), sum(qe.sizes))
+    assert joint == counts and pe.calls == qe.calls == 1
+    pe.sizes.clear(), qe.sizes.clear()
+    assert got == -math.log(_alone(GEOMETRIC, alpha, p, q) / _alone(ARITHMETIC, alpha, p, q))
+    assert (sum(pe.sizes), sum(qe.sizes)) == (2 * counts[0], 2 * counts[1])
 
 
 def test_integrate_accepts_scalar_only_integrands():
@@ -210,6 +239,130 @@ def test_batched_equals_per_panel_on_histograms(n, seed, M, alpha, cfg):
 def test_batched_equals_per_panel_on_cauchy_pairs(s1, s2, M, alpha, cfg):
     fv, lo, hi, brk = _pair_integrand(M, alpha, cauchy_density(s1, cfg), cauchy_density(s2, cfg))
     assert integrate(fv, lo, hi, cfg, brk) == _per_panel(fv, lo, hi, cfg, brk)
+
+
+# --------------------------------------- joint pass against one per component
+
+
+def _alone(M, alpha, p, q):
+    """The coefficient of (p, q) under M as one ``integrate`` call."""
+    f, lo, hi, brk = _pair_integrand(M, alpha, p, q)
+    return integrate(f, lo, hi, _merged_quadrature(p, q)[2], brk)
+
+
+TIGHT = QuadratureConfig(abs_tol=1e-12)
+
+
+def _beta(a, b, cfg=QuadratureConfig()):
+    """The Beta(a, b) density on [0, 1], integer a, b >= 1."""
+    c = math.factorial(a + b - 1) / (math.factorial(a - 1) * math.factorial(b - 1))
+    return DensityModel(eval=lambda x: c * x ** (a - 1) * (1.0 - x) ** (b - 1), truncation=(0.0, 1.0), quadrature=cfg)
+
+
+def _histogram(edges, seed):
+    m = np.random.default_rng(seed).gamma(2.0, 1.0, len(edges) - 1)
+    return histogram_density(edges, m / m.sum())
+
+
+PAIRS = {
+    "cauchy 0.7, 1.9": lambda: (cauchy_density(0.7), cauchy_density(1.9)),
+    "cauchy 0.05, 20": lambda: (cauchy_density(0.05), cauchy_density(20.0)),
+    "histograms, shared grid": lambda: (_histogram(np.geomspace(0.5, 8.0, 41), 1),
+                                        _histogram(np.geomspace(0.5, 8.0, 41), 2)),
+    "histograms, different grids": lambda: (_histogram(np.geomspace(0.5, 8.0, 41), 1),
+                                            _histogram(np.linspace(0.5, 8.0, 28), 3)),
+    "beta 4,5 / 5,4 at 1e-12": lambda: (_beta(4, 5, TIGHT), _beta(5, 4, TIGHT)),
+    "cauchy 0.7, 1.9 at 1e-12": lambda: (cauchy_density(0.7, TIGHT), cauchy_density(1.9, TIGHT)),
+}
+ORDERED = [(GEOMETRIC, ARITHMETIC), (HARMONIC, ARITHMETIC), (HARMONIC, GEOMETRIC), (power(-1.0), power(2.0))]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("pair", list(PAIRS))
+def test_joint_coefficients_equal_one_integral_per_mean(pair, alpha):
+    p, q = PAIRS[pair]()
+    for M, N in ORDERED:
+        cM, cN = _alone(M, alpha, p, q), _alone(N, alpha, p, q)
+        assert _coefficients((M, N), alpha, p, q) == [cM, cN]
+        assert bhat_coefficient(M, alpha, p, q) == cM
+        assert cmbd(M, N, alpha, p, q) == DivergenceValue.create(-math.log(cM / cN), ("p", "q"))
+    c2, c1 = _alone(power(2.0), alpha, p, q), _alone(power(-1.0), alpha, p, q)
+    assert power_cmbd(2.0, -1.0, alpha, p, q) == _zero_floor(math.log(c2 / c1) / 3.0)
+
+
+@pytest.mark.parametrize("pair", ["beta 4,5 / 5,4 at 1e-12", "cauchy 0.7, 1.9 at 1e-12"])
+def test_tight_pairs_refine_their_means_to_different_depths(pair):
+    # so the joint pass must refine each mean only where its own run does
+    p, q = PAIRS[pair]()
+    points = []
+    for M in (GEOMETRIC, ARITHMETIC):
+        f, lo, hi, brk = _pair_integrand(M, 0.3, p, q)
+        g = _counted(f)
+        integrate(g, lo, hi, TIGHT, brk)
+        points.append(sum(g.sizes))
+    assert points[0] != points[1]
+
+
+def _jump_pair(q_right, cfg=QuadratureConfig()):
+    """p uniform on [0, 1] and 0 on (1, 2]; q (unnormalized) 0.4 on [0, 1.3)
+    and q_right on [1.3, 2]."""
+    p = histogram_density((0.0, 1.0, 2.0), (1.0, 0.0), cfg)
+    q = DensityModel(eval=lambda x: np.where(np.asarray(x) < 1.3, 0.4, q_right), truncation=(0.0, 2.0),
+                     quadrature=cfg, normalized=False)
+    return p, q
+
+
+def test_only_the_upper_mean_over_budget_at_max_depth_fails_as_its_own_integral():
+    # On (1, 2] p is 0: the geometric integrand is 0 there and the
+    # arithmetic one jumps at 1.3, so only the arithmetic integral fails.
+    p, q = _jump_pair(0.1, QuadratureConfig(max_depth=3))
+    _alone(GEOMETRIC, 0.5, p, q)
+    with pytest.raises(QuadratureFailure) as alone:
+        _alone(ARITHMETIC, 0.5, p, q)
+    for call in (lambda: cmbd(GEOMETRIC, ARITHMETIC, 0.5, p, q),
+                 lambda: _coefficients((GEOMETRIC, ARITHMETIC), 0.5, p, q)):
+        with pytest.raises(QuadratureFailure) as joint:
+            call()
+        assert str(joint.value) == str(alone.value)
+        assert "exceeded 3 refinement levels" in str(joint.value)
+
+
+def test_a_negative_density_value_fails_as_its_own_integral():
+    p, q = _jump_pair(-0.1)
+    with pytest.raises(DomainError) as alone:
+        _alone(GEOMETRIC, 0.5, p, q)
+    for call in (lambda: cmbd(GEOMETRIC, ARITHMETIC, 0.5, p, q), lambda: power_cmbd(2.0, -1.0, 0.5, p, q)):
+        with pytest.raises(DomainError) as joint:
+            call()
+        assert str(joint.value) == str(alone.value) == "distribution values must be nonnegative and not NaN"
+
+
+@settings(deadline=None, max_examples=30)
+@given(freqs=st.lists(st.floats(0.0, 60.0), min_size=2, max_size=4), cfg=CONFIGS, n=st.integers(0, 5))
+def test_joint_integrals_equal_separate_ones(freqs, cfg, n):
+    brk = tuple(np.linspace(0.0, 3.0, n + 2)[1:-1])
+    parts = [lambda x, w=w: np.sin(w * x) * np.exp(-x) for w in freqs]
+    ran = []
+    alone = [lambda g=g: ran.append(g) or integrate(g, 0.0, 3.0, cfg, brk) for g in parts]
+    got = _integrals(lambda x: np.array([g(x) for g in parts]), alone, 0.0, 3.0, cfg, brk)
+    assert got == [integrate(g, 0.0, 3.0, cfg, brk) for g in parts] and ran == []
+
+
+def test_a_value_only_another_component_visits_sends_the_pass_to_separate_integrals():
+    # f1 is NaN only at 0.25, the centre node of [0, 0.5], which f1's own
+    # run never visits (it accepts [0, 1] at depth 0) but f0's refines.
+    def f0(x):
+        return np.sin(30.0 * x)
+
+    def f1(x):
+        return np.where(x == 0.25, np.nan, 1.0)
+
+    joint = _counted(lambda x: np.array([f0(x), f1(x)]))
+    ran = []
+    alone = [lambda: ran.append(0) or integrate(f0, 0.0, 1.0), lambda: ran.append(1) or integrate(f1, 0.0, 1.0)]
+    assert _integrals(joint, alone, 0.0, 1.0, QuadratureConfig(), ()) == [integrate(f0, 0.0, 1.0),
+                                                                         integrate(f1, 0.0, 1.0)]
+    assert ran == [0, 1] and joint.sizes == [15, 30]  # the pass met the NaN on its second call
 
 
 def test_panels_past_the_active_bound_keep_their_results():
