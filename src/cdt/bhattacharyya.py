@@ -32,13 +32,13 @@ a writeable array is partitioned afresh on every call and never stored.
 The memo holds that one pair alive, with a read-only column array of
 about its size, until another pair replaces it.
 
-A density pair's coefficients are integrals over the merged truncation
-and breakpoints of both densities.  ``cmbd`` and ``power_cmbd`` take both
-in one joint quadrature pass (``_coefficients``): each batch of points
-evaluates p and q and checks them nonnegative once, then runs each mean's
-kernel, and each coefficient is bit for bit its own integral's.  Where the
-joint pass raises anything, each coefficient is integrated alone, in order,
-with the values and errors of separate integrals.
+A density pair's integrals run over the merged truncation and breakpoints
+of both densities, a histogram's outer edges included.  Each is one kernel
+of x and the rows (p(x), q(x)), which ``_density_integrals`` evaluates and
+checks nonnegative once per batch of points for every kernel.  So ``cmbd``
+and ``power_cmbd`` take both coefficients in one joint pass, each bit for
+bit its own integral's; where it raises anything, each is integrated alone,
+in order, with the values and errors of separate integrals.
 """
 
 from __future__ import annotations
@@ -189,7 +189,9 @@ def histogram_density(
     masses: Sequence[float],
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> DensityModel:
-    """Piecewise-constant density from bin edges and bin probability masses."""
+    """Piecewise-constant density from bin edges and bin probability masses;
+    every edge is a breakpoint, the outer ones too, so that an integral over
+    a wider span splits where the density jumps to 0."""
     e = np.asarray(edges, dtype=float)
     m = np.asarray(masses, dtype=float)
     if len(e) != len(m) + 1:
@@ -212,7 +214,7 @@ def histogram_density(
         eval=pdf,
         truncation=(float(e[0]), float(e[-1])),
         quadrature=cfg,
-        breakpoints=tuple(float(v) for v in e[1:-1]),
+        breakpoints=tuple(e.tolist()),
     )
 
 
@@ -222,11 +224,6 @@ def _density_values(A, B) -> np.ndarray:
     if not np.minimum.reduce(X, axis=None) >= 0.0:  # NaN propagates through the minimum
         raise DomainError("distribution values must be nonnegative and not NaN")
     return X
-
-
-def _barycenters(M: MeanSpec, alpha: float, A, B) -> np.ndarray:
-    """M(a, b; 1-alpha, alpha) elementwise over density values."""
-    return weighted_means(M, _density_values(A, B), (1.0 - alpha, alpha))
 
 
 class _Pair(NamedTuple):
@@ -312,10 +309,11 @@ def _merged_quadrature(p: DensityModel, q: DensityModel) -> tuple[float, float, 
     return lo, hi, cfg, np.concatenate((p.breakpoints, q.breakpoints))
 
 
-def _integral(fn: Callable, p: DensityModel, q: DensityModel) -> float:
-    """The integral of fn(p(x), q(x)) over two densities."""
+def _density_integrals(kernels: Sequence[Callable], p: DensityModel, q: DensityModel) -> list[float]:
+    """The integral over two densities of kernel(x, X) for each kernel, X the
+    rows (p(x), q(x)) checked nonnegative: ``quadrature._integrals``."""
     lo, hi, cfg, brk = _merged_quadrature(p, q)
-    return integrate(lambda x: fn(p.eval(x), q.eval(x)), lo, hi, cfg, brk)
+    return _integrals(lambda x: _density_values(p.eval(x), q.eval(x)), kernels, lo, hi, cfg, brk)
 
 
 def _coefficients(means: Sequence[MeanSpec], alpha: float, p, q) -> list[float]:
@@ -335,15 +333,8 @@ def _coefficients(means: Sequence[MeanSpec], alpha: float, p, q) -> list[float]:
     if head and _check_kinds(p, q):
         out = [_mass_coefficient(M, alpha, p.array, q.array) for M in head]
     elif head:
-        lo, hi, cfg, brk = _merged_quadrature(p, q)
         w = (1.0 - alpha, alpha)
-
-        def joint(x):
-            X = _density_values(p.eval(x), q.eval(x))
-            return np.array([weighted_means(M, X, w) for M in head])
-
-        alone = [lambda M=M: _integral(lambda A, B: _barycenters(M, alpha, A, B), p, q) for M in head]
-        out = _integrals(joint, alone, lo, hi, cfg, brk)
+        out = _density_integrals([lambda x, X, M=M: weighted_means(M, X, w) for M in head], p, q)
     if n < len(means):
         raise UnsupportedWeights(f"mean {means[n]} does not support weights")
     return out
@@ -483,4 +474,6 @@ def mean_gap_distance(f: Generator, g: Generator, p, q) -> float:
     if _check_kinds(p, q):
         parts = _pair(p.array, q.array)
         return _zero_floor(_exact_sum(_mass_terms(Mg, 0.5, parts) - _mass_terms(Mf, 0.5, parts)))
-    return _zero_floor(_integral(lambda A, B: _barycenters(Mg, 0.5, A, B) - _barycenters(Mf, 0.5, A, B), p, q))
+    w = (0.5, 0.5)
+    gap = _density_integrals([lambda x, X: weighted_means(Mg, X, w) - weighted_means(Mf, X, w)], p, q)[0]
+    return _zero_floor(gap)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -365,11 +365,12 @@ class QabdSpec:
     Construction re-checks (M_rho, M_tau)-convexity of F; a NOT_CONVEX
     verdict raises, an AFFINE verdict warns (the divergence is identically
     zero, which only forfeits the law of the indiscernible), on every
-    construction.  The reduction and the ``is_mn_convex`` report behind
-    these checks are memoized per (F, rho, tau), up to 512 entries, so a
-    repeat spec does not evaluate F again; models that do not hash are certified
-    on each construction.  A callable's state is taken as fixed: after
-    mutating one, build a new model.
+    construction.  The ``is_mn_convex`` report behind these checks is
+    memoized per (F, rho, tau), up to 512 entries, so a repeat spec does
+    not evaluate F again; models that do not hash are certified on each
+    construction.  A callable's state is taken as fixed: after mutating
+    one, build a new model.  ``qabd_conformal`` reduces F itself, through
+    the memoized ``to_ordinary``.
     """
 
     F: FunctionModel
@@ -377,10 +378,8 @@ class QabdSpec:
     tau: Generator
     verdict: ConvexityReport | None = None
     seed: int = 0
-    reduced: FunctionModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "reduced", to_ordinary(self.F, self.rho, self.tau))
         rep = self.verdict or is_mn_convex(self.F, self.rho, self.tau, seed=self.seed)
         if rep.verdict is Verdict.NOT_CONVEX:
             raise ConvexityError(
@@ -498,7 +497,7 @@ def qabd_conformal(spec: QabdSpec, p: float, q: float) -> tuple[float, float]:
     """
     F, rho, tau = spec.F, spec.rho, spec.tau
     factor = 1.0 / _nonvanishing(tau.deriv(F.value(q)), "tau'(F(q))", q)
-    G = spec.reduced
+    G = to_ordinary(F, rho, tau)
     u, v = rho.value(p), rho.value(q)
     base = G.value(u) - G.value(v) - (u - v) * G.deriv(v)
     return factor, base

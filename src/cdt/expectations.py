@@ -16,7 +16,7 @@ from .bhattacharyya import DensityModel, DiscreteDist, _total_mass
 from .errors import DomainError, KindMismatch
 from .generators import Generator
 from .means import _checked_means, quasi_arithmetic, weighted_mean
-from .quadrature import _integrals, integrate
+from .quadrature import _integrals
 
 
 def qa_mean(f: Generator, samples: Sequence[float]) -> float:
@@ -35,10 +35,11 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
     ``normalize=True`` the f-moment is divided by the total mass, extending
     the definition to positive unnormalized measures; without it an
     unnormalized grid of total mass m gives f^{-1}(m f(M)), M its mean
-    under the masses divided by m.  The total
-    mass is taken when ``normalize`` is set or ``dist`` is not normalized,
-    and must then be positive.  The value is clamped to the support: the
-    span of the grid, or a density's truncation.
+    under the masses divided by m.  The total mass is taken when
+    ``normalize`` is set or ``dist`` is not normalized, and must then be
+    positive; a density's comes in one quadrature pass with its f-moment,
+    each bit for bit its own integral.  The value is clamped to the
+    support: the span of the grid, or a density's truncation.
     """
     if isinstance(dist, DiscreteDist):
         if dist.values is None:
@@ -51,21 +52,14 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
         if not (f.domain.contains(lo) and f.domain.contains(hi)):
             raise DomainError(f"support [{lo!r}, {hi!r}] is not inside the domain of generator {f.id!r}")
 
-        def moment_alone() -> float:
+        def f_moment(x, d):
             with np.errstate(all="ignore"):
-                return integrate(lambda x: np.asarray(dist.eval(x), dtype=float) * f.forward(x),
-                                 lo, hi, dist.quadrature, dist.breakpoints)
+                return d * f.forward(x)
 
-        def joint(x):
-            d = np.asarray(dist.eval(x), dtype=float)
-            with np.errstate(all="ignore"):
-                return np.array((d * f.forward(x), d))
-
-        if normalize or not dist.normalized:
-            moment, total = _integrals(joint, (moment_alone, lambda: _total_mass(dist)), lo, hi,
-                                       dist.quadrature, dist.breakpoints)
-        else:
-            moment, total = moment_alone(), 1.0
+        kernels = (f_moment, lambda x, d: d) if normalize or not dist.normalized else (f_moment,)
+        moment, *mass = _integrals(lambda x: np.asarray(dist.eval(x), dtype=float), kernels, lo, hi,
+                                   dist.quadrature, dist.breakpoints)
+        total = mass[0] if mass else 1.0
     else:
         raise KindMismatch(f"unsupported distribution type {type(dist).__name__}")
     if not total > 0.0:

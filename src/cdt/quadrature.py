@@ -31,9 +31,11 @@ The integral is one ``math.fsum`` of every accepted contribution, over all
 panels: the correctly rounded sum of the pieces, whatever the order in
 which they were accepted.
 
-The core also integrates a stack of m integrands (``_integrals``: the two
+The core also integrates m components (``_integrals``: the two
 coefficients of ``cmbd``, a moment and a mass) over one set of
-subintervals, one call per batch for all of them.  Each component keeps
+subintervals, one call per batch for all of them.  Each is described once,
+as a kernel of x and a ``shared(x)`` evaluation, from which come both the
+joint integrand and the component's own integral.  Each component keeps
 its own accepted subintervals, budgets and ``math.fsum``; a subinterval is
 split while a component still open on it is over budget, and its halves
 are open to those components only.  So each value is bit for bit that of
@@ -279,31 +281,35 @@ def integrate(
 
 
 def _integrals(
-    f: Callable,
-    alone: Sequence[Callable[[], float]],
+    shared: Callable,
+    kernels: Sequence[Callable],
     lo: float,
     hi: float,
     cfg: QuadratureConfig,
     breakpoints: Sequence[float],
 ) -> list[float]:
-    """The integrals over [lo, hi] of the m = len(alone) components of f,
-    which maps a 1-D array of points to an (m, points) array, each bit for
-    bit what ``integrate`` gives for that component alone: one pass of
-    ``_kronrod`` over the panels of ``integrate``.
+    """The integrals over [lo, hi] of kernel(x, shared(x)), one per kernel,
+    each bit for bit what ``integrate`` gives for it alone: one pass of
+    ``_kronrod`` over the panels of ``integrate``, which evaluates shared
+    once per batch of points (two densities and their check, say), then
+    each kernel on it.
 
-    alone[i]() is the i-th integral computed by itself.  If the joint pass
-    raises anything (a non-finite value, a subinterval still over its budget
-    at ``max_depth``, an error or warning of f, which runs outside
-    ``np.errstate``), every alone[i]() runs, in order, and gives the values
-    and the first error of separate integrals: a component may meet a
-    value on a subinterval that only another component refines.  One
-    component is integrated alone from the start.
+    If the joint pass raises anything (a non-finite value, a subinterval
+    still over its budget at ``max_depth``, an error or warning of shared or
+    a kernel, which run outside ``np.errstate``), each integral runs alone,
+    in order, and gives the values and the first error of separate
+    integrals: a kernel may meet a value on a subinterval that only another
+    kernel refines.  One kernel is integrated alone from the start.
     """
+    def joint(x):
+        s = shared(x)
+        return np.array([k(x, s) for k in kernels])
+
     try:
         a, b = _bounds(lo, hi)
-        if len(alone) > 1 and a < b:
+        if len(kernels) > 1 and a < b:
             edges = _panels(a, b, breakpoints)
-            return _kronrod(f, edges[:-1], edges[1:], cfg.abs_tol, cfg.max_depth, len(alone))
+            return _kronrod(joint, edges[:-1], edges[1:], cfg.abs_tol, cfg.max_depth, len(kernels))
     except Exception:  # whatever it was, the integral that meets it alone raises it again
         pass
-    return [g() for g in alone]
+    return [integrate(lambda x, k=k: k(x, shared(x)), lo, hi, cfg, breakpoints) for k in kernels]

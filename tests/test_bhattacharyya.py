@@ -49,7 +49,7 @@ from cdt.means import (
     stolarsky,
     weighted_means,
 )
-from cdt.quadrature import QuadratureConfig
+from cdt.quadrature import QuadratureConfig, integrate
 
 P = DiscreteDist((0.5, 0.5))
 Q = DiscreteDist((0.9, 0.1))
@@ -350,6 +350,20 @@ class TestDensities:
             disc = float(cmbd(M, N, 0.3, P, Q))
             cont = float(cmbd(M, N, 0.3, dp, dq))
             assert cont == pytest.approx(disc, abs=1e-9)
+
+    def test_histograms_on_different_spans_split_where_each_jumps_to_zero(self):
+        # p is 0 outside [0.5, 8] inside q's [0.3, 9]: without p's outer
+        # edges among the breakpoints, the panel around 0.5 never converges.
+        ep, eq = np.geomspace(0.5, 8.0, 41), np.linspace(0.3, 9.0, 28)
+        mp, mq = (np.random.default_rng(seed).gamma(2.0, 1.0, len(e) - 1) for seed, e in ((1, ep), (3, eq)))
+        p, q = histogram_density(ep, mp / mp.sum()), histogram_density(eq, mq / mq.sum())
+        # both densities are constant between consecutive merged edges
+        edges = np.union1d(ep, eq)
+        mid, width = 0.5 * (edges[1:] + edges[:-1]), np.diff(edges)
+        a, b = p.eval(mid), q.eval(mid)
+        cG = math.fsum((width * a**0.7 * b**0.3).tolist())
+        cA = math.fsum((width * (0.7 * a + 0.3 * b)).tolist())
+        assert float(cmbd(GEOMETRIC, ARITHMETIC, 0.3, p, q)) == pytest.approx(-math.log(cG / cA), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "edges",
@@ -905,3 +919,21 @@ def test_mean_gap_distance_of_densities_integrates_the_gap():
     # unit-width bins: the density values are the masses, and the gap is constant on each bin
     want = math.fsum(0.5 * (pm + qm) - np.sqrt(pm * qm))
     assert mean_gap_distance(LOG, IDENTITY, P, Q) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("f, g", [(LOG, IDENTITY), (RECIPROCAL, LOG)])
+@pytest.mark.parametrize("pair", [
+    lambda: (cauchy_density(0.7), cauchy_density(1.9)),
+    lambda: (histogram_density(np.geomspace(0.5, 8.0, 41), np.full(40, 1 / 40)),
+             histogram_density(np.linspace(0.3, 9.0, 28), np.linspace(1.0, 2.0, 27) / 40.5)),
+], ids=["cauchy", "histograms"])
+def test_mean_gap_distance_of_densities_is_one_integral_of_the_gap(pair, f, g):
+    p, q = pair()
+
+    def gap(x):
+        X = np.array((p.eval(x), q.eval(x)))
+        return weighted_means(quasi_arithmetic(g), X, (0.5, 0.5)) - weighted_means(quasi_arithmetic(f), X, (0.5, 0.5))
+
+    lo, hi = min(p.truncation[0], q.truncation[0]), max(p.truncation[1], q.truncation[1])
+    want = integrate(gap, lo, hi, p.quadrature, p.breakpoints + q.breakpoints)
+    assert mean_gap_distance(f, g, p, q) == _zero_floor(want) and want > 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -146,27 +147,21 @@ class TestQaExpectedValue:
         assert qa_expected_value(IDENTITY, dens) == qa_expected_value(IDENTITY, grid) == 2.0
         assert qa_expected_value(IDENTITY, dens, normalize=True) == pytest.approx(1.5, abs=1e-12)
 
-    def test_a_normalized_density_integrates_its_mass_only_when_asked(self, monkeypatch):
-        import cdt.bhattacharyya as bh
-        import cdt.expectations as ex
-
-        calls = []
-
-        def counted(name, fn):
-            def call(*args):
-                calls.append(name)
-                return fn(*args)
-
-            return call
-
+    def test_a_normalized_density_integrates_its_mass_only_when_asked(self):
+        # The moment and the mass are both accepted on the two bins at depth
+        # 0: the one joint pass evaluates the density in one call, as the
+        # moment alone does, and an integral of the mass alone would call it
+        # again.
         dens = histogram_density((1.0, 2.0, 4.0), (0.25, 0.75))
-        monkeypatch.setattr(ex, "integrate", counted("moment", integrate))
-        monkeypatch.setattr(bh, "integrate", counted("mass", integrate))  # where the mass is integrated alone
-        monkeypatch.setattr(ex, "_integrals", counted("both", ex._integrals))
-        qa_expected_value(LOG, dens)
-        assert calls == ["moment"]
-        qa_expected_value(LOG, dens, normalize=True)
-        assert calls == ["moment", "both"]  # one joint pass, no integral alone
+        moment = _counted(lambda x: dens.eval(x) * LOG.forward(x))
+        integrate(moment, *dens.truncation, dens.quadrature, dens.breakpoints)
+        assert moment.sizes == [30]
+        counted = _counted(dens.eval)
+        dens = dataclasses.replace(dens, eval=counted)
+        for normalize in (False, True):
+            counted.sizes.clear()
+            qa_expected_value(LOG, dens, normalize=normalize)
+            assert counted.sizes == moment.sizes
 
 
 def _alone(f, dens):

@@ -5,10 +5,12 @@ access.  A bare ``import cdt`` loads no layer module, and a ``cdt`` process
 loads only the layers of its subcommand: the benchmark's CLI processes
 compile every module they import, so each module left out is start-up time
 saved.  The memo of reductions and certificates adds no module to any of
-them.  The module sets are taken in fresh interpreters.
+them.  The module sets are taken in fresh interpreters.  Every name the
+benchmark's tracer hooks into exists.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,7 +21,8 @@ import pytest
 
 import cdt
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 #: The exported names of each layer module.
 EXPORTS = {
@@ -43,6 +46,21 @@ EXPORTS = {
     "quadrature": "QuadratureConfig gauss_kronrod integrate",
 }
 HOME = {name: layer for layer, names in EXPORTS.items() for name in names.split()}
+
+
+def test_every_name_the_benchmark_tracer_hooks_into_exists():
+    # bench/tracing.py wraps its METHODS on their classes and every public
+    # function of its LAYERS; bench/cdt_child.py wraps
+    # cdt.expr.compile_expression.  Loading tracing.py runs no harness.
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert set(tracing.METHODS) <= set(tracing.LAYERS)
+    for layer in tracing.LAYERS:
+        module = importlib.import_module(f"cdt.{layer}")
+        for cls, meth in tracing.METHODS.get(layer, ()):
+            assert callable(vars(getattr(module, cls)).get(meth)), f"cdt.{layer}.{cls}.{meth}"
+    assert callable(importlib.import_module("cdt.expr").compile_expression)
 
 
 def test_all_lists_the_99_exported_names():

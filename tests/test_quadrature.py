@@ -15,8 +15,8 @@ from oracle import mp
 from cdt import bhattacharyya, expectations
 from cdt.bhattacharyya import (
     DensityModel,
-    _barycenters,
     _coefficients,
+    _density_values,
     _merged_quadrature,
     bhat_coefficient,
     cauchy_density,
@@ -31,7 +31,7 @@ from cdt.errors import DomainError, ParamError, QuadratureFailure
 from cdt.expectations import qa_expected_value
 from cdt.expr import expression_model
 from cdt.generators import LOG, RECIPROCAL
-from cdt.means import ARITHMETIC, GEOMETRIC, HARMONIC, power
+from cdt.means import ARITHMETIC, GEOMETRIC, HARMONIC, power, weighted_means
 from cdt.quadrature import (
     _MAX_ACTIVE,
     _WG,
@@ -210,7 +210,7 @@ def _per_panel(fv, lo, hi, cfg, breakpoints):
 
 def _pair_integrand(M, alpha, p, q):
     lo, hi, cfg, brk = _merged_quadrature(p, q)
-    return (lambda x: _barycenters(M, alpha, p.eval(x), q.eval(x))), lo, hi, brk
+    return (lambda x: weighted_means(M, _density_values(p.eval(x), q.eval(x)), (1.0 - alpha, alpha))), lo, hi, brk
 
 
 CONFIGS = st.sampled_from([QuadratureConfig(), QuadratureConfig(abs_tol=1e-13)])
@@ -270,7 +270,7 @@ PAIRS = {
     "histograms, shared grid": lambda: (_histogram(np.geomspace(0.5, 8.0, 41), 1),
                                         _histogram(np.geomspace(0.5, 8.0, 41), 2)),
     "histograms, different grids": lambda: (_histogram(np.geomspace(0.5, 8.0, 41), 1),
-                                            _histogram(np.linspace(0.5, 8.0, 28), 3)),
+                                            _histogram(np.linspace(0.3, 9.0, 28), 3)),
     "beta 4,5 / 5,4 at 1e-12": lambda: (_beta(4, 5, TIGHT), _beta(5, 4, TIGHT)),
     "cauchy 0.7, 1.9 at 1e-12": lambda: (cauchy_density(0.7, TIGHT), cauchy_density(1.9, TIGHT)),
 }
@@ -341,11 +341,20 @@ def test_a_negative_density_value_fails_as_its_own_integral():
 @given(freqs=st.lists(st.floats(0.0, 60.0), min_size=2, max_size=4), cfg=CONFIGS, n=st.integers(0, 5))
 def test_joint_integrals_equal_separate_ones(freqs, cfg, n):
     brk = tuple(np.linspace(0.0, 3.0, n + 2)[1:-1])
-    parts = [lambda x, w=w: np.sin(w * x) * np.exp(-x) for w in freqs]
-    ran = []
-    alone = [lambda g=g: ran.append(g) or integrate(g, 0.0, 3.0, cfg, brk) for g in parts]
-    got = _integrals(lambda x: np.array([g(x) for g in parts]), alone, 0.0, 3.0, cfg, brk)
-    assert got == [integrate(g, 0.0, 3.0, cfg, brk) for g in parts] and ran == []
+    made, seen = [], [[] for _ in freqs]
+
+    def shared(x):
+        made.append(np.exp(-x))
+        return made[-1]
+
+    def kernel(i, w):
+        return lambda x, e: seen[i].append(e) or np.sin(w * x) * e
+
+    got = _integrals(shared, [kernel(i, w) for i, w in enumerate(freqs)], 0.0, 3.0, cfg, brk)
+    assert got == [integrate(lambda x, w=w: np.sin(w * x) * np.exp(-x), 0.0, 3.0, cfg, brk) for w in freqs]
+    # one joint pass: every kernel read each batch's one shared value, and
+    # no kernel ran alone
+    assert all(len(s) == len(made) and all(a is b for a, b in zip(s, made)) for s in seen)
 
 
 def test_a_value_only_another_component_visits_sends_the_pass_to_separate_integrals():
@@ -357,12 +366,15 @@ def test_a_value_only_another_component_visits_sends_the_pass_to_separate_integr
     def f1(x):
         return np.where(x == 0.25, np.nan, 1.0)
 
-    joint = _counted(lambda x: np.array([f0(x), f1(x)]))
-    ran = []
-    alone = [lambda: ran.append(0) or integrate(f0, 0.0, 1.0), lambda: ran.append(1) or integrate(f1, 0.0, 1.0)]
-    assert _integrals(joint, alone, 0.0, 1.0, QuadratureConfig(), ()) == [integrate(f0, 0.0, 1.0),
-                                                                         integrate(f1, 0.0, 1.0)]
-    assert ran == [0, 1] and joint.sizes == [15, 30]  # the pass met the NaN on its second call
+    shared, ran = _counted(lambda x: None), []
+    kernels = [lambda x, s: ran.append(0) or f0(x), lambda x, s: ran.append(1) or f1(x)]
+    assert _integrals(shared, kernels, 0.0, 1.0, QuadratureConfig(), ()) == [integrate(f0, 0.0, 1.0),
+                                                                            integrate(f1, 0.0, 1.0)]
+    alone = _counted(f0)
+    integrate(alone, 0.0, 1.0)
+    # the pass met the NaN on its second call; then f0 ran alone, then f1
+    assert shared.sizes == [15, 30, *alone.sizes, 15]
+    assert ran == [0, 1, 0, 1] + [0] * alone.calls + [1]
 
 
 def test_panels_past_the_active_bound_keep_their_results():

@@ -42,7 +42,7 @@ import cdt.centroids
 import cdt.divergences
 import cdt.expr
 from cdt.centroids import _gradient, bregman_centroid, kmeans_cluster
-from cdt.convexity import TRUSTED_CONVEX, function_model
+from cdt.convexity import TRUSTED_CONVEX, function_model, to_ordinary
 from cdt.divergences import QabdSpec, WeightedSet, _anchors, _qabd_at, _qabd_checked, _qabd_raw, qabd
 from cdt.errors import DerivativeError, DomainError
 from cdt.expr import expression_generator, expression_model
@@ -220,7 +220,7 @@ def test_scan_of_a_raising_fun_raises_the_error_of_its_one_call():
     dom = Interval(0.0, 10.0)
     rho = Generator("nan-above-6", dom, lambda x: x, lambda y: np.where(y > 6.0, np.nan, y), np.ones_like)
     F = function_model("inf-at-3", dom, lambda x: np.where(np.abs(x - 3.0) < 0.01, np.inf, x), np.ones_like)
-    G = QabdSpec(F, rho, IDENTITY, verdict=TRUSTED_CONVEX).reduced
+    G = to_ordinary(F, rho, IDENTITY)
     with pytest.raises(DomainError, match=r"^the inverse of generator 'nan-above-6' is undefined at 7.0$"):
         _monotone_direction(G.deriv, 1.0, 9.0, 5)
 
