@@ -32,13 +32,14 @@ a writeable array is partitioned afresh on every call and never stored.
 The memo holds that one pair alive, with a read-only column array of
 about its size, until another pair replaces it.
 
-A density pair's integrals run over the merged truncation and breakpoints
-of both densities, a histogram's outer edges included.  Each is one kernel
-of x and the rows (p(x), q(x)), which ``_density_integrals`` evaluates and
-checks nonnegative once per batch of points for every kernel.  So ``cmbd``
-and ``power_cmbd`` take both coefficients in one joint pass, each bit for
-bit its own integral's; where it raises anything, each is integrated alone,
-in order, with the values and errors of separate integrals.
+A density pair's integrals run over the merged truncation of both
+densities, split at each one's breakpoints and truncation ends.  Each is
+one kernel of x and the rows (p(x), q(x)), which ``_density_integrals``
+evaluates and checks nonnegative once per batch of points for every
+kernel.  So ``cmbd`` and ``power_cmbd`` take both coefficients in one
+joint pass, each bit for bit its own integral's; where it raises
+anything, each is integrated alone, in order, with the values and errors
+of separate integrals.
 """
 
 from __future__ import annotations
@@ -189,9 +190,7 @@ def histogram_density(
     masses: Sequence[float],
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> DensityModel:
-    """Piecewise-constant density from bin edges and bin probability masses;
-    every edge is a breakpoint, the outer ones too, so that an integral over
-    a wider span splits where the density jumps to 0."""
+    """Piecewise-constant density from bin edges and bin probability masses."""
     e = np.asarray(edges, dtype=float)
     m = np.asarray(masses, dtype=float)
     if len(e) != len(m) + 1:
@@ -214,7 +213,7 @@ def histogram_density(
         eval=pdf,
         truncation=(float(e[0]), float(e[-1])),
         quadrature=cfg,
-        breakpoints=tuple(e.tolist()),
+        breakpoints=tuple(float(v) for v in e[1:-1]),
     )
 
 
@@ -301,12 +300,13 @@ def _check_kinds(p, q) -> bool:
 
 
 def _merged_quadrature(p: DensityModel, q: DensityModel) -> tuple[float, float, QuadratureConfig, np.ndarray]:
-    """Common bounds, the tighter quadrature and both densities' breakpoints
-    (``integrate`` sorts them and drops repeats)."""
+    """Common bounds, the tighter quadrature, and both densities' truncation
+    ends and breakpoints, where the pair's panels split (``integrate`` sorts
+    them and drops repeats and the ends of its own interval)."""
     lo = min(p.truncation[0], q.truncation[0])
     hi = max(p.truncation[1], q.truncation[1])
     cfg = p.quadrature if p.quadrature.abs_tol <= q.quadrature.abs_tol else q.quadrature
-    return lo, hi, cfg, np.concatenate((p.breakpoints, q.breakpoints))
+    return lo, hi, cfg, np.concatenate((p.truncation, q.truncation, p.breakpoints, q.breakpoints))
 
 
 def _density_integrals(kernels: Sequence[Callable], p: DensityModel, q: DensityModel) -> list[float]:

@@ -370,7 +370,8 @@ class QabdSpec:
     not evaluate F again; models that do not hash are certified on each
     construction.  A callable's state is taken as fixed: after mutating
     one, build a new model.  ``qabd_conformal`` reduces F itself, through
-    the memoized ``to_ordinary``.
+    the memoized ``to_ordinary``; with a ``verdict`` supplied, construction
+    checks nothing, not even that F's values stay in tau's domain.
     """
 
     F: FunctionModel

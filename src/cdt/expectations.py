@@ -38,8 +38,10 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
     under the masses divided by m.  The total mass is taken when
     ``normalize`` is set or ``dist`` is not normalized, and must then be
     positive; a density's comes in one quadrature pass with its f-moment,
-    each bit for bit its own integral.  The value is clamped to the
-    support: the span of the grid, or a density's truncation.
+    each bit for bit its own integral.  The f-moment ignores floating-point
+    warnings of f, and when it is the only integral, of the density too.
+    The value is clamped to the support: the span of the grid, or a
+    density's truncation.
     """
     if isinstance(dist, DiscreteDist):
         if dist.values is None:
@@ -57,8 +59,9 @@ def qa_expected_value(f: Generator, dist, normalize: bool = False) -> float:
                 return d * f.forward(x)
 
         kernels = (f_moment, lambda x, d: d) if normalize or not dist.normalized else (f_moment,)
-        moment, *mass = _integrals(lambda x: np.asarray(dist.eval(x), dtype=float), kernels, lo, hi,
-                                   dist.quadrature, dist.breakpoints)
+        with np.errstate(all="ignore" if len(kernels) == 1 else None):  # None changes nothing
+            moment, *mass = _integrals(lambda x: np.asarray(dist.eval(x), dtype=float), kernels, lo, hi,
+                                       dist.quadrature, dist.breakpoints)
         total = mass[0] if mass else 1.0
     else:
         raise KindMismatch(f"unsupported distribution type {type(dist).__name__}")

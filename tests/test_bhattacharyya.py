@@ -352,8 +352,8 @@ class TestDensities:
             assert cont == pytest.approx(disc, abs=1e-9)
 
     def test_histograms_on_different_spans_split_where_each_jumps_to_zero(self):
-        # p is 0 outside [0.5, 8] inside q's [0.3, 9]: without p's outer
-        # edges among the breakpoints, the panel around 0.5 never converges.
+        # p is 0 outside [0.5, 8] inside q's [0.3, 9]: unless the pair's
+        # panels split at p's truncation, the one around 0.5 never converges.
         ep, eq = np.geomspace(0.5, 8.0, 41), np.linspace(0.3, 9.0, 28)
         mp, mq = (np.random.default_rng(seed).gamma(2.0, 1.0, len(e) - 1) for seed, e in ((1, ep), (3, eq)))
         p, q = histogram_density(ep, mp / mp.sum()), histogram_density(eq, mq / mq.sum())
@@ -364,6 +364,14 @@ class TestDensities:
         cG = math.fsum((width * a**0.7 * b**0.3).tolist())
         cA = math.fsum((width * (0.7 * a + 0.3 * b)).tolist())
         assert float(cmbd(GEOMETRIC, ARITHMETIC, 0.3, p, q)) == pytest.approx(-math.log(cG / cA), rel=1e-12, abs=0.0)
+
+    def test_a_density_cut_off_inside_a_wider_one_splits_at_its_truncation(self):
+        # Two uniform densities built directly, without breakpoints; p jumps
+        # to 0 at 1.1 and 3.1, which no bisection of [0.3, 4.3] meets.
+        p = DensityModel(eval=lambda x: np.where((x >= 1.1) & (x <= 3.1), 0.5, 0.0), truncation=(1.1, 3.1))
+        q = DensityModel(eval=lambda x: np.where((x >= 0.3) & (x <= 4.3), 0.25, 0.0), truncation=(0.3, 4.3))
+        want = -math.log(2.0 * 0.5**0.7 * 0.25**0.3)  # the arithmetic coefficient is 1
+        assert float(cmbd(GEOMETRIC, ARITHMETIC, 0.3, p, q)) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "edges",
@@ -935,5 +943,5 @@ def test_mean_gap_distance_of_densities_is_one_integral_of_the_gap(pair, f, g):
         return weighted_means(quasi_arithmetic(g), X, (0.5, 0.5)) - weighted_means(quasi_arithmetic(f), X, (0.5, 0.5))
 
     lo, hi = min(p.truncation[0], q.truncation[0]), max(p.truncation[1], q.truncation[1])
-    want = integrate(gap, lo, hi, p.quadrature, p.breakpoints + q.breakpoints)
+    want = integrate(gap, lo, hi, p.quadrature, p.truncation + q.truncation + p.breakpoints + q.breakpoints)
     assert mean_gap_distance(f, g, p, q) == _zero_floor(want) and want > 0.0

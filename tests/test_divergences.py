@@ -537,3 +537,14 @@ F_SHIFTED = function_model("x-2", Interval(0.0, 5.0), lambda x: x - 2.0, lambda 
 def test_unvisited_edges_raise_typed_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_a_supplied_verdict_skips_every_check_at_construction():
+    # F's values leave log's domain.  Certified, the spec refuses to be
+    # built; with a verdict supplied nothing runs until qabd_conformal
+    # reduces F.
+    with pytest.raises(DomainError, match="outside domain .* of generator 'log'"):
+        QabdSpec(F_SHIFTED, IDENTITY, LOG)
+    spec = QabdSpec(F_SHIFTED, IDENTITY, LOG, verdict=TRUSTED_CONVEX)
+    with pytest.raises(DomainError, match="values of 'x-2' leave the domain of generator 'log'"):
+        qabd_conformal(spec, 1.0, 3.0)

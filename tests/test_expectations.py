@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,21 +148,47 @@ class TestQaExpectedValue:
         assert qa_expected_value(IDENTITY, dens) == qa_expected_value(IDENTITY, grid) == 2.0
         assert qa_expected_value(IDENTITY, dens, normalize=True) == pytest.approx(1.5, abs=1e-12)
 
-    def test_a_normalized_density_integrates_its_mass_only_when_asked(self):
-        # The moment and the mass are both accepted on the two bins at depth
-        # 0: the one joint pass evaluates the density in one call, as the
-        # moment alone does, and an integral of the mass alone would call it
-        # again.
+    def test_a_normalized_density_integrates_its_mass_only_when_asked(self, monkeypatch):
+        import cdt.expectations as ex
+
+        # One joint integral of the moment, with the mass only when asked.
+        components = []
+
+        def recorded(shared, kernels, *args):
+            components.append(len(kernels))
+            return ex_integrals(shared, kernels, *args)
+
+        ex_integrals = ex._integrals
+        monkeypatch.setattr(ex, "_integrals", recorded)
         dens = histogram_density((1.0, 2.0, 4.0), (0.25, 0.75))
+        # The moment and the mass are both accepted on the two bins at depth
+        # 0: the one pass evaluates the density in one call, as the moment
+        # alone does, where an integral of the mass alone would call it again.
         moment = _counted(lambda x: dens.eval(x) * LOG.forward(x))
         integrate(moment, *dens.truncation, dens.quadrature, dens.breakpoints)
         assert moment.sizes == [30]
         counted = _counted(dens.eval)
         dens = dataclasses.replace(dens, eval=counted)
-        for normalize in (False, True):
+        for normalize, want in ((False, [1]), (True, [1, 2])):
             counted.sizes.clear()
             qa_expected_value(LOG, dens, normalize=normalize)
-            assert counted.sizes == moment.sizes
+            assert counted.sizes == moment.sizes and components == want
+
+    def test_the_moment_alone_ignores_the_densitys_floating_point_warnings(self):
+        # The density overflows on the way to its value: the moment taken
+        # alone gives the value of a quiet twin, and the mass raises the
+        # overflow from the joint pass's second batch of points.
+        def loud(x):
+            return np.minimum(np.full(np.shape(x), 1e308) * 10.0, 0.25)
+
+        with np.errstate(over="ignore"):
+            dens = DensityModel(eval=loud, truncation=(1.0, 5.0))
+        quiet = DensityModel(eval=lambda x: np.full(np.shape(x), 0.25), truncation=(1.0, 5.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert qa_expected_value(LOG, dens) == qa_expected_value(LOG, quiet)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                qa_expected_value(LOG, dens, normalize=True)
 
 
 def _alone(f, dens):
