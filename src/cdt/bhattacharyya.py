@@ -22,8 +22,16 @@ M(x, 0) = x M(1, 0), bit for bit the kernel's value, and a block whose
 unit value is +0.0 (the geometric mean and every Gini mean with a
 negative order) is left out, since its terms add nothing to an exact sum
 and the sum of no terms is +0.0 as well.  A -0.0 unit keeps its block,
-since it could set the sign of an all-zero sum.  ``means._exact_sum`` sums the
-terms exactly, bit for bit ``math.fsum``, in two error-free extraction passes.
+since it could set the sign of an all-zero sum.  The identity holds in
+each of the kernel's forms, since each returns xm g(X / xm) with xm an
+argument.  An order gap |r - s| >= 1 is a ratio of sums of nonnegative
+terms, so H, P_-1 and P_2 coefficients take no transcendental function
+and a Lehmer coefficient only the log and exp of its x^s factor; a gap
+below 1 takes expm1 and log1p, since there the ratio would cancel and the
+1/|r - s| root amplify the loss (``means._gini_means`` states the
+accuracy of each).
+``means._exact_sum`` sums the terms exactly, bit for bit ``math.fsum``,
+in two error-free extraction passes.
 
 The column array is computed once per pair by ``_pair``, which keeps the
 last pair in a single-entry memo, looked up by identity, for mass arrays

@@ -101,21 +101,81 @@ def test_qa_power_generator_equals_power_mean():
     assert mean_value(qa, 1.3, 7.9, 0.4) == mean_value(pm, 1.3, 7.9, 0.4)
 
 
+#: Gini orders (r, s) whose gap r - s is 1, 2 or 3 in size: the kernel's
+#: ratio of sums, with products and square or cube roots
+RATIO_FORMS = [(-2, 0), (-1, 0), (2, 0), (3, 0), (2, 1), (1.5, 0.5), (0.7, -0.3), (-0.5, -1.5)]
+
+
+def _draws(kind: str, rng, m: int):
+    """m columns of two arguments and their weights (1 - a, a) in either
+    order, a from 1e-15 to 1/2: arguments from 1e-3 to 1 ("unit"), pairs a
+    relative 1e-16 to 1e-2 apart ("near"), or from 1e-300 to 1e300 and at
+    most the float range apart ("huge")."""
+    X = 10.0 ** rng.uniform(-3.0, 0.0, (2, m))
+    if kind == "near":
+        X[1] = X[0] * (1.0 + rng.choice((-1.0, 1.0), m) * 10.0 ** rng.uniform(-16.0, -2.0, m))
+    elif kind == "huge":
+        u = rng.uniform(-300.0, 300.0, m)
+        X = 10.0 ** np.stack((u, rng.uniform(np.maximum(-300.0, u - 300.0), np.minimum(300.0, u + 300.0))))
+    a = 10.0 ** rng.uniform(-15.0, math.log10(0.5), m)
+    W = np.stack((1.0 - a, a))
+    return X, np.where(rng.random(m) < 0.5, W, W[::-1])
+
+
+@pytest.mark.parametrize("kind", ["unit", "near", "huge"])
+@pytest.mark.parametrize("r,s", RATIO_FORMS)
+def test_ratio_forms_are_within_their_bound_of_the_oracle(r, s, kind):
+    # The bound of means._gini_means: 4 ulps, plus |s| max |log(x / xm)|
+    # ulps that E's exponent can cost where s != 0.
+    X, W = _draws(kind, np.random.default_rng(35), 40)
+    got = weighted_means(gini(r, s), X, W)
+    reference = oracle.gini(r, s)
+    for j in range(X.shape[1]):
+        x, w = X[:, j], W[:, j]
+        xm = x.min() if s == 0 and r < 0 else x.max()
+        cost = abs(s) * max(abs(math.log(v / xm)) for v in x)
+        want = reference([mp.mpf(v) for v in x], [mp.mpf(v) for v in w])
+        assert oracle.rel_error(got[j], want) <= (4.0 + cost) * 2.0**-52, (j, x, w)
+
+
+@pytest.mark.parametrize("r,s", [(-1.0, 0.0), (2.0, 1.0), (1.5, 0.5), (0.7, -0.3)])
+def test_the_ratio_and_expm1_forms_meet_at_a_gap_of_one(r, s):
+    # r one ulp nearer s moves the gap below 1, to the expm1 form; the mean
+    # itself moves by about an ulp.
+    X, W = _draws("unit", np.random.default_rng(1), 200)
+    inside = np.nextafter(r, s)
+    assert abs(r - s) == 1.0 and abs(inside - s) < 1.0
+    ratio, expm1 = weighted_means(gini(r, s), X, W), weighted_means(gini(inside, s), X, W)
+    assert np.all(np.abs(ratio - expm1) <= 8 * 2.0**-52 * ratio)
+
+
+@pytest.mark.parametrize("M", [power(5e-324), power(-5e-324), power(1e-310), power(-1e-310), gini(1e-310, -1e-310)],
+                         ids=format_mean)
+def test_a_subnormal_order_gap_takes_the_geometric_limit(M):
+    # d log(x / xm) would lose its digits: power(+-5e-324) gave 12.757 and
+    # 12.340, power(+-1e-310) was 2e-14 off.
+    x, w = (12.757385662063013, 1.67), (0.987, 0.013)
+    want = oracle.gini(0, 0)([mp.mpf(v) for v in x], [mp.mpf(v) for v in w])
+    assert float(want) == 12.424590874320527
+    assert oracle.rel_error(weighted_mean(M, x, w), want) <= 4 * 2.0**-52
+
+
 SCALING = [
     power(-2.5), HARMONIC, GEOMETRIC, power(0.5), ARITHMETIC, power(3.0), quasi_arithmetic(power_generator(1.5)),
     lehmer(0), lehmer(-1), lehmer(-0.3), lehmer(0.5), lehmer(2), gini(1, 1), gini(-0.5, -0.5), gini(0, 0),
-    gini(2, 1), gini(0.5, -1),
+    gini(2, 1), gini(0.5, -1), power(-2), power(2), power(-1.5), lehmer(-1.5), gini(3.5, 0.5), power(5e-324),
 ]
 
 
-@settings(deadline=None, max_examples=100)
+@pytest.mark.parametrize("M", SCALING, ids=format_mean)
+@settings(deadline=None, max_examples=15)
 @given(
     x=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=20),
-    M=st.sampled_from(SCALING),
     alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
-def test_scaling_kernels_give_x_times_the_unit_mean(x, M, alpha):
-    # The identity discrete Bhattacharyya coefficients use on one-sided bins.
+def test_scaling_kernels_give_x_times_the_unit_mean(M, x, alpha):
+    # The identity discrete Bhattacharyya coefficients use on one-sided
+    # bins, in each of the Gini kernel's forms.
     assert M.scales_out
     x, W = np.array(x), (1.0 - alpha, alpha)
     z = np.zeros_like(x)
@@ -155,6 +215,9 @@ ZERO_LIMITS = [
     (lehmer(1), lambda b, a: b),
     (lehmer(-0.3), lambda b, a: 0.0),
     (lehmer(-2), lambda b, a: 0.0),
+    (lehmer(-1.5), lambda b, a: 0.0),
+    (power(-2), lambda b, a: 0.0),
+    (power(3), lambda b, a: a ** (1 / 3) * b),
     (gini(1, 1), lambda b, a: b),
     (gini(2, 2), lambda b, a: b),
     (gini(0, 0), lambda b, a: 0.0),
@@ -192,7 +255,9 @@ def test_non_finite_values_raise():
         weighted_means(quasi_arithmetic(LOG), [[-1.0], [1.0]], (0.5, 0.5))
 
 
-@pytest.mark.parametrize("spec", [GEOMETRIC, ARITHMETIC, HARMONIC, power(2), power(-2), lehmer(1)])
+@pytest.mark.parametrize(
+    "spec", [GEOMETRIC, ARITHMETIC, HARMONIC, power(2), power(-2), power(3), lehmer(1), lehmer(-0.3), lehmer(-1.5)]
+)
 def test_nan_beside_a_zero_argument_raises(spec):
     # a NaN column with a zero argument is not a zero-argument collapse
     for X in ([[math.nan], [0.0]], [[0.0], [math.nan]]):

@@ -460,17 +460,15 @@ def test_power_mean_innerness_property(x, y, alpha, delta):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    r=st.floats(-3.0, 3.0, allow_subnormal=False),
-    s=st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_subnormal=False)),
-    dr=st.one_of(st.just(0.0), st.floats(0.0, 2.0, allow_subnormal=False)),
-    ds=st.one_of(st.just(0.0), st.floats(0.0, 2.0, allow_subnormal=False)),
+    r=st.floats(-3.0, 3.0),
+    s=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    dr=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    ds=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
     seed=st.integers(0, 2**16),
 )
 def test_componentwise_ordered_gini_means_never_sample_a_violation(r, s, dr, ds, seed):
     # log G_{r,s} is the slope of a chord of the convex t -> log sum w x^t,
-    # so it increases in r and in s at every weight.  Exponents are normal
-    # floats: at subnormal power orders d log(x/xm) loses its digits
-    # (ROADMAP item 8).
+    # so it increases in r and in s at every weight.
     res = dominates(gini(r, s), gini(r + dr, s + ds), (0.05, 20.0), samples=500, seed=seed)
     assert res.above is None
 
