@@ -318,11 +318,11 @@ def _gini_means(r: float, s: float, X: np.ndarray, W: np.ndarray, lo, hi) -> np.
     form follows the order gap d = r - s:
 
     - |d| >= 1: G = xm (sum w E Y^d / sum w E)^(1/d).  Its sums have
-      nonnegative terms, which cannot cancel, and the 1/d root shrinks
-      their rounding.  Powers and roots of |d| = 1, 2, 3 are products, a
-      square or a cube root (``_SMALL_GAPS``), so H, P_-1 and P_2 take no
-      transcendental function, and a Lehmer mean (d = 1) only E's log and
-      exp.
+      nonnegative terms, which cannot cancel, and the 1/d root does not
+      amplify their rounding.  Powers and roots of |d| = 1, 2, 3 are
+      products, a square or a cube root (``_SMALL_GAPS``), so H, P_-1 and
+      P_2 take no transcendental function, and a Lehmer mean (d = 1) only
+      E's log and exp.
     - 0 < |d| < 1: log(G / xm) = log1p(S) / d with
       S = sum w E expm1(dL) / sum w E.  Here the ratio of sums would cancel
       as r -> s and the root would amplify that by 1/|d|, while S is exact;

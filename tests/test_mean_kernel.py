@@ -152,8 +152,8 @@ def test_the_ratio_and_expm1_forms_meet_at_a_gap_of_one(r, s):
 @pytest.mark.parametrize("M", [power(5e-324), power(-5e-324), power(1e-310), power(-1e-310), gini(1e-310, -1e-310)],
                          ids=format_mean)
 def test_a_subnormal_order_gap_takes_the_geometric_limit(M):
-    # d log(x / xm) would lose its digits: power(+-5e-324) gave 12.757 and
-    # 12.340, power(+-1e-310) was 2e-14 off.
+    # Gaps too small for d log(x / xm) to stay a normal float take the
+    # r = s limit.
     x, w = (12.757385662063013, 1.67), (0.987, 0.013)
     want = oracle.gini(0, 0)([mp.mpf(v) for v in x], [mp.mpf(v) for v in w])
     assert float(want) == 12.424590874320527
