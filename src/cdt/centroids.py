@@ -11,7 +11,11 @@ h(p_i) and tau'(F(p_i)) are columns of the per-point table of
 ``divergences._anchors``, so the solve needs no rho^{-1}.  h has no closed
 inverse in general, so c is computed in x by bisection on the bracket
 spanned by each cluster's points, to tolerance 1e-12 relative to
-max(|bracket ends|) at every magnitude, for all clusters at once.  The
+max(|bracket ends|) at every magnitude (of their starting max where the
+bracket holds 0), for all clusters at once.  h, like the table and each
+distance call, is one chain of checked calls whose checks are deferred to
+its end (``generators._deferred``), so a bad point raises the typed error
+that names it.  The
 33-point scan that checks h is monotone on each bracket seeds the solve:
 each call of h evaluates the bisection path toward a root interpolated from
 the values already known, the scan's first (about 40 levels in one to three
@@ -33,7 +37,7 @@ import numpy as np
 
 from .divergences import QabdSpec, WeightedSet, _anchors, _Anchors, _nonnegative, _qabd_at, jensen_diversity
 from .errors import NonInvertibleGradient, ParamError, require_int, require_seed
-from .generators import _bisecting, _first, _floats, _fused, _invert_monotone, _monotone_direction, _outside
+from .generators import _bisecting, _deferred, _first, _invert_monotone, _monotone_direction
 from .means import _exact_sum, quasi_arithmetic
 
 
@@ -62,49 +66,26 @@ def bregman_centroid(spec: QabdSpec, wset: WeightedSet) -> float:
 
 def _gradient(spec: QabdSpec):
     """h(x) = tau'(F(x)) F'(x) / rho'(x) elementwise, which the centroid
-    solve inverts: one raw chain with a checked rerun (``_fused``) when F,
-    rho and tau all have derivatives, else the checked chain.
-
-    The raw chain's mask restates the checks of ``FunctionModel.value`` and
-    ``deriv`` and ``Generator.deriv``: x outside the domains of F and rho,
-    F(x) outside tau's open domain (which also catches F not finite) and a
-    NaN in h (which any NaN derivative makes); a check added to one of
-    those must be added here too.  Reading h from the columns of
+    solve inverts: one chain of checked calls, its checks deferred to its
+    end (``generators._deferred``).  Reading h from the columns of
     ``_anchors`` instead, which costs tau(F(x)), rho(x) and their checks
     at every point, took ``cluster`` from 264 to 250 ops/s (median of five
     alternating 8 s pairs, 2-vCPU Xeon).
     """
     F, rho, tau = spec.F, spec.rho, spec.tau
 
-    def checked(x):
+    def h(x):
         return tau.deriv(F.value(x)) * F.deriv(x) / rho.deriv(x)
 
-    if None in (F.derivative, rho.derivative, tau.derivative):
-        return checked
-    dom = F.domain.intersect(rho.domain)
-
-    def raw(x):
-        fx = _floats(F.eval(x))
-        out = _floats(tau.derivative(fx)) * _floats(F.derivative(x)) / _floats(rho.derivative(x))
-        return out, _outside(x, dom) | _outside(fx, tau.domain) | np.isnan(out)
-
-    return _fused(raw, checked)
+    return lambda x: _deferred(h, x)
 
 
 def _centroids(spec: QabdSpec, anchors: _Anchors, wts: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """bregman_centroid of each cluster ``labels == j`` (weights normalized
     per cluster) of the points of ``anchors``, from their table and one
-    bisection in x for all clusters.  A table that flags anything takes
-    rho(x), h and tau'(F(x)) at the points from checked calls, which raise
-    the typed error of a bad point."""
-    pts = anchors.q.reshape(-1)
-    h = _gradient(spec)
-    if anchors.clean:
-        td = anchors.tau_slope.reshape(-1)
-        hd = (anchors.tau_slope * anchors.F_slope / anchors.rho_slope).reshape(-1)
-    else:
-        spec.rho.value(pts)  # the solve reads no rho, but a bad one raises as the table flagged it
-        hd, td = h(pts), spec.tau.deriv(spec.F.value(pts))
+    bisection in x for all clusters."""
+    pts, td = anchors.q.reshape(-1), anchors.tau_slope.reshape(-1)
+    hd = (anchors.tau_slope * anchors.F_slope / anchors.rho_slope).reshape(-1)
     lo, hi, target = (np.empty(k) for _ in range(3))
     for j in range(k):
         m = labels == j
@@ -113,8 +94,13 @@ def _centroids(spec: QabdSpec, anchors: _Anchors, wts: np.ndarray, labels: np.nd
         target[j] = np.dot(wprime / wprime.sum(), hd[m])
     solve = lo < hi  # else the cluster is a single point
     if solve.any():
-        # relative in x at every magnitude: data far below 1 keeps its digits
-        a, b, tol, unit = lo[solve], hi[solve], 1e-12, 0.0
+        # relative in x at every magnitude, so data far below 1 keeps its
+        # digits; a bracket that holds 0 stops at tol of its starting
+        # max(|a|, |b|), since one shrinking onto a root at 0 never meets a
+        # relative tolerance
+        a, b, tol = lo[solve], hi[solve], 1e-12
+        unit = np.where((a <= 0.0) & (b >= 0.0), np.maximum(b, -a), 0.0)
+        h = _gradient(spec)
         # a bracket within the solver's tolerance is solved by its midpoint
         direction, scan = _monotone_direction(h, a, b)
         flat = (direction == 0) & _bisecting(a, b, tol, unit)

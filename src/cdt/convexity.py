@@ -125,9 +125,9 @@ def to_ordinary(F: FunctionModel, rho: Generator, tau: Generator) -> FunctionMod
     G lives on rho(I); its derivative is composed by the chain rule
     G'(u) = tau'(F(x)) F'(x) / rho'(x) at x = rho^{-1}(u), from checked
     calls: each names the first bad element.  No solver calls G': the
-    centroids solve h = G' . rho in data coordinates instead, on their own
-    raw chain (``centroids._gradient``), so G and G' serve
-    ``qabd_conformal`` and ``power_convexity_transform``.
+    centroids solve h = G' . rho in data coordinates instead
+    (``centroids._gradient``), so G and G' serve ``qabd_conformal`` and
+    ``power_convexity_transform``.
 
     Reductions are memoized per (F, rho, tau), up to 512 entries, so a
     repeat call returns the same object; models that do not hash are

@@ -55,7 +55,7 @@ from .errors import (
     require_int,
     require_seed,
 )
-from .generators import Generator, Interval, _check_inside, _first, _memoize, _outside, _raw
+from .generators import Generator, Interval, _check_inside, _deferred, _first, _flag, _memoize
 from .means import WEIGHT_SUM_TOL, MeanSpec, _checked_means, lehmer, quasi_arithmetic
 
 #: Values in [-ZERO_FLOOR, 0) are clamped to 0: floating-point cancellation
@@ -85,8 +85,9 @@ class DivergenceValue:
 
 
 def _nonvanishing(d, what: str, at):
-    """d, unless some |d| underflows below _MIN_DERIVATIVE (DerivativeError)."""
-    if np.count_nonzero(small := np.abs(d) < _MIN_DERIVATIVE):
+    """d, unless some |d| underflows below _MIN_DERIVATIVE (DerivativeError,
+    flagged instead within an open chain, see ``generators._deferred``)."""
+    if not _flag(small := np.abs(d) < _MIN_DERIVATIVE) and np.count_nonzero(small):
         raise DerivativeError(f"{what} underflowed at {_first(at, small)!r}")
     return d
 
@@ -411,78 +412,44 @@ class _Anchors(NamedTuple):
     rho: np.ndarray  # rho(q)
     rho_slope: np.ndarray  # rho'(q)
     F_slope: np.ndarray  # F'(q)
-    #: no element is flagged: every column is the checked chain's, bit for bit
-    clean: bool
 
 
 def _anchors(spec: QabdSpec, q) -> _Anchors:
-    """The per-point table of ``qabd(. : q)``, from one raw numpy chain.
-
-    With all three derivatives given, each column is one call of its
-    callable through ``generators._raw`` under one errstate, so its values
-    are those of the checked calls bit for bit.  The table's one mask
-    restates every check the checked chain makes at q: q inside the
-    domains of F and rho, F(q) inside tau's open domain (which also catches
-    F not finite), tau'(F(q)) and rho'(q) not vanishing, and a NaN in any
-    column.  A check added to ``_bregman_checked`` or the model classes
-    must be added to this mask too.  A table built without derivatives, or
-    whose chain raises or flags an element, is not ``clean``, and every use
-    of it runs the checked chain instead, which raises the typed error.
-    """
+    """The per-point table of ``qabd(. : q)``: one chain of checked calls,
+    its checks deferred to its end (``generators._deferred``), in the order
+    in which ``_qabd_checked`` reaches q: F(q), tau'(F(q)) and rho'(q),
+    neither vanishing, then tau(F(q)), rho(q) and F'(q).  A bad q raises
+    the typed error that names it."""
     F, rho, tau = spec.F, spec.rho, spec.tau
-    qa = np.asarray(q, dtype=float)
-    if None in (F.derivative, rho.derivative, tau.derivative):
-        return _Anchors(qa, *(None,) * 5, clean=False)
-    with np.errstate(all="ignore"):
-        try:
-            fq = _raw(F.eval, qa)
-            cols = (
-                _raw(tau.forward, fq), td := _raw(tau.derivative, fq),
-                _raw(rho.forward, qa), rd := _raw(rho.derivative, qa), _raw(F.derivative, qa),
-            )
-            bad = _outside(qa, F.domain.intersect(rho.domain)) | _outside(fq, tau.domain)
-            bad |= (np.abs(td) < _MIN_DERIVATIVE) | (np.abs(rd) < _MIN_DERIVATIVE)
-            for c in cols:
-                bad |= np.isnan(c)
-            clean = not np.count_nonzero(bad)
-        except Exception:  # whatever it was, the checked chain raises it again
-            cols, clean = (None,) * 5, False
-    return _Anchors(qa, *cols, clean=clean)
+
+    def table(q):
+        fq = F.value(q)
+        tau_slope = _nonvanishing(tau.deriv(fq), "tau'(F(q))", q)
+        rho_slope = _nonvanishing(rho.deriv(q), "rho'(q)", q)
+        return _Anchors(q, tau.value(fq), tau_slope, rho.value(q), rho_slope, F.deriv(q))
+
+    return _deferred(table, np.asarray(q, dtype=float))
 
 
 def _qabd_at(spec: QabdSpec, anchors: _Anchors, p):
-    """Unclamped B(p:q) over p broadcast against the anchors' q: the
-    combining step of ``qabd``, which evaluates F, rho and tau at p alone.
+    """Unclamped B(p:q) over p broadcast against the anchors' q, evaluating
+    F, rho and tau at p alone, in the order in which ``_qabd_checked``
+    reaches p: one chain of checked calls, its checks deferred to its end,
+    whose values are ``_qabd_checked``'s bit for bit.  With the table built
+    once at the data, each distance call of ``kmeans_cluster`` is this."""
+    F, rho, tau, a = spec.F, spec.rho, spec.tau, anchors
 
-    A clean table gives ``_qabd_checked``'s values bit for bit, from one
-    raw chain at p whose mask restates the checks at p: p inside the
-    domains of F and rho, F(p) inside tau's open domain, and a NaN in B.
-    When the table or that mask flags anything, when the chain raises or
-    returns a misshapen array, the checked chain reruns on (p, q) only to
-    raise its typed error.
-    """
-    F, rho, tau = spec.F, spec.rho, spec.tau
-    a = anchors
-    if a.clean:
-        pa = np.asarray(p, dtype=float)
-        with np.errstate(all="ignore"):
-            try:
-                fp = _raw(F.eval, pa)
-                out = (_raw(tau.forward, fp) - a.tau_F) / a.tau_slope - (
-                    (_raw(rho.forward, pa) - a.rho) / a.rho_slope
-                ) * a.F_slope
-                bad = _outside(pa, F.domain.intersect(rho.domain)) | _outside(fp, tau.domain)
-                if out.shape == np.broadcast(pa, a.q).shape and not np.count_nonzero(bad | np.isnan(out)):
-                    return float(out) if out.ndim == 0 else out
-            except Exception:  # whatever it was, the checked rerun raises it again
-                pass
-    return _qabd_checked(spec, p, a.q)
+    def combine(p):
+        return (tau.value(F.value(p)) - a.tau_F) / a.tau_slope - ((rho.value(p) - a.rho) / a.rho_slope) * a.F_slope
+
+    return _deferred(combine, p)
 
 
 def _qabd_raw(spec: QabdSpec, p, q):
-    """Unclamped B(p:q) elementwise over broadcast arrays p and q: the
-    per-point table at q, combined at p."""
-    return _qabd_at(spec, _anchors(spec, q), p)
+    """Unclamped B(p:q) elementwise over broadcast arrays p and q:
+    ``_qabd_checked`` with its checks deferred to its end, so its values
+    and its errors are the checked chain's."""
+    return _deferred(_qabd_checked, spec, p, q)
 
 
 def qabd(spec: QabdSpec, p: float, q: float) -> DivergenceValue:

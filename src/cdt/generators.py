@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
 from typing import Callable
@@ -134,12 +135,6 @@ def _first(x, bad: np.ndarray) -> float:
     return float(np.broadcast_to(x, bad.shape)[bad].flat[0])
 
 
-def _floats(v) -> np.ndarray:
-    """v as a float array, as ``_apply`` converts a callable's values; a
-    float64 array is returned as it is."""
-    return np.asarray(v, dtype=float)
-
-
 def _outside(x, domain: Interval) -> np.ndarray:
     """The mask of the elements of x outside the open domain, NaN included."""
     return ~((x > domain.lo) & (x < domain.hi))
@@ -151,31 +146,86 @@ def _check_inside(x: np.ndarray, domain: Interval, what: str) -> None:
         raise DomainError(f"{_first(x, bad)!r} outside domain {domain} of {what}")
 
 
+#: The flags of the chain open in this context (see ``_deferred``), if any.
+_FLAGS: ContextVar[list | None] = ContextVar("_FLAGS", default=None)
+
+
+def _flag(mask) -> bool:
+    """Whether a chain is open in this context (see ``_deferred``); if so,
+    mask joins its flags, and the caller raises nothing."""
+    flags = _FLAGS.get()
+    if flags is not None:
+        flags.append(mask)
+    return flags is not None
+
+
+def _deferred(chain: Callable, *args):
+    """chain(*args), a composition of checked calls, with every check
+    deferred to the chain's end.
+
+    While the chain runs, under one errstate, ``_apply`` and ``_flag``
+    raise nothing: each adds its masks to the chain's flags, which are held
+    per context, so a checked call in another thread raises at once.  At
+    the end one count over all the flags decides.  If nothing was flagged
+    and nothing raised, every call returned what it returns checked, and
+    the chain's values are returned.  Otherwise the chain reruns eagerly,
+    under one errstate too, only to raise the typed error that names the
+    first bad element; if that rerun raises nothing, its values are
+    returned.  A chain called within an open one joins it.  A chain must be
+    a function of its arguments alone: what it computes from flagged
+    elements is thrown away, so it must store nothing.
+    """
+    if _FLAGS.get() is None:
+        token = _FLAGS.set(flags := [])
+        try:
+            with np.errstate(all="ignore"):
+                out = chain(*args)
+            if not (flags and np.count_nonzero(np.concatenate(flags, axis=None))):
+                return out
+        except Exception:  # whatever it was, the eager rerun raises it again
+            pass
+        finally:
+            _FLAGS.reset(token)
+    with np.errstate(all="ignore"):
+        return chain(*args)
+
+
 def _apply(fn: Callable, x, what: str, domain: Interval | None = None, bad=None):
     """fn(x) elementwise as a float array (a float for a float), under one
     errstate.  Raises DomainError naming the first element of x outside
     ``domain``, at which fn raises one of ``UNDEFINED`` (ArithmeticError or
     ValueError), or whose value ``bad`` flags; a CdtError that fn raises
-    itself passes through unchanged."""
+    itself passes through unchanged.  Within an open chain (see
+    ``_deferred``) it calls fn under the chain's errstate, and flags the
+    elements outside ``domain`` and those ``bad`` flags instead."""
     xa = np.asarray(x, dtype=float)
-    if domain is not None:
-        _check_inside(xa, domain, what)
     flat = xa.reshape(-1)  # a float takes the array path too, so both agree bit for bit
-    with np.errstate(all="ignore"):
-        try:
-            out = np.asarray(fn(flat), dtype=float)
-        except CdtError:  # fn's own account of what went wrong
-            raise
-        except UNDEFINED as exc:
-            for i in range(flat.size):  # rerun point by point, only to name the culprit
-                try:
-                    fn(flat[i : i + 1])
-                except UNDEFINED:
-                    raise DomainError(f"{what} is undefined at {float(flat[i])!r}") from exc
-            raise DomainError(f"{what} failed: {exc}") from exc
+    flags = _FLAGS.get()
+    if flags is not None:
+        out = np.asarray(fn(flat), dtype=float)
+    else:
+        if domain is not None:
+            _check_inside(xa, domain, what)
+        with np.errstate(all="ignore"):
+            try:
+                out = np.asarray(fn(flat), dtype=float)
+            except CdtError:  # fn's own account of what went wrong
+                raise
+            except UNDEFINED as exc:
+                for i in range(flat.size):  # rerun point by point, only to name the culprit
+                    try:
+                        fn(flat[i : i + 1])
+                    except UNDEFINED:
+                        raise DomainError(f"{what} is undefined at {float(flat[i])!r}") from exc
+                raise DomainError(f"{what} failed: {exc}") from exc
     out = (out if out.shape == flat.shape else np.full(flat.shape, out)).reshape(xa.shape)
-    if bad is not None and np.count_nonzero(flags := bad(out)):
-        raise DomainError(f"{what} is undefined at {_first(xa, flags)!r}")
+    if flags is not None:
+        if domain is not None:
+            flags.append(_outside(xa, domain))
+        if bad is not None:
+            flags.append(bad(out))
+    elif bad is not None and np.count_nonzero(mask := bad(out)):
+        raise DomainError(f"{what} is undefined at {_first(xa, mask)!r}")
     return float(out) if xa.ndim == 0 else out
 
 
@@ -213,41 +263,6 @@ def _image(fn: Callable, lo: float, hi: float) -> Interval:
     return Interval(*ends)
 
 
-def _raw(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """fn at x unchecked: called on x flattened and converted to float as
-    ``_apply`` calls and converts it, in x's shape."""
-    return _floats(fn(x.reshape(-1))).reshape(x.shape)
-
-
-def _fused(raw: Callable, checked: Callable) -> Callable:
-    """The values of ``raw``, checked as ``checked`` checks them, at about
-    the cost of raw alone.
-
-    raw(x) returns the values and a mask flagging every element that
-    checked would reject.  It runs under one errstate, on x flattened as
-    ``_apply`` flattens it, and converts each callable's values to float as
-    ``_apply`` does, so its values are checked's bit for bit.  When raw
-    raises, flags an element or returns a misshapen array, checked reruns
-    on the same x, only to raise the typed error that names the culprit; if
-    it raises none, its values are returned.
-    """
-
-    def fun(x):
-        xa = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            try:
-                out, bad = raw(xa.reshape(-1))
-                out = _floats(out)
-                clean = out.shape == (xa.size,) and not np.count_nonzero(bad)
-            except Exception:  # whatever it was, the checked rerun raises it again
-                clean = False
-        if not clean:
-            return checked(x)
-        return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
-
-    return fun
-
-
 def _monotone_direction(fun: Callable, lo, hi, n: int = 33):
     """The verdict +1 or -1 where fun is strictly increasing or decreasing on
     n equispaced points of [lo, hi], else 0 (sampled, so a falsification
@@ -276,10 +291,11 @@ _PATH_ELEMENTS = 32
 _MAX_LEVELS = 200
 
 
-def _bisecting(a, b, tol: float, unit: float = 1.0):
+def _bisecting(a, b, tol: float, unit=1.0):
     """Where ``_invert_monotone`` still bisects the bracket [a, b]: wider
     than tol relative to max(unit, |a|, |b|), so tol is absolute below
-    unit (relative all the way down at unit = 0)."""
+    unit (relative all the way down at unit = 0); unit may be an array
+    over the brackets."""
     # max(|a|, |b|) is max(b, -a) while a <= b
     return (b - a) > tol * np.maximum(unit, np.maximum(b, -a))
 
@@ -311,11 +327,12 @@ def _checked(x, y) -> np.ndarray:
     return y
 
 
-def _invert_monotone(fun: Callable, target, lo, hi, tol: float, table=None, unit: float = 1.0):
+def _invert_monotone(fun: Callable, target, lo, hi, tol: float, table=None, unit=1.0):
     """Bisection solve of fun(m) = target for monotone fun on [lo, hi], to a
     bracket of width tol relative to max(unit, its ends' magnitudes) (see
-    ``_bisecting``); elementwise over arrays of targets and brackets, each
-    element stopping at its own tolerance or after ``_MAX_LEVELS`` levels.
+    ``_bisecting``); elementwise over arrays of targets, brackets and
+    units, each element stopping at its own tolerance or after
+    ``_MAX_LEVELS`` levels.
 
     fun maps arrays elementwise.  ``table`` is the scan (xs, ys) of fun
     that callers take before a solve (see ``_monotone_direction``): rows
@@ -326,9 +343,7 @@ def _invert_monotone(fun: Callable, target, lo, hi, tol: float, table=None, unit
     end, and those two rows are the table.  Then fun is evaluated once per
     round (see ``_paths``), or once per level past ``_PATH_ELEMENTS``
     elements; either way the brackets are bit for bit those of one level
-    per call.  All points lie in [lo, hi], so callers check the bracket
-    against their domains once and may pass raw kernels (see ``_fused``).
-    A NaN at any point evaluated, or in a table's end rows, raises
+    per call.  All points lie in [lo, hi].  A NaN at any point evaluated, or in a table's end rows, raises
     DomainError naming the first NaN of that call or row, the lower ends
     first, and an exception from fun passes through from the call that
     raises it.
@@ -342,9 +357,10 @@ def _invert_monotone(fun: Callable, target, lo, hi, tol: float, table=None, unit
     increasing = fhi >= flo
     # Floating-point drift can push the target marginally outside the bracket.
     target = np.minimum(np.maximum(target, np.minimum(flo, fhi)), np.maximum(flo, fhi))
-    args = np.broadcast_arrays(target, increasing, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), flo, fhi)
+    args = np.broadcast_arrays(target, increasing, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), flo, fhi,
+                               np.asarray(unit, dtype=float))
     shape = args[0].shape
-    target, increasing, a, b, ya, yb = (v.reshape(-1) for v in args)
+    target, increasing, a, b, ya, yb, unit = (v.reshape(-1) for v in args)
     if a.size <= _PATH_ELEMENTS:
         a, b = _paths(fun, target, increasing, a, b, ya, yb, tol, unit, _seeds(xs, ys, shape, target, increasing))
     else:
@@ -403,17 +419,17 @@ def _paths(fun, target, increasing, a, b, ya, yb, tol, unit, seeds):
     # each element's lo, fun(lo), hi, fun(hi), the end c it discarded last,
     # fun(c), its levels and the most levels of its next path, 0 once stopped
     S = [(*s, math.nan, math.nan, 0, _MAX_LEVELS) for s in zip(a.tolist(), ya.tolist(), b.tolist(), yb.tolist())]
-    T, rising = target.tolist(), increasing.tolist()
+    T, rising, units = target.tolist(), increasing.tolist(), unit.tolist()
     while True:
         paths = []
-        for (lo, _, hi, _, _, _, k, d), r, rises in zip(S, seeds, rising):
+        for (lo, _, hi, _, _, _, k, d), r, rises, u in zip(S, seeds, rising, units):
             # where fun equals the target, bisection raises lo if fun falls
             # and lowers hi if it rises, so a falling path steps up at m <= r
             r = r if rises else math.nextafter(r, INF)
             path, cap = [], min(d, _MAX_LEVELS - k)
             for _ in range(cap):
                 w = hi if hi > -lo else -lo  # _bisecting on floats
-                if not hi - lo > tol * (w if w > unit else unit):
+                if not hi - lo > tol * (w if w > u else u):
                     break
                 path.append(m := 0.5 * (lo + hi))
                 if m < r:

@@ -124,6 +124,23 @@ class TestCentroid:
             bregman_centroid(affine, WeightedSet.uniform((1.0, 2.0, 3.0)))
         assert str(info.value) == "identity'(log(x)) log(x)'/log' is not monotone on [1.0, 3.0]"
 
+    def test_a_root_at_zero_stops_at_the_scale_of_its_bracket(self, monkeypatch):
+        # A bracket that shrinks onto 0 never meets a tolerance relative to
+        # its ends: this solve took all 200 levels (h at 233 points) and
+        # returned -6.2e-61.  The bracket [-1, 1] holds 0, so it stops at
+        # 1e-12 of 1: h at the 33 points of the scan and 41 more.
+        F = function_model("x^2", (-5.0, 5.0), lambda x: x * x, lambda x: 2.0 * x)
+        gradient, points = centroids._gradient, []
+
+        def counted(spec):
+            h = gradient(spec)
+            return lambda x: points.append(np.size(x)) or h(x)
+
+        monkeypatch.setattr(centroids, "_gradient", counted)
+        c = bregman_centroid(QabdSpec(F, IDENTITY, IDENTITY), WeightedSet.uniform((-1.0, 1.0, -0.5, 0.5)))
+        assert abs(c) <= 1e-12
+        assert sum(points) <= 80
+
     def test_matches_golden_section(self, rng):
         for spec, box in ((SPEC_SQ, (-5.0, 5.0)), (SPEC_GG, (0.5, 6.0))):
             for _ in range(10):

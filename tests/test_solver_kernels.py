@@ -1,24 +1,28 @@
-"""The monotone solver, on raw kernels and checked ones.
+"""The monotone solver, and the chains of checked calls it inverts.
 
-The centroids solve h = tau'(F) F' / rho' in data coordinates on one raw
-numpy kernel that flags bad elements instead of checking them one call at
-a time, ``qabd`` combines a raw per-point table of its anchors with a raw
-chain at its other argument, each with a checked rerun; the Lagrange/Cauchy
-ratio f'/g' is the checked one, and the expression-generator inverse hands
-the solver the expression checked for finiteness in one call.  These tests
-pin:
+The centroids solve h = tau'(F) F' / rho' in data coordinates, and
+``kmeans_cluster`` combines a per-point table of the data with a chain at
+the centers: each one chain of checked calls whose checks are deferred to
+its end, with an eager rerun that raises (``generators._deferred``), as is
+``qabd``, which is the checked chain itself.
+The Lagrange/Cauchy ratio f'/g' is checked call by call, and the
+expression-generator inverse hands the solver the expression checked for
+finiteness in one call.  These tests pin:
 
 * fault injection: a NaN derivative at an interior bisection midpoint, F
   leaving tau's domain between two good bracket ends, a derivative that
   raises on an array and a ratio f'/g' that is NaN where neither
   derivative is raise the typed error, with the message, that the checked
-  chain raises; ``kmeans_cluster`` raises ``qabd``'s errors as the checked
-  chain does, and no centroid reads rho^-1;
+  chain raises, after the deferred pass and on the eager path alike;
+  ``kmeans_cluster`` raises ``qabd``'s errors as the checked chain does,
+  and no centroid reads rho^-1;
+* the deferral: a model without derivatives takes the one chain, and a
+  chain open in one thread defers no check of another;
 * the solver's NaN check, which used to steer the bisection silently;
 * evaluation counts: one scan call, whose rows seed the solve, and one
   call per round along predicted bisection paths; one F call at the data
   per ``kmeans_cluster``;
-* the raw h and ``qabd`` chains against the checked ones, bit for bit,
+* the h and ``qabd`` chains against the checked composition, bit for bit,
   h also for callables that return float32;
 * ``lagrange_mean`` and ``cauchy_mean`` against the 50-digit oracle on far
   pairs, on pairs just below and just above ``NEAR_EQUAL_REL``, on every
@@ -28,6 +32,7 @@ pin:
 
 import contextlib
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -53,6 +58,7 @@ from cdt.generators import (
     LOG,
     Generator,
     Interval,
+    _deferred,
     _invert_monotone,
     _monotone_direction,
     get_generator,
@@ -126,7 +132,7 @@ def close_cauchy_nan_ratio():
 def sq_raising_above_5():
     """x^2 on (0.1, 9) whose derivative raises ValueError on any array with
     a point above 5: not on the two points that decide how it is called, so
-    the raw G' and qabd chains raise and the checked chain reruns."""
+    the deferred h and qabd chains raise and their eager reruns name it."""
 
     def derivative(x):
         if np.any(np.asarray(x) > 5.0):
@@ -302,7 +308,7 @@ def test_expression_inverse_calls():
     assert sizes == [49, 33, 11]
 
 
-# ------------------------------------------------ raw chain == checked chain
+# ------------------------------------------- h's chain == checked composition
 
 
 @pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
@@ -322,11 +328,19 @@ def single(fn):
     return lambda x: np.asarray(fn(x)).astype(np.float32)
 
 
+def eager(chain, *args):
+    """chain(*args) as ``generators._deferred`` reruns it: under one
+    errstate, each checked call raising at once."""
+    with np.errstate(all="ignore"):
+        return chain(*args)
+
+
 @contextlib.contextmanager
-def checked_only(module):
-    """Within, module's ``_fused`` returns the checked chain."""
+def eager_only():
+    """Within, every chain of the centroids and of ``qabd`` runs eagerly."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_fused", lambda raw, checked: checked)
+        for module in (cdt.centroids, cdt.divergences):
+            patch.setattr(module, "_deferred", eager)
         yield
 
 
@@ -335,12 +349,12 @@ def test_float32_model_gives_the_checked_chains_centroid(case):
     spec, pts, w = _cluster_case(case)
     F = function_model("single", spec.F.domain, single(spec.F.eval), single(spec.F.derivative))
     spec = QabdSpec(F, spec.rho, spec.tau, verdict=TRUSTED_CONVEX)
-    with checked_only(cdt.centroids):
+    with eager_only():
         checked = bregman_centroid(spec, WeightedSet(pts, w))
     assert bregman_centroid(spec, WeightedSet(pts, w)) == checked
 
 
-# ------------------------------------------------- qabd's raw chain == checked
+# ------------------------------------------------ qabd's chain == checked
 
 #: qabd(p : q) over a row of centers p and a column of points q
 P_ROW, Q_COL = np.array([[1.0, 5.0, 9.0]]), np.array([[0.5], [2.0], [7.0]])
@@ -400,11 +414,14 @@ QABD_FAULTS = {
 
 @pytest.mark.parametrize("name", sorted(QABD_FAULTS))
 def test_qabd_fault_raises_the_checked_chains_error(name):
+    # deferred, a fault is flagged and the eager rerun raises its error; a
+    # fault at p or at q alone (the table's) raises it from the table too
     (spec, p, q), error, message = QABD_FAULTS[name]
-    for chain in (_qabd_raw, _qabd_checked):
-        with pytest.raises(error) as info:
-            chain(spec, p, q)
-        assert str(info.value) == message
+    for path in (contextlib.nullcontext, eager_only):
+        for chain in (_qabd_raw, _qabd_checked, lambda spec, p, q: _qabd_at(spec, _anchors(spec, q), p)):
+            with path(), pytest.raises(error) as info:
+                chain(spec, p, q)
+            assert str(info.value) == message
 
 
 #: the error of kmeans_cluster on the points of a QABD_FAULTS case (its q
@@ -422,14 +439,28 @@ KMEANS_MESSAGES = {
 def test_kmeans_fault_raises_the_checked_chains_error(name):
     (spec, p, q), error, message = QABD_FAULTS[name]
     ws = WeightedSet.uniform(tuple(np.concatenate([q.ravel(), p.ravel()]).tolist()))
-    for k, seed in ((2, 0), (3, 1)):
-        with pytest.raises(error) as info:
-            kmeans_cluster(spec, ws, k, seed=seed)
+    for path in (contextlib.nullcontext, eager_only):
+        for k, seed in ((2, 0), (3, 1)):
+            with path(), pytest.raises(error) as info:
+                kmeans_cluster(spec, ws, k, seed=seed)
+            assert str(info.value) == KMEANS_MESSAGES.get(name, message)
+
+
+@pytest.mark.parametrize("name", sorted(QABD_FAULTS))
+def test_centroid_fault_raises_the_kmeans_error(name):
+    # the centroid of the same points reads the same table, whose every
+    # check raises; a vanishing tau' or rho' gave 0.5 or 9.0 here, far from
+    # the arithmetic mean 4.08, and a NaN tau a value too
+    (spec, p, q), error, message = QABD_FAULTS[name]
+    ws = WeightedSet.uniform(tuple(np.concatenate([q.ravel(), p.ravel()]).tolist()))
+    for path in (contextlib.nullcontext, eager_only):
+        with path(), pytest.raises(error) as info:
+            bregman_centroid(spec, ws)
         assert str(info.value) == KMEANS_MESSAGES.get(name, message)
 
 
 def test_a_nan_rho_at_a_data_point_raises_from_the_centroid():
-    # no solve in x reads rho, but the table's mask checks every column
+    # no solve in x reads rho, but the table checks every column
     spec = QABD_FAULTS["nan-rho"][0][0]
     with pytest.raises(DomainError, match=r"^generator 'nan-at-5' is undefined at 5\.0$"):
         bregman_centroid(spec, WeightedSet.uniform((1.0, 5.0, 9.0)))
@@ -451,11 +482,54 @@ def test_qabd_raw_chain_equals_checked_chain(case, s, t):
 
 
 def test_qabd_takes_the_raw_chain_on_clean_pairs():
-    spec, p, q = qabd_case(tau=LOG, rho=LOG)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cdt.divergences, "_qabd_checked", None)  # any call of it fails
-        raw = _qabd_raw(spec, p, q)
+    # the deferred pass alone: F at p and at q once each, and no rerun
+    F = function_model("x^2", (0.2, 12.0), Counted(np.square), lambda x: 2.0 * x)
+    spec, p, q = qabd_case(F=F, tau=LOG, rho=LOG)
+    F.eval.calls = 0
+    raw = _qabd_raw(spec, p, q)
+    assert F.eval.calls == 2
     assert raw.tobytes() == _qabd_checked(spec, p, q).tobytes()
+
+
+def test_a_model_without_derivatives_takes_the_one_chain():
+    # F' is deriv's central difference, on the deferred pass as on the
+    # eager one: each chain runs once, with no rerun, and its values are the
+    # checked ones
+    F = function_model("x^2+e^x", (0.2, 5), Counted(lambda x: x * x + np.exp(x)))
+    spec = QabdSpec(F, LOG, LOG)
+    p, q, x = np.array([[0.3, 1.0, 4.9]]), np.array([[0.5], [2.0], [4.5]]), np.linspace(0.25, 4.75, 7)
+    F.eval.calls = 0
+    B, h = _qabd_at(spec, _anchors(spec, q), p), _gradient(spec)(x)
+    assert F.eval.calls == 3 + 1 + 3  # F(q) and two for F'(q), F(p), F(x) and two for F'(x)
+    assert B.tobytes() == _qabd_checked(spec, p, q).tobytes()
+    assert h.tobytes() == (LOG.deriv(F.value(x)) * F.deriv(x) / LOG.deriv(x)).tobytes()
+
+
+def test_an_open_chain_defers_no_check_of_another_thread():
+    opened, checked, raised = threading.Event(), threading.Event(), []
+
+    def chain():
+        opened.set()
+        checked.wait(10)  # open while the other thread calls
+        return LOG.value(-1.0)
+
+    def run():
+        try:
+            _deferred(chain)
+        except DomainError as exc:
+            raised.append(str(exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        assert opened.wait(10)
+        with pytest.raises(DomainError, match=r"^-1\.0 outside domain Interval\(lo=0\.0, hi=inf\) of generator 'log'$"):
+            LOG.value(-1.0)
+    finally:
+        checked.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert raised == ["-1.0 outside domain Interval(lo=0.0, hi=inf) of generator 'log'"]
 
 
 # ------------------------------------------------------------ 50-digit oracle
