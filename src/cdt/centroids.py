@@ -22,10 +22,12 @@ the values already known, the scan's first (about 40 levels in one to three
 calls after the scan, see ``generators._invert_monotone``).  A Lloyd sweep
 is the matrix form of Bregman hard clustering; ``kmeans_cluster`` builds
 the table at the data once, so each distance call evaluates F, rho and tau
-at the centers alone.  Lloyd's iteration is at its fixed point once a sweep
-reproduces the previous assignment: the centroids, distances and objective
-are functions of the assignment alone, so that sweep ends the loop without
-solving them again.
+at the centers alone.  The k-means++ seeds are data points, so the
+distances to them, for the seeding and the first sweep, are read from the
+table's rows, whose checks have already run.  Lloyd's iteration is at its
+fixed point once a sweep reproduces the previous assignment: the
+centroids, distances and objective are functions of the assignment alone,
+so that sweep ends the loop without solving them again.
 """
 
 from __future__ import annotations
@@ -84,14 +86,15 @@ def _centroids(spec: QabdSpec, anchors: _Anchors, wts: np.ndarray, labels: np.nd
     """bregman_centroid of each cluster ``labels == j`` (weights normalized
     per cluster) of the points of ``anchors``, from their table and one
     bisection in x for all clusters."""
-    pts, td = anchors.q.reshape(-1), anchors.tau_slope.reshape(-1)
+    pts = anchors.q.reshape(-1)
     hd = (anchors.tau_slope * anchors.F_slope / anchors.rho_slope).reshape(-1)
+    wprime = wts / anchors.tau_slope.reshape(-1)
     lo, hi, target = (np.empty(k) for _ in range(3))
     for j in range(k):
         m = labels == j
-        lo[j], hi[j] = pts[m].min(), pts[m].max()
-        wprime = wts[m] / td[m]
-        target[j] = np.dot(wprime / wprime.sum(), hd[m])
+        p, w = pts[m], wprime[m]
+        lo[j], hi[j] = p.min(), p.max()
+        target[j] = np.dot(w / w.sum(), hd[m])
     solve = lo < hi  # else the cluster is a single point
     if solve.any():
         # relative in x at every magnitude, so data far below 1 keeps its
@@ -101,10 +104,9 @@ def _centroids(spec: QabdSpec, anchors: _Anchors, wts: np.ndarray, labels: np.nd
         a, b, tol = lo[solve], hi[solve], 1e-12
         unit = np.where((a <= 0.0) & (b >= 0.0), np.maximum(b, -a), 0.0)
         h = _gradient(spec)
-        # a bracket within the solver's tolerance is solved by its midpoint
         direction, scan = _monotone_direction(h, a, b)
-        flat = (direction == 0) & _bisecting(a, b, tol, unit)
-        if flat.any():
+        # a bracket within the solver's tolerance is solved by its midpoint
+        if not direction.all() and (flat := (direction == 0) & _bisecting(a, b, tol, unit)).any():
             F, rho, tau = spec.F.id, spec.rho.id, spec.tau.id
             raise NonInvertibleGradient(
                 f"{tau}'({F}) {F}'/{rho}' is not monotone on [{_first(a, flat)!r}, {_first(b, flat)!r}]"
@@ -119,23 +121,34 @@ def _distances(spec: QabdSpec, anchors: _Anchors, centers) -> np.ndarray:
     return _nonnegative(_qabd_at(spec, anchors, np.asarray(centers)[None, :]))
 
 
-def _seed_centers(spec: QabdSpec, anchors: _Anchors, pts: np.ndarray, wts: np.ndarray, k: int,
-                  rng: np.random.Generator) -> list[float]:
-    """k-means++ seeding (Arthur and Vassilvitskii, SODA 2007) with
-    qabd(candidate-center : point) distances."""
-    first = int(rng.choice(len(pts), p=wts / wts.sum()))
-    centers = [pts[first]]
+def _data_distances(anchors: _Anchors, idx) -> np.ndarray:
+    """``_distances`` at the centers pts[idx], read from their rows of the
+    table, which has already checked F, rho and tau there:
+    ``_Anchors.combine`` is elementwise, so these are the chain's values
+    bit for bit."""
+    with np.errstate(all="ignore"):  # as in the chain
+        return _nonnegative(anchors.combine(anchors.tau_F[idx].T, anchors.rho[idx].T))
+
+
+def _seed_centers(anchors: _Anchors, wts: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+    """The indices of k data points seeded by k-means++ (Arthur and
+    Vassilvitskii, SODA 2007) with qabd(candidate-center : point)
+    distances; every candidate is a data point, so its distances are read
+    from the table (``_data_distances``)."""
+    pts = anchors.q.reshape(-1)
+    seeds = [int(rng.choice(len(pts), p=wts / wts.sum()))]
     dists = np.full(len(pts), math.inf)
-    while len(centers) < k:
-        dists = np.minimum(dists, _distances(spec, anchors, centers[-1:])[:, 0])
+    while len(seeds) < k:
+        dists = np.minimum(dists, _data_distances(anchors, seeds[-1:])[:, 0])
         probs = wts * dists
         total = probs.sum()
         if total <= 0.0:
-            fresh = [i for i, p in enumerate(pts) if p not in centers]
-            centers.append(pts[fresh[int(rng.integers(0, len(fresh)))]])
+            taken = pts[seeds].tolist()
+            fresh = [i for i, p in enumerate(pts.tolist()) if p not in taken]
+            seeds.append(fresh[int(rng.integers(0, len(fresh)))])
             continue
-        centers.append(pts[int(rng.choice(len(pts), p=probs / total))])
-    return centers
+        seeds.append(int(rng.choice(len(pts), p=probs / total)))
+    return seeds
 
 
 def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> Clustering:
@@ -164,25 +177,27 @@ def kmeans_cluster(spec: QabdSpec, wset: WeightedSet, k: int, seed: int = 0) -> 
     pts = np.asarray(wset.points)
     wts = np.asarray(wset.weights)
     anchors = _anchors(spec, pts[:, None])
-    centers = np.array(_seed_centers(spec, anchors, pts, wts, k, rng))
+    seeds = _seed_centers(anchors, wts, k, rng)
+    centers = pts[seeds]
     prev_obj = math.inf
     assign = None
     iterations = 0
     history: list[float] = []
-    dmat = _distances(spec, anchors, centers)
+    dmat = _data_distances(anchors, seeds)
     for iterations in range(1, 101):
         last, assign = assign, np.argmin(dmat, axis=1)  # argmin takes the lowest index on ties
-        for j in range(k):
-            if not np.any(assign == j):
-                shared = np.bincount(assign, minlength=k)[assign] > 1  # moving it empties no cluster
-                assign[int(np.argmax(np.where(shared, np.min(dmat, axis=1), -np.inf)))] = j
+        # a reseed empties no cluster, so the empty ones are known up front
+        for j in np.flatnonzero(np.bincount(assign, minlength=k) == 0).tolist():
+            shared = np.bincount(assign, minlength=k)[assign] > 1  # moving it empties no cluster
+            assign[int(np.argmax(np.where(shared, np.min(dmat, axis=1), -np.inf)))] = j
         if last is not None and np.array_equal(assign, last):
             history.append(prev_obj)
             break
         sub_w = np.empty(len(pts))
         for j in range(k):
             mask = assign == j
-            sub_w[mask] = wts[mask] / wts[mask].sum()
+            w = wts[mask]
+            sub_w[mask] = w / w.sum()
         centers = _centroids(spec, anchors, sub_w, assign, k)
         dmat = _distances(spec, anchors, centers)
         obj = _exact_sum(wts * dmat[np.arange(len(pts)), assign])

@@ -73,11 +73,11 @@ class FunctionModel:
         _wrap_callables(self, ("eval", "derivative"))
 
     def value(self, x):
-        return _apply(self.eval, x, repr(self.id), self.domain, lambda v: ~np.isfinite(v))
+        return _apply(self.eval, x, lambda: repr(self.id), self.domain, lambda v: ~np.isfinite(v))
 
     def deriv(self, x):
         derivative = self.derivative or (lambda v: finite_difference(self.eval, v, self.domain))
-        return _apply(derivative, x, f"the derivative of {self.id!r}", None, np.isnan)
+        return _apply(derivative, x, lambda: f"the derivative of {self.id!r}", None, np.isnan)
 
     def checked(self) -> "FunctionModel":
         """Verify finiteness on 33 sampled domain points; returns self."""

@@ -115,23 +115,24 @@ class WeightedSet:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(float(p) for p in self.points)
-        wts = tuple(float(w) for w in self.weights)
+        pts = tuple(map(float, self.points))
+        wts = tuple(map(float, self.weights))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
         if len(pts) != len(wts):
             raise LengthMismatch("points and weights differ in length")
         if not pts:
             raise WeightError("weighted set must be nonempty")
-        if any(not w > 0.0 for w in wts):  # a NaN weight too
+        total = math.fsum(wts) if min(wts) > 0.0 else math.nan
+        if total != total:  # a NaN weight too, which min may pass over but fsum keeps
             raise WeightError("weights must be strictly positive")
-        if abs(math.fsum(wts) - 1.0) > WEIGHT_SUM_TOL:
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise WeightError(f"weights must sum to 1 within {WEIGHT_SUM_TOL:g}")
 
     @staticmethod
     def uniform(points: Sequence[float]) -> "WeightedSet":
-        n = len(points)
-        return WeightedSet(tuple(points), tuple(1.0 / n for _ in range(n)))
+        n = len(points)  # none raises WeightError
+        return WeightedSet(tuple(points), (1.0 / n,) * n if n else ())
 
 
 def midpoint_verdict(
@@ -269,7 +270,7 @@ def jensen_diversity(
     reads 0, a lower value raises ConvexityError.
     """
     _require_certified("jensen_diversity", verdict, F, M, N, seed)
-    lhs, rhs = _jensen_sides(F, M, N, np.array(points.points), points.weights)
+    lhs, rhs = _jensen_sides(F, M, N, np.array(points.points), np.array(points.weights))
     return float(_nonnegative(lhs - rhs))
 
 
@@ -413,6 +414,10 @@ class _Anchors(NamedTuple):
     rho_slope: np.ndarray  # rho'(q)
     F_slope: np.ndarray  # F'(q)
 
+    def combine(self, tau_F, rho):
+        """Unclamped B(p : q) from tau(F(p)) and rho(p), elementwise."""
+        return (tau_F - self.tau_F) / self.tau_slope - ((rho - self.rho) / self.rho_slope) * self.F_slope
+
 
 def _anchors(spec: QabdSpec, q) -> _Anchors:
     """The per-point table of ``qabd(. : q)``: one chain of checked calls,
@@ -436,11 +441,12 @@ def _qabd_at(spec: QabdSpec, anchors: _Anchors, p):
     F, rho and tau at p alone, in the order in which ``_qabd_checked``
     reaches p: one chain of checked calls, its checks deferred to its end,
     whose values are ``_qabd_checked``'s bit for bit.  With the table built
-    once at the data, each distance call of ``kmeans_cluster`` is this."""
-    F, rho, tau, a = spec.F, spec.rho, spec.tau, anchors
+    once at the data, each distance call of ``kmeans_cluster`` at its
+    centroids is this."""
+    F, rho, tau = spec.F, spec.rho, spec.tau
 
     def combine(p):
-        return (tau.value(F.value(p)) - a.tau_F) / a.tau_slope - ((rho.value(p) - a.rho) / a.rho_slope) * a.F_slope
+        return anchors.combine(tau.value(F.value(p)), rho.value(p))
 
     return _deferred(combine, p)
 

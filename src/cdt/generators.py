@@ -79,6 +79,9 @@ class Interval:
             object.__setattr__(self, "hi", -0.0)
         if not self.lo < self.hi:
             raise DomainError(f"empty interval ({self.lo}, {self.hi})")
+        # the ends as 0-d float64 arrays, against which numpy compares an
+        # array faster than against floats (``_outside``); not a field
+        object.__setattr__(self, "_ends", (np.array(self.lo, dtype=float), np.array(self.hi, dtype=float)))
 
     def contains(self, x: float) -> bool:
         return self.lo < x < self.hi
@@ -137,7 +140,8 @@ def _first(x, bad: np.ndarray) -> float:
 
 def _outside(x, domain: Interval) -> np.ndarray:
     """The mask of the elements of x outside the open domain, NaN included."""
-    return ~((x > domain.lo) & (x < domain.hi))
+    lo, hi = domain._ends
+    return ~((x > lo) & (x < hi))
 
 
 def _check_inside(x: np.ndarray, domain: Interval, what: str) -> None:
@@ -190,25 +194,35 @@ def _deferred(chain: Callable, *args):
         return chain(*args)
 
 
-def _apply(fn: Callable, x, what: str, domain: Interval | None = None, bad=None):
+_F64 = np.dtype(float)
+
+
+def _floats(v) -> np.ndarray:
+    """v as a float64 array: v itself when it is one."""
+    return v if type(v) is np.ndarray and v.dtype is _F64 else np.asarray(v, dtype=float)
+
+
+def _apply(fn: Callable, x, what: str | Callable[[], str], domain: Interval | None = None, bad=None):
     """fn(x) elementwise as a float array (a float for a float), under one
     errstate.  Raises DomainError naming the first element of x outside
     ``domain``, at which fn raises one of ``UNDEFINED`` (ArithmeticError or
-    ValueError), or whose value ``bad`` flags; a CdtError that fn raises
-    itself passes through unchanged.  Within an open chain (see
+    ValueError), or whose value ``bad`` flags, and ``what`` (fn's name, or
+    a callable that builds it when an error may need it); a CdtError that
+    fn raises itself passes through unchanged.  Within an open chain (see
     ``_deferred``) it calls fn under the chain's errstate, and flags the
     elements outside ``domain`` and those ``bad`` flags instead."""
-    xa = np.asarray(x, dtype=float)
+    xa = _floats(x)
     flat = xa.reshape(-1)  # a float takes the array path too, so both agree bit for bit
     flags = _FLAGS.get()
     if flags is not None:
-        out = np.asarray(fn(flat), dtype=float)
+        out = _floats(fn(flat))
     else:
+        what = what if isinstance(what, str) else what()
         if domain is not None:
             _check_inside(xa, domain, what)
         with np.errstate(all="ignore"):
             try:
-                out = np.asarray(fn(flat), dtype=float)
+                out = _floats(fn(flat))
             except CdtError:  # fn's own account of what went wrong
                 raise
             except UNDEFINED as exc:
@@ -273,8 +287,9 @@ def _monotone_direction(fun: Callable, lo, hi, n: int = 33):
     takes the scan as its table."""
     xs = np.linspace(lo, hi, n)
     ys = np.asarray(fun(xs), dtype=float)
-    diffs = np.diff(ys, axis=0)
-    out = np.where(np.all(diffs > 0.0, axis=0), 1, np.where(np.all(diffs < 0.0, axis=0), -1, 0))
+    diffs = ys[1:] - ys[:-1]
+    # min and max carry a NaN through, and it compares false either way
+    out = (np.minimum.reduce(diffs) > 0.0) * 1 - (np.maximum.reduce(diffs) < 0.0)
     return (int(out) if out.ndim == 0 else out), (xs, ys)
 
 
@@ -306,7 +321,7 @@ def _estimate(a: float, ya: float, b: float, yb: float, c: float, yc: float, t: 
     through a and b (as in Brent, Algorithms for Minimization without
     Derivatives, 1973), clipped into [a, b]; the midpoint if not finite."""
     r = math.nan
-    with contextlib.suppress(ZeroDivisionError):
+    try:
         r = a + (t - ya) * (b - a) / (yb - ya)
         q = (
             a * (t - yb) * (t - yc) / ((ya - yb) * (ya - yc))
@@ -315,6 +330,8 @@ def _estimate(a: float, ya: float, b: float, yb: float, c: float, yc: float, t: 
         )
         if a < q < b:
             r = q
+    except ZeroDivisionError:
+        pass
     return min(max(r, a), b) if math.isfinite(r) else 0.5 * (a + b)
 
 
@@ -357,8 +374,9 @@ def _invert_monotone(fun: Callable, target, lo, hi, tol: float, table=None, unit
     increasing = fhi >= flo
     # Floating-point drift can push the target marginally outside the bracket.
     target = np.minimum(np.maximum(target, np.minimum(flo, fhi)), np.maximum(flo, fhi))
-    args = np.broadcast_arrays(target, increasing, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), flo, fhi,
-                               np.asarray(unit, dtype=float))
+    args = (target, increasing, _floats(lo), _floats(hi), flo, fhi, _floats(unit))
+    if any(v.shape != target.shape for v in args):
+        args = np.broadcast_arrays(*args)
     shape = args[0].shape
     target, increasing, a, b, ya, yb, unit = (v.reshape(-1) for v in args)
     if a.size <= _PATH_ELEMENTS:
@@ -389,7 +407,7 @@ def _seeds(xs, ys, shape, target, increasing) -> list[float]:
     lead = (n,) + (1,) * (len(shape) + 1 - xs.ndim)  # the rows over the elements' shape
     XY[0], XY[1] = xs.reshape(lead + xs.shape[1:]), ys.reshape(lead + ys.shape[1:])
     XY = XY.reshape(2, n, m)
-    below = np.count_nonzero((XY[1] < target) == increasing, axis=0)
+    below = np.add.reduce((XY[1] < target) == increasing, axis=0)
     seeds = []
     for e, (i, t) in enumerate(zip(below.tolist(), target.tolist())):
         if i in (0, n):  # the root at a bracket end
@@ -411,17 +429,20 @@ def _paths(fun, target, increasing, a, b, ya, yb, tol, unit, seeds):
     one call.  The first round steps toward ``seeds``; later ones estimate
     from the values the rounds have evaluated.  Each element keeps the
     levels whose decisions, taken from fun's own values, match the path,
-    and the first that does not, so every round confirms a level.  The
-    first paths run to the tolerance; after c levels kept, the next runs at
-    most 2c + 2, so a fun that defeats every estimate costs O(levels) float
-    steps.
+    and the first that does not, so every round confirms a level.  One
+    array comparison finds each path's first level off it; up to there the
+    decisions are the path's, so a walk back over the levels kept, only as
+    far as the last move of each end, gives the bracket and the end c
+    discarded last.  The first paths run to the tolerance; after c levels
+    kept, the next runs at most 2c + 2, so a fun that defeats every
+    estimate costs O(levels) float steps.
     """
     # each element's lo, fun(lo), hi, fun(hi), the end c it discarded last,
     # fun(c), its levels and the most levels of its next path, 0 once stopped
     S = [(*s, math.nan, math.nan, 0, _MAX_LEVELS) for s in zip(a.tolist(), ya.tolist(), b.tolist(), yb.tolist())]
     T, rising, units = target.tolist(), increasing.tolist(), unit.tolist()
     while True:
-        paths = []
+        paths, rs, mids = [], [], []
         for (lo, _, hi, _, _, _, k, d), r, rises, u in zip(S, seeds, rising, units):
             # where fun equals the target, bisection raises lo if fun falls
             # and lowers hi if it rises, so a falling path steps up at m <= r
@@ -436,27 +457,42 @@ def _paths(fun, target, increasing, a, b, ya, yb, tol, unit, seeds):
                     lo = m
                 else:
                     hi = m
-            paths.append((path, cap, r, 0.5 * (lo + hi)))
-        D = max((len(p) for p, *_ in paths), default=0)
+            paths.append((path, cap))
+            rs.append(r)
+            mids.append(0.5 * (lo + hi))
+        D = max((len(p) for p, _ in paths), default=0)
         if not D:
             break
         # a shorter path, or none where an element has stopped, is padded
         # with the midpoint where it ends, and a NaN there raises too
-        P = np.array([p + [f] * (D - len(p)) for p, _, _, f in paths]).T
+        flat = []
+        for (path, _), f in zip(paths, mids):
+            flat += path
+            flat += [f] * (D - len(path))
+        P = np.array(flat).reshape(-1, D).T
         Y = _checked(P, fun(P))
-        ups = ((Y < target) == increasing).T.tolist()
-        for i, ((path, cap, r, _), ys, us) in enumerate(zip(paths, Y.T.tolist(), ups)):
+        off = ((Y < target) == increasing) != (P < np.array(rs))  # fun's decision is not the path's
+        for i, ((path, cap), r, j) in enumerate(zip(paths, rs, off.argmax(axis=0).tolist())):
             lo, ylo, hi, yhi, c, yc, k, _ = S[i]
-            # a path kept whole that ended short of its cap ended at the tolerance
-            kept, more = len(path), len(path) == cap > 0
-            for j, (m, y, up) in enumerate(zip(path, ys, us)):
+            turned = j < len(path) and off.item(j, i)  # else the path is kept whole
+            kept = j + 1 if turned else len(path)
+            if kept:
+                # fun's decision at the last level moves lo where it is up,
+                # else hi; the levels before it moved the ends as the path did
+                J = kept - 1
+                up = (path[J] < r) != turned
+                same = other = J - 1  # the last earlier level that moved the same end, and the other
+                while same >= 0 and (path[same] < r) != up:
+                    same -= 1
+                while other >= 0 and (path[other] < r) == up:
+                    other -= 1
+                level = lambda t, end: (path[t], Y.item(t, i)) if t >= 0 else end  # end: none moved it
                 if up:
-                    lo, ylo, c, yc = m, y, lo, ylo
+                    (lo, ylo), (hi, yhi), (c, yc) = level(J, None), level(other, (hi, yhi)), level(same, (lo, ylo))
                 else:
-                    hi, yhi, c, yc = m, y, hi, yhi
-                if up != (m < r):  # the first level off the path
-                    kept, more = j + 1, True
-                    break
+                    (lo, ylo), (hi, yhi), (c, yc) = level(other, (lo, ylo)), level(J, None), level(same, (hi, yhi))
+            # a path kept whole that ended short of its cap ended at the tolerance
+            more = turned or len(path) == cap > 0
             S[i] = (lo, ylo, hi, yhi, c, yc, k + kept, 2 * kept + 2 if more else 0)
         seeds = [_estimate(*s[:6], t) if s[7] else math.nan for s, t in zip(S, T)]
     return np.array([s[0] for s in S]), np.array([s[2] for s in S])
@@ -491,14 +527,14 @@ class Generator:
         object.__setattr__(self, "inverse", _vectorized(self.inverse, probe)[0])
 
     def value(self, x):
-        return _apply(self.forward, x, f"generator {self.id!r}", self.domain, np.isnan)
+        return _apply(self.forward, x, lambda: f"generator {self.id!r}", self.domain, np.isnan)
 
     def inv(self, y):
-        return _apply(self.inverse, y, f"the inverse of generator {self.id!r}", None, np.isnan)
+        return _apply(self.inverse, y, lambda: f"the inverse of generator {self.id!r}", None, np.isnan)
 
     def deriv(self, x):
         derivative = self.derivative or (lambda v: finite_difference(self.forward, v, self.domain))
-        return _apply(derivative, x, f"the derivative of generator {self.id!r}", self.domain, np.isnan)
+        return _apply(derivative, x, lambda: f"the derivative of generator {self.id!r}", self.domain, np.isnan)
 
     def image(self) -> Interval:
         return _image(self.forward, self.domain.lo, self.domain.hi)

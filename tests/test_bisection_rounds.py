@@ -9,7 +9,10 @@ the messages of the errors they raise.  With a NaN planted at one point,
 the solver raises DomainError naming it, or never evaluates that point and
 returns one-level bisection's bytes.  The solver never calls the function
 more often.  Each property holds as well when the solve is seeded, as its
-callers seed it, from the table of a monotonicity scan.  Also here: the
+callers seed it, from the table of a monotonicity scan.  Explicit cases
+pin the rounds of ``_paths``: a path off at its first level, paths kept
+whole to their cap and to the tolerance, a root at a bracket end, and
+stopped elements padded next to an active one.  Also here: the
 single-column ``means._wsum`` against its row loop.
 """
 
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 from test_solver_kernels import Counted
 
 from cdt.errors import DomainError
-from cdt.generators import _MAX_LEVELS, _PATH_ELEMENTS, _first, _invert_monotone, _monotone_direction
+from cdt.generators import _MAX_LEVELS, _PATH_ELEMENTS, _first, _invert_monotone, _monotone_direction, _paths
 from cdt.means import _wsum
 
 
@@ -255,6 +258,60 @@ def test_shapes(rows):
     brackets = np.array([1.0, 1.5])  # over one target
     same(log, 0.5, brackets, 2.0, 1e-14, table=scan(log, brackets, 2.0, rows))
     same(log, np.zeros(0), np.zeros(0), np.zeros(0), 1e-14, table=scan(log, np.zeros(0), np.zeros(0), rows))
+
+
+# ----------------------------------------------------- paths, case by case
+
+
+def rounds(fun, target, lo, hi, seeds, tol=1e-14, unit=0.0):
+    """The points of each call of ``_paths`` from the first estimates
+    ``seeds``, rows by levels and columns by elements, after checking that
+    its brackets are one-level bisection's."""
+    counted = Counted(fun)
+    target, lo, hi = (np.array(v, dtype=float) for v in (target, lo, hi))
+    ya, yb = fun(lo), fun(hi)
+    a, b = _paths(counted, target, yb >= ya, lo, hi, ya, yb, tol, np.full(lo.shape, unit), list(seeds))
+    assert (0.5 * (a + b)).tobytes() == one_level(fun, target, lo, hi, tol, unit).tobytes()
+    return counted.args
+
+
+def test_a_path_off_at_its_first_level():
+    # Toward 0.9, the path raises lo at 0.5, where one-level bisection
+    # lowers hi for the root 0.3; the round keeps that one level, so the
+    # next path runs 2 * 1 + 2 levels from [0, 0.5].
+    P = rounds(lambda x: x, [0.3], [0.0], [1.0], [0.9])
+    assert P[0][:2, 0].tolist() == [0.5, 0.75]
+    assert P[1][:, 0].tolist() == [0.25, 0.375, 0.3125, 0.28125]
+
+
+def test_paths_kept_whole_stop_at_their_cap_then_at_the_tolerance():
+    # After the first round's one level, each path is kept whole at its cap
+    # of 2c + 2 levels, c those kept so far (4, 10, 22); the last stops at
+    # the tolerance, 12 levels short of its cap of 46, and so the element.
+    P = rounds(lambda x: x, [0.3], [0.0], [1.0], [0.9])
+    assert [len(p) for p in P] == [47, 4, 10, 22, 12]
+
+
+@pytest.mark.parametrize("fun", [lambda x: x, lambda x: -x], ids=["rising", "falling"])
+@pytest.mark.parametrize("end", [0, 1], ids=["lo", "hi"])
+def test_every_decision_one_way(fun, end):
+    # A root at a bracket end: every level moves the other end, so no
+    # earlier level moved the end that the last one keeps.
+    ends = np.array([1.0, 2.0])
+    (path,) = rounds(fun, [fun(ends)[end]], [1.0], [2.0], [ends[end]])
+    steps = np.diff(path[:, 0])
+    assert np.all(steps > 0.0) if end else np.all(steps < 0.0)
+
+
+def test_a_stopped_element_is_padded_next_to_active_ones():
+    # The second element stops after the first round, the third, one float
+    # wide, before it: each later column of theirs is the midpoint where
+    # they stopped, while the first element goes on.
+    P = rounds(lambda x: x, [0.3, 0.3, 5.0], [0.0, 0.0, 5.0], [1.0, 1.0, 5.0 + 2.0**-50], [0.9, 0.3, 5.0])
+    stopped = one_level(lambda x: x, np.array([0.3, 5.0]), np.array([0.0, 5.0]), np.array([1.0, 5.0 + 2.0**-50]), 1e-14, 0.0)
+    assert len(P) == 5 and np.all(P[0][:, 2] == stopped[1])
+    for p in P[1:]:
+        assert np.all(p[:, 1:] == stopped) and len(np.unique(p[:, 0])) == len(p)
 
 
 # --------------------------------------------------------------- faults

@@ -57,8 +57,9 @@ class TestWeightedSet:
 
     def test_a_nan_weight_is_not_positive(self):
         # a NaN passes w <= 0 and leaves the sum's distance from 1 NaN
-        with pytest.raises(WeightError, match="^weights must be strictly positive$"):
-            WeightedSet((1.0, 2.0, 3.0), (0.5, math.nan, 0.5))
+        for weights in ((0.5, math.nan, 0.5), (math.nan, 0.5, 0.5), (math.inf, math.nan, 0.5), (math.nan, -math.inf, 1.0)):
+            with pytest.raises(WeightError, match="^weights must be strictly positive$"):
+                WeightedSet((1.0, 2.0, 3.0), weights)
         with pytest.raises(WeightError, match="^weights must be strictly positive$"):
             weighted_mean(ARITHMETIC, (1.0, 2.0, 3.0), (0.5, math.nan, 0.5))
 
@@ -236,10 +237,10 @@ def recomputing_lloyd(spec, wset, k, seed=0, sweeps=None, reseeds=None):
     pts = np.asarray(wset.points)
     wts = np.asarray(wset.weights)
     anchors = _anchors(spec, pts[:, None])
-    centers = np.array(centroids._seed_centers(spec, anchors, pts, wts, k, rng))
+    centers = pts[centroids._seed_centers(anchors, wts, k, rng)]
     prev_obj = math.inf
     history = []
-    dmat = centroids._distances(spec, anchors, centers)
+    dmat = centroids._distances(spec, anchors, centers)  # the checked chain, where kmeans_cluster reads the table
     for iterations in range(1, 101):
         assign = np.argmin(dmat, axis=1)
         for j in range(k):

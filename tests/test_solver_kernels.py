@@ -21,7 +21,9 @@ finiteness in one call.  These tests pin:
 * the solver's NaN check, which used to steer the bisection silently;
 * evaluation counts: one scan call, whose rows seed the solve, and one
   call per round along predicted bisection paths; one F call at the data
-  per ``kmeans_cluster``;
+  per ``kmeans_cluster``, and the checked chains of a ``kmeans_cluster``
+  job, whose distances at the seeds are read from the table, bit for bit
+  the chain's;
 * the h and ``qabd`` chains against the checked composition, bit for bit,
   h also for callables that return float32;
 * ``lagrange_mean`` and ``cauchy_mean`` against the 50-digit oracle on far
@@ -258,15 +260,18 @@ def test_centroid_evaluation_counts(case):
 
 
 #: F points of one kmeans_cluster at k = 3 per CLUSTER triple.  Case 0
-#: evaluates F at [24, 1, 1, 3, 99, 123, 3] points: the table's one call at
-#: the data, one center per seeding call, three per Lloyd distance call, and
-#: the centroid solve's scan and one round for three clusters.  With every
-#: distance call evaluating the data side and the centroids solved in
-#: rho(x), the four took 374, 446, 965 and 836 F points and 249, 321, 744
-#: and 663 rho^-1 points.  A centre below 1 costs a few more points than
-#: when the tolerance was absolute below 1 (251, 701 and 632 for the last
-#: three): each solve of such a centre steps its paths a level further.
-KMEANS_F_POINTS = [254, 254, 704, 638]
+#: evaluates F at [24, 99, 123, 3] points: the table's one call at the data,
+#: the centroid solve's scan and one round for three clusters, and three at
+#: the Lloyd distance call.  The seeds are data points, whose distances are
+#: read from the table: evaluating F at each seed's distance call, once per
+#: seeding call and three times for the first Lloyd sweep, cost 5 points
+#: more (254, 254, 704 and 638).  With every distance call evaluating the
+#: data side and the centroids solved in rho(x), the four took 374, 446,
+#: 965 and 836 F points and 249, 321, 744 and 663 rho^-1 points.  A centre
+#: below 1 costs a few more points than when the tolerance was absolute
+#: below 1 (246, 696 and 627 for the last three): each solve of such a
+#: centre steps its paths a level further.
+KMEANS_F_POINTS = [249, 249, 699, 633]
 
 
 @pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
@@ -281,6 +286,58 @@ def test_kmeans_evaluates_F_at_the_data_once_and_never_rho_inverse(case):
     assert len([x for x in F.eval.args if np.isin(pts, x).all()]) == 1 and F.eval.points == KMEANS_F_POINTS[case]
     assert bregman_centroid(spec, WeightedSet(pts, w)) == CLUSTER[case][4]
     assert rho.inverse.calls == 0
+
+
+#: checked chains (``generators._deferred`` calls) per CLUSTER triple: of
+#: one kmeans_cluster at k = 3, and of one bregman_centroid, which is the
+#: table and its COUNTS h calls.  Case 0's job runs the table, the scan and
+#: one round of the one centroid solve, and the distance call at the
+#: centroids; computing the distances at the seeds, which are data points,
+#: by a chain of their own added three more (7, 7, 13 and 12).
+KMEANS_CHAINS, CENTROID_CHAINS = [4, 4, 10, 9], [3, 3, 3, 5]
+
+#: h calls of each centroid solve of that kmeans_cluster
+KMEANS_H_CALLS = [[2], [2], [2, 2, 2], [3, 3]]
+
+
+@pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
+def test_kmeans_runs_each_chain_once(case):
+    # a change that evaluates data points again fails here, not only in
+    # the benchmark
+    spec, pts, w = _cluster_case(case)
+    chains, solves = [], []
+
+    def counted(chain, *args):
+        chains.append(chain)
+        return _deferred(chain, *args)
+
+    def gradient(spec):
+        solves.append(Counted(_gradient(spec)))
+        return solves[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (cdt.centroids, cdt.divergences):
+            patch.setattr(module, "_deferred", counted)
+        patch.setattr(cdt.centroids, "_gradient", gradient)
+        assert kmeans_cluster(spec, WeightedSet.uniform(pts), 3, seed=case).centers == CLUSTER[case][5]
+        assert (len(chains), [h.calls for h in solves]) == (KMEANS_CHAINS[case], KMEANS_H_CALLS[case])
+        chains.clear()
+        assert bregman_centroid(spec, WeightedSet(pts, w)) == CLUSTER[case][4]
+        assert len(chains) == CENTROID_CHAINS[case] == 1 + COUNTS[case][0]
+
+
+@pytest.mark.parametrize("case", range(len(CLUSTER)), ids=[f"{c[0]}|{c[2]},{c[3]}" for c in CLUSTER])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_distances_read_from_the_table_equal_the_chains(case, data):
+    # kmeans_cluster reads the distances at its seeds from the table's rows;
+    # at any data points taken as centres they are the chain's bit for bit
+    spec, pts, _ = _cluster_case(case)
+    pts = np.asarray(pts)
+    idx = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=6))
+    anchors = _anchors(spec, pts[:, None])
+    read, chain = cdt.centroids._data_distances(anchors, idx), cdt.centroids._distances(spec, anchors, pts[idx])
+    assert (read.shape, read.tobytes()) == (chain.shape, chain.tobytes())
 
 
 def test_lagrange_derivative_calls():
